@@ -214,9 +214,22 @@ void Cluster::recover(NodeId id) {
       TileSnapshot bootstrap_only;
       {
         const std::lock_guard lock(bootstrap_mutex_);
-        bootstrap_only.campaign_csvs = bootstrap_csvs_.at(tile);
+        for (const std::string& csv : bootstrap_csvs_.at(tile)) {
+          std::istringstream is(csv);
+          campaign::ChannelDataset dataset = campaign::read_csv(is);
+          auto& states = bootstrap_only.channels;
+          const auto it = std::find_if(
+              states.begin(), states.end(), [&](const core::ChannelState& s) {
+                return s.channel() == dataset.channel;
+              });
+          if (it == states.end()) {
+            states.emplace_back(std::move(dataset));
+          } else {
+            it->ingest(std::move(dataset));
+          }
+        }
       }
-      target.install_snapshot(tile, bootstrap_only);
+      target.install_snapshot(tile, std::move(bootstrap_only));
     }
   }
 

@@ -10,12 +10,13 @@
 //
 // kill(n) marks the node dead and wipes its state — process-crash
 // semantics, not a graceful drain. recover(n) re-admits it as kSyncing,
-// pulls each owned tile's TileSnapshot from a ready replica (through the
-// fault-injected transport, with retries), installs and replays it, and
-// only then marks the node kReady. With replication >= 2 a recovered node
-// converges to byte-identical state; with replication == 1 a kill loses
-// the tile's crowd uploads by construction (single copy) and recover
-// falls back to re-ingesting the bootstrap campaigns the harness retains.
+// pulls each owned tile's TileSnapshot (channel states + dedup window)
+// from a ready replica (through the fault-injected transport, with
+// retries), installs it, and only then marks the node kReady. With
+// replication >= 2 a recovered node converges to byte-identical datasets
+// and pending pools; with replication == 1 a kill loses the tile's crowd
+// uploads by construction (single copy) and recover falls back to the
+// bootstrap campaigns the harness retains (nodes keep no copy of them).
 //
 // Failure model (docs/CLUSTER.md): single failure at a time, fail-stop,
 // shared membership truth. The Transport seam and the verb set are where
@@ -87,7 +88,7 @@ class Cluster {
   /// in-flight sends start failing), then the state is wiped.
   void kill(NodeId id);
 
-  /// Re-admits a killed node: kSyncing, per-tile snapshot pull + replay
+  /// Re-admits a killed node: kSyncing, per-tile snapshot pull + install
   /// (retried through the faulty transport), then kReady. Safe to call
   /// while client traffic is flowing.
   void recover(NodeId id);

@@ -2,36 +2,49 @@
 // the replication machinery that keeps replicas byte-identical.
 //
 // Data model. A node hosts every tile whose HRW replica set contains it.
-// Each tile owns a full SpectrumService (campaign datasets, pending pools,
-// models, descriptor caches) plus the cluster bookkeeping: the normalized
-// campaign CSVs it was bootstrapped with, the complete per-channel upload
-// log in apply-ticket order, a request-id dedup table, and a reorder
-// buffer for replication frames that arrive out of ticket order.
+// Each tile owns a full SpectrumService (one core::ChannelState per
+// channel — dataset, pending pool, apply ticket, staleness counter,
+// screening index — plus models and descriptor caches) and the cluster
+// bookkeeping: a request-id dedup window and a reorder buffer for
+// replication frames that arrive while the tile is still syncing. No node
+// keeps a per-upload log: what an upload leaves behind is the readings it
+// added and, for kDedupHorizon, its dedup record.
 //
 // Write path. The tile's primary (first non-dead replica in HRW order)
 // applies a client upload through its service — which assigns the
-// per-channel apply ticket — appends the verbatim client wire to its log,
-// and synchronously replicates {ticket, request_id, wire} to every other
-// live replica before acknowledging. Secondaries apply entries strictly in
-// ticket order (the reorder buffer absorbs transport reordering), so every
-// replica applies the identical byte stream in the identical order and the
-// existing serial-replay determinism theorem (tests/test_service.cpp)
-// makes their datasets, models and descriptors byte-identical.
+// per-channel apply ticket — and synchronously replicates {ticket,
+// request_id, verbatim client wire} to every other live replica before
+// acknowledging. Secondaries apply entries strictly in ticket order (a
+// syncing tile buffers them until its snapshot is in), so every replica
+// applies the identical byte stream in the identical order and the
+// serial-replay determinism theorem (tests/test_service.cpp) makes their
+// datasets, models and descriptors byte-identical.
 //
 // Safety under failure.
 //  - Exactly-once: uploads carry a request id; primaries and secondaries
-//    both remember id -> response, so client retries after a lost ack (and
-//    injector-duplicated frames) return the original ledger instead of
-//    applying twice.
+//    both remember id -> ledger for kDedupHorizon (dedup.hpp), at least as
+//    long as the default router retries, so a client retry after a lost
+//    ack (or an injector-duplicated frame) is answered with the original
+//    ledger, re-encoded to the original bytes, instead of applying twice.
 //  - Fencing: upload acceptance re-validates "am I the primary, am I
 //    ready" against a fresh membership snapshot *under the tile mutex*,
-//    and replication receivers re-validate the sender the same way. A
-//    primary that was just killed (or deposed by a recovery) has its final
-//    in-flight writes rejected rather than split into a second log head.
-//  - Recovery: a wiped node re-enters as kSyncing, buffers incoming
-//    replication, installs a pulled TileSnapshot (campaign CSVs + log),
-//    replays it, drains the buffer, and only then serves again — with
-//    state byte-identical to its peers (test-enforced).
+//    and replication receivers re-validate the sender the same way — once
+//    before they allocate anything for the tile, and again under its
+//    mutex. A primary that was just killed (or deposed by a recovery) has
+//    its final in-flight writes rejected rather than split into a second
+//    apply order.
+//  - Gap repair: with R >= 3 a primary can die after its last write
+//    reached one secondary but not another. The lagging secondary answers
+//    the next (later-ticket) entry with kNotReady, and the new primary
+//    pushes it the whole tile state instead (verb "state").
+//  - Recovery is state transfer: a wiped node re-enters as kSyncing,
+//    buffers incoming replication, pulls each owned tile's TileSnapshot
+//    (every channel's ChannelState plus the live dedup window) from a
+//    ready peer, installs it, drains the buffer of entries the snapshot
+//    already covers or that follow it, and only then serves again — with
+//    datasets and pending pools byte-identical to its peers'
+//    (test-enforced). Its cost follows the tile's size, not the number of
+//    uploads it has seen.
 //
 // Lock order: lifecycle_mutex_ (shared for handlers, unique for wipe) ->
 // tiles_mutex_ -> Tile::mutex. Replication RPCs are issued while holding
@@ -44,6 +57,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -84,6 +98,9 @@ struct NodeStats {
   /// Replication to a live peer gave up after persistent non-transport
   /// errors (a logic fault, not a network fault); tests assert 0.
   std::uint64_t repl_abandoned = 0;
+  /// Gap repairs: full tile states pushed to a secondary that had missed a
+  /// write of a deposed primary (see handle_repl).
+  std::uint64_t state_pushes = 0;
   /// A replicated apply produced a different ticket than the primary's —
   /// a log-divergence alarm; tests assert it stays 0.
   std::uint64_t ticket_mismatches = 0;
@@ -117,10 +134,10 @@ class ClusterNode {
   void wipe();
 
   /// Recovery: installs a pulled tile snapshot (or completes a tile that
-  /// replication frames created in the buffering state), replays its log,
-  /// and drains buffered replication. Idempotent on an already-synced
-  /// tile. Throws on corrupt snapshots.
-  void install_snapshot(TileKey tile, const TileSnapshot& snapshot);
+  /// replication frames created in the buffering state) and drains
+  /// buffered replication. Idempotent on an already-synced tile. Throws if
+  /// a buffered entry cannot be applied.
+  void install_snapshot(TileKey tile, TileSnapshot snapshot);
 
   // -- verification/diagnostic accessors (bypass the transport) --
 
@@ -132,7 +149,10 @@ class ClusterNode {
   /// Normalized CSV of the (tile, channel) trusted dataset; empty when
   /// absent. Byte-comparable across replicas.
   [[nodiscard]] std::string dataset_csv(TileKey tile, int channel) const;
-  [[nodiscard]] std::uint64_t log_size(TileKey tile, int channel) const;
+  /// Upload batches the (tile, channel) has applied == its next apply
+  /// ticket; 0 when absent.
+  [[nodiscard]] std::uint64_t uploads_applied(TileKey tile,
+                                              int channel) const;
 
   [[nodiscard]] NodeStats stats() const;
 
@@ -143,30 +163,54 @@ class ClusterNode {
   [[nodiscard]] std::string handle_wsnp(const Envelope& request);
   [[nodiscard]] std::string handle_repl(const Envelope& request);
   [[nodiscard]] std::string handle_pull(const Envelope& request);
+  [[nodiscard]] std::string handle_state(const Envelope& request);
 
   /// First non-dead replica for `tile` under `m` — the fencing rule every
   /// participant applies identically. kClientNode when all are dead.
   [[nodiscard]] NodeId tile_primary(const Membership& m, TileKey tile) const;
 
+  /// True when `request` comes from the tile's current primary under a
+  /// fresh membership snapshot — the rule every replication receiver
+  /// applies before it touches a tile.
+  [[nodiscard]] bool from_primary(const Envelope& request) const;
+  /// Counts a fenced frame and builds its kNotOwner reply.
+  [[nodiscard]] std::string fenced(const Envelope& request, int channel) const;
+
   [[nodiscard]] Tile* find_tile(TileKey key) const;
   [[nodiscard]] Tile& tile_or_create(TileKey key, bool synced);
 
-  /// Applies one upload wire through the tile service and records it in
-  /// the log + dedup table; fills entry.ticket with the assigned ticket.
-  /// With expect_ticket, the assigned ticket must equal the entry's
-  /// (replica replay) or the logs have split — throws std::logic_error.
-  /// Caller holds the tile mutex. Returns the response wire.
-  [[nodiscard]] std::string apply_locked(Tile& t, ReplEntry& entry,
-                                         bool expect_ticket);
+  /// Applies one upload through the tile service and remembers its
+  /// request id in the dedup window. With `expect_ticket` (a replicated
+  /// entry), the assigned ticket must equal it or the replicas have split
+  /// — throws std::logic_error. Caller holds the tile mutex.
+  core::UploadResult apply_locked(Tile& t, const core::UploadRequest& upload,
+                                  std::uint64_t request_id,
+                                  std::optional<std::uint64_t> expect_ticket);
+
+  /// Decodes and applies one replicated entry, which must land on its
+  /// ticket. Caller holds the tile mutex.
+  void apply_entry_locked(Tile& t, const ReplEntry& entry);
 
   /// Applies every buffered entry that is next in its channel's ticket
   /// order; drops already-applied duplicates. Caller holds the tile mutex.
   void drain_reorder_locked(Tile& t);
 
   /// Synchronously replicates `entry` to every live replica other than
-  /// this node. Returns false if a receiver fenced us (caller must not
-  /// ack). Caller holds the tile mutex.
-  [[nodiscard]] bool replicate_locked(TileKey key, const ReplEntry& entry);
+  /// this node; a replica that reports a replication gap gets the whole
+  /// tile state instead. Returns false if a receiver fenced us (caller
+  /// must not ack). Caller holds the tile mutex.
+  [[nodiscard]] bool replicate_locked(Tile& t, TileKey key,
+                                      const ReplEntry& entry);
+
+  /// Installs `snapshot` over the tile's channels and dedup window, marks
+  /// the tile synced and drains its reorder buffer. Caller holds the tile
+  /// mutex.
+  void install_locked(Tile& t, TileSnapshot snapshot);
+
+  /// A "state" envelope carrying the tile's TileSnapshot. Caller holds the
+  /// tile mutex, so the snapshot is one instant of the tile.
+  [[nodiscard]] std::string state_envelope_locked(const Tile& t,
+                                                  TileKey key) const;
 
   [[nodiscard]] std::string error_envelope(TileKey tile,
                                            core::ErrorCode code, int channel,

@@ -15,19 +15,23 @@
 // upload: ticket-stamped WSNP upload wire), "ingest" (a trusted campaign
 // as CSV — replicas parse the same normalized bytes, so bootstrap state is
 // identical everywhere), "pull" (state-transfer request; empty body),
-// "state" (pull response: a full TileSnapshot) and "ok" (bare ack).
+// "state" (a binary TileSnapshot: the reply to a pull, or a primary's
+// push to a secondary that reported a replication gap) and "ok" (bare
+// ack).
 //
-// Bodies are length-prefixed byte strings: binary descriptors and CSVs
-// pass through unmolested. Decode is checked the same way WSNP is —
-// hostile lengths, trailing garbage and truncation are rejected, never
-// trusted.
+// Bodies are length-prefixed byte strings: binary descriptors, snapshots
+// and CSVs pass through unmolested. Decode is checked the same way WSNP
+// is — hostile lengths, trailing garbage and truncation are rejected,
+// never trusted.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "waldo/cluster/dedup.hpp"
 #include "waldo/cluster/tiling.hpp"
+#include "waldo/core/channel_state.hpp"
 
 namespace waldo::cluster {
 
@@ -59,16 +63,22 @@ struct ReplEntry {
 [[nodiscard]] std::string encode_repl_entry(const ReplEntry& entry);
 [[nodiscard]] ReplEntry decode_repl_entry(const std::string& body);
 
-/// Full tile state for recovery: the normalized campaign CSVs the tile was
-/// bootstrapped with plus its complete upload log in apply order.
-/// Reingesting the CSVs and replaying the log reproduces the tile
-/// byte-for-byte (the repo's determinism contract, applied to recovery).
+/// Full tile state for recovery: every channel's core::ChannelState
+/// (dataset, pending pool, apply ticket, staleness counter) plus the live
+/// dedup window, oldest record first. Installing it reproduces the source
+/// replica's datasets and pending pools byte-for-byte, and lets retries of
+/// uploads the source applied still hit the dedup table.
+///
+/// Framed with codec::Writer (docs/WIRE_FORMAT.md): doubles travel as raw
+/// IEEE-754 bits, every count is bounds-checked, and a CRC32 trailer
+/// rejects corruption.
 struct TileSnapshot {
-  std::vector<std::string> campaign_csvs;
-  std::vector<ReplEntry> log;
+  std::vector<core::ChannelState> channels;
+  std::vector<DedupRecord> dedup;
 };
 
 [[nodiscard]] std::string encode_tile_snapshot(const TileSnapshot& snapshot);
+/// Throws codec::Error (a std::runtime_error) on malformed input.
 [[nodiscard]] TileSnapshot decode_tile_snapshot(const std::string& body);
 
 }  // namespace waldo::cluster

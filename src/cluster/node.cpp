@@ -14,6 +14,17 @@
 
 namespace waldo::cluster {
 
+namespace {
+
+[[nodiscard]] std::string upload_response(const core::UploadResult& ledger) {
+  return core::encode(core::UploadResponse{.accepted = ledger.accepted,
+                                           .rejected = ledger.rejected,
+                                           .pending = ledger.pending,
+                                           .ticket = ledger.ticket});
+}
+
+}  // namespace
+
 struct ClusterNode::Tile {
   Tile(const core::ModelConstructorConfig& constructor_config,
        const campaign::LabelingConfig& labeling,
@@ -27,13 +38,11 @@ struct ClusterNode::Tile {
 
   /// Serialises every write to the tile (client uploads, replication,
   /// state transfer) and guards the fields below. Holding it across the
-  /// synchronous replication RPC is deliberate: the tile's log order IS
+  /// synchronous replication RPC is deliberate: the tile's apply order IS
   /// its replication order, and the fencing re-check must be atomic with
   /// the apply. Downloads never take it.
   std::mutex mutex;
-  std::vector<std::string> campaign_csvs;
-  std::map<int, std::map<std::uint64_t, ReplEntry>> log;
-  std::map<std::uint64_t, std::string> dedup;  // request id -> response
+  DedupWindow dedup;
   std::map<int, std::map<std::uint64_t, ReplEntry>> reorder;
   /// False while the tile only buffers replication (fresh from a wipe,
   /// waiting for install_snapshot). Client traffic requires synced.
@@ -54,6 +63,7 @@ struct ClusterNode::Counters {
   std::atomic<std::uint64_t> pulls{0};
   std::atomic<std::uint64_t> installs{0};
   std::atomic<std::uint64_t> repl_abandoned{0};
+  std::atomic<std::uint64_t> state_pushes{0};
   std::atomic<std::uint64_t> mismatches{0};
 };
 
@@ -84,6 +94,16 @@ NodeId ClusterNode::tile_primary(const Membership& m, TileKey tile) const {
     if (m.alive(n)) return n;
   }
   return kClientNode;
+}
+
+bool ClusterNode::from_primary(const Envelope& request) const {
+  return tile_primary(*membership_->snapshot(), request.tile) == request.from;
+}
+
+std::string ClusterNode::fenced(const Envelope& request, int channel) const {
+  counters_->repl_fenced.fetch_add(1, std::memory_order_relaxed);
+  return error_envelope(request.tile, core::ErrorCode::kNotOwner, channel,
+                        request.verb + " fenced: sender is not the primary");
 }
 
 ClusterNode::Tile* ClusterNode::find_tile(TileKey key) const {
@@ -134,6 +154,7 @@ std::string ClusterNode::handle(const std::string& envelope_wire) noexcept {
     if (request.verb == "repl") return handle_repl(request);
     if (request.verb == "ingest") return handle_ingest(request);
     if (request.verb == "pull") return handle_pull(request);
+    if (request.verb == "state") return handle_state(request);
     return error_envelope(request.tile, core::ErrorCode::kBadRequest, 0,
                           "unknown cluster verb: " + request.verb);
   } catch (const std::exception& e) {
@@ -150,7 +171,6 @@ std::string ClusterNode::handle_ingest(const Envelope& request) {
   campaign::ChannelDataset dataset = campaign::read_csv(is);
   Tile& t = tile_or_create(request.tile, /*synced=*/true);
   const std::lock_guard lock(t.mutex);
-  t.campaign_csvs.push_back(request.body);
   t.service.ingest_campaign(std::move(dataset));
   counters_->ingests.fetch_add(1, std::memory_order_relaxed);
   return encode_envelope(
@@ -224,68 +244,83 @@ std::string ClusterNode::handle_wsnp(const Envelope& request) {
                             r->channel, "not the tile primary");
     }
   }
+  const auto reply = [&](const core::UploadResult& ledger) {
+    return encode_envelope({.verb = "wsnp",
+                            .from = id_,
+                            .tile = request.tile,
+                            .body = upload_response(ledger)});
+  };
   if (r->request_id != 0) {
-    const auto hit = t->dedup.find(r->request_id);
-    if (hit != t->dedup.end()) {
+    if (const auto hit = t->dedup.find(r->request_id)) {
       counters_->dedup_hits.fetch_add(1, std::memory_order_relaxed);
-      return encode_envelope({.verb = "wsnp",
-                              .from = id_,
-                              .tile = request.tile,
-                              .body = hit->second});
+      return reply(*hit);
     }
   }
 
-  ReplEntry entry{.channel = r->channel,
-                  .ticket = 0,
-                  .request_id = r->request_id,
-                  .upload_wire = request.body};
-  std::string response;
+  core::UploadResult ledger;
   try {
-    response = apply_locked(*t, entry, /*expect_ticket=*/false);
+    ledger = apply_locked(*t, *r, r->request_id, std::nullopt);
   } catch (const std::out_of_range& e) {
     return error_envelope(request.tile, core::ErrorCode::kUnknownChannel,
                           r->channel, e.what());
   }
   counters_->uploads.fetch_add(1, std::memory_order_relaxed);
-  if (!replicate_locked(request.tile, entry)) {
+  if (!replicate_locked(*t, request.tile, {.channel = r->channel,
+                                       .ticket = ledger.ticket,
+                                       .request_id = r->request_id,
+                                       .upload_wire = request.body})) {
     // A receiver fenced us: we are being deposed (or are already marked
-    // dead). The local apply survives in the log; if this node lives on,
-    // the entry reaches peers via the recovery pull, and the client's
+    // dead). The local apply survives in this node's state; if the node
+    // lives on, peers receive it with the recovery pull, and the client's
     // retry lands on the dedup record — so not acking here is safe.
     return error_envelope(request.tile, core::ErrorCode::kUnavailable,
                           r->channel, "deposed during replication");
   }
-  return encode_envelope({.verb = "wsnp",
-                          .from = id_,
-                          .tile = request.tile,
-                          .body = response});
+  return reply(ledger);
 }
 
 std::string ClusterNode::handle_repl(const Envelope& request) {
   ReplEntry entry = decode_repl_entry(request.body);
+  // Fence stale writers: only the current primary may append. Checked
+  // once before the tile is looked up, so a stray or fenced frame never
+  // allocates a tile, and again under the tile mutex against a fresh
+  // snapshot, mirroring the sender-side check.
+  if (!from_primary(request)) return fenced(request, entry.channel);
   Tile& t = tile_or_create(request.tile, /*synced=*/false);
   const std::lock_guard lock(t.mutex);
-  // Fence stale writers: only the current primary may append. Checked
-  // under the tile mutex against a fresh snapshot, mirroring the
-  // sender-side check.
-  if (tile_primary(*membership_->snapshot(), request.tile) != request.from) {
-    counters_->repl_fenced.fetch_add(1, std::memory_order_relaxed);
-    return error_envelope(request.tile, core::ErrorCode::kNotOwner,
-                          entry.channel,
-                          "replication fenced: sender is not the primary");
-  }
+  if (!from_primary(request)) return fenced(request, entry.channel);
   const int channel = entry.channel;
   if (!t.synced) {
-    // Syncing: hold everything until install_snapshot replays the pulled
+    // Syncing: hold everything until install_snapshot installs the pulled
     // state, then drain. Ack now — the entry is durable in the buffer.
     t.reorder[channel][entry.ticket] = std::move(entry);
     counters_->repl_buffered.fetch_add(1, std::memory_order_relaxed);
-  } else if (entry.ticket < t.service.uploads_applied(channel)) {
+  } else if (const std::uint64_t next = t.service.uploads_applied(channel);
+             entry.ticket < next) {
     counters_->repl_duplicates.fetch_add(1, std::memory_order_relaxed);
+  } else if (entry.ticket > next) {
+    // One primary replicates in ticket order and waits for each ack, so a
+    // gap means a deposed primary's last write reached another replica
+    // but not this one (possible with R >= 3). Nobody will resend it:
+    // ask the current primary for its state instead.
+    return error_envelope(request.tile, core::ErrorCode::kNotReady, channel,
+                          "replication gap: missing ticket " +
+                              std::to_string(next));
   } else {
-    t.reorder[channel][entry.ticket] = std::move(entry);
-    drain_reorder_locked(t);
+    apply_entry_locked(t, entry);
   }
+  return encode_envelope(
+      {.verb = "ok", .from = id_, .tile = request.tile, .body = {}});
+}
+
+std::string ClusterNode::handle_state(const Envelope& request) {
+  TileSnapshot snapshot = decode_tile_snapshot(request.body);
+  // A state push comes from the tile's primary only, fenced like repl.
+  if (!from_primary(request)) return fenced(request, 0);
+  Tile& t = tile_or_create(request.tile, /*synced=*/false);
+  const std::lock_guard lock(t.mutex);
+  if (!from_primary(request)) return fenced(request, 0);
+  install_locked(t, std::move(snapshot));
   return encode_envelope(
       {.verb = "ok", .from = id_, .tile = request.tile, .body = {}});
 }
@@ -301,43 +336,35 @@ std::string ClusterNode::handle_pull(const Envelope& request) {
     return error_envelope(request.tile, core::ErrorCode::kNotReady, 0,
                           "tile not synced");
   }
-  TileSnapshot snapshot;
-  snapshot.campaign_csvs = t->campaign_csvs;
-  for (const auto& [channel, entries] : t->log) {
-    for (const auto& [ticket, entry] : entries) snapshot.log.push_back(entry);
-  }
   counters_->pulls.fetch_add(1, std::memory_order_relaxed);
-  return encode_envelope({.verb = "state",
-                          .from = id_,
-                          .tile = request.tile,
-                          .body = encode_tile_snapshot(snapshot)});
+  return state_envelope_locked(*t, request.tile);
 }
 
-std::string ClusterNode::apply_locked(Tile& t, ReplEntry& entry,
-                                      bool expect_ticket) {
-  const core::Message message = core::decode(entry.upload_wire);
-  const auto* upload = std::get_if<core::UploadRequest>(&message);
-  if (upload == nullptr) {
-    throw std::runtime_error("cluster: log entry is not an upload_request");
-  }
-  const core::UploadResult result = t.service.upload_measurements(
-      upload->channel, upload->readings, upload->contributor);
-  if (expect_ticket && result.ticket != entry.ticket) {
+core::UploadResult ClusterNode::apply_locked(
+    Tile& t, const core::UploadRequest& upload, std::uint64_t request_id,
+    std::optional<std::uint64_t> expect_ticket) {
+  const core::UploadResult ledger = t.service.upload_measurements(
+      upload.channel, upload.readings, upload.contributor);
+  if (expect_ticket && ledger.ticket != *expect_ticket) {
     // The service applied identical bytes but landed on a different
-    // ticket than the primary assigned: the logs have split.
+    // ticket than the primary assigned: the replicas have split.
     counters_->mismatches.fetch_add(1, std::memory_order_relaxed);
     throw std::logic_error("cluster: replica ticket diverged");
   }
-  entry.ticket = result.ticket;
-  entry.channel = upload->channel;
-  const std::string response =
-      core::encode(core::UploadResponse{.accepted = result.accepted,
-                                        .rejected = result.rejected,
-                                        .pending = result.pending,
-                                        .ticket = result.ticket});
-  t.log[entry.channel][entry.ticket] = entry;
-  if (entry.request_id != 0) t.dedup[entry.request_id] = response;
-  return response;
+  if (request_id != 0) {
+    t.dedup.remember(request_id, ledger, DedupWindow::Clock::now());
+  }
+  return ledger;
+}
+
+void ClusterNode::apply_entry_locked(Tile& t, const ReplEntry& entry) {
+  const core::Message message = core::decode(entry.upload_wire);
+  const auto* upload = std::get_if<core::UploadRequest>(&message);
+  if (upload == nullptr) {
+    throw std::runtime_error("cluster: repl entry is not an upload");
+  }
+  (void)apply_locked(t, *upload, entry.request_id, entry.ticket);
+  counters_->repl_applied.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ClusterNode::drain_reorder_locked(Tile& t) {
@@ -353,25 +380,28 @@ void ClusterNode::drain_reorder_locked(Tile& t) {
         continue;
       }
       if (first->first > next) break;  // gap — wait for the missing entry
-      ReplEntry entry = std::move(first->second);
+      const ReplEntry entry = std::move(first->second);
       pending.erase(first);
-      (void)apply_locked(t, entry, /*expect_ticket=*/true);
-      counters_->repl_applied.fetch_add(1, std::memory_order_relaxed);
+      apply_entry_locked(t, entry);
     }
     it = pending.empty() ? t.reorder.erase(it) : ++it;
   }
 }
 
-bool ClusterNode::replicate_locked(TileKey key, const ReplEntry& entry) {
+bool ClusterNode::replicate_locked(Tile& t, TileKey key,
+                                   const ReplEntry& entry) {
   const auto replicas =
       replica_set(key, topology_.num_nodes, topology_.replication);
   if (replicas.size() <= 1) return true;
-  const std::string wire = encode_envelope({.verb = "repl",
+  const std::string repl = encode_envelope({.verb = "repl",
                                             .from = id_,
                                             .tile = key,
                                             .body = encode_repl_entry(entry)});
   for (const NodeId peer : replicas) {
     if (peer == id_) continue;
+    // Set once the peer reports a replication gap: it then gets this
+    // tile's whole state (which already includes `entry`) instead.
+    bool push_state = false;
     runtime::Backoff backoff(replication_backoff_,
                              runtime::split_seed(entry.request_id,
                                                  entry.ticket));
@@ -382,11 +412,21 @@ bool ClusterNode::replicate_locked(TileKey key, const ReplEntry& entry) {
     while (true) {
       if (!membership_->snapshot()->alive(peer)) break;  // resyncs later
       try {
-        const Envelope reply = decode_envelope(transport_->send(peer, wire));
-        if (reply.verb == "ok") break;
+        const Envelope reply = decode_envelope(transport_->send(
+            peer, push_state ? state_envelope_locked(t, key) : repl));
+        if (reply.verb == "ok") {
+          if (push_state) {
+            counters_->state_pushes.fetch_add(1, std::memory_order_relaxed);
+          }
+          break;
+        }
         const core::Message message = core::decode(reply.body);
         if (const auto* err = std::get_if<core::ErrorResponse>(&message)) {
           if (err->code == core::ErrorCode::kNotOwner) return false;  // fenced
+          if (err->code == core::ErrorCode::kNotReady && !push_state) {
+            push_state = true;
+            continue;
+          }
         }
         if (++protocol_failures > 50) {
           counters_->repl_abandoned.fetch_add(1, std::memory_order_relaxed);
@@ -412,27 +452,35 @@ void ClusterNode::wipe() {
   tiles_.clear();
 }
 
-void ClusterNode::install_snapshot(TileKey tile, const TileSnapshot& snapshot) {
+void ClusterNode::install_snapshot(TileKey tile, TileSnapshot snapshot) {
   const std::shared_lock lifecycle(lifecycle_mutex_);
   Tile& t = tile_or_create(tile, /*synced=*/false);
   const std::lock_guard lock(t.mutex);
-  if (t.synced) return;
-  for (const std::string& csv : snapshot.campaign_csvs) {
-    std::istringstream is(csv);
-    t.service.ingest_campaign(campaign::read_csv(is));
-    t.campaign_csvs.push_back(csv);
+  if (t.synced) return;  // a state push got here first
+  install_locked(t, std::move(snapshot));
+}
+
+void ClusterNode::install_locked(Tile& t, TileSnapshot snapshot) {
+  for (core::ChannelState& state : snapshot.channels) {
+    t.service.install_channel(std::move(state));
   }
-  for (ReplEntry entry : snapshot.log) {
-    const std::uint64_t next = t.service.uploads_applied(entry.channel);
-    if (entry.ticket < next) continue;  // defensively tolerate duplicates
-    if (entry.ticket > next) {
-      throw std::runtime_error("cluster: snapshot log has a ticket gap");
-    }
-    (void)apply_locked(t, entry, /*expect_ticket=*/true);
-  }
+  t.dedup.restore(snapshot.dedup, DedupWindow::Clock::now());
   t.synced = true;
   drain_reorder_locked(t);
   counters_->installs.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::string ClusterNode::state_envelope_locked(const Tile& t,
+                                               TileKey key) const {
+  // Under the tile mutex no upload can apply, so the channel states and
+  // the dedup window describe the same instant.
+  const TileSnapshot snapshot{
+      .channels = t.service.channel_states(),
+      .dedup = t.dedup.records(DedupWindow::Clock::now())};
+  return encode_envelope({.verb = "state",
+                          .from = id_,
+                          .tile = key,
+                          .body = encode_tile_snapshot(snapshot)});
 }
 
 std::vector<TileKey> ClusterNode::tiles() const {
@@ -470,12 +518,9 @@ std::string ClusterNode::dataset_csv(TileKey tile, int channel) const {
   }
 }
 
-std::uint64_t ClusterNode::log_size(TileKey tile, int channel) const {
+std::uint64_t ClusterNode::uploads_applied(TileKey tile, int channel) const {
   Tile* t = find_tile(tile);
-  if (t == nullptr) return 0;
-  const std::lock_guard lock(t->mutex);
-  const auto it = t->log.find(channel);
-  return it == t->log.end() ? 0 : it->second.size();
+  return t == nullptr ? 0 : t->service.uploads_applied(channel);
 }
 
 NodeStats ClusterNode::stats() const {
@@ -494,6 +539,7 @@ NodeStats ClusterNode::stats() const {
   out.pulls_served = c.pulls.load(std::memory_order_relaxed);
   out.snapshots_installed = c.installs.load(std::memory_order_relaxed);
   out.repl_abandoned = c.repl_abandoned.load(std::memory_order_relaxed);
+  out.state_pushes = c.state_pushes.load(std::memory_order_relaxed);
   out.ticket_mismatches = c.mismatches.load(std::memory_order_relaxed);
   return out;
 }

@@ -1,7 +1,10 @@
 #include "waldo/cluster/wire.hpp"
 
+#include "waldo/codec/codec.hpp"
+
 #include <charconv>
 #include <sstream>
+#include <utility>
 #include <stdexcept>
 #include <string_view>
 
@@ -46,37 +49,6 @@ template <typename Int>
     throw std::runtime_error(std::string("CLSTR: malformed ") + what);
   }
   return tokens;
-}
-
-/// Reads "<count>\n" at `pos`, advancing it.
-[[nodiscard]] std::size_t read_count_line(const std::string& body,
-                                          std::size_t& pos,
-                                          const char* what) {
-  const std::size_t nl = body.find('\n', pos);
-  if (nl == std::string::npos) {
-    throw std::runtime_error(std::string("CLSTR: truncated ") + what);
-  }
-  const auto count = parse_int<std::size_t>(
-      std::string_view(body).substr(pos, nl - pos), what);
-  pos = nl + 1;
-  // A count the remaining body cannot possibly hold is hostile, not a
-  // reason to attempt a giant reserve.
-  if (count > body.size() - pos + 1) {
-    throw std::runtime_error(std::string("CLSTR: implausible ") + what);
-  }
-  return count;
-}
-
-/// Reads "<bytes>\n<raw bytes>" at `pos`, advancing it.
-[[nodiscard]] std::string read_blob(const std::string& body, std::size_t& pos,
-                                    const char* what) {
-  const std::size_t length = read_count_line(body, pos, what);
-  if (body.size() - pos < length) {
-    throw std::runtime_error(std::string("CLSTR: truncated ") + what);
-  }
-  std::string blob = body.substr(pos, length);
-  pos += length;
-  return blob;
 }
 
 }  // namespace
@@ -144,37 +116,39 @@ ReplEntry decode_repl_entry(const std::string& body) {
 }
 
 std::string encode_tile_snapshot(const TileSnapshot& snapshot) {
-  std::ostringstream os;
-  os << snapshot.campaign_csvs.size() << "\n";
-  for (const std::string& csv : snapshot.campaign_csvs) {
-    os << csv.size() << "\n" << csv;
+  codec::Writer out;
+  out.u64(snapshot.channels.size());
+  for (const core::ChannelState& state : snapshot.channels) state.encode(out);
+  out.u64(snapshot.dedup.size());
+  for (const DedupRecord& r : snapshot.dedup) {
+    out.u64(r.request_id);
+    out.u64(r.age_ns);
+    out.u64(r.ledger.accepted);
+    out.u64(r.ledger.rejected);
+    out.u64(r.ledger.pending);
+    out.u64(r.ledger.ticket);
   }
-  os << snapshot.log.size() << "\n";
-  for (const ReplEntry& entry : snapshot.log) {
-    const std::string encoded = encode_repl_entry(entry);
-    os << encoded.size() << "\n" << encoded;
-  }
-  return os.str();
+  return std::move(out).finish();
 }
 
 TileSnapshot decode_tile_snapshot(const std::string& body) {
+  codec::Reader in(body);
   TileSnapshot snapshot;
-  std::size_t pos = 0;
-  const std::size_t csvs = read_count_line(body, pos, "snapshot csv count");
-  snapshot.campaign_csvs.reserve(csvs);
-  for (std::size_t i = 0; i < csvs; ++i) {
-    snapshot.campaign_csvs.push_back(read_blob(body, pos, "snapshot csv"));
+  // A channel state is at least a channel, a name and four counts.
+  snapshot.channels.resize(in.count(6));
+  for (core::ChannelState& state : snapshot.channels) {
+    state = core::ChannelState::decode(in);
   }
-  const std::size_t entries =
-      read_count_line(body, pos, "snapshot log count");
-  snapshot.log.reserve(entries);
-  for (std::size_t i = 0; i < entries; ++i) {
-    snapshot.log.push_back(
-        decode_repl_entry(read_blob(body, pos, "snapshot log entry")));
+  snapshot.dedup.resize(in.count(6));
+  for (DedupRecord& r : snapshot.dedup) {
+    r.request_id = in.u64();
+    r.age_ns = in.u64();
+    r.ledger.accepted = static_cast<std::size_t>(in.u64());
+    r.ledger.rejected = static_cast<std::size_t>(in.u64());
+    r.ledger.pending = static_cast<std::size_t>(in.u64());
+    r.ledger.ticket = in.u64();
   }
-  if (pos != body.size()) {
-    throw std::runtime_error("CLSTR: trailing bytes after snapshot");
-  }
+  in.expect_done();
   return snapshot;
 }
 

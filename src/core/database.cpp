@@ -1,84 +1,9 @@
 #include "waldo/core/database.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
-#include "waldo/geo/grid_index.hpp"
-#include "waldo/ml/stats.hpp"
-
 namespace waldo::core {
-
-UploadResult screen_upload(const campaign::ChannelDataset& stored,
-                           std::vector<PendingReading>& pending,
-                           const UploadPolicy& policy,
-                           std::span<const campaign::Measurement> readings,
-                           const std::string& contributor,
-                           std::vector<campaign::Measurement>& accepted) {
-  UploadResult result;
-  if (readings.empty()) return result;
-
-  // Correlation check against the stored neighbourhood (Section 3.4 /
-  // secure collaborative sensing): an upload deviating wildly from what
-  // nearby trusted readings saw is rejected; an upload nobody can vouch
-  // for is held pending until independently corroborated.
-  const geo::GridIndex index(stored.positions(),
-                             std::max(50.0, policy.neighbourhood_m));
-  const std::vector<double> stored_rss = stored.rss_values();
-
-  for (const campaign::Measurement& m : readings) {
-    const std::vector<std::size_t> nearby =
-        index.query_radius(m.position, policy.neighbourhood_m);
-    if (nearby.size() >= policy.min_neighbours) {
-      std::vector<double> neighbour_rss;
-      neighbour_rss.reserve(nearby.size());
-      for (const std::size_t j : nearby) {
-        neighbour_rss.push_back(stored_rss[j]);
-      }
-      const double median = ml::quantile(neighbour_rss, 0.5);
-      if (std::abs(m.rss_dbm - median) > policy.max_deviation_db) {
-        ++result.rejected;
-      } else {
-        accepted.push_back(m);
-        ++result.accepted;
-      }
-      continue;
-    }
-
-    // Unexplored territory: look for corroborating pending readings from
-    // other contributors.
-    std::vector<std::size_t> corroborators;
-    std::size_t distinct = 1;  // this contributor
-    for (std::size_t p = 0; p < pending.size(); ++p) {
-      const PendingReading& pr = pending[p];
-      if (geo::distance_m(pr.measurement.position, m.position) >
-          policy.corroboration_m) {
-        continue;
-      }
-      if (std::abs(pr.measurement.rss_dbm - m.rss_dbm) >
-          policy.max_deviation_db) {
-        continue;
-      }
-      corroborators.push_back(p);
-      if (pr.contributor != contributor) ++distinct;
-    }
-    if (distinct >= policy.min_corroborators) {
-      // Promote the agreeing cluster plus this reading.
-      accepted.push_back(m);
-      ++result.accepted;
-      for (auto rit = corroborators.rbegin(); rit != corroborators.rend();
-           ++rit) {
-        accepted.push_back(pending[*rit].measurement);
-        ++result.accepted;  // promoted into the trusted store now
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(*rit));
-      }
-    } else {
-      pending.push_back(PendingReading{m, contributor});
-      ++result.pending;
-    }
-  }
-  return result;
-}
 
 SpectrumDatabase::SpectrumDatabase(ModelConstructorConfig constructor_config,
                                    campaign::LabelingConfig labeling,
@@ -92,34 +17,29 @@ void SpectrumDatabase::ingest_campaign(campaign::ChannelDataset dataset) {
     throw std::invalid_argument("refusing to ingest an empty campaign");
   }
   const int channel = dataset.channel;
-  auto it = data_.find(channel);
-  if (it == data_.end()) {
-    data_.emplace(channel, std::move(dataset));
-  } else {
-    auto& readings = it->second.readings;
-    readings.insert(readings.end(),
-                    std::make_move_iterator(dataset.readings.begin()),
-                    std::make_move_iterator(dataset.readings.end()));
-  }
+  channels_[channel].ingest(std::move(dataset));
   model_cache_.erase(channel);
   descriptor_cache_.erase(channel);
-  accepted_since_build_[channel] = 0;
 }
 
 bool SpectrumDatabase::has_channel(int channel) const noexcept {
-  return data_.contains(channel);
+  return channels_.contains(channel);
 }
 
 std::vector<int> SpectrumDatabase::channels() const {
   std::vector<int> out;
-  out.reserve(data_.size());
-  for (const auto& [ch, _] : data_) out.push_back(ch);
+  out.reserve(channels_.size());
+  for (const auto& [ch, _] : channels_) out.push_back(ch);
   return out;
 }
 
 const campaign::ChannelDataset& SpectrumDatabase::dataset(int channel) const {
-  const auto it = data_.find(channel);
-  if (it == data_.end()) {
+  return channel_state(channel).dataset();
+}
+
+const ChannelState& SpectrumDatabase::channel_state(int channel) const {
+  const auto it = channels_.find(channel);
+  if (it == channels_.end()) {
     throw std::out_of_range("no data for channel " + std::to_string(channel));
   }
   return it->second;
@@ -138,7 +58,7 @@ const WhiteSpaceModel& SpectrumDatabase::model(int channel) {
       constructor.build_with_labeling(dataset(channel), labeling_);
   ++stats_.models_built;
   // The fresh build folds in every accepted reading: nothing is stale.
-  accepted_since_build_[channel] = 0;
+  channels_.at(channel).model_built();
   return model_cache_.emplace(channel, std::move(m)).first->second;
 }
 
@@ -165,54 +85,38 @@ std::string SpectrumDatabase::download_model(int channel) {
 SpectrumDatabase::UploadResult SpectrumDatabase::upload_measurements(
     int channel, std::span<const campaign::Measurement> readings,
     const std::string& contributor) {
-  auto it = data_.find(channel);
-  if (it == data_.end()) {
+  auto it = channels_.find(channel);
+  if (it == channels_.end()) {
     throw std::out_of_range(
         "uploads require a bootstrapped channel (trusted campaign first)");
   }
-  campaign::ChannelDataset& stored = it->second;
-
-  std::vector<campaign::Measurement> accepted;
-  UploadResult result = screen_upload(stored, pending_[channel],
-                                      upload_policy_, readings, contributor,
-                                      accepted);
-  result.ticket = uploads_applied_[channel]++;
-
-  if (!accepted.empty()) {
-    stored.readings.insert(stored.readings.end(),
-                           std::make_move_iterator(accepted.begin()),
-                           std::make_move_iterator(accepted.end()));
-    std::size_t& stale = accepted_since_build_[channel];
-    stale += result.accepted;
-    if (stale >= upload_policy_.rebuild_threshold) {
-      model_cache_.erase(channel);
-      descriptor_cache_.erase(channel);
-      stale = 0;
-    }
+  const ChannelState::Applied applied =
+      it->second.upload(upload_policy_, readings, contributor);
+  if (applied.model_stale) {
+    model_cache_.erase(channel);
+    descriptor_cache_.erase(channel);
   }
-  stats_.uploads_accepted += result.accepted;
-  stats_.uploads_rejected += result.rejected;
-  return result;
+  stats_.uploads_accepted += applied.ledger.accepted;
+  stats_.uploads_rejected += applied.ledger.rejected;
+  return applied.ledger;
 }
 
 std::size_t SpectrumDatabase::purge_pending(const std::string& contributor) {
   std::size_t purged = 0;
-  for (auto& [channel, pending] : pending_) {
-    purged += std::erase_if(pending, [&contributor](const PendingReading& pr) {
-      return pr.contributor == contributor;
-    });
+  for (auto& [channel, state] : channels_) {
+    purged += state.purge_pending(contributor);
   }
   return purged;
 }
 
 std::size_t SpectrumDatabase::pending_count(int channel) const noexcept {
-  const auto it = pending_.find(channel);
-  return it == pending_.end() ? 0 : it->second.size();
+  const auto it = channels_.find(channel);
+  return it == channels_.end() ? 0 : it->second.pending().size();
 }
 
 std::size_t SpectrumDatabase::staleness(int channel) const noexcept {
-  const auto it = accepted_since_build_.find(channel);
-  return it == accepted_since_build_.end() ? 0 : it->second;
+  const auto it = channels_.find(channel);
+  return it == channels_.end() ? 0 : it->second.staleness();
 }
 
 }  // namespace waldo::core

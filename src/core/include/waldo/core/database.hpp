@@ -6,9 +6,9 @@
 //
 // SpectrumDatabase is the single-threaded reference implementation of the
 // SpectrumStore surface; service::SpectrumService (src/service) is the
-// thread-safe per-channel-sharded serving layer. Both screen uploads with
-// the same screen_upload() function, so they accept exactly the same
-// readings given the same per-channel request order.
+// thread-safe per-channel-sharded serving layer. Both keep each channel in
+// a core::ChannelState (channel_state.hpp), so they accept exactly the
+// same readings given the same per-channel request order.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +20,7 @@
 
 #include "waldo/campaign/labeling.hpp"
 #include "waldo/campaign/measurement.hpp"
+#include "waldo/core/channel_state.hpp"
 #include "waldo/core/model.hpp"
 #include "waldo/core/model_constructor.hpp"
 
@@ -39,65 +40,6 @@ struct DatabaseStats {
   /// Bytes of `bytes_served` that came straight from the cache.
   std::size_t bytes_from_cache = 0;
 };
-
-struct UploadPolicy {
-  /// Radius within which stored readings vouch for an upload.
-  double neighbourhood_m = 1'000.0;
-  /// Minimum vouching neighbours required to apply the correlation test.
-  std::size_t min_neighbours = 3;
-  /// Maximum deviation from the neighbourhood median RSS before an upload
-  /// is rejected as implausible / malicious. Honest readings deviate by
-  /// shadowing-pocket depth plus device noise (a few dB).
-  double max_deviation_db = 12.0;
-  /// Uploads in unexplored territory cannot be correlation-checked, so
-  /// they are *held pending* instead of trusted: a pending reading is
-  /// promoted into the dataset only once readings from enough distinct
-  /// contributors agree with it. (Colluding Sybil identities can still
-  /// corroborate each other — the full defence of Fatemieh et al. adds
-  /// RF-propagation consistency, which the correlation test approximates
-  /// only where trusted data exists.)
-  double corroboration_m = 500.0;
-  std::size_t min_corroborators = 2;
-  /// Cached models are invalidated only after this many readings have been
-  /// accepted since the last build — retraining per upload batch would make
-  /// large deployments rebuild constantly for negligible accuracy gain.
-  std::size_t rebuild_threshold = 1;
-};
-
-/// A crowd-sourced reading parked for corroboration — seen but not trusted.
-struct PendingReading {
-  campaign::Measurement measurement;
-  std::string contributor;
-};
-
-/// Ledger of one upload batch.
-struct UploadResult {
-  std::size_t accepted = 0;
-  std::size_t rejected = 0;
-  std::size_t pending = 0;  ///< held for corroboration, not yet trusted
-  /// 0-based position of this batch in the channel's total upload order
-  /// (every upload call consumes one ticket, even all-rejected ones —
-  /// they may still park pending readings). Replaying recorded batches in
-  /// ticket order against a fresh store reproduces the channel's dataset
-  /// and pending pool byte-for-byte; tests/test_service.cpp holds the
-  /// concurrent serving layer to exactly that contract.
-  std::uint64_t ticket = 0;
-};
-
-/// Screens one upload batch against a channel's trusted dataset and pending
-/// pool per `policy` (Section 3.4): readings the stored neighbourhood can
-/// vouch for are correlation-checked; readings in unexplored territory are
-/// promoted when enough distinct contributors corroborate, parked pending
-/// otherwise. Mutates `pending` (parks new readings, removes promoted ones)
-/// and appends every newly trusted measurement — each accepted batch
-/// reading followed by the pendings it promoted — to `accepted`. The
-/// returned ledger's ticket is left 0; stores stamp their own apply order.
-[[nodiscard]] UploadResult screen_upload(
-    const campaign::ChannelDataset& stored,
-    std::vector<PendingReading>& pending, const UploadPolicy& policy,
-    std::span<const campaign::Measurement> readings,
-    const std::string& contributor,
-    std::vector<campaign::Measurement>& accepted);
 
 /// The store surface the WSNP ProtocolServer serves from. Thread safety is
 /// the implementor's contract: ProtocolServer::handle is reentrant exactly
@@ -138,6 +80,9 @@ class SpectrumDatabase : public SpectrumStore {
   [[nodiscard]] bool has_channel(int channel) const noexcept override;
   [[nodiscard]] std::vector<int> channels() const;
   [[nodiscard]] const campaign::ChannelDataset& dataset(int channel) const;
+  /// The channel's full state: dataset, pending pool, tickets, staleness.
+  /// Throws std::out_of_range for unknown channels.
+  [[nodiscard]] const ChannelState& channel_state(int channel) const;
 
   /// Algorithm 1 labels of the stored dataset (computed fresh).
   [[nodiscard]] std::vector<int> labels(int channel) const;
@@ -176,10 +121,7 @@ class SpectrumDatabase : public SpectrumStore {
   campaign::LabelingConfig labeling_;
   UploadPolicy upload_policy_;
 
-  std::map<int, campaign::ChannelDataset> data_;
-  std::map<int, std::size_t> accepted_since_build_;
-  std::map<int, std::uint64_t> uploads_applied_;
-  std::map<int, std::vector<PendingReading>> pending_;
+  std::map<int, ChannelState> channels_;
   std::map<int, WhiteSpaceModel> model_cache_;
   /// Serialized form of the entry in model_cache_; erased alongside it.
   std::map<int, std::string> descriptor_cache_;

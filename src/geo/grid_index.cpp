@@ -8,42 +8,50 @@
 
 namespace waldo::geo {
 
-GridIndex::GridIndex(std::vector<EnuPoint> points, double cell_size_m)
-    : points_(std::move(points)), cell_size_m_(cell_size_m) {
+namespace {
+
+/// Ids are 32-bit: an index over more points than that is a caller bug.
+[[nodiscard]] std::uint32_t checked_id(std::size_t i) {
+  if (i > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("GridIndex holds at most 2^32 points");
+  }
+  return static_cast<std::uint32_t>(i);
+}
+
+}  // namespace
+
+GridCells::GridCells(double cell_size_m) : cell_size_m_(cell_size_m) {
   if (cell_size_m <= 0.0) {
     throw std::invalid_argument("GridIndex cell size must be positive");
   }
+}
+
+void GridCells::insert(std::uint32_t id, const EnuPoint& p) {
+  cells_[cell_of(p)].push_back(id);
+  ++size_;
+}
+
+GridIndex::GridIndex(std::vector<EnuPoint> points, double cell_size_m)
+    : points_(std::move(points)), cells_(cell_size_m) {
   for (std::size_t i = 0; i < points_.size(); ++i) {
-    cells_[cell_of(points_[i])].push_back(i);
+    cells_.insert(checked_id(i), points_[i]);
   }
 }
 
-GridIndex::CellKey GridIndex::cell_of(const EnuPoint& p) const noexcept {
-  return CellKey{
-      .cx = static_cast<std::int64_t>(std::floor(p.east_m / cell_size_m_)),
-      .cy = static_cast<std::int64_t>(std::floor(p.north_m / cell_size_m_))};
+std::size_t GridIndex::insert(const EnuPoint& p) {
+  const std::size_t i = points_.size();
+  cells_.insert(checked_id(i), p);
+  points_.push_back(p);
+  return i;
 }
 
 void GridIndex::for_each_within(
     const EnuPoint& center, double radius_m,
     const std::function<void(std::size_t)>& fn) const {
-  if (radius_m < 0.0) return;
-  const CellKey c0 = cell_of(EnuPoint{center.east_m - radius_m,
-                                      center.north_m - radius_m});
-  const CellKey c1 = cell_of(EnuPoint{center.east_m + radius_m,
-                                      center.north_m + radius_m});
-  const double r2 = radius_m * radius_m;
-  for (std::int64_t cx = c0.cx; cx <= c1.cx; ++cx) {
-    for (std::int64_t cy = c0.cy; cy <= c1.cy; ++cy) {
-      const auto it = cells_.find(CellKey{cx, cy});
-      if (it == cells_.end()) continue;
-      for (const std::size_t i : it->second) {
-        const double de = points_[i].east_m - center.east_m;
-        const double dn = points_[i].north_m - center.north_m;
-        if (de * de + dn * dn <= r2) fn(i);
-      }
-    }
-  }
+  cells_.for_each_within(
+      center, radius_m,
+      [this](std::uint32_t i) -> const EnuPoint& { return points_[i]; },
+      [&fn](std::uint32_t i) { fn(i); });
 }
 
 std::vector<std::size_t> GridIndex::query_radius(const EnuPoint& center,
@@ -60,7 +68,7 @@ std::size_t GridIndex::nearest(const EnuPoint& center) const {
   // (a point in a farther cell can still be closer than one found first).
   double best_d2 = std::numeric_limits<double>::infinity();
   std::size_t best = points_.size();
-  for (double radius = cell_size_m_;; radius *= 2.0) {
+  for (double radius = cell_size_m();; radius *= 2.0) {
     for_each_within(center, radius, [&](std::size_t i) {
       const double de = points_[i].east_m - center.east_m;
       const double dn = points_[i].north_m - center.north_m;
@@ -91,7 +99,7 @@ std::vector<std::size_t> GridIndex::k_nearest(const EnuPoint& center,
   k = std::min(k, points_.size());
   if (k == 0) return {};
   std::vector<std::size_t> candidates;
-  for (double radius = cell_size_m_;; radius *= 2.0) {
+  for (double radius = cell_size_m();; radius *= 2.0) {
     candidates = query_radius(center, radius);
     if (candidates.size() >= k || radius > 1e9) break;
   }

@@ -3,11 +3,13 @@
 // absorbing crowd-sourced uploads from many mobile WSDs while serving
 // model downloads to many more; SpectrumService makes that concurrent:
 //
-//  - State is sharded per TV channel. Each shard owns its dataset,
-//    pending-corroboration pool, staleness counter and model cache behind
-//    its own std::shared_mutex, so downloads are concurrent readers and
-//    uploads are per-channel writers — traffic on channel 15 never waits
-//    on channel 46.
+//  - State is sharded per TV channel. Each shard owns a core::ChannelState
+//    (dataset, pending-corroboration pool, apply ticket, staleness counter,
+//    screening index) and the model cache behind its own
+//    std::shared_mutex, so downloads are concurrent readers and uploads are
+//    per-channel writers — traffic on channel 15 never waits on channel 46.
+//    An upload screens against the shard's standing index and extends it
+//    under the same exclusive lock, so the lock is held for O(batch) work.
 //  - Model rebuilds run OUTSIDE the shard lock, from an immutable dataset
 //    snapshot taken under a brief shared lock, and are serialised by a
 //    per-shard rebuild mutex so a thundering herd of stale readers builds
@@ -54,8 +56,8 @@ struct ServiceCounters {
   std::uint64_t bytes_from_cache = 0;  ///< subset of bytes_served
 };
 
-/// Thread-safe, per-channel-sharded spectrum store. Mirrors
-/// SpectrumDatabase semantics exactly (same screen_upload, same
+/// Thread-safe, per-channel-sharded spectrum store. Runs the same
+/// core::ChannelState as SpectrumDatabase (same screening, same
 /// rebuild-threshold cache policy) — only the concurrency differs.
 class SpectrumService final : public core::SpectrumStore {
  public:
@@ -100,6 +102,15 @@ class SpectrumService final : public core::SpectrumStore {
   /// offline export). Throws std::out_of_range for unknown channels.
   [[nodiscard]] campaign::ChannelDataset dataset_snapshot(int channel) const;
 
+  /// Copies of every channel's state, each taken under its shard lock —
+  /// what a cluster node ships to a recovering replica.
+  [[nodiscard]] std::vector<core::ChannelState> channel_states() const;
+
+  /// Replaces (or creates) the state of `state.channel()` and drops the
+  /// channel's cached model. Safe to call concurrently with serving
+  /// traffic; the caller orders it against uploads to the same channel.
+  void install_channel(core::ChannelState state);
+
   /// Drops every pending reading parked by `contributor`, on all channels.
   std::size_t purge_pending(const std::string& contributor);
 
@@ -108,7 +119,7 @@ class SpectrumService final : public core::SpectrumStore {
 
   /// Next apply ticket the channel will assign == number of uploads
   /// applied so far (0 for unknown channels). Replication uses this to
-  /// know where a replica's upload log ends.
+  /// know which replicated entries a replica has already applied.
   [[nodiscard]] std::uint64_t uploads_applied(int channel) const;
 
   [[nodiscard]] ServiceCounters counters() const;
@@ -121,6 +132,7 @@ class SpectrumService final : public core::SpectrumStore {
   /// noexcept-style queries.
   [[nodiscard]] Shard& shard(int channel) const;
   [[nodiscard]] Shard* find_shard(int channel) const noexcept;
+  [[nodiscard]] Shard& shard_or_create(int channel);
 
   core::ModelConstructorConfig constructor_config_;
   campaign::LabelingConfig labeling_;

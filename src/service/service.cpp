@@ -14,12 +14,11 @@ struct SpectrumService::Shard {
   mutable std::shared_mutex state_mutex;
 
   // All fields below are guarded by state_mutex.
-  campaign::ChannelDataset dataset;
-  std::vector<core::PendingReading> pending;
-  std::size_t accepted_since_build = 0;
-  std::uint64_t uploads_applied = 0;  // apply-ticket counter
-  /// Bumped on every cache-invalidation event (ingest, staleness crossing
-  /// the rebuild threshold). The cached model is fresh iff
+  /// Dataset, pending pool, apply ticket, staleness counter and the
+  /// screening index — the same state machine SpectrumDatabase runs.
+  core::ChannelState state;
+  /// Bumped on every cache-invalidation event (ingest, install, staleness
+  /// crossing the rebuild threshold). The cached model is fresh iff
   /// model_generation == generation.
   std::uint64_t generation = 0;
   std::shared_ptr<const core::WhiteSpaceModel> model;
@@ -59,29 +58,43 @@ SpectrumService::Shard& SpectrumService::shard(int channel) const {
   return *s;
 }
 
+SpectrumService::Shard& SpectrumService::shard_or_create(int channel) {
+  const std::unique_lock lock(shards_mutex_);
+  auto& slot = shards_[channel];
+  if (!slot) slot = std::make_unique<Shard>();
+  return *slot;
+}
+
 void SpectrumService::ingest_campaign(campaign::ChannelDataset dataset) {
   if (dataset.readings.empty()) {
     throw std::invalid_argument("refusing to ingest an empty campaign");
   }
-  const int channel = dataset.channel;
-  Shard* s = nullptr;
+  Shard& s = shard_or_create(dataset.channel);
+  const std::unique_lock lock(s.state_mutex);
+  s.state.ingest(std::move(dataset));
+  ++s.generation;  // cached model (if any) is now stale
+}
+
+void SpectrumService::install_channel(core::ChannelState state) {
+  Shard& s = shard_or_create(state.channel());
+  const std::unique_lock lock(s.state_mutex);
+  s.state = std::move(state);
+  ++s.generation;  // the cached model described the replaced state
+}
+
+std::vector<core::ChannelState> SpectrumService::channel_states() const {
+  std::vector<Shard*> all;
   {
-    const std::unique_lock lock(shards_mutex_);
-    auto& slot = shards_[channel];
-    if (!slot) slot = std::make_unique<Shard>();
-    s = slot.get();
+    const std::shared_lock lock(shards_mutex_);
+    for (const auto& [ch, s] : shards_) all.push_back(s.get());
   }
-  const std::unique_lock lock(s->state_mutex);
-  if (s->dataset.readings.empty()) {
-    s->dataset = std::move(dataset);
-  } else {
-    auto& readings = s->dataset.readings;
-    readings.insert(readings.end(),
-                    std::make_move_iterator(dataset.readings.begin()),
-                    std::make_move_iterator(dataset.readings.end()));
+  std::vector<core::ChannelState> out;
+  out.reserve(all.size());
+  for (const Shard* s : all) {
+    const std::shared_lock lock(s->state_mutex);
+    out.push_back(s->state);
   }
-  ++s->generation;  // cached model (if any) is now stale
-  s->accepted_since_build = 0;
+  return out;
 }
 
 bool SpectrumService::has_channel(int channel) const {
@@ -113,7 +126,7 @@ std::shared_ptr<const core::WhiteSpaceModel> SpectrumService::model(
   {
     const std::shared_lock lock(s.state_mutex);
     if (s.model && s.model_generation == s.generation) return s.model;
-    snapshot = s.dataset;  // uploads wait only for this copy
+    snapshot = s.state.dataset();  // uploads wait only for this copy
     built_from = s.generation;
   }
   const core::ModelConstructor constructor(constructor_config_);
@@ -125,7 +138,7 @@ std::shared_ptr<const core::WhiteSpaceModel> SpectrumService::model(
   s.model = built;
   s.model_generation = built_from;
   s.descriptor.reset();  // cached bytes described the previous snapshot
-  if (built_from == s.generation) s.accepted_since_build = 0;
+  if (built_from == s.generation) s.state.model_built();
   // If the dataset moved on mid-build the published model is already
   // stale (model_generation < generation) and the next reader rebuilds;
   // the returned snapshot is still a consistent point-in-time model.
@@ -177,23 +190,13 @@ core::UploadResult SpectrumService::upload_measurements(
     throw std::out_of_range(
         "uploads require a bootstrapped channel (trusted campaign first)");
   }
-  std::vector<campaign::Measurement> accepted;
   core::UploadResult result;
   {
     const std::unique_lock lock(s->state_mutex);
-    result = core::screen_upload(s->dataset, s->pending, upload_policy_,
-                                 readings, contributor, accepted);
-    result.ticket = s->uploads_applied++;
-    if (!accepted.empty()) {
-      auto& stored = s->dataset.readings;
-      stored.insert(stored.end(), std::make_move_iterator(accepted.begin()),
-                    std::make_move_iterator(accepted.end()));
-      s->accepted_since_build += result.accepted;
-      if (s->accepted_since_build >= upload_policy_.rebuild_threshold) {
-        ++s->generation;  // invalidate the cached model
-        s->accepted_since_build = 0;
-      }
-    }
+    const core::ChannelState::Applied applied =
+        s->state.upload(upload_policy_, readings, contributor);
+    if (applied.model_stale) ++s->generation;  // invalidate the cached model
+    result = applied.ledger;
   }
   uploads_accepted_.fetch_add(result.accepted, std::memory_order_relaxed);
   uploads_rejected_.fetch_add(result.rejected, std::memory_order_relaxed);
@@ -205,7 +208,7 @@ campaign::ChannelDataset SpectrumService::dataset_snapshot(
     int channel) const {
   Shard& s = shard(channel);
   const std::shared_lock lock(s.state_mutex);
-  return s.dataset;
+  return s.state.dataset();
 }
 
 std::size_t SpectrumService::purge_pending(const std::string& contributor) {
@@ -218,10 +221,7 @@ std::size_t SpectrumService::purge_pending(const std::string& contributor) {
   std::size_t purged = 0;
   for (Shard* s : all) {
     const std::unique_lock lock(s->state_mutex);
-    purged += std::erase_if(
-        s->pending, [&contributor](const core::PendingReading& pr) {
-          return pr.contributor == contributor;
-        });
+    purged += s->state.purge_pending(contributor);
   }
   return purged;
 }
@@ -230,21 +230,21 @@ std::size_t SpectrumService::pending_count(int channel) const {
   Shard* s = find_shard(channel);
   if (s == nullptr) return 0;
   const std::shared_lock lock(s->state_mutex);
-  return s->pending.size();
+  return s->state.pending().size();
 }
 
 std::uint64_t SpectrumService::uploads_applied(int channel) const {
   Shard* s = find_shard(channel);
   if (s == nullptr) return 0;
   const std::shared_lock lock(s->state_mutex);
-  return s->uploads_applied;
+  return s->state.uploads_applied();
 }
 
 std::size_t SpectrumService::staleness(int channel) const {
   Shard* s = find_shard(channel);
   if (s == nullptr) return 0;
   const std::shared_lock lock(s->state_mutex);
-  return s->accepted_since_build;
+  return s->state.staleness();
 }
 
 ServiceCounters SpectrumService::counters() const {

@@ -23,7 +23,9 @@
 #include "waldo/cluster/cluster.hpp"
 #include "waldo/cluster/router.hpp"
 #include "waldo/cluster/wire.hpp"
+#include "waldo/codec/codec.hpp"
 #include "waldo/core/protocol.hpp"
+#include "waldo/geo/grid_index.hpp"
 #include "waldo/rf/environment.hpp"
 #include "waldo/runtime/seed.hpp"
 #include "waldo/sensors/sensor.hpp"
@@ -89,6 +91,37 @@ TEST(Rendezvous, EveryNodeOwnsSomeTiles) {
 
 // ------------------------------------------------------------ wire codec
 
+/// Two channel states (one with I/Q, one with a pending reading) and two
+/// dedup records.
+TileSnapshot sample_snapshot() {
+  campaign::Measurement m;
+  m.position = {1234.5, -987.25};
+  m.raw = 0.125;
+  m.rss_dbm = -83.0625;
+  m.cft_db = -90.5;
+  m.aft_db = -95.75;
+  m.true_rss_dbm = -84.0;
+  campaign::ChannelDataset a{.channel = 15, .sensor_name = "usrp",
+                             .readings = {m, m}};
+  a.readings[1].iq = {{0.5, -0.25}, {1.0, 2.0}};
+  core::ChannelState first(a);
+  const core::UploadPolicy policy;
+  (void)first.upload(policy, std::vector<campaign::Measurement>{m}, "alice");
+
+  campaign::ChannelDataset b{.channel = 46, .sensor_name = "rtl", .readings = {m}};
+  core::ChannelState second(b);
+  campaign::Measurement far = m;
+  far.position.east_m += 50'000.0;
+  (void)second.upload(policy, std::vector<campaign::Measurement>{far}, "carol");
+
+  TileSnapshot snapshot;
+  snapshot.channels = {first, second};
+  snapshot.dedup = {
+      {.request_id = 0xBEEF, .age_ns = 1'000'000'000, .ledger = {.accepted = 1}},
+      {.request_id = 0xFEED, .age_ns = 7, .ledger = {.pending = 1, .ticket = 1}}};
+  return snapshot;
+}
+
 TEST(ClusterWire, EnvelopeRoundTripsArbitraryBytes) {
   const Envelope e{.verb = "repl",
                    .from = 3,
@@ -128,17 +161,101 @@ TEST(ClusterWire, ReplEntryAndSnapshotRoundTrip) {
   EXPECT_EQ(decoded.request_id, 0xDEADBEEFu);
   EXPECT_EQ(decoded.upload_wire, entry.upload_wire);
 
-  TileSnapshot snapshot;
-  snapshot.campaign_csvs = {"csv,one\n", "csv,two\n"};
-  snapshot.log = {entry, entry};
-  const TileSnapshot back =
-      decode_tile_snapshot(encode_tile_snapshot(snapshot));
-  EXPECT_EQ(back.campaign_csvs, snapshot.campaign_csvs);
-  ASSERT_EQ(back.log.size(), 2u);
-  EXPECT_EQ(back.log[1].upload_wire, entry.upload_wire);
-  EXPECT_THROW(
-      (void)decode_tile_snapshot(encode_tile_snapshot(snapshot) + "junk"),
-      std::runtime_error);
+  // The decoder inverts the encoder exactly: every channel state (dataset
+  // and pending pool as raw doubles, tickets, staleness) and every dedup
+  // record comes back bit for bit.
+  const TileSnapshot snapshot = sample_snapshot();
+  const std::string wire = encode_tile_snapshot(snapshot);
+  const TileSnapshot back = decode_tile_snapshot(wire);
+  EXPECT_EQ(encode_tile_snapshot(back), wire);
+  ASSERT_EQ(back.channels.size(), 2u);
+  EXPECT_EQ(back.channels[0].channel(), 15);
+  EXPECT_EQ(back.channels[0].dataset().sensor_name, "usrp");
+  ASSERT_EQ(back.channels[0].dataset().size(), 2u);
+  EXPECT_EQ(back.channels[0].dataset().readings[1].iq.size(), 2u);
+  EXPECT_EQ(back.channels[0].uploads_applied(), 1u);
+  ASSERT_EQ(back.channels[1].pending().size(), 1u);
+  EXPECT_EQ(back.channels[1].pending()[0].contributor, "carol");
+  ASSERT_EQ(back.dedup.size(), 2u);
+  EXPECT_EQ(back.dedup[1].request_id, 0xFEEDu);
+  EXPECT_EQ(back.dedup[1].age_ns, 7u);
+  EXPECT_EQ(back.dedup[1].ledger.ticket, 1u);
+  EXPECT_THROW((void)decode_tile_snapshot(wire + "junk"), std::runtime_error);
+}
+
+// The test_codec corruption sweep, applied to the state-transfer wire: a
+// snapshot cut short at any length or with any single bit flipped is
+// rejected, never installed.
+TEST(ClusterWire, SnapshotRejectsEveryTruncationAndBitFlip) {
+  const std::string good = encode_tile_snapshot(sample_snapshot());
+  ASSERT_NO_THROW((void)decode_tile_snapshot(good));
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    EXPECT_THROW((void)decode_tile_snapshot(good.substr(0, len)),
+                 std::runtime_error)
+        << "truncation to " << len << " bytes accepted";
+  }
+  for (std::size_t byte = 0; byte < good.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bad = good;
+      bad[byte] = static_cast<char>(bad[byte] ^ (1 << bit));
+      EXPECT_THROW((void)decode_tile_snapshot(bad), std::runtime_error)
+          << "flip of bit " << bit << " in byte " << byte << " accepted";
+    }
+  }
+}
+
+// ------------------------------------------------------------ dedup window
+
+TEST(DedupWindow, ForgetsIdsOnlyOnceTheyAreOlderThanTheHorizon) {
+  using Clock = DedupWindow::Clock;
+  const Clock::time_point t0{};
+  const auto half = std::chrono::milliseconds(kDedupHorizon) / 2;
+  DedupWindow window;
+  window.remember(1, core::UploadResult{.accepted = 3, .ticket = 0}, t0);
+  // A busy tile: many ids inside the horizon never push out an old one.
+  for (std::uint64_t id = 2; id < 20'000; ++id) {
+    window.remember(id, {}, t0 + half);
+  }
+  ASSERT_TRUE(window.find(1).has_value());
+  EXPECT_EQ(window.find(1)->accepted, 3u);
+  window.remember(20'000, {}, t0 + kDedupHorizon);
+  EXPECT_TRUE(window.find(1).has_value()) << "forgotten at exactly the horizon";
+
+  // Past the horizon the id is gone, and so is everything as old.
+  window.remember(20'001, {}, t0 + kDedupHorizon + std::chrono::nanoseconds(1));
+  EXPECT_FALSE(window.find(1).has_value());
+  EXPECT_EQ(window.size(), 20'000u);
+  window.remember(20'002, {}, t0 + 2 * kDedupHorizon);
+  EXPECT_EQ(window.size(), 3u);  // 20'000, 20'001 and 20'002 remain
+}
+
+TEST(DedupWindow, RecordsRestoreWithTheirAges) {
+  using Clock = DedupWindow::Clock;
+  const Clock::time_point t0{};
+  const auto half = std::chrono::milliseconds(kDedupHorizon) / 2;
+  DedupWindow source;
+  source.remember(7, core::UploadResult{.rejected = 3, .ticket = 4}, t0);
+  source.remember(8, core::UploadResult{.pending = 1, .ticket = 5},
+                  t0 + half);
+  const auto records = source.records(t0 + half);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].request_id, 7u);
+
+  // Restored elsewhere (another clock), the ids keep their remaining life:
+  // id 7 expires half a horizon after the restore, not a full one.
+  const Clock::time_point t1 = t0 + std::chrono::hours(1);
+  DedupWindow copy;
+  copy.restore(records, t1);
+  ASSERT_TRUE(copy.find(7).has_value());
+  EXPECT_EQ(copy.find(7)->ticket, 4u);
+  copy.remember(9, {}, t1 + half + std::chrono::milliseconds(1));
+  EXPECT_FALSE(copy.find(7).has_value());
+  EXPECT_TRUE(copy.find(8).has_value());
+
+  // Records already past the horizon are not restored at all.
+  DedupWindow late;
+  late.restore(source.records(t0 + 2 * kDedupHorizon), t1);
+  EXPECT_EQ(late.size(), 0u);
 }
 
 TEST(FaultInjector, ScheduleIsAPureFunctionOfSeed) {
@@ -266,6 +383,38 @@ class ClusterFixture : public ::testing::Test {
     return os.str();
   }
 
+  /// A channel's pending pool as raw bytes: every field of every parked
+  /// reading, in pool order.
+  static std::string pending_bytes(const core::ChannelState& state) {
+    codec::Writer out;
+    for (const core::PendingReading& pr : state.pending()) {
+      const campaign::Measurement& m = pr.measurement;
+      for (const double v : {m.position.east_m, m.position.north_m, m.raw,
+                             m.rss_dbm, m.cft_db, m.aft_db, m.true_rss_dbm}) {
+        out.f64(v);
+      }
+      out.str(pr.contributor);
+    }
+    return std::move(out).finish();
+  }
+
+  /// The node's state for (tile, channel), fetched the way a recovering
+  /// peer fetches it: a pull.
+  static TileSnapshot pull(ClusterNode& node, TileKey tile) {
+    const Envelope reply = decode_envelope(node.handle(encode_envelope(
+        {.verb = "pull", .from = node.id(), .tile = tile, .body = {}})));
+    if (reply.verb != "state") return {};
+    return decode_tile_snapshot(reply.body);
+  }
+
+  static std::string pending_bytes(ClusterNode& node, TileKey tile,
+                                   int channel) {
+    for (const core::ChannelState& state : pull(node, tile).channels) {
+      if (state.channel() == channel) return pending_bytes(state);
+    }
+    return "absent";
+  }
+
   struct RecordedUpload {
     TileKey tile;
     int channel = 0;
@@ -315,19 +464,31 @@ class ClusterFixture : public ::testing::Test {
         const std::string want_csv = csv_bytes(serial.dataset_snapshot(channel));
         const std::string want_descriptor =
             *serial.download_descriptor(channel);
+        std::string want_pending;
+        for (const core::ChannelState& state : serial.channel_states()) {
+          if (state.channel() == channel) want_pending = pending_bytes(state);
+        }
         for (const NodeId n : cluster.replicas_of(tile)) {
           EXPECT_EQ(cluster.node(n).dataset_csv(tile, channel), want_csv)
               << "dataset diverged: node " << n << " channel " << channel;
           EXPECT_EQ(cluster.node(n).descriptor_bytes(tile, channel),
                     want_descriptor)
               << "descriptor diverged: node " << n << " channel " << channel;
-          EXPECT_EQ(cluster.node(n).log_size(tile, channel),
+          EXPECT_EQ(cluster.node(n).uploads_applied(tile, channel),
                     by_channel[channel].size())
-              << "log diverged: node " << n << " channel " << channel;
+              << "apply order diverged: node " << n << " channel " << channel;
+          EXPECT_EQ(pending_bytes(cluster.node(n), tile, channel),
+                    want_pending)
+              << "pending pool diverged: node " << n << " channel " << channel;
         }
       }
     }
   }
+
+  /// Kill the busiest tile's primary mid-traffic on a lossy, reordering
+  /// fabric (4 nodes, `replication` replicas per tile), recover it while
+  /// clients keep going, and check the outcome.
+  static void kill_and_recover_under_faults(std::size_t replication);
 
   static rf::Environment* env_;
   static campaign::ChannelDataset* data_a_;
@@ -427,7 +588,7 @@ TEST_F(ClusterFixture, DuplicateUploadFramesHitTheDedupTable) {
   // instead of applying twice.
   EXPECT_EQ(first, second);
   EXPECT_EQ(cluster.node(0).stats().dedup_hits, 1u);
-  EXPECT_EQ(cluster.node(0).log_size(tile, kChannelA), 1u);
+  EXPECT_EQ(cluster.node(0).uploads_applied(tile, kChannelA), 1u);
 }
 
 // ---------------------------------------------------------- determinism
@@ -502,7 +663,7 @@ TEST_P(ClusterDeterminism, ConcurrentTrafficMatchesSerialReplay) {
 
 INSTANTIATE_TEST_SUITE_P(Shapes, ClusterDeterminism,
                          ::testing::Values(Shape{1, 1}, Shape{4, 1},
-                                           Shape{4, 2}),
+                                           Shape{4, 2}, Shape{4, 3}),
                          [](const auto& info) {
                            return "N" + std::to_string(info.param.nodes) +
                                   "R" +
@@ -515,8 +676,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, ClusterDeterminism,
 // fabric, recover it while clients keep going, and require: every client
 // request eventually succeeded, the revived node resynced byte-identical,
 // and the whole cluster still equals the serial replay.
-TEST_F(ClusterFixture, SurvivesPrimaryKillAndRecoveryUnderFaults) {
-  ClusterConfig cfg = base_config(4, 2);
+void ClusterFixture::kill_and_recover_under_faults(std::size_t replication) {
+  ClusterConfig cfg = base_config(4, replication);
   cfg.faults = FaultPlan{.drop_request = 0.08,
                          .drop_response = 0.05,
                          .duplicate_request = 0.05,
@@ -608,6 +769,16 @@ TEST_F(ClusterFixture, SurvivesPrimaryKillAndRecoveryUnderFaults) {
   }
 }
 
+TEST_F(ClusterFixture, SurvivesPrimaryKillAndRecoveryUnderFaults) {
+  kill_and_recover_under_faults(2);
+}
+
+// The same with three replicas: a primary killed mid-replication may have
+// reached one secondary and not the other.
+TEST_F(ClusterFixture, SurvivesPrimaryKillAndRecoveryUnderFaultsR3) {
+  kill_and_recover_under_faults(3);
+}
+
 // With replication == 1 a killed node's crowd uploads are gone by
 // construction; recovery must still restore the trusted bootstrap
 // campaigns and resume service (the documented degraded mode).
@@ -628,7 +799,7 @@ TEST_F(ClusterFixture, ReplicationOneRecoveryRestoresBootstrapState) {
   cluster.recover(owner);
 
   // The upload died with the single copy; the bootstrap campaigns did not.
-  EXPECT_EQ(cluster.node(owner).log_size(tile, kChannelA), 0u);
+  EXPECT_EQ(cluster.node(owner).uploads_applied(tile, kChannelA), 0u);
   service::SpectrumService pristine(fast_config());
   pristine.ingest_campaign(cluster.normalized_campaign(tile, 0));
   pristine.ingest_campaign(cluster.normalized_campaign(tile, 1));
@@ -636,6 +807,197 @@ TEST_F(ClusterFixture, ReplicationOneRecoveryRestoresBootstrapState) {
             csv_bytes(pristine.dataset_snapshot(kChannelA)));
   // And the tile serves again.
   EXPECT_FALSE(router.download_descriptor(kChannelA, where).empty());
+}
+
+// A replication frame from a node that is not the tile's primary, for a
+// tile this node does not hold, is fenced before anything is allocated.
+TEST_F(ClusterFixture, FencedReplFrameAllocatesNoTile) {
+  Cluster cluster(base_config(4, 2));
+  const TileKey tile = cluster.ingest_campaign(*data_a_);
+  const std::vector<NodeId> replicas = cluster.replicas_of(tile);
+  NodeId outsider = 0;
+  while (std::find(replicas.begin(), replicas.end(), outsider) !=
+         replicas.end()) {
+    ++outsider;
+  }
+  ClusterNode& node = cluster.node(outsider);
+  const std::vector<TileKey> before = node.tiles();
+
+  const std::string wire = encode_envelope(
+      {.verb = "repl",
+       .from = replicas[1],  // a secondary, not the primary
+       .tile = tile,
+       .body = encode_repl_entry({.channel = kChannelA,
+                                  .ticket = 0,
+                                  .request_id = 9,
+                                  .upload_wire = "stray"})});
+  const Envelope reply = decode_envelope(node.handle(wire));
+  const core::Message message = core::decode(reply.body);
+  const auto* error = std::get_if<core::ErrorResponse>(&message);
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->code, core::ErrorCode::kNotOwner);
+  EXPECT_EQ(node.tiles(), before);
+  EXPECT_EQ(node.stats().repl_fenced, 1u);
+}
+
+// No node keeps a per-upload log: uploads that change nothing but the
+// apply ticket grow a pulled snapshot by their dedup records alone.
+TEST_F(ClusterFixture, RejectedUploadsGrowTheSnapshotOnlyByTheDedupWindow) {
+  Cluster cluster(base_config(2, 2));
+  const TileKey tile = cluster.ingest_campaign(*data_a_);
+  const NodeId primary = cluster.replicas_of(tile)[0];
+
+  // The best-vouched-for reading, raised far above what its neighbours
+  // saw: the correlation check rejects it every time.
+  const geo::GridIndex index(data_a_->positions(), 1'000.0);
+  std::size_t densest = 0;
+  std::size_t most = 0;
+  for (std::size_t i = 0; i < data_a_->size(); ++i) {
+    const std::size_t n =
+        index.query_radius(data_a_->readings[i].position, 1'000.0).size();
+    if (n > most) {
+      most = n;
+      densest = i;
+    }
+  }
+  campaign::Measurement spoof = data_a_->readings[densest];
+  spoof.rss_dbm += 60.0;
+  spoof.iq.clear();
+
+  const std::size_t before =
+      encode_tile_snapshot(pull(cluster.node(primary), tile)).size();
+  constexpr std::uint64_t kUploads = 200;
+  for (std::uint64_t i = 0; i < kUploads; ++i) {
+    core::UploadRequest request;
+    request.channel = kChannelA;
+    request.contributor = "mallory";
+    request.request_id = 1000 + i;
+    request.readings = {spoof, spoof, spoof};
+    const Envelope reply = decode_envelope(cluster.transport().send(
+        primary, encode_envelope({.verb = "wsnp",
+                                  .from = kClientNode,
+                                  .tile = tile,
+                                  .body = core::encode(request)})));
+    const core::Message message = core::decode(reply.body);
+    const auto* ledger = std::get_if<core::UploadResponse>(&message);
+    ASSERT_NE(ledger, nullptr);
+    ASSERT_EQ(ledger->rejected, 3u);
+  }
+
+  const TileSnapshot after = pull(cluster.node(primary), tile);
+  ASSERT_EQ(after.channels.size(), 1u);
+  EXPECT_EQ(after.channels[0].uploads_applied(), kUploads);
+  EXPECT_LE(after.dedup.size(), kUploads);
+  // A dedup record is six varints of at most 10 bytes; the apply ticket's
+  // varint may gain a byte.
+  EXPECT_LE(encode_tile_snapshot(after).size(),
+            before + after.dedup.size() * 60 + 1);
+}
+
+// A client whose ack was lost retries within the dedup horizon — against
+// a primary that was dead when the upload was applied and has recovered
+// since. The recovered primary learned the request id from the state it
+// pulled, so the retry returns the original ledger instead of applying
+// the batch a second time.
+TEST_F(ClusterFixture, RetryWithinTheHorizonDedupsAfterRecovery) {
+  Cluster cluster(base_config(2, 2));
+  const TileKey tile = cluster.ingest_campaign(*data_a_);
+  const std::vector<NodeId> replicas = cluster.replicas_of(tile);
+  const NodeId primary = replicas[0];
+  const NodeId interim = replicas[1];
+
+  std::mt19937_64 rng(23);
+  core::UploadRequest request;
+  request.channel = kChannelA;
+  request.contributor = "dana";
+  request.request_id = 0xACEu;
+  request.readings = make_batch(*data_a_, rng);
+  const std::string envelope = encode_envelope({.verb = "wsnp",
+                                                .from = kClientNode,
+                                                .tile = tile,
+                                                .body = core::encode(request)});
+
+  cluster.kill(primary);
+  // The interim primary applies the upload; its ack never reaches the
+  // client.
+  const Envelope lost = decode_envelope(cluster.transport().send(interim, envelope));
+  const core::Message message = core::decode(lost.body);
+  ASSERT_NE(std::get_if<core::UploadResponse>(&message), nullptr);
+  cluster.recover(primary);
+
+  const Envelope retry =
+      decode_envelope(cluster.transport().send(primary, envelope));
+  EXPECT_EQ(retry.body, lost.body);
+  EXPECT_EQ(cluster.node(primary).stats().dedup_hits, 1u);
+  EXPECT_EQ(cluster.node(primary).stats().uploads_applied, 0u);
+  for (const NodeId n : replicas) {
+    EXPECT_EQ(cluster.node(n).uploads_applied(tile, kChannelA), 1u);
+  }
+  EXPECT_EQ(cluster.node(primary).dataset_csv(tile, kChannelA),
+            cluster.node(interim).dataset_csv(tile, kChannelA));
+  EXPECT_EQ(pending_bytes(cluster.node(primary), tile, kChannelA),
+            pending_bytes(cluster.node(interim), tile, kChannelA));
+}
+
+// With three replicas a primary can die after its last write reached one
+// secondary but not the other. The survivor that takes over finds the gap
+// the next time it replicates and repairs the lagging secondary with its
+// own tile state, so every replica converges.
+TEST_F(ClusterFixture, ReplicaThatMissedADeposedPrimarysWriteIsRepaired) {
+  Cluster cluster(base_config(3, 3));
+  const TileKey tile = cluster.ingest_campaign(*data_a_);
+  const std::vector<NodeId> replicas = cluster.replicas_of(tile);
+  const NodeId deposed = replicas[0];
+  const NodeId survivor = replicas[1];
+  const NodeId lagging = replicas[2];
+
+  std::mt19937_64 rng(31);
+  core::UploadRequest last;
+  last.channel = kChannelA;
+  last.contributor = "erin";
+  last.request_id = 0x1u;
+  last.readings = make_batch(*data_a_, rng);
+  const std::string repl = encode_envelope(
+      {.verb = "repl",
+       .from = deposed,
+       .tile = tile,
+       .body = encode_repl_entry({.channel = kChannelA,
+                                  .ticket = 0,
+                                  .request_id = last.request_id,
+                                  .upload_wire = core::encode(last)})});
+  ASSERT_EQ(decode_envelope(cluster.transport().send(survivor, repl)).verb,
+            "ok");
+  cluster.kill(deposed);
+
+  ClusterRouter router(cluster.topology(), cluster.transport(),
+                       cluster.membership());
+  const geo::EnuPoint where = cluster.topology().tiling.center(tile);
+  (void)router.upload(kChannelA, where, "fay",
+                      wire_roundtrip(kChannelA, make_batch(*data_a_, rng)));
+  EXPECT_GE(cluster.node(survivor).stats().state_pushes, 1u);
+  for (const NodeId n : {survivor, lagging}) {
+    EXPECT_EQ(cluster.node(n).uploads_applied(tile, kChannelA), 2u)
+        << "node " << n;
+  }
+  EXPECT_EQ(cluster.node(lagging).dataset_csv(tile, kChannelA),
+            cluster.node(survivor).dataset_csv(tile, kChannelA));
+  EXPECT_EQ(pending_bytes(cluster.node(lagging), tile, kChannelA),
+            pending_bytes(cluster.node(survivor), tile, kChannelA));
+
+  // The repaired secondary replicates on like any other: the next write
+  // needs no repair, and the recovered node catches up from its peers.
+  (void)router.upload(kChannelA, where, "gus",
+                      wire_roundtrip(kChannelA, make_batch(*data_a_, rng)));
+  cluster.recover(deposed);
+  (void)router.upload(kChannelA, where, "hal",
+                      wire_roundtrip(kChannelA, make_batch(*data_a_, rng)));
+  for (const NodeId n : replicas) {
+    EXPECT_EQ(cluster.node(n).uploads_applied(tile, kChannelA), 4u)
+        << "node " << n;
+    EXPECT_EQ(cluster.node(n).dataset_csv(tile, kChannelA),
+              cluster.node(survivor).dataset_csv(tile, kChannelA))
+        << "node " << n;
+  }
 }
 
 }  // namespace

@@ -131,6 +131,54 @@ TEST_P(GridIndexProperty, KNearestSortedAndCorrectCount) {
   }
 }
 
+// An index grown point by point answers exactly like one built over all
+// points at once, and both like brute force — also when queries are
+// interleaved with the inserts. GridCells, the coordinate-free core, is
+// checked the same way against positions kept outside it.
+TEST_P(GridIndexProperty, InsertMatchesBulkBuildAndBruteForce) {
+  std::mt19937_64 rng(GetParam() + 3000);
+  std::uniform_real_distribution<double> coord(-4000.0, 4000.0);
+  std::uniform_real_distribution<double> radius(0.0, 2500.0);
+  std::vector<EnuPoint> pts;
+  GridIndex grown({}, 600.0);
+  GridCells cells(600.0);
+  const auto sorted = [](std::vector<std::size_t> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 60; ++i) {
+      const EnuPoint p{coord(rng), coord(rng)};
+      EXPECT_EQ(grown.insert(p), pts.size());
+      cells.insert(static_cast<std::uint32_t>(pts.size()), p);
+      pts.push_back(p);
+    }
+    ASSERT_EQ(grown.size(), pts.size());
+    ASSERT_EQ(cells.size(), pts.size());
+    EXPECT_EQ(grown.points(), pts);
+    const GridIndex bulk(pts, 600.0);
+    for (int q = 0; q < 20; ++q) {
+      const EnuPoint center{coord(rng), coord(rng)};
+      const double r = radius(rng);
+      std::vector<std::size_t> want;
+      for (std::size_t i = 0; i < pts.size(); ++i) {
+        if (distance_m(pts[i], center) <= r) want.push_back(i);
+      }
+      std::vector<std::size_t> from_cells;
+      cells.for_each_within(
+          center, r,
+          [&](std::uint32_t i) -> const EnuPoint& { return pts[i]; },
+          [&](std::uint32_t i) { from_cells.push_back(i); });
+      EXPECT_EQ(sorted(grown.query_radius(center, r)), want);
+      EXPECT_EQ(sorted(bulk.query_radius(center, r)), want);
+      EXPECT_EQ(sorted(from_cells), want);
+      EXPECT_EQ(grown.k_nearest(center, 5).size(), 5u);
+      EXPECT_DOUBLE_EQ(distance_m(pts[grown.nearest(center)], center),
+                       distance_m(pts[bulk.nearest(center)], center));
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, GridIndexProperty,
                          ::testing::Values(1, 2, 3, 42, 1337));
 
@@ -141,6 +189,7 @@ TEST(GridIndex, EmptyAndEdgeCases) {
   EXPECT_TRUE(empty.k_nearest(EnuPoint{0, 0}, 5).empty());
   EXPECT_THROW(GridIndex({}, 0.0), std::invalid_argument);
   EXPECT_THROW(GridIndex({}, -5.0), std::invalid_argument);
+  EXPECT_THROW(GridCells(0.0), std::invalid_argument);
 
   const GridIndex single({EnuPoint{10.0, 20.0}}, 100.0);
   EXPECT_EQ(single.nearest(EnuPoint{1e6, 1e6}), 0u);

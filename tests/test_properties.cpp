@@ -129,6 +129,17 @@ INSTANTIATE_TEST_SUITE_P(Radii, TruthSeparationSweep,
 
 // --------------------------------------------------------------- sensors
 
+}  // namespace
+
+namespace sensors {
+// Found by ADL when gtest lists SensorSpec parameters. Without it gtest dumps
+// the object's raw bytes, whose leading std::string pointer is a heap address
+// that changes with every run, so the listed test names would too.
+void PrintTo(const SensorSpec& spec, std::ostream* os) { *os << spec.name; }
+}  // namespace sensors
+
+namespace {
+
 class SensorSpecSweep
     : public ::testing::TestWithParam<sensors::SensorSpec> {};
 
