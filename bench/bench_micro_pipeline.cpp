@@ -215,11 +215,12 @@ void BM_KMeansLocalities(benchmark::State& state) {
   }
   ml::KMeansConfig cfg;
   cfg.k = 3;
+  cfg.threads = static_cast<unsigned>(state.range(0));  // 0 = all hardware
   for (auto _ : state) {
     benchmark::DoNotOptimize(ml::kmeans(x, cfg).inertia);
   }
 }
-BENCHMARK(BM_KMeansLocalities);
+BENCHMARK(BM_KMeansLocalities)->Arg(1)->Arg(0);
 
 void BM_ConvergenceFilter(benchmark::State& state) {
   std::mt19937_64 rng(7);

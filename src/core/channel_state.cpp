@@ -12,6 +12,17 @@ namespace waldo::core {
 
 namespace {
 
+/// No point on Earth is farther than this from a local origin, in metres.
+constexpr double kMaxCoordinateM = 2.0e7;
+
+/// A finite power at a position that could be on Earth. Anything else is
+/// rejected before it can reach the index or the pending pool.
+[[nodiscard]] bool plausible(const campaign::Measurement& m) {
+  return std::abs(m.position.east_m) <= kMaxCoordinateM &&
+         std::abs(m.position.north_m) <= kMaxCoordinateM &&
+         std::isfinite(m.rss_dbm);
+}
+
 [[nodiscard]] double screening_cell_m(const UploadPolicy& policy) {
   return std::max(50.0, policy.neighbourhood_m);
 }
@@ -53,6 +64,10 @@ UploadResult screen_indexed(const geo::GridCells& index,
   };
   std::vector<double> neighbour_rss;
   for (const campaign::Measurement& m : readings) {
+    if (!plausible(m)) {
+      ++result.rejected;
+      continue;
+    }
     neighbour_rss.clear();
     index.for_each_within(m.position, policy.neighbourhood_m, position_of,
                           [&](std::uint32_t j) {
@@ -74,7 +89,7 @@ UploadResult screen_indexed(const geo::GridCells& index,
     // Unexplored territory: look for corroborating pending readings from
     // other contributors.
     std::vector<std::size_t> corroborators;
-    std::size_t distinct = 1;  // this contributor
+    std::vector<const std::string*> others;  // distinct other contributors
     for (std::size_t p = 0; p < pending.size(); ++p) {
       const PendingReading& pr = pending[p];
       if (geo::distance_m(pr.measurement.position, m.position) >
@@ -86,9 +101,15 @@ UploadResult screen_indexed(const geo::GridCells& index,
         continue;
       }
       corroborators.push_back(p);
-      if (pr.contributor != contributor) ++distinct;
+      if (pr.contributor != contributor &&
+          std::none_of(others.begin(), others.end(),
+                       [&pr](const std::string* o) {
+                         return *o == pr.contributor;
+                       })) {
+        others.push_back(&pr.contributor);
+      }
     }
-    if (distinct >= policy.min_corroborators) {
+    if (1 + others.size() >= policy.min_corroborators) {
       // Promote the agreeing cluster plus this reading.
       accepted.push_back(m);
       ++result.accepted;

@@ -33,10 +33,11 @@ struct UploadPolicy {
   /// Uploads in unexplored territory cannot be correlation-checked, so
   /// they are *held pending* instead of trusted: a pending reading is
   /// promoted into the dataset only once readings from enough distinct
-  /// contributors agree with it. (Colluding Sybil identities can still
-  /// corroborate each other — the full defence of Fatemieh et al. adds
-  /// RF-propagation consistency, which the correlation test approximates
-  /// only where trusted data exists.)
+  /// contributors agree with it (the uploader counts as one; several
+  /// parked readings of one identity count once). (Colluding Sybil
+  /// identities can still corroborate each other — the full defence of
+  /// Fatemieh et al. adds RF-propagation consistency, which the
+  /// correlation test approximates only where trusted data exists.)
   double corroboration_m = 500.0;
   std::size_t min_corroborators = 2;
   /// Cached models are invalidated only after this many readings have been
@@ -66,13 +67,16 @@ struct UploadResult {
 };
 
 /// Screens one upload batch against a channel's trusted dataset and pending
-/// pool per `policy` (Section 3.4): readings the stored neighbourhood can
-/// vouch for are correlation-checked; readings in unexplored territory are
-/// promoted when enough distinct contributors corroborate, parked pending
-/// otherwise. Mutates `pending` (parks new readings, removes promoted ones)
-/// and appends every newly trusted measurement — each accepted batch
-/// reading followed by the pendings it promoted — to `accepted`. The
-/// returned ledger's ticket is left 0; stores stamp their own apply order.
+/// pool per `policy` (Section 3.4): a reading with a non-finite RSS or a
+/// position that is non-finite or beyond +-2e7 m on either axis (farther
+/// than any point on Earth) is rejected outright; readings the stored
+/// neighbourhood can vouch for are correlation-checked; readings in
+/// unexplored territory are promoted when enough distinct contributors
+/// corroborate, parked pending otherwise. Mutates `pending` (parks new
+/// readings, removes promoted ones) and appends every newly trusted
+/// measurement — each accepted batch reading followed by the pendings it
+/// promoted — to `accepted`. The returned ledger's ticket is left 0;
+/// stores stamp their own apply order.
 ///
 /// One-shot form: builds a screening index over `stored` for this batch
 /// alone. ChannelState::upload keeps that index between batches and

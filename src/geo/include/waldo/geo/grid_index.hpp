@@ -8,6 +8,7 @@
 // copy of its points on top of that. Both are append-only.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -18,6 +19,17 @@
 #include "waldo/geo/latlon.hpp"
 
 namespace waldo::geo {
+
+/// Index of the grid cell of side `cell_m` that holds coordinate `v`:
+/// floor(v / cell_m), clamped to +-2^62 so that coordinates far beyond any
+/// map still convert to a defined integer (NaN maps to 0).
+[[nodiscard]] inline std::int64_t cell_coordinate(double v,
+                                                  double cell_m) noexcept {
+  constexpr double kLimit = 0x1p62;
+  const double f = std::floor(v / cell_m);
+  if (std::isnan(f)) return 0;
+  return static_cast<std::int64_t>(std::clamp(f, -kLimit, kLimit));
+}
 
 class GridCells {
  public:
@@ -72,9 +84,8 @@ class GridCells {
   };
 
   [[nodiscard]] CellKey cell_of(const EnuPoint& p) const noexcept {
-    return CellKey{
-        .cx = static_cast<std::int64_t>(std::floor(p.east_m / cell_size_m_)),
-        .cy = static_cast<std::int64_t>(std::floor(p.north_m / cell_size_m_))};
+    return CellKey{.cx = cell_coordinate(p.east_m, cell_size_m_),
+                   .cy = cell_coordinate(p.north_m, cell_size_m_)};
   }
 
   double cell_size_m_;

@@ -100,6 +100,8 @@ void parallel_for_lanes(
   struct SharedState {
     std::atomic<std::size_t> next{0};
     std::size_t count = 0;
+    std::size_t block = 1;
+    std::atomic<bool> abandoned{false};  ///< a body threw: skip the rest
     const std::function<void(std::size_t, std::size_t)>* body = nullptr;
     std::mutex mutex;
     std::condition_variable done;
@@ -112,20 +114,28 @@ void parallel_for_lanes(
   state->count = count;
   state->body = &body;
 
+  // Executors claim blocks of consecutive indices, about 8 per lane, so
+  // the shared counter is touched a few dozen times per call rather than
+  // once per index, while a slow block still leaves others to balance.
   const auto drain = [](SharedState& s, std::size_t lane) {
-    for (std::size_t i; (i = s.next.fetch_add(1)) < s.count;) {
-      try {
-        (*s.body)(lane, i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(s.mutex);
-        if (!s.error) s.error = std::current_exception();
-        s.next.store(s.count);  // abandon remaining indices
+    for (std::size_t first; (first = s.next.fetch_add(s.block)) < s.count;) {
+      const std::size_t last = std::min(s.count, first + s.block);
+      for (std::size_t i = first;
+           i < last && !s.abandoned.load(std::memory_order_relaxed); ++i) {
+        try {
+          (*s.body)(lane, i);
+        } catch (...) {
+          const std::lock_guard<std::mutex> lock(s.mutex);
+          if (!s.error) s.error = std::current_exception();
+          s.abandoned.store(true, std::memory_order_relaxed);
+        }
       }
     }
   };
 
   ThreadPool& pool = ThreadPool::global();
   const std::size_t lanes = std::min<std::size_t>(count, want);
+  state->block = std::max<std::size_t>(1, count / (8 * lanes));
   const std::size_t helpers =
       std::min<std::size_t>(lanes, pool.size() + 1) - 1;
   // An explicit request larger than the pool (threads > hardware) is

@@ -15,6 +15,12 @@
 //    per-shard rebuild mutex so a thundering herd of stale readers builds
 //    once. A slow rebuild never blocks downloads of other channels, and
 //    blocks this channel's uploads only for the snapshot copy.
+//  - A rebuild runs on the request thread that found the model stale:
+//    the service builds with ModelConstructorConfig::threads = 1 whatever
+//    the caller's config says. A serving rebuild is already one of many
+//    concurrent requests, so fanning it out onto the shared pool only
+//    oversubscribes the host; serial and parallel builds give the same
+//    bytes (docs/CONCURRENCY.md, "The serving layer").
 //  - Every upload is stamped with a per-channel apply ticket; replaying
 //    recorded batches in ticket order against a single-threaded
 //    SpectrumDatabase reproduces the datasets and models byte-for-byte
@@ -77,10 +83,10 @@ class SpectrumService final : public core::SpectrumStore {
   [[nodiscard]] bool has_channel(int channel) const override;
   [[nodiscard]] std::vector<int> channels() const;
 
-  /// The channel's current model — cached when fresh, rebuilt outside the
-  /// shard lock otherwise. The returned snapshot stays valid (immutable)
-  /// however long the caller holds it. Throws std::out_of_range for
-  /// unknown channels.
+  /// The channel's current model — cached when fresh, rebuilt serially on
+  /// this thread, outside the shard lock, otherwise. The returned snapshot
+  /// stays valid (immutable) however long the caller holds it. Throws
+  /// std::out_of_range for unknown channels.
   [[nodiscard]] std::shared_ptr<const core::WhiteSpaceModel> model(
       int channel);
 

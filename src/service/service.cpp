@@ -39,7 +39,11 @@ SpectrumService::SpectrumService(
     campaign::LabelingConfig labeling, core::UploadPolicy upload_policy)
     : constructor_config_(std::move(constructor_config)),
       labeling_(labeling),
-      upload_policy_(upload_policy) {}
+      upload_policy_(upload_policy) {
+  // Rebuilds run on the request thread that found the model stale (see
+  // service.hpp); serial and parallel builds give the same bytes.
+  constructor_config_.threads = 1;
+}
 
 SpectrumService::~SpectrumService() = default;
 

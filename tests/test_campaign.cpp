@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <random>
 #include <sstream>
 
 #include "waldo/campaign/dataset_io.hpp"
@@ -9,6 +11,7 @@
 #include "waldo/campaign/measurement.hpp"
 #include "waldo/campaign/truth.hpp"
 #include "waldo/campaign/wardrive.hpp"
+#include "waldo/geo/grid_index.hpp"
 #include "waldo/ml/metrics.hpp"
 #include "waldo/rf/environment.hpp"
 #include "waldo/sensors/sensor.hpp"
@@ -91,6 +94,203 @@ TEST(Labeling, SizeMismatchThrows) {
   EXPECT_THROW(label_readings(std::vector<geo::EnuPoint>{{0, 0}},
                               std::vector<double>{}),
                std::invalid_argument);
+}
+
+// ------------------------------------------- Algorithm 1 differential
+
+/// label_readings as it was before the cell-pair kernel, kept verbatim:
+/// one GridIndex radius query per reading above the threshold.
+std::vector<int> oracle_label_readings(std::span<const geo::EnuPoint> positions,
+                                       std::span<const double> rss_dbm,
+                                       const LabelingConfig& config) {
+  if (positions.size() != rss_dbm.size()) {
+    throw std::invalid_argument("label_readings: size mismatch");
+  }
+  std::vector<int> labels(positions.size(), ml::kSafe);
+  if (positions.empty()) return labels;
+
+  const geo::GridIndex index(
+      std::vector<geo::EnuPoint>(positions.begin(), positions.end()),
+      std::max(1.0, config.separation_m / 4.0));
+
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    if (rss_dbm[i] + config.correction_db <= config.threshold_dbm) continue;
+    labels[i] = ml::kNotSafe;
+    index.for_each_within(positions[i], config.separation_m,
+                          [&labels](std::size_t j) {
+                            labels[j] = ml::kNotSafe;
+                          });
+  }
+  return labels;
+}
+
+struct LabelCase {
+  std::vector<geo::EnuPoint> positions;
+  std::vector<double> rss;
+  LabelingConfig config;
+};
+
+/// Readings scattered, snapped to cell edges (and one ulp either side),
+/// stacked on each other, or placed exactly one radius from an earlier
+/// reading, around the origin or around +-1e7 m; poisoner shares from
+/// none to all, RSS sometimes exactly on the threshold.
+LabelCase random_label_case(std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const auto pick = [&](std::initializer_list<double> from) {
+    return *(from.begin() +
+             static_cast<std::ptrdiff_t>(unit(rng) * from.size()));
+  };
+  LabelCase c;
+  c.config.separation_m = pick({6'000.0, 6'000.0, 1'500.0, 2.5, 0.0, -1.0,
+                                -6'000.0, 9'137.25 * unit(rng)});
+  c.config.correction_db = pick({0.0, 7.5, -10.0});
+  const double r = c.config.separation_m;
+  const double cell = std::max(1.0, r / 4.0);
+  const double origin = pick({0.0, 0.0, 1e7, -1e7, 1e7 + 0.3});
+  const double spread = std::max(std::abs(r), 10.0) * pick({0.5, 2.0, 6.0});
+  const double poison_share = pick({0.0, 1.0, 0.01, 0.2, unit(rng)});
+  const double quiet_top = c.config.threshold_dbm - c.config.correction_db;
+  const auto n = static_cast<std::size_t>(unit(rng) * 250.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    geo::EnuPoint p{origin + spread * unit(rng), origin + spread * unit(rng)};
+    const double kind = unit(rng);
+    if (kind < 0.2) {
+      p = {origin + cell * std::round(spread * unit(rng) / cell),
+           origin + cell * std::round(spread * unit(rng) / cell)};
+      if (unit(rng) < 0.5) {
+        p.east_m = std::nextafter(p.east_m, unit(rng) < 0.5 ? -1e300 : 1e300);
+      }
+    } else if (kind < 0.45 && !c.positions.empty()) {
+      const geo::EnuPoint& q = c.positions[static_cast<std::size_t>(
+          unit(rng) * c.positions.size())];
+      const double d = std::abs(r);
+      switch (static_cast<int>(unit(rng) * 6.0)) {
+        case 0: p = {q.east_m + d, q.north_m}; break;
+        case 1: p = {q.east_m - d, q.north_m}; break;
+        case 2: p = {q.east_m, q.north_m + d}; break;
+        case 3: p = {q.east_m + 0.6 * d, q.north_m - 0.8 * d}; break;
+        case 4: p = {std::nextafter(q.east_m + d, 1e300), q.north_m}; break;
+        default: p = q; break;
+      }
+    }
+    c.positions.push_back(p);
+    const double u = unit(rng);
+    c.rss.push_back(u < 0.05 ? quiet_top
+                    : unit(rng) < poison_share
+                        ? quiet_top + 0.001 + 20.0 * u
+                        : quiet_top - 30.0 * u);
+  }
+  return c;
+}
+
+TEST(LabelingDifferential, RandomCasesMatchThePerPoisonerOracle) {
+  std::mt19937_64 rng(20'170'605);
+  std::size_t safe = 0, not_safe = 0, poisoned_neighbours = 0;
+  for (int k = 0; k < 3'000; ++k) {
+    const LabelCase c = random_label_case(rng);
+    const std::vector<int> want =
+        oracle_label_readings(c.positions, c.rss, c.config);
+    ASSERT_EQ(label_readings(c.positions, c.rss, c.config), want)
+        << "case " << k << ", separation " << c.config.separation_m;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const bool quiet =
+          c.rss[i] + c.config.correction_db <= c.config.threshold_dbm;
+      safe += want[i] == ml::kSafe ? 1 : 0;
+      not_safe += want[i] == ml::kNotSafe ? 1 : 0;
+      poisoned_neighbours += quiet && want[i] == ml::kNotSafe ? 1 : 0;
+    }
+  }
+  // Both labels occur, and quiet readings get poisoned by neighbours.
+  EXPECT_GT(safe, 10'000u);
+  EXPECT_GT(not_safe, 10'000u);
+  EXPECT_GT(poisoned_neighbours, 5'000u);
+}
+
+TEST(LabelingDifferential, EdgeCasesMatchThePerPoisonerOracle) {
+  const std::vector<geo::EnuPoint> line{
+      {0.0, 0.0}, {6'000.0, 0.0}, {12'000.0, 0.0}, {1e7, -1e7},
+      {1e7 + 6'000.0, -1e7}, {-1e7, 1e7}, {-1e7, 1e7 - 5'999.999}};
+  const auto expect_same = [](std::span<const geo::EnuPoint> pos,
+                              std::span<const double> rss,
+                              const LabelingConfig& cfg) {
+    EXPECT_EQ(label_readings(pos, rss, cfg), oracle_label_readings(pos, rss, cfg))
+        << "separation " << cfg.separation_m << ", correction "
+        << cfg.correction_db;
+  };
+  for (const double separation : {6'000.0, 0.0, -1.0}) {
+    for (const double correction : {0.0, 7.5, -10.0}) {
+      LabelingConfig cfg;
+      cfg.separation_m = separation;
+      cfg.correction_db = correction;
+      expect_same({}, {}, cfg);
+      expect_same(line, std::vector<double>(line.size(), -50.0), cfg);
+      expect_same(line, std::vector<double>(line.size(), -120.0), cfg);
+      std::vector<double> alternate;
+      for (std::size_t i = 0; i < line.size(); ++i) {
+        alternate.push_back(i % 2 == 0 ? -80.0 : -90.0);
+      }
+      expect_same(line, alternate, cfg);
+    }
+  }
+  // A radius query visits only the cells from cell(p - r) to cell(p + r).
+  // Here p - r = 4096 exactly, so the query starts at cell 4 (of side
+  // 1024 m) and never sees the reading one half-ulp below 4096, in cell 3,
+  // although its distance rounds to exactly r (a tie to even). The kernel
+  // must leave it SAFE as the oracle does.
+  {
+    const std::vector<geo::EnuPoint> edge{{8'192.0, 0.0},
+                                          {std::nextafter(4'096.0, 0.0), 0.0}};
+    const std::vector<double> rss{-50.0, -120.0};
+    LabelingConfig cfg;
+    cfg.separation_m = 4'096.0;
+    const double de = edge[1].east_m - edge[0].east_m;
+    ASSERT_LE(de * de, cfg.separation_m * cfg.separation_m);
+    EXPECT_EQ(label_readings(edge, rss, cfg),
+              (std::vector<int>{ml::kNotSafe, ml::kSafe}));
+    expect_same(edge, rss, cfg);
+  }
+  // The last assertions above include these; spell out the contract.
+  EXPECT_TRUE(label_readings({}, {}).empty());
+  const std::vector<int> hot =
+      label_readings(line, std::vector<double>(line.size(), -50.0));
+  EXPECT_EQ(std::count(hot.begin(), hot.end(), ml::kNotSafe),
+            static_cast<std::ptrdiff_t>(line.size()));
+}
+
+/// The serving benchmark's world: channels 15 and 46 of the seed-99
+/// metro war-drive, 5,282 readings each, centred on their centroid.
+TEST(LabelingDifferential, ServingWorldChannelsMatchThePerPoisonerOracle) {
+  const rf::Environment env = rf::make_metro_environment();
+  const geo::DrivePath route = standard_route(env, 5'282, 99);
+  for (const int channel : {15, 46}) {
+    sensors::Sensor sensor(sensors::usrp_b200_spec(),
+                           1000 + 10 * static_cast<std::uint64_t>(channel) + 1);
+    if (!sensor.calibration().has_value()) sensor.calibrate();
+    ChannelDataset ds = collect_channel(env, sensor, channel, route.readings);
+    geo::EnuPoint centroid{};
+    for (const Measurement& m : ds.readings) {
+      centroid.east_m += m.position.east_m;
+      centroid.north_m += m.position.north_m;
+    }
+    const double n = static_cast<double>(ds.readings.size());
+    for (Measurement& m : ds.readings) {
+      m.position.east_m -= centroid.east_m / n;
+      m.position.north_m -= centroid.north_m / n;
+    }
+    for (const double correction : {0.0, 7.5}) {
+      LabelingConfig cfg;
+      cfg.correction_db = correction;
+      const std::vector<int> want =
+          oracle_label_readings(ds.positions(), ds.rss_values(), cfg);
+      EXPECT_EQ(label_readings(ds.positions(), ds.rss_values(), cfg), want)
+          << "channel " << channel << ", correction " << correction;
+      // Both labels occur without the correction factor; with it, every
+      // reading of these two channels is within 6 km of a poisoner.
+      const double safe = safe_fraction(want);
+      EXPECT_EQ(correction == 0.0, safe > 0.0) << "channel " << channel;
+      EXPECT_LT(safe, 1.0) << "channel " << channel;
+    }
+  }
 }
 
 TEST(Labeling, SafeFraction) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <random>
+#include <vector>
 
 #include "waldo/geo/drive_path.hpp"
 #include "waldo/geo/grid_index.hpp"
@@ -195,6 +198,35 @@ TEST(GridIndex, EmptyAndEdgeCases) {
   EXPECT_EQ(single.nearest(EnuPoint{1e6, 1e6}), 0u);
   EXPECT_TRUE(single.query_radius(EnuPoint{10.0, 20.0}, 0.0).size() == 1);
   EXPECT_TRUE(single.query_radius(EnuPoint{10.0, 21.0}, -1.0).empty());
+}
+
+// Cell keys of coordinates beyond any map clamp to +-2^62 instead of
+// overflowing the float-to-integer cast, which is undefined behaviour.
+TEST(GridCells, FarAndNonFiniteCoordinatesHaveDefinedCells) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr std::int64_t kLimit = std::int64_t{1} << 62;
+  EXPECT_EQ(cell_coordinate(1e300, 100.0), kLimit);
+  EXPECT_EQ(cell_coordinate(-inf, 100.0), -kLimit);
+  EXPECT_EQ(cell_coordinate(nan, 100.0), 0);
+  EXPECT_EQ(cell_coordinate(-0.5, 1.0), -1);
+  EXPECT_EQ(cell_coordinate(2e19, 100.0), std::int64_t{200'000'000'000'000'000});
+
+  const std::vector<EnuPoint> points{
+      {1e300, -1e300}, {2e19, 0.0}, {inf, 0.0}, {nan, 5.0}, {10.0, 10.0}};
+  GridCells cells(100.0);
+  for (std::uint32_t i = 0; i < points.size(); ++i) cells.insert(i, points[i]);
+  const auto within = [&](EnuPoint center, double radius) {
+    std::vector<std::uint32_t> ids;
+    cells.for_each_within(
+        center, radius,
+        [&](std::uint32_t i) -> const EnuPoint& { return points[i]; },
+        [&](std::uint32_t i) { ids.push_back(i); });
+    return ids;
+  };
+  EXPECT_EQ(within({1e300, -1e300}, 1.0), std::vector<std::uint32_t>{0});
+  EXPECT_EQ(within({2e19, 0.0}, 1.0), std::vector<std::uint32_t>{1});
+  EXPECT_EQ(within({10.0, 10.0}, 50.0), std::vector<std::uint32_t>{4});
 }
 
 TEST(DrivePath, ProducesRequestedReadings) {

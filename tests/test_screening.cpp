@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -67,7 +69,7 @@ UploadResult oracle_screen_upload(const campaign::ChannelDataset& stored,
     // Unexplored territory: look for corroborating pending readings from
     // other contributors.
     std::vector<std::size_t> corroborators;
-    std::size_t distinct = 1;  // this contributor
+    std::set<std::string> distinct{contributor};
     for (std::size_t p = 0; p < pending.size(); ++p) {
       const PendingReading& pr = pending[p];
       if (geo::distance_m(pr.measurement.position, m.position) >
@@ -79,9 +81,9 @@ UploadResult oracle_screen_upload(const campaign::ChannelDataset& stored,
         continue;
       }
       corroborators.push_back(p);
-      if (pr.contributor != contributor) ++distinct;
+      distinct.insert(pr.contributor);
     }
-    if (distinct >= policy.min_corroborators) {
+    if (distinct.size() >= policy.min_corroborators) {
       // Promote the agreeing cluster plus this reading.
       accepted.push_back(m);
       ++result.accepted;
@@ -323,6 +325,81 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Case{1, {}}, Case{2, {}}, Case{3, {}},
                       Case{4, tight_policy()}, Case{5, tight_policy()}),
     [](const auto& info) { return "Seed" + std::to_string(info.param.seed); });
+
+/// A channel of 400 trusted readings over a 4 km square.
+ChannelState surveyed_channel() {
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> known(0.0, 4'000.0);
+  campaign::ChannelDataset sweep{
+      .channel = 21, .sensor_name = "usrp", .readings = {}};
+  for (int i = 0; i < 400; ++i) {
+    sweep.readings.push_back(reading_at({known(rng), known(rng)}, rng));
+  }
+  return ChannelState(std::move(sweep));
+}
+
+// Regression: a reading at an impossible position found no trusted
+// neighbours, was parked, and a second identity's reading at the same
+// spot promoted both into the trusted dataset, where the next model put a
+// locality centroid at 1e300 m.
+TEST(ChannelState, RejectsReadingsAtImpossiblePositionsOrPowers) {
+  const UploadPolicy policy;
+  std::mt19937_64 rng(12);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<geo::EnuPoint> impossible{
+      {1e300, 1e300}, {2.0e7 + 1.0, 0.0}, {0.0, -2.0e7 - 1.0},
+      {inf, 0.0},     {0.0, -inf},        {nan, 100.0}};
+  for (const geo::EnuPoint& p : impossible) {
+    ChannelState state = surveyed_channel();
+    const std::string before = csv_bytes(state.dataset());
+    for (const std::string who : {"ann", "bob", "cat"}) {
+      const campaign::Measurement m = reading_at(p, rng);
+      const ChannelState::Applied a = state.upload(policy, {&m, 1}, who);
+      EXPECT_EQ(a.ledger.rejected, 1u) << p.east_m << ", " << p.north_m;
+    }
+    EXPECT_EQ(csv_bytes(state.dataset()), before);
+    EXPECT_TRUE(state.pending().empty());
+  }
+  // Non-finite powers are rejected inside coverage and outside it.
+  ChannelState state = surveyed_channel();
+  for (const double rss : {nan, inf, -inf}) {
+    for (const geo::EnuPoint p : {geo::EnuPoint{2'000.0, 2'000.0},
+                                  geo::EnuPoint{1.9e7, -1.9e7}}) {
+      campaign::Measurement m = reading_at(p, rng);
+      m.rss_dbm = rss;
+      const ChannelState::Applied a = state.upload(policy, {&m, 1}, "ann");
+      EXPECT_EQ(a.ledger.rejected, 1u) << rss;
+    }
+  }
+  EXPECT_TRUE(state.pending().empty());
+  // The edge of the plausible square is still a position.
+  const campaign::Measurement edge = reading_at({2.0e7, -2.0e7}, rng);
+  EXPECT_EQ(state.upload(policy, {&edge, 1}, "ann").ledger.pending, 1u);
+}
+
+// Regression: corroboration counted pending readings from other
+// contributors, not distinct contributors, so with min_corroborators = 3
+// one colluder with two parked readings promoted a third identity's.
+TEST(ChannelState, CorroborationCountsDistinctContributors) {
+  UploadPolicy policy;
+  policy.min_corroborators = 3;
+  std::mt19937_64 rng(13);
+  ChannelState state = surveyed_channel();
+  const auto at = [&](double east) { return reading_at({east, 9'000.0}, rng); };
+  const std::vector<campaign::Measurement> colluder{at(8'000.0), at(8'010.0)};
+  EXPECT_EQ(state.upload(policy, colluder, "mallory").ledger.pending, 2u);
+  const campaign::Measurement second = at(8'020.0);
+  const ChannelState::Applied two = state.upload(policy, {&second, 1}, "sybil");
+  EXPECT_EQ(two.ledger.accepted, 0u);
+  EXPECT_EQ(two.ledger.pending, 1u);
+  // A third distinct contributor completes the quorum: the new reading
+  // plus the three parked ones are promoted.
+  const campaign::Measurement third = at(8'030.0);
+  const ChannelState::Applied three = state.upload(policy, {&third, 1}, "trent");
+  EXPECT_EQ(three.ledger.accepted, 4u);
+  EXPECT_TRUE(state.pending().empty());
+}
 
 // A state shipped through its codec form screens the next batch exactly
 // like the state it was copied from (the receiver rebuilds the index).
