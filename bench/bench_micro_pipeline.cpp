@@ -1,16 +1,20 @@
-// Microbenchmarks (google-benchmark) of the on-device pipeline stages and
-// the offline model-construction stages, plus the pilot-vs-energy detector
-// ablation called out in DESIGN.md.
+// Microbenchmarks (google-benchmark) of the on-device pipeline stages, the
+// offline model-construction stages and server-side upload screening, plus
+// the pilot-vs-energy detector ablation called out in DESIGN.md.
 //
 // Accepts `--json <path>` (in addition to the standard --benchmark_* flags)
 // to also write the measured ns/item rates as machine-readable JSON — the
 // format archived in BENCH_micro_pipeline.json and uploaded by CI.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "common.hpp"
 #include "waldo/campaign/labeling.hpp"
+#include "waldo/core/channel_state.hpp"
 #include "waldo/core/detector.hpp"
 #include "waldo/core/features.hpp"
 #include "waldo/dsp/detectors.hpp"
@@ -19,6 +23,7 @@
 #include "waldo/ml/kmeans.hpp"
 #include "waldo/ml/metrics.hpp"
 #include "waldo/ml/naive_bayes.hpp"
+#include "waldo/ml/stats.hpp"
 #include "waldo/ml/svm.hpp"
 #include "waldo/sensors/sensor.hpp"
 
@@ -233,6 +238,101 @@ void BM_ConvergenceFilter(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConvergenceFilter);
+
+void BM_Quantile(benchmark::State& state) {
+  std::mt19937_64 rng(8);
+  std::normal_distribution<double> power(-85.0, 8.0);
+  std::vector<double> v(static_cast<std::size_t>(state.range(0)));
+  for (double& x : v) x = power(rng);
+  for (auto _ : state) benchmark::DoNotOptimize(ml::quantile(v, 0.5));
+}
+BENCHMARK(BM_Quantile)->Arg(220);
+
+/// Crowd batches shaped like the serving benchmark's: three readings each,
+/// 80% honest (a stored reading moved up to 40 m), 10% poisoned (+20 dB),
+/// 10% out of coverage on a 1,050 m lattice far outside the sweep, every
+/// lattice point used once, so those readings stay parked.
+class CrowdBatches {
+ public:
+  explicit CrowdBatches(const campaign::ChannelDataset& sweep)
+      : sweep_(&sweep) {}
+
+  std::vector<campaign::Measurement> next(std::mt19937_64& rng) {
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::uniform_real_distribution<double> jitter(-40.0, 40.0);
+    std::uniform_int_distribution<std::size_t> pick(
+        0, sweep_->readings.size() - 1);
+    std::vector<campaign::Measurement> batch;
+    for (int r = 0; r < 3; ++r) {
+      campaign::Measurement m = sweep_->readings[pick(rng)];
+      const double kind = unit(rng);
+      if (kind < 0.9) {
+        m.position.east_m += jitter(rng);
+        m.position.north_m += jitter(rng);
+        if (kind >= 0.8) m.rss_dbm += 20.0;
+      } else {
+        const std::uint64_t cell = far_cells_++;
+        m.position.east_m = 50'000.0 + 1'050.0 * static_cast<double>(cell % 90);
+        m.position.north_m = 1'050.0 * static_cast<double>(cell / 90);
+      }
+      batch.push_back(std::move(m));
+    }
+    return batch;
+  }
+
+ private:
+  const campaign::ChannelDataset* sweep_;
+  std::uint64_t far_cells_ = 0;
+};
+
+/// Screening on a channel that has been serving for a while: a sweep of
+/// 5,282 readings over an 18 km square grown by 8,000 crowd batches to
+/// about 24k trusted and 2.5k parked readings (neighbourhoods of about
+/// 220). One iteration applies the next 1,000 batches to a fresh copy of
+/// that channel; the copy is made outside the timed region.
+void BM_ScreenGrownChannel(benchmark::State& state) {
+  std::mt19937_64 rng(9);
+  std::uniform_real_distribution<double> coord(-9'000.0, 9'000.0);
+  std::normal_distribution<double> noise(0.0, 3.0);
+  campaign::ChannelDataset sweep{.channel = 30, .sensor_name = "usrp",
+                                 .readings = {}};
+  for (int i = 0; i < 5282; ++i) {
+    campaign::Measurement m;
+    m.position = geo::EnuPoint{coord(rng), coord(rng)};
+    m.true_rss_dbm = -80.0 - 0.001 * m.position.east_m +
+                     5.0 * std::sin(m.position.north_m / 1'500.0);
+    m.rss_dbm = m.true_rss_dbm + noise(rng);
+    sweep.readings.push_back(m);
+  }
+  const core::UploadPolicy policy;
+  CrowdBatches crowd(sweep);
+  core::ChannelState grown(sweep);
+  for (int b = 0; b < 8000; ++b) {
+    const auto batch = crowd.next(rng);
+    (void)grown.upload(policy, batch, "dev" + std::to_string(rng() % 256));
+  }
+  std::vector<std::vector<campaign::Measurement>> batches;
+  std::vector<std::string> contributors;
+  for (int b = 0; b < 1000; ++b) {
+    batches.push_back(crowd.next(rng));
+    contributors.push_back("dev" + std::to_string(rng() % 256));
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    core::ChannelState channel = grown;
+    state.ResumeTiming();
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      benchmark::DoNotOptimize(
+          channel.upload(policy, batches[b], contributors[b]).ledger.accepted);
+    }
+    state.PauseTiming();
+    channel = {};  // freed outside the timed region too
+    state.ResumeTiming();
+  }
+  state.counters["trusted"] = static_cast<double>(grown.dataset().readings.size());
+  state.counters["parked"] = static_cast<double>(grown.pending().size());
+}
+BENCHMARK(BM_ScreenGrownChannel);
 
 /// Console output as usual, plus every finished run captured for --json.
 class CapturingReporter : public benchmark::ConsoleReporter {

@@ -62,6 +62,14 @@ UploadResult screen_indexed(const geo::GridCells& index,
   const auto position_of = [&stored](std::uint32_t j) -> const geo::EnuPoint& {
     return stored.readings[j].position;
   };
+  // A parked reading whose squared offset exceeds the padded reach is
+  // farther than corroboration_m by more than the rounding of either
+  // formula, so skipping it cannot change a verdict; the hypot test below
+  // decides the rest. A negative or NaN radius disables the prefilter.
+  const double reach = policy.corroboration_m * (1.0 + 1e-9) + 1e-6;
+  const double reach2 = policy.corroboration_m >= 0.0
+                            ? reach * reach
+                            : std::numeric_limits<double>::infinity();
   std::vector<double> neighbour_rss;
   for (const campaign::Measurement& m : readings) {
     if (!plausible(m)) {
@@ -74,8 +82,8 @@ UploadResult screen_indexed(const geo::GridCells& index,
                             neighbour_rss.push_back(stored.readings[j].rss_dbm);
                           });
     if (neighbour_rss.size() >= policy.min_neighbours) {
-      // The median sorts, so the order the index yields neighbours in
-      // cannot change a verdict.
+      // The median is an order statistic, so the order the index yields
+      // neighbours in cannot change a verdict.
       const double median = ml::quantile(neighbour_rss, 0.5);
       if (std::abs(m.rss_dbm - median) > policy.max_deviation_db) {
         ++result.rejected;
@@ -92,8 +100,10 @@ UploadResult screen_indexed(const geo::GridCells& index,
     std::vector<const std::string*> others;  // distinct other contributors
     for (std::size_t p = 0; p < pending.size(); ++p) {
       const PendingReading& pr = pending[p];
-      if (geo::distance_m(pr.measurement.position, m.position) >
-          policy.corroboration_m) {
+      const double de = pr.measurement.position.east_m - m.position.east_m;
+      const double dn = pr.measurement.position.north_m - m.position.north_m;
+      if (de * de + dn * dn > reach2 ||
+          std::hypot(de, dn) > policy.corroboration_m) {
         continue;
       }
       if (std::abs(pr.measurement.rss_dbm - m.rss_dbm) >

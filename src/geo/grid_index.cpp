@@ -63,34 +63,29 @@ std::vector<std::size_t> GridIndex::query_radius(const EnuPoint& center,
 }
 
 std::size_t GridIndex::nearest(const EnuPoint& center) const {
-  if (points_.empty()) return 0;
-  // Expand the search ring until a hit is found, then verify one extra ring
-  // (a point in a farther cell can still be closer than one found first).
   double best_d2 = std::numeric_limits<double>::infinity();
   std::size_t best = points_.size();
-  for (double radius = cell_size_m();; radius *= 2.0) {
-    for_each_within(center, radius, [&](std::size_t i) {
-      const double de = points_[i].east_m - center.east_m;
-      const double dn = points_[i].north_m - center.north_m;
-      const double d2 = de * de + dn * dn;
-      if (d2 < best_d2) {
-        best_d2 = d2;
-        best = i;
-      }
-    });
-    if (best != points_.size() && best_d2 <= radius * radius) return best;
-    if (radius > 1e9) break;  // degenerate: points extremely far away
-  }
-  // Fall back to a linear scan for pathological layouts.
-  for (std::size_t i = 0; i < points_.size(); ++i) {
+  const auto consider = [&](std::size_t i) {
     const double de = points_[i].east_m - center.east_m;
     const double dn = points_[i].north_m - center.north_m;
     const double d2 = de * de + dn * dn;
-    if (d2 < best_d2) {
+    if (d2 < best_d2 || (d2 == best_d2 && i < best)) {
       best_d2 = d2;
       best = i;
     }
+  };
+  // Expand the search ring until a hit lies inside it with a margin: a
+  // point the ring misses is at least `radius` away up to rounding, so it
+  // is strictly farther. Once the ring's window spans more cells than
+  // there are points, a linear scan is cheaper.
+  const auto points = static_cast<double>(points_.size());
+  for (double radius = cell_size_m();; radius *= 2.0) {
+    const double side = 2.0 * radius / cell_size_m() + 2.0;
+    if (side * side > points) break;
+    for_each_within(center, radius, consider);
+    if (best_d2 <= radius * radius * (1.0 - 1e-9)) return best;
   }
+  for (std::size_t i = 0; i < points_.size(); ++i) consider(i);
   return best;
 }
 

@@ -120,7 +120,8 @@ class GridIndex {
   void for_each_within(const EnuPoint& center, double radius_m,
                        const std::function<void(std::size_t)>& fn) const;
 
-  /// Index of the nearest point to `center`, or `size()` if empty.
+  /// Index of the nearest point to `center`, or `size()` if empty. Ties
+  /// go to the lowest index.
   [[nodiscard]] std::size_t nearest(const EnuPoint& center) const;
 
   /// Indices of the k nearest points, closest first.

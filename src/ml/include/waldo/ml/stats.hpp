@@ -19,7 +19,7 @@ struct SummaryStats {
 
 [[nodiscard]] SummaryStats summarize(std::span<const double> values);
 
-/// Linear-interpolated quantile, q in [0, 1]. Sorts a copy.
+/// Linear-interpolated quantile, q in [0, 1]. Selects on a copy: O(n).
 [[nodiscard]] double quantile(std::span<const double> values, double q);
 
 /// Boxplot five-number summary plus the mean.

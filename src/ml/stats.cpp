@@ -30,13 +30,19 @@ SummaryStats summarize(std::span<const double> values) {
 double quantile(std::span<const double> values, double q) {
   if (values.empty()) throw std::invalid_argument("quantile of empty range");
   q = std::clamp(q, 0.0, 1.0);
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
+  std::vector<double> v(values.begin(), values.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const auto at_lo = v.begin() + static_cast<std::ptrdiff_t>(lo);
+  // The lo-th and (lo+1)-th order statistics, which are all a full sort
+  // would read: selection puts the first in place and leaves the second
+  // as the minimum of what lies above it.
+  std::nth_element(v.begin(), at_lo, v.end());
+  const double below = *at_lo;
+  const double above =
+      at_lo + 1 == v.end() ? below : *std::min_element(at_lo + 1, v.end());
   const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  return below + frac * (above - below);
 }
 
 BoxStats box_stats(std::span<const double> values) {

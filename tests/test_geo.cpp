@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -198,6 +200,83 @@ TEST(GridIndex, EmptyAndEdgeCases) {
   EXPECT_EQ(single.nearest(EnuPoint{1e6, 1e6}), 0u);
   EXPECT_TRUE(single.query_radius(EnuPoint{10.0, 20.0}, 0.0).size() == 1);
   EXPECT_TRUE(single.query_radius(EnuPoint{10.0, 21.0}, -1.0).empty());
+}
+
+// nearest() against a brute-force scan that keeps the lowest index on
+// ties, on sets where the ring search answers (dense), where it gives way
+// to the linear scan (sparse, far queries), and where many points are
+// exactly equidistant (a lattice with duplicated points, queried at cell
+// centres and lattice midpoints).
+TEST(GridIndex, NearestMatchesBruteForceWithLowestIndexTies) {
+  const auto brute = [](const std::vector<EnuPoint>& pts, EnuPoint c) {
+    std::size_t best = pts.size();
+    double best_d2 = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      const double de = pts[i].east_m - c.east_m;
+      const double dn = pts[i].north_m - c.north_m;
+      if (de * de + dn * dn < best_d2) {
+        best_d2 = de * de + dn * dn;
+        best = i;
+      }
+    }
+    return best;
+  };
+  std::mt19937_64 rng(77);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const auto check = [&](const std::vector<EnuPoint>& pts, double cell,
+                         const std::vector<EnuPoint>& queries) {
+    const GridIndex index(pts, cell);
+    for (const EnuPoint& c : queries) {
+      EXPECT_EQ(index.nearest(c), brute(pts, c))
+          << pts.size() << " points, cell " << cell << ", query (" << c.east_m
+          << ", " << c.north_m << ")";
+    }
+  };
+
+  // Dense: 2,000 points in a 1 km square, queried inside and around it.
+  std::vector<EnuPoint> dense;
+  for (int i = 0; i < 2000; ++i) {
+    dense.push_back({1000.0 * unit(rng), 1000.0 * unit(rng)});
+  }
+  std::vector<EnuPoint> queries;
+  for (int q = 0; q < 200; ++q) {
+    queries.push_back({3000.0 * unit(rng) - 1000.0, 3000.0 * unit(rng) - 1000.0});
+  }
+  check(dense, 50.0, queries);
+
+  // Sparse: a few points scattered over thousands of kilometres of
+  // 100 m cells, queried near and far.
+  for (const std::size_t n : {1u, 2u, 7u, 40u}) {
+    std::vector<EnuPoint> sparse;
+    for (std::size_t i = 0; i < n; ++i) {
+      sparse.push_back({4e6 * unit(rng) - 2e6, 4e6 * unit(rng) - 2e6});
+    }
+    std::vector<EnuPoint> far{{1e6, 1e6}, {-1.9e7, 1.9e7}, {0.0, 0.0}};
+    for (const EnuPoint& p : sparse) far.push_back({p.east_m + 30.0, p.north_m});
+    check(sparse, 100.0, far);
+  }
+
+  // Exact ties: a 10 m lattice of 40 x 40 points, every point listed
+  // twice and in shuffled order, queried at lattice midpoints (four
+  // equidistant points) and on lattice points (two identical ones).
+  std::vector<EnuPoint> lattice;
+  for (int x = 0; x < 40; ++x) {
+    for (int y = 0; y < 40; ++y) {
+      lattice.push_back({10.0 * x, 10.0 * y});
+      lattice.push_back({10.0 * x, 10.0 * y});
+    }
+  }
+  std::shuffle(lattice.begin(), lattice.end(), rng);
+  std::vector<EnuPoint> ties;
+  for (int q = 0; q < 150; ++q) {
+    const double x = 10.0 * std::floor(unit(rng) * 45.0) - 20.0;
+    const double y = 10.0 * std::floor(unit(rng) * 45.0) - 20.0;
+    ties.push_back({x + 5.0, y + 5.0});
+    ties.push_back({x, y});
+  }
+  for (const double cell : {7.0, 25.0, 100.0, 1000.0}) {
+    check(lattice, cell, ties);
+  }
 }
 
 // Cell keys of coordinates beyond any map clamp to +-2^62 instead of

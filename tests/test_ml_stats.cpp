@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <random>
+#include <span>
+#include <vector>
 
 #include "waldo/ml/matrix.hpp"
 #include "waldo/ml/metrics.hpp"
@@ -102,6 +107,64 @@ TEST(Stats, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(quantile(v, 1.0), 4.0);
   EXPECT_DOUBLE_EQ(quantile(v, 0.5), 2.5);
   EXPECT_THROW((void)quantile({}, 0.5), std::invalid_argument);
+}
+
+/// quantile() as it was before it selected instead of sorting, kept
+/// verbatim as the reference.
+double sorted_quantile(std::span<const double> values, double q) {
+  q = std::clamp(q, 0.0, 1.0);
+  std::vector<double> sorted(values.begin(), values.end());
+  std::sort(sorted.begin(), sorted.end());
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
+// Selection reads the same two order statistics as the full sort, so
+// every result is the same double (compared with ==, NaN aside: neither
+// algorithm fixes the sign of a zero result).
+TEST(Stats, QuantileMatchesTheSortingReference) {
+  std::mt19937_64 rng(21);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::normal_distribution<double> power(-85.0, 12.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::size_t compared = 0;
+  for (std::size_t n = 1; n <= 300; ++n) {
+    for (int kind = 0; kind < 4; ++kind) {
+      std::vector<double> v(n);
+      for (double& x : v) {
+        switch (kind) {
+          case 0: x = power(rng); break;
+          // Heavy duplicates: a handful of distinct values, zeros of both
+          // signs among them.
+          case 1: x = std::floor(unit(rng) * 4.0) - 2.0; break;
+          case 2: x = unit(rng) < 0.5 ? 0.0 : -0.0; break;
+          // Infinities of both signs among finite readings.
+          default: {
+            const double u = unit(rng);
+            x = u < 0.15 ? inf : u < 0.3 ? -inf : std::round(power(rng));
+          }
+        }
+      }
+      std::vector<double> qs{0.0, 0.25, 0.5, 0.9, 1.0};
+      for (int r = 0; r < 3; ++r) qs.push_back(unit(rng));
+      for (const double q : qs) {
+        const double got = quantile(v, q);
+        const double want = sorted_quantile(v, q);
+        if (std::isnan(want)) {
+          EXPECT_TRUE(std::isnan(got)) << "n=" << n << " q=" << q;
+        } else {
+          EXPECT_TRUE(got == want)
+              << "n=" << n << " kind=" << kind << " q=" << q << ": " << got
+              << " vs " << want;
+        }
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 300u * 4u * 8u);
 }
 
 TEST(Stats, BoxStatsOrdered) {

@@ -1,11 +1,12 @@
 // Upload screening with a standing index (core::ChannelState) against the
 // rebuild-per-batch screening it replaced. The oracle below is that older
 // code, kept verbatim: it builds a fresh GridIndex over the whole channel
-// for every batch. Randomized interleavings of trusted ingests and crowd
-// batches — accepts, rejects, parked readings and promotions by several
-// contributors — must leave SpectrumDatabase, SpectrumService and the
-// one-shot core::screen_upload with exactly the oracle's ledgers, dataset
-// bytes and pending pools.
+// for every batch, takes the median by a full sort of its own, and tests
+// every parked reading with hypot alone. Randomized interleavings of
+// trusted ingests, crowd batches and purges — accepts, rejects, parked
+// readings and promotions by several contributors — must leave
+// SpectrumDatabase, SpectrumService and the one-shot core::screen_upload
+// with exactly the oracle's ledgers, dataset bytes and pending pools.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,13 +23,23 @@
 #include "waldo/codec/codec.hpp"
 #include "waldo/core/database.hpp"
 #include "waldo/geo/grid_index.hpp"
-#include "waldo/ml/stats.hpp"
 #include "waldo/service/service.hpp"
 
 namespace waldo::core {
 namespace {
 
 // ---------------------------------------------------------------- oracle
+
+/// The median as ml::quantile computed it when the oracle was written: a
+/// sorted copy. Kept here so that the oracle does not follow the library.
+double oracle_median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const double pos = 0.5 * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return values[lo] + frac * (values[hi] - values[lo]);
+}
 
 UploadResult oracle_screen_upload(const campaign::ChannelDataset& stored,
                                   std::vector<PendingReading>& pending,
@@ -56,7 +67,7 @@ UploadResult oracle_screen_upload(const campaign::ChannelDataset& stored,
       for (const std::size_t j : nearby) {
         neighbour_rss.push_back(stored_rss[j]);
       }
-      const double median = ml::quantile(neighbour_rss, 0.5);
+      const double median = oracle_median(neighbour_rss);
       if (std::abs(m.rss_dbm - median) > policy.max_deviation_db) {
         ++result.rejected;
       } else {
@@ -122,6 +133,12 @@ struct ReferenceChannel {
                             accepted.end());
     return r;
   }
+
+  std::size_t purge(const std::string& contributor) {
+    return std::erase_if(pending, [&contributor](const PendingReading& pr) {
+      return pr.contributor == contributor;
+    });
+  }
 };
 
 // ------------------------------------------------------------- traffic
@@ -161,6 +178,7 @@ campaign::Measurement reading_at(geo::EnuPoint p, std::mt19937_64& rng) {
 
 struct Op {
   bool ingest = false;
+  bool purge = false;  ///< drop `contributor`'s parked readings everywhere
   int channel = 0;
   std::string contributor;
   std::vector<campaign::Measurement> readings;
@@ -221,23 +239,24 @@ std::vector<Op> make_traffic(std::uint64_t seed, std::size_t ops) {
   return out;
 }
 
-struct Case {
-  std::uint64_t seed;
-  UploadPolicy policy;
+/// What a differential run went through, so that a test can check that
+/// its traffic exercised every branch of the screen.
+struct Tally {
+  std::size_t accepted = 0, rejected = 0, parked = 0, promoted = 0;
+  std::size_t purged = 0, largest_pool = 0;
 };
 
-class ScreeningDifferential : public ::testing::TestWithParam<Case> {};
-
-TEST_P(ScreeningDifferential, IndexedStoresMatchTheRebuildPerBatchOracle) {
-  const auto& [seed, policy] = GetParam();
-  const std::vector<Op> traffic = make_traffic(seed, 700);
-
+/// Plays `traffic` into the oracle, the one-shot screen, SpectrumDatabase
+/// and SpectrumService, and expects the same ledgers after every batch and
+/// the same dataset bytes and pending pools every 50 steps and at the end.
+Tally run_differential(const std::vector<Op>& traffic,
+                       const UploadPolicy& policy) {
   std::map<int, ReferenceChannel> oracle;
   std::map<int, ReferenceChannel> one_shot;
   SpectrumDatabase database({}, {}, policy);
   service::SpectrumService service({}, {}, policy);
 
-  std::size_t accepted = 0, rejected = 0, parked = 0, promoted = 0;
+  Tally tally;
   const auto compare_state = [&](int channel, std::size_t step) {
     const ReferenceChannel& want = oracle.at(channel);
     const std::string want_csv = csv_bytes(want.dataset);
@@ -281,6 +300,15 @@ TEST_P(ScreeningDifferential, IndexedStoresMatchTheRebuildPerBatchOracle) {
       service.ingest_campaign(sweep);
       continue;
     }
+    if (op.purge) {
+      std::size_t want = 0;
+      for (auto& [channel, ref] : oracle) want += ref.purge(op.contributor);
+      for (auto& [channel, ref] : one_shot) (void)ref.purge(op.contributor);
+      EXPECT_EQ(database.purge_pending(op.contributor), want) << "step " << step;
+      EXPECT_EQ(service.purge_pending(op.contributor), want) << "step " << step;
+      tally.purged += want;
+      continue;
+    }
     const std::size_t pool_before = oracle[op.channel].pending.size();
     const UploadResult want = oracle[op.channel].upload(
         policy, op.readings, op.contributor, /*one_shot=*/false);
@@ -296,19 +324,36 @@ TEST_P(ScreeningDifferential, IndexedStoresMatchTheRebuildPerBatchOracle) {
       EXPECT_EQ(got.pending, want.pending) << "step " << step;
       EXPECT_EQ(got.ticket, want.ticket) << "step " << step;
     }
-    accepted += want.accepted;
-    rejected += want.rejected;
-    parked += want.pending;
-    promoted += pool_before + want.pending - oracle[op.channel].pending.size();
+    tally.accepted += want.accepted;
+    tally.rejected += want.rejected;
+    tally.parked += want.pending;
+    tally.promoted +=
+        pool_before + want.pending - oracle[op.channel].pending.size();
+    tally.largest_pool =
+        std::max(tally.largest_pool, oracle[op.channel].pending.size());
     if (step % 50 == 0) compare_state(op.channel, step);
   }
-  for (const int channel : {21, 38}) compare_state(channel, traffic.size());
+  for (const auto& [channel, ref] : oracle) {
+    compare_state(channel, traffic.size());
+  }
+  return tally;
+}
 
+struct Case {
+  std::uint64_t seed;
+  UploadPolicy policy;
+};
+
+class ScreeningDifferential : public ::testing::TestWithParam<Case> {};
+
+TEST_P(ScreeningDifferential, IndexedStoresMatchTheRebuildPerBatchOracle) {
+  const auto& [seed, policy] = GetParam();
+  const Tally tally = run_differential(make_traffic(seed, 700), policy);
   // The traffic exercised every branch of the screen.
-  EXPECT_GT(accepted, 0u);
-  EXPECT_GT(rejected, 0u);
-  EXPECT_GT(parked, 0u);
-  EXPECT_GT(promoted, 0u);
+  EXPECT_GT(tally.accepted, 0u);
+  EXPECT_GT(tally.rejected, 0u);
+  EXPECT_GT(tally.parked, 0u);
+  EXPECT_GT(tally.promoted, 0u);
 }
 
 UploadPolicy tight_policy() {
@@ -325,6 +370,163 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Case{1, {}}, Case{2, {}}, Case{3, {}},
                       Case{4, tight_policy()}, Case{5, tight_policy()}),
     [](const auto& info) { return "Seed" + std::to_string(info.param.seed); });
+
+/// Traffic that fills the pending pool. Trusted sweeps have whole-dB
+/// powers (so neighbourhoods hold duplicates) and a few infinite ones.
+/// Most crowd readings land in a wide frontier nobody vouches for, with
+/// powers spread over 100 dB; the rest sit on a dozen fixed spots, half of
+/// them at exactly repeated positions, with spot-specific powers, so that
+/// independent contributors corroborate each other at any radius. Purges
+/// of one contributor's stash are interleaved.
+std::vector<Op> make_crowded_traffic(std::uint64_t seed, std::size_t ops) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> known(0.0, 4'000.0);
+  std::uniform_real_distribution<double> wide(5'000.0, 60'000.0);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<int> spot(0, 11);
+  std::uniform_real_distribution<double> jitter(-300.0, 300.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::string> crowd = {"ann", "bob", "cat", "dev",
+                                          "eve", "fay", "gus", "hal"};
+  const auto trusted = [&](geo::EnuPoint p) {
+    campaign::Measurement m = reading_at(p, rng);
+    m.rss_dbm = std::round(m.rss_dbm);
+    const double u = unit(rng);
+    if (u < 0.02) m.rss_dbm = inf;
+    if (u >= 0.02 && u < 0.04) m.rss_dbm = -inf;
+    return m;
+  };
+  std::vector<Op> out;
+  Op first;
+  first.ingest = true;
+  first.channel = 21;
+  for (int i = 0; i < 300; ++i) {
+    first.readings.push_back(trusted({known(rng), known(rng)}));
+  }
+  out.push_back(std::move(first));
+  for (std::size_t n = 0; n < ops; ++n) {
+    Op op;
+    op.channel = 21;
+    op.contributor = crowd[static_cast<std::size_t>(unit(rng) * crowd.size())];
+    const double what = unit(rng);
+    if (what < 0.02) {
+      op.ingest = true;
+      for (int i = 0; i < 20; ++i) {
+        op.readings.push_back(trusted(
+            {unit(rng) < 0.5 ? known(rng) : wide(rng), known(rng)}));
+      }
+    } else if (what < 0.04) {
+      op.purge = true;
+    } else {
+      const std::size_t size = 1 + static_cast<std::size_t>(unit(rng) * 4);
+      for (std::size_t i = 0; i < size; ++i) {
+        const double kind = unit(rng);
+        campaign::Measurement m;
+        if (kind < 0.25) {
+          m = reading_at({known(rng), known(rng)}, rng);
+        } else if (kind < 0.35) {
+          m = reading_at({known(rng), known(rng)}, rng);
+          m.rss_dbm += 30.0;
+        } else if (kind < 0.75) {
+          m = reading_at({wide(rng), wide(rng)}, rng);
+          m.rss_dbm = -130.0 + 100.0 * unit(rng);
+        } else {
+          const int k = spot(rng);
+          geo::EnuPoint p{8'000.0 + 4'000.0 * k, 50'000.0 - 3'000.0 * k};
+          if (k % 2 == 1) p = {p.east_m + jitter(rng), p.north_m + jitter(rng)};
+          m = reading_at(p, rng);
+          m.rss_dbm = -125.0 + 8.0 * k + unit(rng);
+        }
+        op.readings.push_back(m);
+      }
+    }
+    out.push_back(std::move(op));
+  }
+  return out;
+}
+
+struct RadiusCase {
+  std::string name;
+  std::uint64_t seed;
+  double corroboration_m;
+  std::size_t min_corroborators;
+};
+
+void PrintTo(const RadiusCase& c, std::ostream* os) { *os << c.name; }
+
+class CrowdedPoolDifferential : public ::testing::TestWithParam<RadiusCase> {};
+
+// Hundreds of parked readings from eight contributors, promotions and
+// purges, at radii where the corroboration prefilter skips almost every
+// parked reading (0, 500), none (1e7, +inf), or must stay out of the way
+// (-1: the exact test skips everything; NaN: it skips nothing).
+TEST_P(CrowdedPoolDifferential, IndexedStoresMatchTheOracle) {
+  const RadiusCase& c = GetParam();
+  UploadPolicy policy;
+  policy.neighbourhood_m = 400.0;
+  policy.min_neighbours = 2;
+  policy.max_deviation_db = 2.0;
+  policy.corroboration_m = c.corroboration_m;
+  policy.min_corroborators = c.min_corroborators;
+  const Tally tally = run_differential(make_crowded_traffic(c.seed, 1500), policy);
+  EXPECT_GT(tally.accepted, 0u);
+  EXPECT_GT(tally.rejected, 0u);
+  EXPECT_GT(tally.parked, 0u);
+  EXPECT_GT(tally.purged, 0u);
+  if (!(c.corroboration_m < 0.0)) {
+    EXPECT_GT(tally.promoted, 0u);
+  }
+  if (c.corroboration_m <= 500.0) {
+    EXPECT_GE(tally.largest_pool, 200u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Radii, CrowdedPoolDifferential,
+    ::testing::Values(
+        RadiusCase{"Zero", 21, 0.0, 2}, RadiusCase{"Negative", 22, -1.0, 2},
+        RadiusCase{"Default", 23, 500.0, 2},
+        RadiusCase{"DefaultThreeContributors", 24, 500.0, 3},
+        RadiusCase{"Huge", 25, 1e7, 2},
+        RadiusCase{"Infinite", 26, std::numeric_limits<double>::infinity(), 2},
+        RadiusCase{"NaN", 27, std::numeric_limits<double>::quiet_NaN(), 2}),
+    [](const auto& info) { return info.param.name; });
+
+// The corroboration prefilter compares squared offsets against a padded
+// reach. Here the squared offset rounds above r*r although hypot, the
+// exact test, puts the parked reading at exactly r: it must corroborate.
+TEST(ChannelState, PrefilterNeverSkipsAReadingTheExactTestKeeps) {
+  std::mt19937_64 rng(31);
+  std::uniform_real_distribution<double> offset(100.0, 400.0);
+  double de = 0.0, dn = 0.0, r = 0.0;
+  for (int tries = 0; tries < 10'000; ++tries) {
+    de = offset(rng);
+    dn = offset(rng);
+    r = std::hypot(de, dn);
+    if (de * de + dn * dn > r * r) break;
+  }
+  ASSERT_GT(de * de + dn * dn, r * r);
+  ASSERT_LE(geo::distance_m({de, dn}, {0.0, 0.0}), r);
+
+  UploadPolicy policy;
+  policy.corroboration_m = r;
+  campaign::Measurement parked = reading_at({de, dn}, rng);
+  campaign::Measurement fresh = reading_at({0.0, 0.0}, rng);
+  fresh.rss_dbm = parked.rss_dbm;
+
+  ChannelState state;
+  EXPECT_EQ(state.upload(policy, {&parked, 1}, "ann").ledger.pending, 1u);
+  const ChannelState::Applied a = state.upload(policy, {&fresh, 1}, "bob");
+  EXPECT_EQ(a.ledger.accepted, 2u);
+  EXPECT_TRUE(state.pending().empty());
+
+  std::vector<PendingReading> pool{{parked, "ann"}};
+  std::vector<campaign::Measurement> accepted;
+  const UploadResult one_shot =
+      screen_upload({}, pool, policy, {&fresh, 1}, "bob", accepted);
+  EXPECT_EQ(one_shot.accepted, 2u);
+  EXPECT_TRUE(pool.empty());
+}
 
 /// A channel of 400 trusted readings over a 4 km square.
 ChannelState surveyed_channel() {
