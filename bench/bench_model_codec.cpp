@@ -1,5 +1,5 @@
-// Descriptor codec benchmark: per-family wire sizes (legacy v0 text vs the
-// waldo::codec binary v1) and encode/decode timings, plus the serving-path
+// Descriptor codec benchmark: per-family binary v1 descriptor sizes and
+// encode/decode timings, plus the serving-path
 // payoff — download throughput with the cached serialized descriptor
 // against re-serializing on every request. The size table is the paper's
 // low-bandwidth story (Section 5: descriptors small enough to ship to
@@ -74,32 +74,22 @@ int main(int argc, char** argv) {
   bench::JsonReport report;
   const campaign::ChannelDataset ds = diagonal_dataset(700, 17);
 
-  bench::print_title("Descriptor wire formats: v0 text vs v1 binary");
-  bench::print_row({"family", "text B", "bin B", "ratio", "enc ns", "dec ns"},
-                   14);
+  bench::print_title("Descriptor wire format: binary v1");
+  bench::print_row({"family", "bin B", "enc ns", "dec ns"}, 20);
   constexpr std::size_t kIters = 2'000;
   for (const char* family : kFamilies) {
     const core::WhiteSpaceModel model = build_model(ds, family);
-    const std::string text = model.serialize_text();
     const std::string binary = model.serialize();
     const double encode_ns =
         time_ns([&] { (void)model.serialize(); }, kIters);
     const double decode_ns = time_ns(
         [&] { (void)core::WhiteSpaceModel::deserialize(binary); }, kIters);
-    const double ratio =
-        static_cast<double>(binary.size()) / static_cast<double>(text.size());
-    bench::print_row(
-        {family, std::to_string(text.size()), std::to_string(binary.size()),
-         bench::fmt(100.0 * ratio, 0) + "%", bench::fmt(encode_ns, 0),
-         bench::fmt(decode_ns, 0)},
-        14);
+    bench::print_row({family, std::to_string(binary.size()),
+                      bench::fmt(encode_ns, 0), bench::fmt(decode_ns, 0)},
+                     20);
     const std::string prefix = std::string(family) + "_";
-    report.add_value(prefix + "text_bytes",
-                     static_cast<double>(text.size()), "bytes");
     report.add_value(prefix + "binary_bytes",
                      static_cast<double>(binary.size()), "bytes");
-    report.add_value(prefix + "binary_over_text",
-                     100.0 * ratio, "percent");
     report.add_rate(prefix + "serialize_binary", encode_ns);
     report.add_rate(prefix + "deserialize_binary", decode_ns);
   }

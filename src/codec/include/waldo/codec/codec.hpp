@@ -39,7 +39,7 @@ class Error : public std::runtime_error {
 /// First four bytes of every binary descriptor.
 inline constexpr std::string_view kMagic{"WSDB"};
 
-/// Current container format version (the legacy text format is "v0").
+/// Current container format version.
 inline constexpr std::uint64_t kFormatVersion = 1;
 
 /// CRC32 (reflected 0xEDB88320) of `data`, as used by the trailer.

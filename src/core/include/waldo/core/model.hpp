@@ -4,7 +4,6 @@
 // paper), which costs nothing to ship or evaluate.
 #pragma once
 
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,21 +58,14 @@ class WhiteSpaceModel {
   [[nodiscard]] int predict(std::span<const double> feature_row) const;
 
   /// Descriptor round-trip. The descriptor is what travels from the
-  /// spectrum database to the device. Two wire forms exist:
-  ///   - v1 (current): the compact binary waldo::codec container —
-  ///     `serialize()` emits it, and round trips are bit-exact.
-  ///   - v0 (legacy): the line-oriented text form — `save`/`load` and
-  ///     `serialize_text()` keep it readable and writable for old devices
-  ///     and files (streams imbued with the classic locale).
-  /// `deserialize` sniffs the magic and accepts either form.
-  void save(std::ostream& out) const;
-  void load(std::istream& in);
+  /// spectrum database to the device: the compact binary waldo::codec
+  /// container (v1), whose round trips are bit-exact. `deserialize`
+  /// throws `codec::Error` on any other bytes.
   void save(codec::Writer& out) const;
   void load(codec::Reader& in);
   [[nodiscard]] std::string serialize() const;
-  [[nodiscard]] std::string serialize_text() const;
   [[nodiscard]] static WhiteSpaceModel deserialize(const std::string& bytes);
-  /// Binary (v1) descriptor size.
+  /// Descriptor size in bytes.
   [[nodiscard]] std::size_t descriptor_size_bytes() const;
 
  private:

@@ -62,7 +62,7 @@ struct UploadResponse {
 /// over to another replica, while resending a kMalformed frame anywhere
 /// would fail identically.
 enum class ErrorCode : int {
-  kUnspecified = 0,     ///< legacy / unclassified (pre-PR-5 peers)
+  kUnspecified = 0,     ///< unclassified failure (the default)
   kMalformed = 1,       ///< frame failed to decode — permanent
   kUnknownChannel = 2,  ///< no data for the channel — permanent
   kBadRequest = 3,      ///< wrong message kind for this endpoint — permanent

@@ -1,8 +1,5 @@
 #include "waldo/core/model.hpp"
 
-#include <iomanip>
-#include <locale>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -80,76 +77,6 @@ int WhiteSpaceModel::predict(std::span<const double> feature_row) const {
   return l.classifier->predict(feature_row);
 }
 
-void WhiteSpaceModel::save(std::ostream& out) const {
-  out.imbue(std::locale::classic());
-  out << std::setprecision(17);
-  out << "waldo_model v1 channel=" << channel_
-      << " features=" << num_features_ << " kind=" << classifier_kind_
-      << " localities=" << localities_.size() << "\n";
-  for (std::size_t c = 0; c < centroids_.rows(); ++c) {
-    out << centroids_(c, 0) << " " << centroids_(c, 1) << "\n";
-  }
-  for (const Locality& l : localities_) {
-    if (l.constant) {
-      out << "constant " << l.constant_label << "\n";
-    } else {
-      out << "classifier\n";
-      l.classifier->save(out);
-    }
-  }
-}
-
-void WhiteSpaceModel::load(std::istream& in) {
-  in.imbue(std::locale::classic());
-  std::string magic, version;
-  in >> magic >> version;
-  if (magic != "waldo_model" || version != "v1") {
-    throw std::runtime_error("bad model descriptor header");
-  }
-  std::size_t count = 0;
-  for (int field = 0; field < 4; ++field) {
-    std::string tok;
-    in >> tok;
-    const auto eq = tok.find('=');
-    if (eq == std::string::npos) {
-      throw std::runtime_error("malformed model header field: " + tok);
-    }
-    const std::string key = tok.substr(0, eq);
-    const std::string value = tok.substr(eq + 1);
-    if (key == "channel") {
-      channel_ = std::stoi(value);
-    } else if (key == "features") {
-      num_features_ = std::stoi(value);
-    } else if (key == "kind") {
-      classifier_kind_ = value;
-    } else if (key == "localities") {
-      count = static_cast<std::size_t>(std::stoul(value));
-    }
-  }
-  centroids_ = ml::Matrix(count, 2);
-  for (std::size_t c = 0; c < count; ++c) {
-    in >> centroids_(c, 0) >> centroids_(c, 1);
-  }
-  localities_.clear();
-  localities_.reserve(count);
-  for (std::size_t c = 0; c < count; ++c) {
-    std::string tag;
-    in >> tag;
-    Locality l;
-    if (tag == "constant") {
-      l.constant = true;
-      in >> l.constant_label;
-    } else if (tag == "classifier") {
-      l.classifier = make_classifier(classifier_kind_);
-      l.classifier->load(in);
-    } else {
-      throw std::runtime_error("bad locality tag: " + tag);
-    }
-    localities_.push_back(std::move(l));
-  }
-  if (!in) throw std::runtime_error("truncated model descriptor");
-}
-
 void WhiteSpaceModel::save(codec::Writer& out) const {
   out.i64(channel_);
   out.i64(num_features_);
@@ -209,21 +136,10 @@ std::string WhiteSpaceModel::serialize() const {
   return std::move(w).finish();
 }
 
-std::string WhiteSpaceModel::serialize_text() const {
-  std::ostringstream os;
-  save(os);
-  return os.str();
-}
-
 WhiteSpaceModel WhiteSpaceModel::deserialize(const std::string& bytes) {
   WhiteSpaceModel m;
-  if (codec::is_binary(bytes)) {
-    codec::Reader r(bytes);
-    m.load(r);
-  } else {
-    std::istringstream is(bytes);
-    m.load(is);
-  }
+  codec::Reader r(bytes);
+  m.load(r);
   return m;
 }
 

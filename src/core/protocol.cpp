@@ -161,23 +161,15 @@ void require_drained(std::istream& is, const char* what) {
     return r;
   }
   if (type == "error") {
-    // "<code> <channel> <reason...>". Legacy (pre-code) error bodies were
-    // the bare reason line; if the first token is not an integer, fall
-    // back to treating the whole line as the reason with kUnspecified.
+    // "<code> <channel> <reason...>"; a body without both numbers is
+    // malformed.
     ErrorResponse r;
-    std::string line;
-    std::getline(is, line);
-    std::istringstream fields(line);
-    fields.imbue(std::locale::classic());
     int code = 0;
-    if (fields >> code >> r.channel) {
-      r.code = static_cast<ErrorCode>(code);
-      std::getline(fields >> std::ws, r.reason);
-    } else {
-      r.reason = line;
-      r.code = ErrorCode::kUnspecified;
-      r.channel = 0;
+    if (!(is >> code >> r.channel)) {
+      throw std::runtime_error("malformed error body");
     }
+    r.code = static_cast<ErrorCode>(code);
+    std::getline(is >> std::ws, r.reason);
     return r;
   }
   throw std::runtime_error("unknown WSNP message type: " + type);

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
-#include <istream>
 #include <limits>
-#include <locale>
-#include <ostream>
 #include <stdexcept>
 
 #include "waldo/codec/codec.hpp"
@@ -134,31 +130,6 @@ int DecisionTree::predict(std::span<const double> x) const {
     }
     cur = (x[f] <= node.threshold) ? node.left : node.right;
   }
-}
-
-void DecisionTree::save(std::ostream& out) const {
-  out.imbue(std::locale::classic());
-  out << std::setprecision(17);
-  out << "decision_tree " << nodes_.size() << " " << depth_ << "\n";
-  for (const Node& n : nodes_) {
-    out << n.feature << " " << n.threshold << " " << n.left << " " << n.right
-        << " " << n.label << "\n";
-  }
-}
-
-void DecisionTree::load(std::istream& in) {
-  in.imbue(std::locale::classic());
-  std::string tag;
-  std::size_t count = 0;
-  in >> tag >> count >> depth_;
-  if (tag != "decision_tree") {
-    throw std::runtime_error("bad decision tree descriptor");
-  }
-  nodes_.assign(count, Node{});
-  for (Node& n : nodes_) {
-    in >> n.feature >> n.threshold >> n.left >> n.right >> n.label;
-  }
-  if (!in) throw std::runtime_error("truncated decision tree descriptor");
 }
 
 void DecisionTree::save(codec::Writer& out) const {

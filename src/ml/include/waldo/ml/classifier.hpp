@@ -1,14 +1,12 @@
 // Binary-classifier interface shared by every model Waldo can ship to a
 // white-space device. Models must be (de)serializable to a compact
 // descriptor — descriptor size is itself an evaluation metric of the paper
-// (Section 5: ~4 kB Naive Bayes vs ~40 kB SVM). Descriptors have two wire
-// forms: the compact binary waldo::codec format (v1, the default) and the
-// legacy text format (v0, kept for old devices and files).
+// (Section 5: ~4 kB Naive Bayes vs ~40 kB SVM). The one wire form is the
+// compact binary waldo::codec format (v1).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <string>
@@ -51,12 +49,6 @@ class Classifier {
 
   /// Short model-family identifier ("svm", "naive_bayes", ...).
   [[nodiscard]] virtual std::string kind() const = 0;
-
-  /// Writes / reads the legacy text (v0) descriptor. Implementations
-  /// imbue std::locale::classic() so a comma-decimal global locale cannot
-  /// corrupt the doubles on round trip.
-  virtual void save(std::ostream& out) const = 0;
-  virtual void load(std::istream& in) = 0;
 
   /// Writes / reads the binary (v1) payload: a WireFamily tag byte
   /// followed by the family fields. Raw IEEE-754 doubles — round trips

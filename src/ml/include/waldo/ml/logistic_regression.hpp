@@ -25,8 +25,6 @@ class LogisticRegression final : public Classifier {
   [[nodiscard]] std::string kind() const override {
     return "logistic_regression";
   }
-  void save(std::ostream& out) const override;
-  void load(std::istream& in) override;
   void save(codec::Writer& out) const override;
   void load(codec::Reader& in) override;
 

@@ -3,7 +3,6 @@
 // fitted parameters ship inside the model descriptor.
 #pragma once
 
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -34,10 +33,6 @@ class Standardizer {
   [[nodiscard]] Matrix transform(const Matrix& x) const;
   [[nodiscard]] std::vector<double> transform(
       std::span<const double> row) const;
-
-  /// Legacy text (v0) form; streams are imbued with the classic locale.
-  void save(std::ostream& out) const;
-  void load(std::istream& in);
 
   /// Binary (v1) payload over the waldo::codec wire format.
   void save(codec::Writer& out) const;

@@ -38,8 +38,6 @@ class Svm final : public Classifier {
   void fit(const Matrix& x, std::span<const int> y) override;
   [[nodiscard]] int predict(std::span<const double> x) const override;
   [[nodiscard]] std::string kind() const override { return "svm"; }
-  void save(std::ostream& out) const override;
-  void load(std::istream& in) override;
   void save(codec::Writer& out) const override;
   void load(codec::Reader& in) override;
 

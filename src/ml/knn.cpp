@@ -1,10 +1,6 @@
 #include "waldo/ml/knn.hpp"
 
 #include <algorithm>
-#include <iomanip>
-#include <istream>
-#include <locale>
-#include <ostream>
 #include <stdexcept>
 #include <vector>
 
@@ -39,35 +35,6 @@ int KnnClassifier::predict(std::span<const double> x_raw) const {
   }
   // Ties are conservative: not safe.
   return 2 * safe > k ? kSafe : kNotSafe;
-}
-
-void KnnClassifier::save(std::ostream& out) const {
-  out.imbue(std::locale::classic());
-  out << std::setprecision(17);
-  out << "knn " << config_.k << " " << train_.rows() << " " << train_.cols()
-      << "\n";
-  scaler_.save(out);
-  for (std::size_t r = 0; r < train_.rows(); ++r) {
-    out << labels_[r];
-    for (const double v : train_.row(r)) out << " " << v;
-    out << "\n";
-  }
-}
-
-void KnnClassifier::load(std::istream& in) {
-  in.imbue(std::locale::classic());
-  std::string tag;
-  std::size_t rows = 0, cols = 0;
-  in >> tag >> config_.k >> rows >> cols;
-  if (tag != "knn") throw std::runtime_error("bad knn descriptor");
-  scaler_.load(in);
-  train_ = Matrix(rows, cols);
-  labels_.assign(rows, 0);
-  for (std::size_t r = 0; r < rows; ++r) {
-    in >> labels_[r];
-    for (std::size_t c = 0; c < cols; ++c) in >> train_(r, c);
-  }
-  if (!in) throw std::runtime_error("truncated knn descriptor");
 }
 
 void KnnClassifier::save(codec::Writer& out) const {

@@ -1,10 +1,6 @@
 #include "waldo/ml/logistic_regression.hpp"
 
 #include <cmath>
-#include <iomanip>
-#include <istream>
-#include <locale>
-#include <ostream>
 #include <stdexcept>
 
 #include "waldo/codec/codec.hpp"
@@ -135,34 +131,6 @@ double LogisticRegression::probability(std::span<const double> x) const {
 int LogisticRegression::predict(std::span<const double> x) const {
   if (single_class_) return only_class_;
   return probability(x) >= 0.5 ? kSafe : kNotSafe;
-}
-
-void LogisticRegression::save(std::ostream& out) const {
-  out.imbue(std::locale::classic());
-  out << std::setprecision(17);
-  out << "logistic_regression " << weights_.size() << " "
-      << (single_class_ ? 1 : 0) << " " << only_class_ << "\n";
-  if (single_class_) return;
-  scaler_.save(out);
-  for (const double w : weights_) out << w << " ";
-  out << "\n";
-}
-
-void LogisticRegression::load(std::istream& in) {
-  in.imbue(std::locale::classic());
-  std::string tag;
-  std::size_t d = 0;
-  int single = 0;
-  in >> tag >> d >> single >> only_class_;
-  if (tag != "logistic_regression") {
-    throw std::runtime_error("bad logistic regression descriptor");
-  }
-  single_class_ = single != 0;
-  weights_.assign(single_class_ ? 0 : d, 0.0);
-  if (single_class_) return;
-  scaler_.load(in);
-  for (double& w : weights_) in >> w;
-  if (!in) throw std::runtime_error("truncated logistic descriptor");
 }
 
 void LogisticRegression::save(codec::Writer& out) const {

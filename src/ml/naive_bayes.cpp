@@ -1,11 +1,7 @@
 #include "waldo/ml/naive_bayes.hpp"
 
 #include <cmath>
-#include <iomanip>
-#include <istream>
-#include <locale>
 #include <numbers>
-#include <ostream>
 #include <stdexcept>
 
 #include "waldo/codec/codec.hpp"
@@ -87,41 +83,6 @@ int GaussianNaiveBayes::predict(std::span<const double> x) const {
   if (single_class_) return only_class_;
   if (dims_ == 0) throw std::logic_error("naive bayes: not trained");
   return decision_value(x) >= 0.0 ? kSafe : kNotSafe;
-}
-
-void GaussianNaiveBayes::save(std::ostream& out) const {
-  out.imbue(std::locale::classic());
-  out << std::setprecision(17);
-  out << "naive_bayes " << dims_ << " " << (single_class_ ? 1 : 0) << " "
-      << only_class_ << "\n";
-  if (single_class_) return;
-  for (const auto& m : classes_) {
-    out << m.log_prior << "\n";
-    for (const double v : m.mean) out << v << " ";
-    out << "\n";
-    for (const double v : m.var) out << v << " ";
-    out << "\n";
-  }
-}
-
-void GaussianNaiveBayes::load(std::istream& in) {
-  in.imbue(std::locale::classic());
-  std::string tag;
-  int single = 0;
-  in >> tag >> dims_ >> single >> only_class_;
-  if (tag != "naive_bayes") {
-    throw std::runtime_error("bad naive bayes descriptor");
-  }
-  single_class_ = single != 0;
-  if (single_class_) return;
-  for (auto& m : classes_) {
-    in >> m.log_prior;
-    m.mean.assign(dims_, 0.0);
-    m.var.assign(dims_, 0.0);
-    for (double& v : m.mean) in >> v;
-    for (double& v : m.var) in >> v;
-  }
-  if (!in) throw std::runtime_error("truncated naive bayes descriptor");
 }
 
 void GaussianNaiveBayes::save(codec::Writer& out) const {

@@ -1,10 +1,6 @@
 #include "waldo/ml/standardizer.hpp"
 
 #include <cmath>
-#include <iomanip>
-#include <istream>
-#include <locale>
-#include <ostream>
 #include <stdexcept>
 
 #include "waldo/codec/codec.hpp"
@@ -64,31 +60,6 @@ std::vector<double> Standardizer::transform(
     out[c] = (row[c] - mean_[c]) / scale_[c];
   }
   return out;
-}
-
-void Standardizer::save(std::ostream& out) const {
-  out.imbue(std::locale::classic());
-  out << std::setprecision(17);
-  out << "standardizer " << mean_.size() << "\n";
-  for (const double m : mean_) out << m << " ";
-  out << "\n";
-  for (const double s : scale_) out << s << " ";
-  out << "\n";
-}
-
-void Standardizer::load(std::istream& in) {
-  in.imbue(std::locale::classic());
-  std::string tag;
-  std::size_t d = 0;
-  in >> tag >> d;
-  if (tag != "standardizer") {
-    throw std::runtime_error("bad standardizer descriptor");
-  }
-  mean_.assign(d, 0.0);
-  scale_.assign(d, 1.0);
-  for (double& m : mean_) in >> m;
-  for (double& s : scale_) in >> s;
-  if (!in) throw std::runtime_error("truncated standardizer descriptor");
 }
 
 void Standardizer::save(codec::Writer& out) const {

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
-#include <istream>
-#include <locale>
-#include <ostream>
 #include <random>
 #include <stdexcept>
 
@@ -189,43 +185,6 @@ double Svm::decision_value(std::span<const double> x_raw) const {
 int Svm::predict(std::span<const double> x) const {
   if (single_class_) return only_class_;
   return decision_value(x) >= 0.0 ? kSafe : kNotSafe;
-}
-
-void Svm::save(std::ostream& out) const {
-  out.imbue(std::locale::classic());
-  out << std::setprecision(17);
-  out << "svm " << (config_.kernel == SvmKernel::kRbf ? "rbf" : "linear")
-      << " " << gamma_ << " " << bias_ << " " << (single_class_ ? 1 : 0)
-      << " " << only_class_ << " " << sv_.rows() << " " << sv_.cols() << "\n";
-  if (single_class_) return;
-  scaler_.save(out);
-  for (std::size_t s = 0; s < sv_.rows(); ++s) {
-    out << sv_coef_[s];
-    for (const double v : sv_.row(s)) out << " " << v;
-    out << "\n";
-  }
-}
-
-void Svm::load(std::istream& in) {
-  in.imbue(std::locale::classic());
-  std::string tag, kernel_name;
-  int single = 0;
-  std::size_t rows = 0, cols = 0;
-  in >> tag >> kernel_name >> gamma_ >> bias_ >> single >> only_class_ >>
-      rows >> cols;
-  if (tag != "svm") throw std::runtime_error("bad svm descriptor");
-  config_.kernel =
-      kernel_name == "rbf" ? SvmKernel::kRbf : SvmKernel::kLinear;
-  single_class_ = single != 0;
-  sv_ = Matrix(single_class_ ? 0 : rows, cols);
-  sv_coef_.assign(single_class_ ? 0 : rows, 0.0);
-  if (single_class_) return;
-  scaler_.load(in);
-  for (std::size_t s = 0; s < rows; ++s) {
-    in >> sv_coef_[s];
-    for (std::size_t c = 0; c < cols; ++c) in >> sv_(s, c);
-  }
-  if (!in) throw std::runtime_error("truncated svm descriptor");
 }
 
 void Svm::save(codec::Writer& out) const {

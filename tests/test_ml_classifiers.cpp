@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <random>
-#include <sstream>
+#include <string>
+#include <utility>
 
+#include "waldo/codec/codec.hpp"
 #include "waldo/ml/decision_tree.hpp"
 #include "waldo/ml/kmeans.hpp"
 #include "waldo/ml/knn.hpp"
@@ -50,6 +52,17 @@ void make_disk(std::size_t n, std::uint64_t seed, Matrix& x,
   }
 }
 
+/// Saves `from` into a binary codec descriptor and loads it into `to`.
+template <typename T>
+void codec_round_trip(const T& from, T& to) {
+  codec::Writer w;
+  from.save(w);
+  const std::string bytes = std::move(w).finish();
+  codec::Reader r(bytes);
+  to.load(r);
+  r.expect_done();
+}
+
 [[nodiscard]] double training_error(const Classifier& clf, const Matrix& x,
                                     std::span<const int> y) {
   ConfusionMatrix cm;
@@ -93,10 +106,8 @@ TEST(Standardizer, SaveLoadRoundTrip) {
   Matrix x = Matrix::from_rows({{1.0, 10.0}, {3.0, 30.0}, {5.0, 20.0}});
   Standardizer s;
   s.fit(x);
-  std::stringstream ss;
-  s.save(ss);
   Standardizer t;
-  t.load(ss);
+  codec_round_trip(s, t);
   const std::vector<double> probe{2.0, 25.0};
   EXPECT_EQ(s.transform(probe), t.transform(probe));
 }
@@ -133,10 +144,8 @@ TEST(NaiveBayes, SaveLoadPreservesPredictions) {
   make_blobs(200, 2.0, 3, x, y);
   GaussianNaiveBayes nb;
   nb.fit(x, y);
-  std::stringstream ss;
-  nb.save(ss);
   GaussianNaiveBayes nb2;
-  nb2.load(ss);
+  codec_round_trip(nb, nb2);
   for (std::size_t i = 0; i < x.rows(); ++i) {
     EXPECT_EQ(nb.predict(x.row(i)), nb2.predict(x.row(i)));
   }
@@ -206,10 +215,8 @@ TEST(Svm, SaveLoadPreservesPredictions) {
   make_disk(300, 8, x, y);
   Svm svm;
   svm.fit(x, y);
-  std::stringstream ss;
-  svm.save(ss);
   Svm svm2;
-  svm2.load(ss);
+  codec_round_trip(svm, svm2);
   for (std::size_t i = 0; i < x.rows(); ++i) {
     EXPECT_EQ(svm.predict(x.row(i)), svm2.predict(x.row(i)));
   }
@@ -220,10 +227,8 @@ TEST(Svm, SingleClassDegeneratesToConstant) {
   Svm svm;
   svm.fit(x, std::vector<int>{kNotSafe, kNotSafe});
   EXPECT_EQ(svm.predict(std::vector<double>{5.0, 5.0}), kNotSafe);
-  std::stringstream ss;
-  svm.save(ss);
   Svm svm2;
-  svm2.load(ss);
+  codec_round_trip(svm, svm2);
   EXPECT_EQ(svm2.predict(std::vector<double>{5.0, 5.0}), kNotSafe);
 }
 
@@ -289,10 +294,8 @@ TEST(DecisionTree, SaveLoadPreservesPredictions) {
   make_blobs(200, 1.0, 14, x, y);
   DecisionTree tree;
   tree.fit(x, y);
-  std::stringstream ss;
-  tree.save(ss);
   DecisionTree tree2;
-  tree2.load(ss);
+  codec_round_trip(tree, tree2);
   for (std::size_t i = 0; i < x.rows(); ++i) {
     EXPECT_EQ(tree.predict(x.row(i)), tree2.predict(x.row(i)));
   }
@@ -318,10 +321,8 @@ TEST(Knn, SaveLoadPreservesPredictions) {
   make_blobs(100, 1.5, 16, x, y);
   KnnClassifier knn(KnnConfig{.k = 3});
   knn.fit(x, y);
-  std::stringstream ss;
-  knn.save(ss);
   KnnClassifier knn2;
-  knn2.load(ss);
+  codec_round_trip(knn, knn2);
   for (std::size_t i = 0; i < x.rows(); ++i) {
     EXPECT_EQ(knn.predict(x.row(i)), knn2.predict(x.row(i)));
   }
@@ -381,10 +382,8 @@ TEST(LogisticRegression, SaveLoadPreservesPredictions) {
   make_blobs(300, 1.2, 23, x, y);
   LogisticRegression lr;
   lr.fit(x, y);
-  std::stringstream ss;
-  lr.save(ss);
   LogisticRegression lr2;
-  lr2.load(ss);
+  codec_round_trip(lr, lr2);
   for (std::size_t i = 0; i < x.rows(); i += 5) {
     EXPECT_EQ(lr.predict(x.row(i)), lr2.predict(x.row(i)));
   }

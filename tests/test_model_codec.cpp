@@ -1,10 +1,10 @@
 // End-to-end descriptor wire-format tests across every classifier family:
-// bit-identical binary round trips, v0-text/v1-binary golden-file
-// compatibility, a deterministic corruption sweep (every truncation length,
-// one bit flip per byte), locale robustness of the text form, and the
-// binary-vs-text size bar. The goldens under tests/golden/ are committed
-// artifacts regenerated only by tools/make_goldens after an *intentional*
-// format change — this test never rebuilds them.
+// bit-identical binary round trips, v1 golden-file compatibility, a
+// deterministic corruption sweep (every truncation length, one bit flip per
+// byte), rejection of hostile non-binary descriptors, and locale
+// robustness. The goldens under tests/golden/ are committed artifacts
+// regenerated only by tools/make_goldens after an *intentional* format
+// change — this test never rebuilds them.
 #include <cstddef>
 #include <fstream>
 #include <locale>
@@ -15,9 +15,11 @@
 #include <gtest/gtest.h>
 
 #include "waldo/campaign/measurement.hpp"
+#include "waldo/codec/codec.hpp"
 #include "waldo/core/features.hpp"
 #include "waldo/core/model.hpp"
 #include "waldo/core/model_constructor.hpp"
+#include "waldo/core/protocol.hpp"
 
 namespace waldo::core {
 namespace {
@@ -105,56 +107,26 @@ TEST(ModelCodec, BinaryRoundTripIsByteIdentical) {
     EXPECT_EQ(back.channel(), model.channel()) << family;
     EXPECT_EQ(back.classifier_kind(), model.classifier_kind()) << family;
     EXPECT_EQ(back.num_localities(), model.num_localities()) << family;
+    EXPECT_EQ(model.descriptor_size_bytes(), first.size()) << family;
     expect_same_predictions(model, back, std::string(family) + " binary");
-  }
-}
-
-TEST(ModelCodec, TextRoundTripPreservesPredictions) {
-  for (const char* family : kFamilies) {
-    const WhiteSpaceModel model = build_model(family);
-    const WhiteSpaceModel back =
-        WhiteSpaceModel::deserialize(model.serialize_text());
-    expect_same_predictions(model, back, std::string(family) + " text");
-  }
-}
-
-TEST(ModelCodec, BinaryAtMost60PercentOfText) {
-  // The acceptance bar from the paper's low-bandwidth story: the binary
-  // descriptor must be at most 60% of the text form for SVM and NB.
-  for (const char* family : {"svm", "naive_bayes"}) {
-    const WhiteSpaceModel model = build_model(family);
-    const std::size_t text = model.serialize_text().size();
-    const std::size_t binary = model.serialize().size();
-    EXPECT_LE(binary * 100, text * 60)
-        << family << ": binary " << binary << " B vs text " << text << " B";
-    EXPECT_EQ(model.descriptor_size_bytes(), binary) << family;
   }
 }
 
 // ---------------------------------------------------------------------------
 // Golden files (committed wire-format pins)
 
-TEST(ModelCodec, GoldenV0AndV1DecodeToIdenticalPredictions) {
+TEST(ModelCodec, GoldenV1DecodesAndReencodesByteIdentically) {
   for (const char* family : kFamilies) {
-    const std::string base =
-        std::string(WALDO_GOLDEN_DIR) + "/" + family;
-    const std::string v0_bytes = read_file(base + "_v0.wsm");
-    const std::string v1_bytes = read_file(base + "_v1.wsm");
-    ASSERT_FALSE(v0_bytes.empty()) << family;
+    const std::string v1_bytes =
+        read_file(std::string(WALDO_GOLDEN_DIR) + "/" + family + "_v1.wsm");
     ASSERT_FALSE(v1_bytes.empty()) << family;
 
-    const WhiteSpaceModel v0 = WhiteSpaceModel::deserialize(v0_bytes);
     const WhiteSpaceModel v1 = WhiteSpaceModel::deserialize(v1_bytes);
-    EXPECT_EQ(v0.channel(), 30) << family;
     EXPECT_EQ(v1.channel(), 30) << family;
-    EXPECT_EQ(v0.classifier_kind(), family);
     EXPECT_EQ(v1.classifier_kind(), family);
-    expect_same_predictions(v0, v1, std::string(family) + " golden v0 vs v1");
 
     // The binary form is canonical: decoding the committed v1 bytes and
-    // re-encoding must reproduce them exactly. (The v0 text form is not
-    // re-encoded — it predates the binary container and is read-compatible
-    // only.)
+    // re-encoding must reproduce them exactly.
     EXPECT_EQ(v1.serialize(), v1_bytes)
         << family << ": v1 golden no longer re-encodes byte-identically — "
         << "the wire format changed. If intentional, bump kFormatVersion "
@@ -173,21 +145,51 @@ TEST(ModelCodec, EveryTruncationAndByteFlipIsRejected) {
     // Truncate at every byte offset.
     for (std::size_t len = 0; len < good.size(); ++len) {
       EXPECT_THROW((void)WhiteSpaceModel::deserialize(good.substr(0, len)),
-                   std::runtime_error)
+                   codec::Error)
           << family << ": truncation to " << len << " bytes accepted";
     }
 
-    // Flip one bit in every byte position. A flip inside the magic routes
-    // the bytes to the legacy text parser, which must also reject them —
-    // hence std::runtime_error (codec::Error derives from it) rather than
-    // the codec error type alone.
+    // Flip one bit in every byte position.
     for (std::size_t pos = 0; pos < good.size(); ++pos) {
       std::string bad = good;
       bad[pos] = static_cast<char>(bad[pos] ^ 0x01);
-      EXPECT_THROW((void)WhiteSpaceModel::deserialize(bad),
-                   std::runtime_error)
+      EXPECT_THROW((void)WhiteSpaceModel::deserialize(bad), codec::Error)
           << family << ": bit flip at byte " << pos << " accepted";
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile descriptors without the binary magic
+
+/// Text descriptors whose counts claim far more memory than the host has:
+/// 4e9 localities in the header alone, and one knn locality claiming a
+/// 200000 x 200000 training matrix. Only the binary container is a
+/// descriptor, so both must fail with codec::Error before any allocation.
+std::vector<std::string> hostile_text_descriptors() {
+  return {
+      "waldo_model v1 channel=30 features=2 kind=knn localities=4000000000\n",
+      "waldo_model v1 channel=30 features=2 kind=knn localities=1\n"
+      "0 0\n"
+      "classifier\n"
+      "knn 3 200000 200000\n"
+      "standardizer 2\n0 0 \n1 1 \n",
+  };
+}
+
+TEST(ModelCodec, HostileTextDescriptorsAreRejected) {
+  for (const std::string& bytes : hostile_text_descriptors()) {
+    EXPECT_THROW((void)WhiteSpaceModel::deserialize(bytes), codec::Error)
+        << bytes;
+  }
+}
+
+TEST(ModelCodec, FetchModelRejectsHostileTextDescriptors) {
+  for (const std::string& bytes : hostile_text_descriptors()) {
+    ProtocolClient client([&bytes](const std::string&) {
+      return encode(ModelResponse{.channel = 30, .descriptor = bytes});
+    });
+    EXPECT_THROW((void)client.fetch_model(30, {}), codec::Error) << bytes;
   }
 }
 
@@ -214,7 +216,6 @@ class ScopedCommaLocale {
 
 TEST(ModelCodec, TextFormSurvivesCommaDecimalLocale) {
   const WhiteSpaceModel model = build_model("svm");
-  const std::string reference = model.serialize_text();
   {
     const ScopedCommaLocale scoped;
     // Sanity: the hostile locale is really active for unimbued streams.
@@ -222,14 +223,6 @@ TEST(ModelCodec, TextFormSurvivesCommaDecimalLocale) {
     probe << 3.5;
     ASSERT_EQ(probe.str(), "3,5")
         << "global comma locale not in effect; test would prove nothing";
-
-    // Descriptor streams are imbued with the classic locale, so the text
-    // form must be byte-identical and must parse back under the hostile
-    // global locale.
-    const std::string text = model.serialize_text();
-    EXPECT_EQ(text, reference);
-    const WhiteSpaceModel back = WhiteSpaceModel::deserialize(text);
-    expect_same_predictions(model, back, "svm comma-locale text");
 
     // The binary form is locale-immune by construction; spot-check anyway.
     const WhiteSpaceModel bin_back =

@@ -132,14 +132,12 @@ TEST(ProtocolWire, ErrorCodeAndChannelRoundTrip) {
 }
 
 TEST(ProtocolWire, LegacyErrorBodiesDecodeAsUnspecified) {
-  // Pre-code servers sent the bare reason line. A reason whose first token
-  // is not an integer must fall back to the legacy interpretation.
-  const Message decoded = decode("WSNP/1 error 20\nchannel unavailable\n");
-  const auto* e = std::get_if<ErrorResponse>(&decoded);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->code, ErrorCode::kUnspecified);
-  EXPECT_EQ(e->channel, 0);
-  EXPECT_EQ(e->reason, "channel unavailable");
+  // An error body must open with "<code> <channel>". The bare reason line
+  // of the pre-code form has no peer left to send it and is malformed.
+  EXPECT_THROW((void)decode("WSNP/1 error 20\nchannel unavailable\n"),
+               std::runtime_error);
+  EXPECT_THROW((void)decode("WSNP/1 error 14\n1 unavailable\n"),
+               std::runtime_error);
 }
 
 TEST(ProtocolWire, RetryabilityPartitionsTheErrorCodes) {
@@ -256,6 +254,12 @@ TEST_F(ProtocolFixture, ServerErrorsCarryCodeAndFailingChannel) {
   const auto* e3 = std::get_if<ErrorResponse>(&garbage_err);
   ASSERT_NE(e3, nullptr);
   EXPECT_EQ(e3->code, ErrorCode::kMalformed);
+
+  const Message legacy_err = decode(
+      server.handle("WSNP/1 error 20\nchannel unavailable\n"));
+  const auto* e5 = std::get_if<ErrorResponse>(&legacy_err);
+  ASSERT_NE(e5, nullptr);
+  EXPECT_EQ(e5->code, ErrorCode::kMalformed);
 
   const Message wrong_err =
       decode(server.handle(encode(UploadResponse{.accepted = 1})));

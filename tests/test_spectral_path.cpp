@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <sstream>
 #include <vector>
 
 #include "waldo/campaign/labeling.hpp"
@@ -58,9 +57,7 @@ std::uint64_t dataset_fingerprint(const campaign::ChannelDataset& ds) {
 }
 
 std::uint64_t model_fingerprint(const core::WhiteSpaceModel& model) {
-  std::ostringstream out;
-  model.save(out);
-  const std::string bytes = out.str();
+  const std::string bytes = model.serialize();
   Fnv1a h;
   h.add_bytes(bytes.data(), bytes.size());
   return h.value();

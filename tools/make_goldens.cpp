@@ -1,9 +1,9 @@
 // make_goldens — regenerates the committed golden descriptor files under
 // tests/golden/: for every classifier family, one model trained on a fixed
-// deterministic dataset, written in both wire forms (<family>_v0.wsm text,
-// <family>_v1.wsm binary). The goldens pin the wire formats: the
-// compatibility test decodes the committed files and compares predictions,
-// so an accidental format change fails CI even though the files are never
+// deterministic dataset, written as a binary v1 descriptor
+// (<family>_v1.wsm). The goldens pin the wire format: the compatibility
+// test decodes the committed files and re-encodes them byte for byte, so
+// an accidental format change fails CI even though the files are never
 // rebuilt there (model *training* draws std::normal_distribution values,
 // which are implementation-defined across standard libraries — the files
 // must come from one machine, this tool, and be committed).
@@ -70,14 +70,9 @@ int main(int argc, char** argv) {
     cfg.num_localities = 3;
     const core::WhiteSpaceModel model =
         core::ModelConstructor(cfg).build_with_labeling(ds, {});
-    const std::string text = model.serialize_text();
     const std::string binary = model.serialize();
-    write_file(dir / (std::string(family) + "_v0.wsm"), text);
     write_file(dir / (std::string(family) + "_v1.wsm"), binary);
-    std::printf("%-22s v0 %6zu B   v1 %6zu B  (%.0f%%)\n", family,
-                text.size(), binary.size(),
-                100.0 * static_cast<double>(binary.size()) /
-                    static_cast<double>(text.size()));
+    std::printf("%-22s v1 %6zu B\n", family, binary.size());
   }
   std::printf("goldens written to %s\n", dir.string().c_str());
   return 0;

@@ -16,11 +16,10 @@
 //       [--correction 0]
 //       Apply Algorithm 1 to a sweep and print the occupancy summary.
 //   waldo train --in sweep.csv --model out.wsm [--classifier svm]
-//       [--features 3] [--localities 3] [--max-train 800] [--text 1]
-//       Build a White Space Detection Model from a sweep. Models are
-//       written in the binary v1 descriptor format (--text 1 writes the
-//       legacy v0 text form); every model-reading command sniffs the
-//       format, so both load transparently.
+//       [--features 3] [--localities 3] [--max-train 800]
+//       Build a White Space Detection Model from a sweep, written as a
+//       binary v1 descriptor (docs/WIRE_FORMAT.md). Every model-reading
+//       command rejects any other file.
 //   waldo predict --model m.wsm --east E --north N [--rss R] [--cft C]
 //       [--aft A]
 //       Classify one location (meters in the campaign's ENU frame).
@@ -30,11 +29,10 @@
 //       Print a model descriptor's vital statistics.
 //   waldo model-size [--in sweep.csv] [--readings 700] [--seed 17]
 //       [--features 3] [--localities 3] [--max-train 800] [--json 1]
-//       Train every classifier family on one dataset and report the
-//       descriptor size in both wire forms (legacy v0 text vs binary v1)
-//       — the paper's Section 5 ~4 kB Naive Bayes vs ~40 kB SVM
-//       comparison, plus the binary/text ratio. --json 1 emits the table
-//       as JSON on stdout.
+//       Train every classifier family on one dataset and report its
+//       binary descriptor size — the paper's Section 5 ~4 kB Naive Bayes
+//       vs ~40 kB SVM comparison. --json 1 emits the table as JSON on
+//       stdout.
 //   waldo serve-bench [--readings 900] [--channels 15,46] [--requests 4000]
 //       [--workers 0] [--upload-pct 15] [--rebuild-threshold 25] [--seed 33]
 //       Stand up the concurrent serving layer (waldo::service) over a
@@ -244,19 +242,17 @@ int cmd_train(const Args& args) {
       core::ModelConstructor(cfg).build_with_labeling(ds,
                                                       labeling_from(args));
   const std::string path = args.get("model");
-  const bool as_text = args.num("text", 0) != 0;
-  const std::string bytes =
-      as_text ? model.serialize_text() : model.serialize();
+  const std::string bytes = model.serialize();
   std::ofstream out(path, std::ios::binary);
   if (!out.write(bytes.data(),
                  static_cast<std::streamsize>(bytes.size()))) {
     throw std::runtime_error("cannot write " + path);
   }
   std::printf("trained %s model for channel %d: %zu localities (%zu "
-              "constant), %zu bytes (%s) -> %s\n",
+              "constant), %zu bytes (binary v1) -> %s\n",
               model.classifier_kind().c_str(), model.channel(),
               model.num_localities(), model.num_constant_localities(),
-              bytes.size(), as_text ? "text v0" : "binary v1", path.c_str());
+              bytes.size(), path.c_str());
   return 0;
 }
 
@@ -265,8 +261,8 @@ core::WhiteSpaceModel load_model(const std::string& path) {
   if (!in) throw std::runtime_error("cannot read " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  // deserialize() sniffs the magic: binary v1 and legacy text v0 files
-  // both load.
+  // deserialize() accepts binary v1 descriptors only; anything else
+  // throws codec::Error.
   return core::WhiteSpaceModel::deserialize(buffer.str());
 }
 
@@ -340,7 +336,7 @@ int cmd_info(const Args& args) {
 
 int cmd_model_size(const Args& args) {
   // One dataset, every classifier family: the paper's Section 5 model-size
-  // comparison, in both wire forms. Defaults to a deterministic synthetic
+  // comparison. Defaults to a deterministic synthetic
   // split field so the command works without a campaign on disk.
   campaign::ChannelDataset ds;
   if (const std::string in = args.get_or("in", ""); !in.empty()) {
@@ -379,8 +375,7 @@ int cmd_model_size(const Args& args) {
   if (as_json) {
     std::printf("{\n  \"suite\": \"model_size\",\n  \"records\": [\n");
   } else {
-    std::printf("%-22s %12s %12s %8s\n", "family", "text B", "binary B",
-                "ratio");
+    std::printf("%-22s %12s\n", "family", "binary B");
   }
   bool first = true;
   for (const char* family : kFamilies) {
@@ -388,19 +383,13 @@ int cmd_model_size(const Args& args) {
     const core::WhiteSpaceModel model =
         core::ModelConstructor(cfg).build_with_labeling(ds,
                                                         labeling_from(args));
-    const std::size_t text_bytes = model.serialize_text().size();
     const std::size_t binary_bytes = model.serialize().size();
-    const double ratio = static_cast<double>(binary_bytes) /
-                         static_cast<double>(text_bytes);
     if (as_json) {
-      std::printf("%s    {\"family\": \"%s\", \"text_bytes\": %zu, "
-                  "\"binary_bytes\": %zu, \"ratio\": %.3f}",
-                  first ? "" : ",\n", family, text_bytes, binary_bytes,
-                  ratio);
+      std::printf("%s    {\"family\": \"%s\", \"binary_bytes\": %zu}",
+                  first ? "" : ",\n", family, binary_bytes);
       first = false;
     } else {
-      std::printf("%-22s %12zu %12zu %7.0f%%\n", family, text_bytes,
-                  binary_bytes, 100.0 * ratio);
+      std::printf("%-22s %12zu\n", family, binary_bytes);
     }
   }
   if (as_json) std::printf("\n  ]\n}\n");
