@@ -8,9 +8,9 @@
 #include <random>
 
 #include "common.hpp"
-#include "waldo/core/database.hpp"
 #include "waldo/device/phone.hpp"
 #include "waldo/ml/stats.hpp"
+#include "waldo/service/service.hpp"
 
 using namespace waldo;
 
@@ -40,7 +40,7 @@ int main() {
   mc.classifier = "naive_bayes";
   mc.num_features = 2;
   mc.num_localities = 3;
-  core::SpectrumDatabase db(mc);
+  service::SpectrumService db(mc);
   // The real 30-channel market: the 9 modelled stations plus 21 channels
   // that are simply dark in this metro (no transmitter -> every campaign
   // reading at the device floor -> an area-wide constant-safe model).
@@ -64,7 +64,7 @@ int main() {
   bench::print_row({"config", "cycle_s", "meets 2 s budget"}, 24);
   std::size_t constant_channels = 0;
   for (const int ch : scan_list) {
-    constant_channels += db.model(ch).constant_label().has_value() ? 1 : 0;
+    constant_channels += db.model(ch)->constant_label().has_value() ? 1 : 0;
   }
   for (const bool caching : {false, true}) {
     device::PhoneConfig cfg;

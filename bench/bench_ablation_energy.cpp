@@ -7,9 +7,9 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "waldo/core/database.hpp"
 #include "waldo/device/energy.hpp"
 #include "waldo/device/phone.hpp"
+#include "waldo/service/service.hpp"
 
 using namespace waldo;
 
@@ -21,7 +21,7 @@ int main() {
   mc.classifier = "naive_bayes";
   mc.num_features = 2;
   mc.num_localities = 3;
-  core::SpectrumDatabase db(mc);
+  service::SpectrumService db(mc);
   const std::vector<int> channels{15, 21, 46, 47};
   std::size_t model_bytes = 0;
   for (const int ch : channels) {

@@ -6,19 +6,20 @@
 // a large area. False *vacancy* attacks are structurally harmless — low
 // readings can never un-poison a neighbourhood.
 #include <cstdio>
+#include <memory>
 
 #include "common.hpp"
-#include "waldo/core/database.hpp"
 #include "waldo/core/security.hpp"
+#include "waldo/service/service.hpp"
 
 using namespace waldo;
 
 namespace {
 
 /// Fraction of a target area's grid the model declares not-safe.
-double denied_fraction(core::SpectrumDatabase& db, int channel,
+double denied_fraction(service::SpectrumService& db, int channel,
                        const geo::BoundingBox& area) {
-  const core::WhiteSpaceModel& model = db.model(channel);
+  const auto model = db.model(channel);
   std::size_t denied = 0, total = 0;
   for (double e = area.min_east_m; e <= area.max_east_m; e += 250.0) {
     for (double n = area.min_north_m; n <= area.max_north_m; n += 250.0) {
@@ -26,7 +27,7 @@ double denied_fraction(core::SpectrumDatabase& db, int channel,
       // device in a genuinely silent spot would feed the model.
       const auto row = core::feature_row(geo::EnuPoint{e, n}, -86.0, -97.0,
                                          -99.0, 2);
-      denied += model.predict(row) == ml::kNotSafe ? 1 : 0;
+      denied += model->predict(row) == ml::kNotSafe ? 1 : 0;
       ++total;
     }
   }
@@ -34,14 +35,15 @@ double denied_fraction(core::SpectrumDatabase& db, int channel,
                : 0.0;
 }
 
-core::SpectrumDatabase make_database(bench::Campaign& campaign,
-                                     const core::UploadPolicy& policy) {
+std::unique_ptr<service::SpectrumService> make_database(
+    bench::Campaign& campaign, const core::UploadPolicy& policy) {
   core::ModelConstructorConfig mc;
   mc.classifier = "naive_bayes";
   mc.num_features = 2;
   mc.num_localities = 3;
-  core::SpectrumDatabase db(mc, campaign::LabelingConfig{}, policy);
-  db.ingest_campaign(campaign.dataset(bench::SensorKind::kUsrpB200, 46));
+  auto db = std::make_unique<service::SpectrumService>(
+      mc, campaign::LabelingConfig{}, policy);
+  db->ingest_campaign(campaign.dataset(bench::SensorKind::kUsrpB200, 46));
   return db;
 }
 
@@ -68,9 +70,9 @@ int main() {
       {"scenario", "denied_frac", "accepted", "rejected", "pending"}, 26);
 
   {
-    core::SpectrumDatabase db = make_database(campaign, {});
+    const auto db = make_database(campaign, {});
     bench::print_row({"baseline (no attack)",
-                      bench::fmt(denied_fraction(db, 46, target)), "-", "-",
+                      bench::fmt(denied_fraction(*db, 46, target)), "-", "-",
                       "-"},
                      26);
   }
@@ -79,19 +81,19 @@ int main() {
     core::UploadPolicy open_door;
     open_door.max_deviation_db = 1e9;
     open_door.min_corroborators = 1;
-    core::SpectrumDatabase db = make_database(campaign, open_door);
-    const auto r = db.upload_measurements(46, forged, "mallory");
+    const auto db = make_database(campaign, open_door);
+    const auto r = db->upload_measurements(46, forged, "mallory");
     bench::print_row({"attack, no defence",
-                      bench::fmt(denied_fraction(db, 46, target)),
+                      bench::fmt(denied_fraction(*db, 46, target)),
                       std::to_string(r.accepted), std::to_string(r.rejected),
                       std::to_string(r.pending)},
                      26);
   }
   {
-    core::SpectrumDatabase db = make_database(campaign, {});
-    const auto r = db.upload_measurements(46, forged, "mallory");
+    const auto db = make_database(campaign, {});
+    const auto r = db->upload_measurements(46, forged, "mallory");
     bench::print_row({"attack, full defence",
-                      bench::fmt(denied_fraction(db, 46, target)),
+                      bench::fmt(denied_fraction(*db, 46, target)),
                       std::to_string(r.accepted), std::to_string(r.rejected),
                       std::to_string(r.pending)},
                      26);
@@ -100,7 +102,7 @@ int main() {
   // Repeated attack waves from one identity: correlation rejections drive
   // the reputation down until the identity is quarantined.
   {
-    core::SpectrumDatabase db = make_database(campaign, {});
+    const auto db = make_database(campaign, {});
     core::SecureUpdater updater;
     std::size_t accepted = 0;
     int quarantined_after = -1;
@@ -108,7 +110,7 @@ int main() {
       core::AttackConfig wave = attack;
       wave.seed = attack.seed + static_cast<std::uint64_t>(round);
       const auto r =
-          updater.submit(db, 46, "mallory", core::forge_uploads(wave));
+          updater.submit(*db, 46, "mallory", core::forge_uploads(wave));
       accepted += r.accepted;
       if (updater.is_quarantined("mallory") && quarantined_after < 0) {
         quarantined_after = round;
@@ -117,14 +119,14 @@ int main() {
     std::printf("\nreputation: mallory quarantined after wave %d; %zu "
                 "forged readings ever trusted; model denial %.3f\n",
                 quarantined_after, accepted,
-                denied_fraction(db, 46, target));
+                denied_fraction(*db, 46, target));
 
     // An honest contributor on the same updater stays in good standing.
     const auto& ds = campaign.dataset(bench::SensorKind::kUsrpB200, 46);
     std::vector<campaign::Measurement> honest(ds.readings.begin(),
                                               ds.readings.begin() + 100);
     for (auto& m : honest) m.position.east_m += 40.0;
-    const auto ok = updater.submit(db, 46, "alice", honest);
+    const auto ok = updater.submit(*db, 46, "alice", honest);
     std::printf("honest contributor: %zu/%zu accepted, reputation %.2f\n",
                 ok.accepted, honest.size(),
                 updater.record("alice").reputation);
@@ -133,16 +135,16 @@ int main() {
   // Known residual weakness: colluding Sybil identities can corroborate
   // each other's forgeries in genuinely unexplored territory.
   {
-    core::SpectrumDatabase db = make_database(campaign, {});
+    const auto db = make_database(campaign, {});
     core::AttackConfig frontier = attack;
     frontier.target_area =
         geo::BoundingBox{-40'000.0, -40'000.0, -38'000.0, -38'000.0};
     frontier.num_reports = 10;
     const auto first =
-        db.upload_measurements(46, core::forge_uploads(frontier), "sybil-1");
+        db->upload_measurements(46, core::forge_uploads(frontier), "sybil-1");
     frontier.seed += 1;
     const auto second =
-        db.upload_measurements(46, core::forge_uploads(frontier), "sybil-2");
+        db->upload_measurements(46, core::forge_uploads(frontier), "sybil-2");
     std::printf("\nSybil collusion outside the mapped area: wave 1 pending="
                 "%zu, wave 2 accepted=%zu\n(documented limitation — the"
                 " full Fatemieh et al. defence adds propagation-model\n"

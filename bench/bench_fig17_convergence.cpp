@@ -7,9 +7,9 @@
 #include <random>
 
 #include "common.hpp"
-#include "waldo/core/database.hpp"
 #include "waldo/device/phone.hpp"
 #include "waldo/ml/stats.hpp"
+#include "waldo/service/service.hpp"
 
 using namespace waldo;
 
@@ -20,7 +20,7 @@ int main() {
   core::ModelConstructorConfig mc;
   mc.classifier = "naive_bayes";
   mc.num_features = 2;
-  core::SpectrumDatabase db(mc);
+  service::SpectrumService db(mc);
   db.ingest_campaign(campaign.dataset(bench::SensorKind::kUsrpB200, 46));
 
   std::mt19937_64 rng(61);

@@ -7,9 +7,9 @@
 #include <random>
 
 #include "common.hpp"
-#include "waldo/core/database.hpp"
 #include "waldo/device/phone.hpp"
 #include "waldo/ml/stats.hpp"
+#include "waldo/service/service.hpp"
 
 using namespace waldo;
 
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   mc.classifier = "svm";
   mc.num_features = 3;
   mc.max_train_samples = 600;
-  core::SpectrumDatabase db(mc);
+  service::SpectrumService db(mc);
   for (const int ch : rf::kPaperChannels) {
     db.ingest_campaign(campaign.dataset(bench::SensorKind::kUsrpB200, ch));
   }

@@ -9,7 +9,7 @@
 #include "waldo/baselines/geo_database.hpp"
 #include "waldo/baselines/sensing_only.hpp"
 #include "waldo/baselines/vscope.hpp"
-#include "waldo/core/database.hpp"
+#include "waldo/service/service.hpp"
 
 using namespace waldo;
 
@@ -58,7 +58,7 @@ int main() {
   svm_cfg.classifier = "svm";
   svm_cfg.num_features = 3;
   svm_cfg.max_train_samples = 800;
-  core::SpectrumDatabase db_nb(nb_cfg), db_svm(svm_cfg);
+  service::SpectrumService db_nb(nb_cfg), db_svm(svm_cfg);
   db_nb.ingest_campaign(campaign.dataset(bench::SensorKind::kUsrpB200, 46));
   db_svm.ingest_campaign(campaign.dataset(bench::SensorKind::kUsrpB200, 46));
   const std::size_t nb_bytes = db_nb.download_model(46).size();

@@ -6,10 +6,10 @@
 #include <cstdio>
 
 #include "waldo/campaign/wardrive.hpp"
-#include "waldo/core/database.hpp"
 #include "waldo/device/phone.hpp"
 #include "waldo/ml/metrics.hpp"
 #include "waldo/rf/environment.hpp"
+#include "waldo/service/service.hpp"
 
 int main() {
   using namespace waldo;
@@ -23,7 +23,7 @@ int main() {
   constructor.num_features = 3;
   constructor.num_localities = 3;
   constructor.max_train_samples = 600;
-  core::SpectrumDatabase database(constructor);
+  service::SpectrumService database(constructor);
   sensors::Sensor campaign_sensor(sensors::usrp_b200_spec(), 21);
   campaign_sensor.calibrate();
   const std::vector<int> channels{15, 21, 22, 46};
@@ -77,7 +77,7 @@ int main() {
     m.rss_dbm = upload_sensor.calibrated_rss_dbm(reading.raw);
     uploads.push_back(m);
   }
-  const auto result = database.upload_measurements(46, uploads);
+  const auto result = database.upload_measurements(46, uploads, "anonymous");
   std::printf("\nglobal model updater: %zu readings accepted, %zu rejected "
               "by the correlation check\n",
               result.accepted, result.rejected);

@@ -11,11 +11,11 @@
 #include <cstdio>
 
 #include "waldo/campaign/wardrive.hpp"
-#include "waldo/core/database.hpp"
 #include "waldo/core/features.hpp"
 #include "waldo/ml/metrics.hpp"
 #include "waldo/rf/environment.hpp"
 #include "waldo/sensors/sensor.hpp"
+#include "waldo/service/service.hpp"
 
 int main() {
   using namespace waldo;
@@ -46,7 +46,7 @@ int main() {
   constructor.num_features = 3;  // location + RSS + CFT
   constructor.num_localities = 3;
   constructor.max_train_samples = 800;
-  core::SpectrumDatabase database(constructor);
+  service::SpectrumService database(constructor);
   database.ingest_campaign(std::move(sweep));
   const std::string descriptor = database.download_model(kChannel);
   std::printf("model descriptor: %zu bytes for the whole area\n",

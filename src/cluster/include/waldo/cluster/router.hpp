@@ -80,17 +80,18 @@ class ClusterRouter {
   /// upload().
   std::string download_descriptor(int channel, const geo::EnuPoint& location);
 
-  /// Routes a pre-encoded WSNP request wire (is_upload selects primary
-  /// vs. spread-read placement). Returns the WSNP response body.
-  std::string route(const geo::EnuPoint& location, const std::string& wire,
-                    bool is_upload);
-
   /// Unique, never-zero id for a logical upload; stable retry identity.
   [[nodiscard]] std::uint64_t next_request_id() noexcept;
 
   [[nodiscard]] RouterStats stats() const;
 
  private:
+  /// Routes a pre-encoded WSNP request wire (is_upload selects primary
+  /// vs. spread-read placement). Returns the reply, decoded once; never an
+  /// ErrorResponse (those throw or are retried).
+  core::Message route(const geo::EnuPoint& location, const std::string& wire,
+                      bool is_upload);
+
   const ClusterTopology topology_;
   Transport* transport_;
   const MembershipView* membership_;

@@ -30,11 +30,9 @@ struct ClusterNode::Tile {
        const campaign::LabelingConfig& labeling,
        const core::UploadPolicy& upload_policy, bool synced_in)
       : service(constructor_config, labeling, upload_policy),
-        server(service),
         synced(synced_in) {}
 
   service::SpectrumService service;  // thread-safe; reads skip `mutex`
-  core::ProtocolServer server;       // serves downloads off `service`
 
   /// Serialises every write to the tile (client uploads, replication,
   /// state transfer) and guards the fields below. Holding it across the
@@ -212,10 +210,22 @@ std::string ClusterNode::handle_wsnp(const Envelope& request) {
     // Reads go straight to the thread-safe service (cached descriptor fast
     // path); they never contend with the tile write mutex.
     counters_->downloads.fetch_add(1, std::memory_order_relaxed);
-    return encode_envelope({.verb = "wsnp",
-                            .from = id_,
-                            .tile = request.tile,
-                            .body = t->server.handle(request.body)});
+    std::shared_ptr<const std::string> descriptor;
+    try {
+      descriptor = t->service.download_descriptor(r->channel);
+    } catch (const std::out_of_range& e) {
+      return error_envelope(request.tile, core::ErrorCode::kUnknownChannel,
+                            r->channel, e.what());
+    } catch (const std::exception& e) {
+      return error_envelope(request.tile, core::ErrorCode::kInternal,
+                            r->channel, e.what());
+    }
+    return encode_envelope(
+        {.verb = "wsnp",
+         .from = id_,
+         .tile = request.tile,
+         .body = core::encode(core::ModelResponse{
+             .channel = r->channel, .descriptor = *descriptor})});
   }
 
   const auto* r = std::get_if<core::UploadRequest>(&message);

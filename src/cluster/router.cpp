@@ -3,6 +3,7 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <variant>
 
 #include "waldo/cluster/wire.hpp"
@@ -39,8 +40,8 @@ std::uint64_t ClusterRouter::next_request_id() noexcept {
   return runtime::split_seed(config_.seed, ordinal) | 1u;
 }
 
-std::string ClusterRouter::route(const geo::EnuPoint& location,
-                                 const std::string& wire, bool is_upload) {
+core::Message ClusterRouter::route(const geo::EnuPoint& location,
+                                   const std::string& wire, bool is_upload) {
   const TileKey tile = topology_.tiling.tile_of(location);
   const auto replicas =
       replica_set(tile, topology_.num_nodes, topology_.replication);
@@ -62,14 +63,14 @@ std::string ClusterRouter::route(const geo::EnuPoint& location,
   std::uint64_t attempts = 0;
   std::string last_failure = "no live replica";
 
-  const auto finish = [&](const std::string& body) {
+  const auto finish = [&](core::Message reply) {
     const std::uint64_t ns = elapsed_ns(start);
     request_latency_.record(ns);
     if (attempts > 0) {
       failovers_.fetch_add(1, std::memory_order_relaxed);
       failover_latency_.record(ns);
     }
-    return body;
+    return reply;
   };
 
   while (true) {
@@ -100,7 +101,7 @@ std::string ClusterRouter::route(const geo::EnuPoint& location,
       try {
         const Envelope reply =
             decode_envelope(transport_->send(target, envelope));
-        const core::Message message = core::decode(reply.body);
+        core::Message message = core::decode(reply.body);
         if (const auto* err = std::get_if<core::ErrorResponse>(&message)) {
           if (core::is_retryable(err->code)) {
             last_failure = err->reason;
@@ -108,7 +109,7 @@ std::string ClusterRouter::route(const geo::EnuPoint& location,
             permanent = *err;
           }
         } else {
-          return finish(reply.body);
+          return finish(std::move(message));
         }
       } catch (const TransportError& e) {
         last_failure = e.what();
@@ -149,9 +150,8 @@ core::UploadResponse ClusterRouter::upload(
   uploads_.fetch_add(1, std::memory_order_relaxed);
   // One wire for every attempt: the request id must not change across
   // retries or the dedup table cannot recognise them.
-  const std::string body =
+  const core::Message reply =
       route(location, core::encode(request), /*is_upload=*/true);
-  const core::Message reply = core::decode(body);
   const auto* response = std::get_if<core::UploadResponse>(&reply);
   if (response == nullptr) {
     throw std::runtime_error("cluster: unexpected reply to upload");
@@ -162,12 +162,11 @@ core::UploadResponse ClusterRouter::upload(
 std::string ClusterRouter::download_descriptor(int channel,
                                                const geo::EnuPoint& location) {
   downloads_.fetch_add(1, std::memory_order_relaxed);
-  const std::string body = route(
+  core::Message reply = route(
       location,
       core::encode(core::ModelRequest{.channel = channel,
                                       .location = location}),
       /*is_upload=*/false);
-  core::Message reply = core::decode(body);
   auto* response = std::get_if<core::ModelResponse>(&reply);
   if (response == nullptr) {
     throw std::runtime_error("cluster: unexpected reply to model request");

@@ -2,9 +2,9 @@
 // one channel's trusted dataset, its pending-corroboration pool, its apply
 // ticket, its staleness counter and the screening index over the dataset.
 //
-// core::SpectrumDatabase is a map of these; service::SpectrumService is the
-// same map behind per-shard locks; a cluster node transfers them verbatim
-// when a replica recovers. The screening index grows with each ingest and
+// service::SpectrumService, the one spectrum store, is a map of these
+// behind per-shard locks; a cluster node transfers them verbatim when a
+// replica recovers. The screening index grows with each ingest and
 // each accepted batch, so screening one upload batch costs O(batch) index
 // queries instead of a rebuild over the whole channel.
 #pragma once

@@ -17,6 +17,7 @@
 
 #include "waldo/campaign/measurement.hpp"
 #include "waldo/core/database.hpp"
+#include "waldo/core/model.hpp"
 
 namespace waldo::core {
 
@@ -101,8 +102,7 @@ using Message = std::variant<ModelRequest, ModelResponse, UploadRequest,
 /// wire string maps to exactly one response wire string; internal errors
 /// surface as ErrorResponse rather than exceptions. handle() keeps no
 /// per-request state, so it is reentrant: concurrent calls are safe
-/// whenever the backing store is thread-safe (service::SpectrumService is;
-/// a bare SpectrumDatabase is single-threaded).
+/// whenever the backing store is (service::SpectrumService is).
 class ProtocolServer {
  public:
   explicit ProtocolServer(SpectrumStore& store) : store_(&store) {}

@@ -57,7 +57,9 @@ struct ContributorRecord {
   bool quarantined = false;
 };
 
-/// Gatekeeper between devices and SpectrumDatabase::upload_measurements.
+/// Gatekeeper between devices and SpectrumStore::upload_measurements: the
+/// reputation defence runs in front of whichever store accepts the uploads
+/// (in Waldo, service::SpectrumService).
 class SecureUpdater {
  public:
   explicit SecureUpdater(ReputationPolicy policy = {}) : policy_(policy) {}
@@ -66,7 +68,7 @@ class SecureUpdater {
     std::size_t accepted = 0;
     std::size_t rejected = 0;
     std::size_t pending = 0;   ///< held for corroboration
-    bool quarantined = false;  ///< batch dropped without touching the DB
+    bool quarantined = false;  ///< batch dropped without touching the store
     /// Pending readings of this contributor purged across all channels
     /// when this batch tripped the quarantine threshold (a quarantined
     /// identity's stash must never be promoted by later corroboration).
@@ -74,10 +76,10 @@ class SecureUpdater {
   };
 
   /// Submits a batch on behalf of `contributor`. Quarantined contributors
-  /// are refused outright; otherwise the database's correlation check runs
+  /// are refused outright; otherwise the store's correlation check runs
   /// and the outcome updates the contributor's reputation. Crossing the
   /// quarantine threshold also purges the contributor's pending readings.
-  SubmitResult submit(SpectrumDatabase& database, int channel,
+  SubmitResult submit(SpectrumStore& store, int channel,
                       const std::string& contributor,
                       std::span<const campaign::Measurement> readings);
 

@@ -244,8 +244,8 @@ std::string ProtocolServer::handle(const std::string& request_wire) const {
                                    .pending = result.pending,
                                    .ticket = result.ticket});
     } catch (const std::out_of_range& e) {
-      // SpectrumDatabase/SpectrumService throw out_of_range for uploads
-      // addressing a channel that was never bootstrapped.
+      // The store throws out_of_range for uploads addressing a channel
+      // that was never bootstrapped.
       return encode(ErrorResponse{.reason = e.what(),
                                   .code = ErrorCode::kUnknownChannel,
                                   .channel = r->channel});

@@ -32,7 +32,7 @@ std::vector<campaign::Measurement> forge_uploads(const AttackConfig& config) {
 }
 
 SecureUpdater::SubmitResult SecureUpdater::submit(
-    SpectrumDatabase& database, int channel, const std::string& contributor,
+    SpectrumStore& store, int channel, const std::string& contributor,
     std::span<const campaign::Measurement> readings) {
   ContributorRecord& rec =
       records_.try_emplace(contributor,
@@ -47,8 +47,8 @@ SecureUpdater::SubmitResult SecureUpdater::submit(
     return result;
   }
 
-  const SpectrumDatabase::UploadResult upload =
-      database.upload_measurements(channel, readings, contributor);
+  const UploadResult upload =
+      store.upload_measurements(channel, readings, contributor);
   result.accepted = upload.accepted;
   result.rejected = upload.rejected;
   result.pending = upload.pending;
@@ -68,7 +68,7 @@ SecureUpdater::SubmitResult SecureUpdater::submit(
     // Readings this identity parked before tripping the threshold must not
     // linger: a later accomplice could corroborate them into the trusted
     // store, bypassing the quarantine entirely.
-    result.purged_pending = database.purge_pending(contributor);
+    result.purged_pending = store.purge_pending(contributor);
   }
   return result;
 }

@@ -76,8 +76,8 @@ class PhoneRuntime {
   void install_model(core::WhiteSpaceModel model);
   [[nodiscard]] bool has_model(int channel) const noexcept;
 
-  /// Downloads any missing models from the database; returns bytes moved.
-  std::size_t ensure_models(core::SpectrumDatabase& database,
+  /// Downloads any missing models from the store; returns bytes moved.
+  std::size_t ensure_models(core::SpectrumStore& store,
                             std::span<const int> channels);
 
   /// Scans one channel at a stationary position: streams sensor readings

@@ -36,12 +36,12 @@ bool PhoneRuntime::has_model(int channel) const noexcept {
   return models_.contains(channel);
 }
 
-std::size_t PhoneRuntime::ensure_models(core::SpectrumDatabase& database,
+std::size_t PhoneRuntime::ensure_models(core::SpectrumStore& store,
                                         std::span<const int> channels) {
   std::size_t bytes = 0;
   for (const int ch : channels) {
     if (has_model(ch)) continue;
-    const std::string descriptor = database.download_model(ch);
+    const std::string descriptor = store.download_model(ch);
     bytes += descriptor.size();
     install_model(core::WhiteSpaceModel::deserialize(descriptor));
   }

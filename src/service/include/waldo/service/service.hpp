@@ -22,9 +22,14 @@
 //    oversubscribes the host; serial and parallel builds give the same
 //    bytes (docs/CONCURRENCY.md, "The serving layer").
 //  - Every upload is stamped with a per-channel apply ticket; replaying
-//    recorded batches in ticket order against a single-threaded
-//    SpectrumDatabase reproduces the datasets and models byte-for-byte
-//    (enforced by tests/test_service.cpp, run under TSan in CI).
+//    recorded batches in ticket order through bare core::ChannelStates
+//    and a serial ModelConstructor reproduces the datasets and models
+//    byte-for-byte (enforced by tests/test_service.cpp, run under TSan in
+//    CI).
+//
+// This is Waldo's only spectrum store: the offline benches, the examples,
+// the SecureUpdater reputation defence and the cluster tier all run on it,
+// so every model built through a store is built serially.
 //
 // Full locking protocol: docs/CONCURRENCY.md, "The serving layer".
 #pragma once
@@ -62,9 +67,8 @@ struct ServiceCounters {
   std::uint64_t bytes_from_cache = 0;  ///< subset of bytes_served
 };
 
-/// Thread-safe, per-channel-sharded spectrum store. Runs the same
-/// core::ChannelState as SpectrumDatabase (same screening, same
-/// rebuild-threshold cache policy) — only the concurrency differs.
+/// Thread-safe, per-channel-sharded spectrum store: one core::ChannelState
+/// (screening, pending pool, rebuild-threshold cache policy) per channel.
 class SpectrumService final : public core::SpectrumStore {
  public:
   explicit SpectrumService(core::ModelConstructorConfig constructor_config = {},
@@ -117,8 +121,7 @@ class SpectrumService final : public core::SpectrumStore {
   /// traffic; the caller orders it against uploads to the same channel.
   void install_channel(core::ChannelState state);
 
-  /// Drops every pending reading parked by `contributor`, on all channels.
-  std::size_t purge_pending(const std::string& contributor);
+  std::size_t purge_pending(const std::string& contributor) override;
 
   [[nodiscard]] std::size_t pending_count(int channel) const;
   [[nodiscard]] std::size_t staleness(int channel) const;

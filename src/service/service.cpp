@@ -15,7 +15,7 @@ struct SpectrumService::Shard {
 
   // All fields below are guarded by state_mutex.
   /// Dataset, pending pool, apply ticket, staleness counter and the
-  /// screening index — the same state machine SpectrumDatabase runs.
+  /// screening index.
   core::ChannelState state;
   /// Bumped on every cache-invalidation event (ingest, install, staleness
   /// crossing the rebuild threshold). The cached model is fresh iff

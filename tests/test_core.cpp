@@ -5,13 +5,13 @@
 
 #include "waldo/campaign/truth.hpp"
 #include "waldo/campaign/wardrive.hpp"
-#include "waldo/core/database.hpp"
 #include "waldo/core/detector.hpp"
 #include "waldo/core/features.hpp"
 #include "waldo/core/model.hpp"
 #include "waldo/core/model_constructor.hpp"
 #include "waldo/ml/metrics.hpp"
 #include "waldo/rf/environment.hpp"
+#include "waldo/service/service.hpp"
 
 namespace waldo::core {
 namespace {
@@ -358,49 +358,40 @@ geo::DrivePath* DatabaseFixture::route_ = nullptr;
 campaign::ChannelDataset* DatabaseFixture::data_ = nullptr;
 
 TEST_F(DatabaseFixture, IngestBuildServeFlow) {
-  SpectrumDatabase db(fast_config());
+  service::SpectrumService db(fast_config());
   EXPECT_FALSE(db.has_channel(46));
   db.ingest_campaign(*data_);
   EXPECT_TRUE(db.has_channel(46));
   EXPECT_EQ(db.channels(), std::vector<int>{46});
 
-  const WhiteSpaceModel& model = db.model(46);
-  EXPECT_EQ(model.channel(), 46);
-  EXPECT_EQ(db.stats().models_built, 1u);
+  const std::shared_ptr<const WhiteSpaceModel> model = db.model(46);
+  EXPECT_EQ(model->channel(), 46);
+  EXPECT_EQ(db.counters().models_built, 1u);
   // Cached: a second request doesn't rebuild.
   (void)db.model(46);
-  EXPECT_EQ(db.stats().models_built, 1u);
+  EXPECT_EQ(db.counters().models_built, 1u);
 
   const std::string descriptor = db.download_model(46);
   EXPECT_FALSE(descriptor.empty());
-  EXPECT_EQ(db.stats().model_downloads, 1u);
-  EXPECT_EQ(db.stats().bytes_served, descriptor.size());
+  EXPECT_EQ(db.counters().model_downloads, 1u);
+  EXPECT_EQ(db.counters().bytes_served, descriptor.size());
   const WhiteSpaceModel client = WhiteSpaceModel::deserialize(descriptor);
   EXPECT_EQ(client.channel(), 46);
 }
 
-TEST_F(DatabaseFixture, LabelsMatchStandaloneLabeling) {
-  SpectrumDatabase db(fast_config());
-  db.ingest_campaign(*data_);
-  const auto from_db = db.labels(46);
-  const auto direct = campaign::label_readings(data_->positions(),
-                                               data_->rss_values());
-  EXPECT_EQ(from_db, direct);
-}
-
 TEST_F(DatabaseFixture, UnknownChannelThrows) {
-  SpectrumDatabase db(fast_config());
-  EXPECT_THROW((void)db.dataset(30), std::out_of_range);
+  service::SpectrumService db(fast_config());
+  EXPECT_THROW((void)db.dataset_snapshot(30), std::out_of_range);
   EXPECT_THROW((void)db.model(30), std::out_of_range);
-  EXPECT_THROW(db.upload_measurements(30, {}), std::out_of_range);
+  EXPECT_THROW(db.upload_measurements(30, {}, "anonymous"), std::out_of_range);
   EXPECT_THROW(db.ingest_campaign(campaign::ChannelDataset{}),
                std::invalid_argument);
 }
 
 TEST_F(DatabaseFixture, UploadsAcceptConsistentRejectImplausible) {
-  SpectrumDatabase db(fast_config());
+  service::SpectrumService db(fast_config());
   db.ingest_campaign(*data_);
-  const std::size_t before = db.dataset(46).size();
+  const std::size_t before = db.dataset_snapshot(46).size();
 
   // Consistent upload: near an existing reading with a similar value.
   campaign::Measurement good;
@@ -414,16 +405,16 @@ TEST_F(DatabaseFixture, UploadsAcceptConsistentRejectImplausible) {
   bad.rss_dbm = data_->readings[10].rss_dbm + 60.0;
 
   const std::vector<campaign::Measurement> uploads{good, bad};
-  const auto result = db.upload_measurements(46, uploads);
+  const auto result = db.upload_measurements(46, uploads, "anonymous");
   EXPECT_EQ(result.accepted, 1u);
   EXPECT_EQ(result.rejected, 1u);
-  EXPECT_EQ(db.dataset(46).size(), before + 1);
-  EXPECT_EQ(db.stats().uploads_accepted, 1u);
-  EXPECT_EQ(db.stats().uploads_rejected, 1u);
+  EXPECT_EQ(db.dataset_snapshot(46).size(), before + 1);
+  EXPECT_EQ(db.counters().uploads_accepted, 1u);
+  EXPECT_EQ(db.counters().uploads_rejected, 1u);
 }
 
 TEST_F(DatabaseFixture, UnexploredUploadsHeldUntilCorroborated) {
-  SpectrumDatabase db(fast_config());
+  service::SpectrumService db(fast_config());
   db.ingest_campaign(*data_);
   campaign::Measurement frontier;
   frontier.position = geo::EnuPoint{-500'000.0, -500'000.0};
@@ -434,12 +425,12 @@ TEST_F(DatabaseFixture, UnexploredUploadsHeldUntilCorroborated) {
   EXPECT_EQ(first.accepted, 0u);
   EXPECT_EQ(first.pending, 1u);
   EXPECT_EQ(db.pending_count(46), 1u);
-  const std::size_t before = db.dataset(46).size();
+  const std::size_t before = db.dataset_snapshot(46).size();
   // Same contributor repeating herself does not corroborate.
   const auto again = db.upload_measurements(
       46, std::vector<campaign::Measurement>{frontier}, "alice");
   EXPECT_EQ(again.accepted, 0u);
-  EXPECT_EQ(db.dataset(46).size(), before);
+  EXPECT_EQ(db.dataset_snapshot(46).size(), before);
   // An agreeing report from a different contributor promotes the cluster.
   campaign::Measurement corroboration = frontier;
   corroboration.position.east_m += 100.0;
@@ -447,11 +438,11 @@ TEST_F(DatabaseFixture, UnexploredUploadsHeldUntilCorroborated) {
   const auto second = db.upload_measurements(
       46, std::vector<campaign::Measurement>{corroboration}, "bob");
   EXPECT_GE(second.accepted, 2u);  // bob's reading + promoted pendings
-  EXPECT_GT(db.dataset(46).size(), before);
+  EXPECT_GT(db.dataset_snapshot(46).size(), before);
 }
 
 TEST_F(DatabaseFixture, DisagreeingFrontierReportsStayPending) {
-  SpectrumDatabase db(fast_config());
+  service::SpectrumService db(fast_config());
   db.ingest_campaign(*data_);
   campaign::Measurement claim;
   claim.position = geo::EnuPoint{-500'000.0, -500'000.0};
@@ -473,30 +464,32 @@ TEST_F(DatabaseFixture, RebuildThresholdBatchesRetraining) {
   ModelConstructorConfig mc = fast_config();
   UploadPolicy policy;
   policy.rebuild_threshold = 5;
-  SpectrumDatabase db(mc, campaign::LabelingConfig{}, policy);
+  service::SpectrumService db(mc, campaign::LabelingConfig{}, policy);
   db.ingest_campaign(*data_);
   (void)db.model(46);
-  EXPECT_EQ(db.stats().models_built, 1u);
+  EXPECT_EQ(db.counters().models_built, 1u);
 
   // Three accepted readings: under the threshold, the model stays cached.
   for (int i = 0; i < 3; ++i) {
     campaign::Measurement m = data_->readings[static_cast<std::size_t>(i)];
     m.position.east_m += 20.0 + i;
-    (void)db.upload_measurements(46, std::vector<campaign::Measurement>{m});
+    (void)db.upload_measurements(46, std::vector<campaign::Measurement>{m},
+                                 "anonymous");
   }
   EXPECT_EQ(db.staleness(46), 3u);
   (void)db.model(46);
-  EXPECT_EQ(db.stats().models_built, 1u);
+  EXPECT_EQ(db.counters().models_built, 1u);
 
   // Two more cross the threshold: next model request retrains.
   for (int i = 3; i < 5; ++i) {
     campaign::Measurement m = data_->readings[static_cast<std::size_t>(i)];
     m.position.east_m += 20.0 + i;
-    (void)db.upload_measurements(46, std::vector<campaign::Measurement>{m});
+    (void)db.upload_measurements(46, std::vector<campaign::Measurement>{m},
+                                 "anonymous");
   }
   EXPECT_EQ(db.staleness(46), 0u);
   (void)db.model(46);
-  EXPECT_EQ(db.stats().models_built, 2u);
+  EXPECT_EQ(db.counters().models_built, 2u);
 }
 
 // Regression: the staleness counter was never reset when a build or a
@@ -507,13 +500,14 @@ TEST_F(DatabaseFixture, StalenessResetsOnceReadingsAreFoldedIn) {
   ModelConstructorConfig mc = fast_config();
   UploadPolicy policy;
   policy.rebuild_threshold = 5;
-  SpectrumDatabase db(mc, campaign::LabelingConfig{}, policy);
+  service::SpectrumService db(mc, campaign::LabelingConfig{}, policy);
   db.ingest_campaign(*data_);
 
   const auto upload_one = [&](int i) {
     campaign::Measurement m = data_->readings[static_cast<std::size_t>(i)];
     m.position.east_m += 20.0 + i;
-    (void)db.upload_measurements(46, std::vector<campaign::Measurement>{m});
+    (void)db.upload_measurements(46, std::vector<campaign::Measurement>{m},
+                                 "anonymous");
   };
 
   for (int i = 0; i < 3; ++i) upload_one(i);
@@ -522,7 +516,7 @@ TEST_F(DatabaseFixture, StalenessResetsOnceReadingsAreFoldedIn) {
   // A fresh build folds those three in: nothing is stale any more.
   (void)db.model(46);
   EXPECT_EQ(db.staleness(46), 0u);
-  EXPECT_EQ(db.stats().models_built, 1u);
+  EXPECT_EQ(db.counters().models_built, 1u);
 
   // Two more accepted readings start the count from zero, not from three —
   // the cached model survives (with the old accounting this would read 5
@@ -530,7 +524,7 @@ TEST_F(DatabaseFixture, StalenessResetsOnceReadingsAreFoldedIn) {
   for (int i = 3; i < 5; ++i) upload_one(i);
   EXPECT_EQ(db.staleness(46), 2u);
   (void)db.model(46);
-  EXPECT_EQ(db.stats().models_built, 1u);
+  EXPECT_EQ(db.counters().models_built, 1u);
 
   // A campaign ingest also folds everything into the next build.
   db.ingest_campaign(*data_);
@@ -538,15 +532,16 @@ TEST_F(DatabaseFixture, StalenessResetsOnceReadingsAreFoldedIn) {
 }
 
 TEST_F(DatabaseFixture, UploadInvalidatesModelCache) {
-  SpectrumDatabase db(fast_config());
+  service::SpectrumService db(fast_config());
   db.ingest_campaign(*data_);
   (void)db.model(46);
-  EXPECT_EQ(db.stats().models_built, 1u);
+  EXPECT_EQ(db.counters().models_built, 1u);
   campaign::Measurement m = data_->readings[0];
   m.position.east_m += 25.0;
-  (void)db.upload_measurements(46, std::vector<campaign::Measurement>{m});
+  (void)db.upload_measurements(46, std::vector<campaign::Measurement>{m},
+                                 "anonymous");
   (void)db.model(46);
-  EXPECT_EQ(db.stats().models_built, 2u);
+  EXPECT_EQ(db.counters().models_built, 2u);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "waldo/campaign/wardrive.hpp"
-#include "waldo/core/database.hpp"
 #include "waldo/device/phone.hpp"
 #include "waldo/ml/metrics.hpp"
 #include "waldo/rf/environment.hpp"
+#include "waldo/service/service.hpp"
 
 namespace waldo::device {
 namespace {
@@ -18,7 +18,7 @@ class PhoneFixture : public ::testing::Test {
     cfg.classifier = "naive_bayes";
     cfg.num_localities = 3;
     cfg.num_features = 2;
-    db_ = new core::SpectrumDatabase(cfg);
+    db_ = new service::SpectrumService(cfg);
     sensors::Sensor usrp(sensors::usrp_b200_spec(), 32);
     usrp.calibrate();
     for (const int ch : {17, 27, 46}) {
@@ -40,11 +40,11 @@ class PhoneFixture : public ::testing::Test {
   }
 
   static rf::Environment* env_;
-  static core::SpectrumDatabase* db_;
+  static service::SpectrumService* db_;
 };
 
 rf::Environment* PhoneFixture::env_ = nullptr;
-core::SpectrumDatabase* PhoneFixture::db_ = nullptr;
+service::SpectrumService* PhoneFixture::db_ = nullptr;
 
 TEST_F(PhoneFixture, RequiresCalibratedSensor) {
   sensors::Sensor raw(phone_rtl_sdr_spec(), 33);

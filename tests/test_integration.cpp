@@ -8,10 +8,10 @@
 #include "waldo/campaign/truth.hpp"
 #include "waldo/core/features.hpp"
 #include "waldo/campaign/wardrive.hpp"
-#include "waldo/core/database.hpp"
 #include "waldo/device/phone.hpp"
 #include "waldo/ml/metrics.hpp"
 #include "waldo/rf/environment.hpp"
+#include "waldo/service/service.hpp"
 
 namespace waldo {
 namespace {
@@ -49,7 +49,7 @@ TEST_F(EndToEnd, PhoneDecisionsApproximateRegulatoryTruth) {
   cfg.num_localities = 3;
   cfg.num_features = 3;
   cfg.max_train_samples = 800;
-  core::SpectrumDatabase db(cfg);
+  service::SpectrumService db(cfg);
   db.ingest_campaign(*data_);
 
   device::PhoneConfig phone_cfg;
@@ -128,7 +128,7 @@ TEST_F(EndToEnd, WaldoBeatsVScopeAndDatabaseOnEfficiency) {
 TEST_F(EndToEnd, CrowdsourcedUpdatesImproveCoverageStatistics) {
   core::ModelConstructorConfig cfg;
   cfg.classifier = "naive_bayes";
-  core::SpectrumDatabase db(cfg);
+  service::SpectrumService db(cfg);
 
   // Bootstrap with the first half of the campaign only.
   campaign::ChannelDataset half;
@@ -137,13 +137,13 @@ TEST_F(EndToEnd, CrowdsourcedUpdatesImproveCoverageStatistics) {
   half.readings.assign(data_->readings.begin(),
                        data_->readings.begin() + data_->size() / 2);
   db.ingest_campaign(half);
-  const std::size_t before = db.dataset(46).size();
+  const std::size_t before = db.dataset_snapshot(46).size();
 
   // Devices upload the second half as they roam.
   const std::span<const campaign::Measurement> second(
       data_->readings.data() + data_->size() / 2,
       data_->size() - data_->size() / 2);
-  const auto result = db.upload_measurements(46, second);
+  const auto result = db.upload_measurements(46, second, "anonymous");
   // Uploads near the bootstrapped half are vouched and accepted; roaming
   // readings in unexplored areas wait for corroboration.
   // Promotions can only move readings from pending to accepted, so the
@@ -154,7 +154,7 @@ TEST_F(EndToEnd, CrowdsourcedUpdatesImproveCoverageStatistics) {
   // corroboration; readings near the bootstrapped half are accepted.
   EXPECT_GT(result.accepted, 20u);
   EXPECT_GT(result.pending, 0u);
-  EXPECT_EQ(db.dataset(46).size(), before + result.accepted);
+  EXPECT_EQ(db.dataset_snapshot(46).size(), before + result.accepted);
   // A model still builds fine after the merge.
   EXPECT_NO_THROW(db.model(46));
 }
@@ -166,7 +166,7 @@ TEST_F(EndToEnd, ModelDescriptorCoversAreaUnlikePerQueryDatabase) {
   core::ModelConstructorConfig cfg;
   cfg.classifier = "naive_bayes";
   cfg.num_features = 2;
-  core::SpectrumDatabase db(cfg);
+  service::SpectrumService db(cfg);
   db.ingest_campaign(*data_);
   const std::string descriptor = db.download_model(46);
   constexpr std::size_t kTypicalQueryBytes = 2048;  // "a few kBs" per query

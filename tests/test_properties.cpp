@@ -10,7 +10,6 @@
 #include "waldo/campaign/labeling.hpp"
 #include "waldo/campaign/truth.hpp"
 #include "waldo/campaign/wardrive.hpp"
-#include "waldo/core/database.hpp"
 #include "waldo/core/detector.hpp"
 #include "waldo/core/protocol.hpp"
 #include "waldo/device/energy.hpp"

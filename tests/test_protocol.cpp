@@ -5,6 +5,7 @@
 #include "waldo/core/protocol.hpp"
 #include "waldo/ml/metrics.hpp"
 #include "waldo/rf/environment.hpp"
+#include "waldo/service/service.hpp"
 
 namespace waldo::core {
 namespace {
@@ -170,7 +171,7 @@ class ProtocolFixture : public ::testing::Test {
     ModelConstructorConfig mc;
     mc.classifier = "naive_bayes";
     mc.num_features = 2;
-    db_ = new SpectrumDatabase(mc);
+    db_ = new service::SpectrumService(mc);
     sensors::Sensor usrp(sensors::usrp_b200_spec(), 72);
     usrp.calibrate();
     db_->ingest_campaign(
@@ -183,11 +184,11 @@ class ProtocolFixture : public ::testing::Test {
     db_ = nullptr;
   }
   static rf::Environment* env_;
-  static SpectrumDatabase* db_;
+  static service::SpectrumService* db_;
 };
 
 rf::Environment* ProtocolFixture::env_ = nullptr;
-SpectrumDatabase* ProtocolFixture::db_ = nullptr;
+service::SpectrumService* ProtocolFixture::db_ = nullptr;
 
 TEST_F(ProtocolFixture, ClientFetchesWorkingModelThroughServer) {
   ProtocolServer server(*db_);
@@ -202,7 +203,7 @@ TEST_F(ProtocolFixture, ClientFetchesWorkingModelThroughServer) {
                                -99.0, model.num_features());
   const int decision = model.predict(row);
   EXPECT_TRUE(decision == ml::kSafe || decision == ml::kNotSafe);
-  EXPECT_EQ(db_->stats().model_downloads, 1u);
+  EXPECT_EQ(db_->counters().model_downloads, 1u);
 }
 
 TEST_F(ProtocolFixture, UnknownChannelYieldsProtocolError) {
@@ -218,9 +219,9 @@ TEST_F(ProtocolFixture, UploadsFlowThroughTheProtocol) {
   ProtocolClient client(
       [&server](const std::string& wire) { return server.handle(wire); });
 
-  std::vector<campaign::Measurement> readings(
-      db_->dataset(46).readings.begin(),
-      db_->dataset(46).readings.begin() + 10);
+  const campaign::ChannelDataset stored = db_->dataset_snapshot(46);
+  std::vector<campaign::Measurement> readings(stored.readings.begin(),
+                                              stored.readings.begin() + 10);
   for (auto& m : readings) m.position.east_m += 30.0;
   const UploadResponse response = client.upload(46, "bob", readings);
   EXPECT_EQ(response.accepted + response.rejected + response.pending, 10u);

@@ -5,8 +5,8 @@
 // every parked reading with hypot alone. Randomized interleavings of
 // trusted ingests, crowd batches and purges — accepts, rejects, parked
 // readings and promotions by several contributors — must leave
-// SpectrumDatabase, SpectrumService and the one-shot core::screen_upload
-// with exactly the oracle's ledgers, dataset bytes and pending pools.
+// SpectrumService and the one-shot core::screen_upload with exactly the
+// oracle's ledgers, dataset bytes and pending pools.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,7 @@
 
 #include "waldo/campaign/dataset_io.hpp"
 #include "waldo/codec/codec.hpp"
-#include "waldo/core/database.hpp"
+#include "waldo/core/channel_state.hpp"
 #include "waldo/geo/grid_index.hpp"
 #include "waldo/service/service.hpp"
 
@@ -246,14 +246,13 @@ struct Tally {
   std::size_t purged = 0, largest_pool = 0;
 };
 
-/// Plays `traffic` into the oracle, the one-shot screen, SpectrumDatabase
-/// and SpectrumService, and expects the same ledgers after every batch and
+/// Plays `traffic` into the oracle, the one-shot screen and
+/// SpectrumService, and expects the same ledgers after every batch and
 /// the same dataset bytes and pending pools every 50 steps and at the end.
 Tally run_differential(const std::vector<Op>& traffic,
                        const UploadPolicy& policy) {
   std::map<int, ReferenceChannel> oracle;
   std::map<int, ReferenceChannel> one_shot;
-  SpectrumDatabase database({}, {}, policy);
   service::SpectrumService service({}, {}, policy);
 
   Tally tally;
@@ -261,13 +260,9 @@ Tally run_differential(const std::vector<Op>& traffic,
     const ReferenceChannel& want = oracle.at(channel);
     const std::string want_csv = csv_bytes(want.dataset);
     const std::string want_pending = pending_bytes(want.pending);
-    EXPECT_EQ(csv_bytes(database.dataset(channel)), want_csv) << "step " << step;
     EXPECT_EQ(csv_bytes(service.dataset_snapshot(channel)), want_csv)
         << "step " << step;
     EXPECT_EQ(csv_bytes(one_shot.at(channel).dataset), want_csv)
-        << "step " << step;
-    EXPECT_EQ(pending_bytes(database.channel_state(channel).pending()),
-              want_pending)
         << "step " << step;
     for (const ChannelState& state : service.channel_states()) {
       if (state.channel() == channel) {
@@ -296,7 +291,6 @@ Tally run_differential(const std::vector<Op>& traffic,
                                      sweep.readings.end());
         }
       }
-      database.ingest_campaign(sweep);
       service.ingest_campaign(sweep);
       continue;
     }
@@ -304,7 +298,6 @@ Tally run_differential(const std::vector<Op>& traffic,
       std::size_t want = 0;
       for (auto& [channel, ref] : oracle) want += ref.purge(op.contributor);
       for (auto& [channel, ref] : one_shot) (void)ref.purge(op.contributor);
-      EXPECT_EQ(database.purge_pending(op.contributor), want) << "step " << step;
       EXPECT_EQ(service.purge_pending(op.contributor), want) << "step " << step;
       tally.purged += want;
       continue;
@@ -314,11 +307,9 @@ Tally run_differential(const std::vector<Op>& traffic,
         policy, op.readings, op.contributor, /*one_shot=*/false);
     const UploadResult shot = one_shot[op.channel].upload(
         policy, op.readings, op.contributor, /*one_shot=*/true);
-    const UploadResult db =
-        database.upload_measurements(op.channel, op.readings, op.contributor);
     const UploadResult svc =
         service.upload_measurements(op.channel, op.readings, op.contributor);
-    for (const UploadResult& got : {shot, db, svc}) {
+    for (const UploadResult& got : {shot, svc}) {
       EXPECT_EQ(got.accepted, want.accepted) << "step " << step;
       EXPECT_EQ(got.rejected, want.rejected) << "step " << step;
       EXPECT_EQ(got.pending, want.pending) << "step " << step;

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "waldo/campaign/labeling.hpp"
 #include "waldo/campaign/wardrive.hpp"
 #include "waldo/core/protocol.hpp"
 #include "waldo/core/security.hpp"
 #include "waldo/ml/metrics.hpp"
 #include "waldo/rf/environment.hpp"
+#include "waldo/service/service.hpp"
 
 namespace waldo::core {
 namespace {
@@ -28,13 +32,19 @@ class SecurityFixture : public ::testing::Test {
     data_ = nullptr;
   }
 
-  static SpectrumDatabase make_db() {
+  static std::unique_ptr<service::SpectrumService> make_db() {
     ModelConstructorConfig mc;
     mc.classifier = "naive_bayes";
     mc.num_features = 2;
-    SpectrumDatabase db(mc);
-    db.ingest_campaign(*data_);
+    auto db = std::make_unique<service::SpectrumService>(mc);
+    db->ingest_campaign(*data_);
     return db;
+  }
+
+  /// Algorithm 1 labels of the channel's stored dataset.
+  static std::vector<int> labels(const service::SpectrumService& db) {
+    const campaign::ChannelDataset ds = db.dataset_snapshot(46);
+    return campaign::label_readings(ds.positions(), ds.rss_values());
   }
 
   /// A forged-occupancy batch inside the campaign's covered area.
@@ -78,9 +88,9 @@ TEST(ForgeUploads, GeneratesPlausibleBatchInTargetArea) {
 }
 
 TEST_F(SecurityFixture, CorrelationCheckRejectsCoveredAreaForgery) {
-  SpectrumDatabase db = make_db();
+  const auto db = make_db();
   const auto result =
-      db.upload_measurements(46, covered_area_forgery(1), "mallory");
+      db->upload_measurements(46, covered_area_forgery(1), "mallory");
   // The campaign saw near-floor power there; a -60 dBm claim is implausible
   // wherever trusted readings can vouch, and unvouched spots are only held
   // pending — nothing reaches the model either way.
@@ -90,20 +100,20 @@ TEST_F(SecurityFixture, CorrelationCheckRejectsCoveredAreaForgery) {
 }
 
 TEST_F(SecurityFixture, ReputationQuarantinesRepeatOffender) {
-  SpectrumDatabase db = make_db();
+  const auto db = make_db();
   SecureUpdater updater;
   bool quarantined = false;
   for (std::uint64_t wave = 0; wave < 5 && !quarantined; ++wave) {
-    (void)updater.submit(db, 46, "mallory", covered_area_forgery(wave));
+    (void)updater.submit(*db, 46, "mallory", covered_area_forgery(wave));
     quarantined = updater.is_quarantined("mallory");
   }
   EXPECT_TRUE(quarantined);
   // Once quarantined, batches are dropped without touching the database.
-  const std::size_t before = db.stats().uploads_rejected;
+  const std::size_t before = db->counters().uploads_rejected;
   const auto result =
-      updater.submit(db, 46, "mallory", covered_area_forgery(99));
+      updater.submit(*db, 46, "mallory", covered_area_forgery(99));
   EXPECT_TRUE(result.quarantined);
-  EXPECT_EQ(db.stats().uploads_rejected, before);
+  EXPECT_EQ(db->counters().uploads_rejected, before);
 }
 
 // Regression: quarantine used to drop only *future* batches. Readings the
@@ -111,7 +121,7 @@ TEST_F(SecurityFixture, ReputationQuarantinesRepeatOffender) {
 // accomplice identity could corroborate them post-quarantine and promote
 // the stash into the trusted dataset. Quarantine must purge the pool.
 TEST_F(SecurityFixture, QuarantinePurgesPendingStash) {
-  SpectrumDatabase db = make_db();
+  const auto db = make_db();
   SecureUpdater updater;
 
   // Mallory parks a stash far outside campaign coverage: nothing can vouch
@@ -124,41 +134,41 @@ TEST_F(SecurityFixture, QuarantinePurgesPendingStash) {
   stash.forged_rss_dbm = -60.0;
   stash.num_reports = 20;
   stash.seed = 7;
-  const auto park = updater.submit(db, 46, "mallory", forge_uploads(stash));
+  const auto park = updater.submit(*db, 46, "mallory", forge_uploads(stash));
   EXPECT_EQ(park.accepted, 0u);
   EXPECT_EQ(park.pending, 20u);
-  EXPECT_EQ(db.pending_count(46), 20u);
-  const std::size_t trusted_before = db.dataset(46).size();
+  EXPECT_EQ(db->pending_count(46), 20u);
+  const std::size_t trusted_before = db->dataset_snapshot(46).size();
 
   // Covered-area forgeries trip the quarantine; the tripping batch must
   // also purge everything mallory left pending.
   std::size_t purged = 0;
   for (std::uint64_t wave = 0; wave < 5 && purged == 0; ++wave) {
-    purged = updater.submit(db, 46, "mallory", covered_area_forgery(wave))
+    purged = updater.submit(*db, 46, "mallory", covered_area_forgery(wave))
                  .purged_pending;
   }
   EXPECT_TRUE(updater.is_quarantined("mallory"));
   EXPECT_GE(purged, 20u);
-  EXPECT_EQ(db.pending_count(46), 0u);
+  EXPECT_EQ(db->pending_count(46), 0u);
 
   // The accomplice arrives after the quarantine: with mallory's stash gone
   // there is nothing to corroborate, so the sybil's echo of the same area
   // is merely parked — the trusted dataset is untouched.
   stash.seed = 8;
-  const auto echo = updater.submit(db, 46, "sybil2", forge_uploads(stash));
+  const auto echo = updater.submit(*db, 46, "sybil2", forge_uploads(stash));
   EXPECT_EQ(echo.accepted, 0u);
   EXPECT_EQ(echo.pending, 20u);
-  EXPECT_EQ(db.dataset(46).size(), trusted_before);
+  EXPECT_EQ(db->dataset_snapshot(46).size(), trusted_before);
 }
 
 TEST_F(SecurityFixture, HonestContributorGainsReputation) {
-  SpectrumDatabase db = make_db();
+  const auto db = make_db();
   SecureUpdater updater;
   // Honest uploads: real readings displaced slightly off the drive path.
   std::vector<campaign::Measurement> honest(data_->readings.begin(),
                                             data_->readings.begin() + 80);
   for (auto& m : honest) m.position.north_m += 40.0;
-  const auto result = updater.submit(db, 46, "alice", honest);
+  const auto result = updater.submit(*db, 46, "alice", honest);
   EXPECT_GT(result.accepted, 70u);
   EXPECT_FALSE(updater.is_quarantined("alice"));
   EXPECT_GT(updater.record("alice").reputation,
@@ -169,8 +179,8 @@ TEST_F(SecurityFixture, FalseVacancyCannotOpenPoisonedArea) {
   // Structural property: Algorithm 1 labels a location not-safe if ANY
   // nearby reading is hot; adding forged low readings can never flip a
   // not-safe label back to safe.
-  SpectrumDatabase db = make_db();
-  const std::vector<int> before = db.labels(46);
+  const auto db = make_db();
+  const std::vector<int> before = labels(*db);
 
   AttackConfig attack;
   attack.type = AttackType::kFalseVacancy;
@@ -178,9 +188,9 @@ TEST_F(SecurityFixture, FalseVacancyCannotOpenPoisonedArea) {
                                         24'000.0};  // occupied north
   attack.forged_rss_dbm = -86.5;  // matches the RTL floor: passes checks
   attack.num_reports = 60;
-  (void)db.upload_measurements(46, forge_uploads(attack), "mallory");
+  (void)db->upload_measurements(46, forge_uploads(attack), "mallory");
 
-  const std::vector<int> after = db.labels(46);
+  const std::vector<int> after = labels(*db);
   for (std::size_t i = 0; i < before.size(); ++i) {
     if (before[i] == ml::kNotSafe) EXPECT_EQ(after[i], ml::kNotSafe);
   }
@@ -190,8 +200,8 @@ TEST_F(SecurityFixture, ReputationComposesWithTheWireProtocol) {
   // Full online-phase stack: forged uploads arrive over WSNP, the
   // database's checks reject them, and the SecureUpdater can meanwhile
   // quarantine the identity for direct submissions.
-  SpectrumDatabase db = make_db();
-  ProtocolServer server(db);
+  const auto db = make_db();
+  ProtocolServer server(*db);
   ProtocolClient client(
       [&server](const std::string& wire) { return server.handle(wire); });
   const auto wire_result =
@@ -199,7 +209,7 @@ TEST_F(SecurityFixture, ReputationComposesWithTheWireProtocol) {
   EXPECT_EQ(wire_result.accepted, 0u);
   EXPECT_GT(wire_result.rejected, 0u);
   // Nothing forged reached the model path.
-  EXPECT_EQ(db.stats().uploads_accepted, 0u);
+  EXPECT_EQ(db->counters().uploads_accepted, 0u);
 }
 
 TEST_F(SecurityFixture, RecordLookupValidates) {

@@ -1,10 +1,11 @@
 // The serving-layer contract (docs/CONCURRENCY.md, "The serving layer"):
 // any number of concurrent downloads, uploads and malformed frames against
-// one SpectrumService leaves exactly the state a single-threaded
-// SpectrumDatabase reaches when the same upload batches are replayed in
-// the per-channel apply-ticket order — datasets, models and per-batch
-// ledgers all byte-identical. This suite (run under TSan in CI) enforces
-// that, plus the frontend's error isolation and stats accounting.
+// one SpectrumService leaves exactly the state that bare core::ChannelStates
+// reach when the same upload batches are replayed serially in the
+// per-channel apply-ticket order, with models built by a serial
+// ModelConstructor — datasets, models and per-batch ledgers all
+// byte-identical. This suite (run under TSan in CI) enforces that, plus the
+// frontend's error isolation and stats accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,8 @@
 
 #include "waldo/campaign/dataset_io.hpp"
 #include "waldo/campaign/wardrive.hpp"
+#include "waldo/core/channel_state.hpp"
+#include "waldo/core/model_constructor.hpp"
 #include "waldo/core/protocol.hpp"
 #include "waldo/rf/environment.hpp"
 #include "waldo/runtime/seed.hpp"
@@ -91,6 +94,40 @@ class ServiceFixture : public ::testing::Test {
     return os.str();
   }
 
+  /// The independent serial reference: one bare core::ChannelState per
+  /// channel, fed in order on one thread, and models built by a serial
+  /// ModelConstructor. It shares none of the service's locks or caches.
+  struct SerialReference {
+    std::map<int, core::ChannelState> channels;
+
+    SerialReference() {
+      channels[kChannelA].ingest(*data_a_);
+      channels[kChannelB].ingest(*data_b_);
+    }
+
+    core::UploadResult upload(
+        int channel, std::span<const campaign::Measurement> readings,
+        const std::string& contributor) {
+      return channels.at(channel)
+          .upload(core::UploadPolicy{}, readings, contributor)
+          .ledger;
+    }
+
+    /// Serialized model of the channel's current dataset; like a store
+    /// publishing it, the build folds every accepted reading in.
+    std::string model(int channel) {
+      core::ModelConstructorConfig config = fast_config();
+      config.threads = 1;
+      core::ChannelState& state = channels.at(channel);
+      const std::string bytes =
+          core::ModelConstructor(config)
+              .build_with_labeling(state.dataset(), campaign::LabelingConfig{})
+              .serialize();
+      state.model_built();
+      return bytes;
+    }
+  };
+
   static rf::Environment* env_;
   static geo::DrivePath* route_;
   static campaign::ChannelDataset* data_a_;
@@ -102,12 +139,10 @@ geo::DrivePath* ServiceFixture::route_ = nullptr;
 campaign::ChannelDataset* ServiceFixture::data_a_ = nullptr;
 campaign::ChannelDataset* ServiceFixture::data_b_ = nullptr;
 
-TEST_F(ServiceFixture, MatchesSpectrumDatabaseOnSerialTraffic) {
+TEST_F(ServiceFixture, MatchesSerialReferenceOnSerialTraffic) {
   SpectrumService service(fast_config());
   bootstrap(service);
-  core::SpectrumDatabase db(fast_config());
-  db.ingest_campaign(*data_a_);
-  db.ingest_campaign(*data_b_);
+  SerialReference reference;
 
   std::mt19937_64 rng(41);
   for (int i = 0; i < 10; ++i) {
@@ -115,20 +150,21 @@ TEST_F(ServiceFixture, MatchesSpectrumDatabaseOnSerialTraffic) {
     const auto batch = make_batch(*data_a_, branch);
     const core::UploadResult from_service =
         service.upload_measurements(kChannelA, batch, "alice");
-    const core::UploadResult from_db =
-        db.upload_measurements(kChannelA, batch, "alice");
-    EXPECT_EQ(from_service.accepted, from_db.accepted);
-    EXPECT_EQ(from_service.rejected, from_db.rejected);
-    EXPECT_EQ(from_service.pending, from_db.pending);
-    EXPECT_EQ(from_service.ticket, from_db.ticket);
+    const core::UploadResult from_reference =
+        reference.upload(kChannelA, batch, "alice");
+    EXPECT_EQ(from_service.accepted, from_reference.accepted);
+    EXPECT_EQ(from_service.rejected, from_reference.rejected);
+    EXPECT_EQ(from_service.pending, from_reference.pending);
+    EXPECT_EQ(from_service.ticket, from_reference.ticket);
   }
+  const core::ChannelState& state = reference.channels.at(kChannelA);
   EXPECT_EQ(csv_bytes(service.dataset_snapshot(kChannelA)),
-            csv_bytes(db.dataset(kChannelA)));
+            csv_bytes(state.dataset()));
   EXPECT_EQ(service.model(kChannelA)->serialize(),
-            db.model(kChannelA).serialize());
-  EXPECT_EQ(service.download_model(kChannelB), db.download_model(kChannelB));
-  EXPECT_EQ(service.pending_count(kChannelA), db.pending_count(kChannelA));
-  EXPECT_EQ(service.staleness(kChannelA), db.staleness(kChannelA));
+            reference.model(kChannelA));
+  EXPECT_EQ(service.download_model(kChannelB), reference.model(kChannelB));
+  EXPECT_EQ(service.pending_count(kChannelA), state.pending().size());
+  EXPECT_EQ(service.staleness(kChannelA), state.staleness());
 }
 
 TEST_F(ServiceFixture, UnknownChannelBehavesLikeDatabase) {
@@ -270,7 +306,7 @@ TEST_F(ServiceFixture, FrontendIsolatesMalformedAndThrowingRequests) {
 // The tentpole stress test: 8 worker threads and 8 client threads mix
 // model downloads, measurement uploads and malformed frames over the wire
 // against one service. Afterwards the recorded upload batches are replayed
-// in apply-ticket order against a fresh single-threaded SpectrumDatabase;
+// in apply-ticket order through the serial reference;
 // final datasets and models must match byte-for-byte, and every concurrent
 // upload ledger must equal its serial-replay counterpart.
 TEST_F(ServiceFixture, StressMatchesSerialReplay) {
@@ -326,7 +362,7 @@ TEST_F(ServiceFixture, StressMatchesSerialReplay) {
             request.contributor = contributor;
             request.readings = make_batch(base, rng);
             const std::string wire = core::encode(request);
-            // Replay must feed the database exactly what the server saw:
+            // Replay must feed the reference exactly what the server saw:
             // the wire round-trip drops server-only fields (true_rss_dbm),
             // so record the decoded form, not the in-memory original.
             rec.readings =
@@ -360,10 +396,10 @@ TEST_F(ServiceFixture, StressMatchesSerialReplay) {
   // Every download of a bootstrapped channel must have succeeded.
   for (const auto& errors : download_errors) EXPECT_TRUE(errors.empty());
 
-  // Serial replay: same per-channel batch order, single-threaded store.
-  core::SpectrumDatabase db(fast_config());
-  db.ingest_campaign(*data_a_);
-  db.ingest_campaign(*data_b_);
+  // Serial replay: same per-channel batch order, serial reference.
+  SerialReference reference;
+  std::uint64_t total_accepted = 0;
+  std::uint64_t total_rejected = 0;
   std::map<int, std::vector<const RecordedUpload*>> by_channel;
   for (const auto& thread_records : recorded) {
     for (const RecordedUpload& rec : thread_records) {
@@ -382,7 +418,9 @@ TEST_F(ServiceFixture, StressMatchesSerialReplay) {
     }
     for (const RecordedUpload* rec : uploads) {
       const core::UploadResult serial =
-          db.upload_measurements(channel, rec->readings, rec->contributor);
+          reference.upload(channel, rec->readings, rec->contributor);
+      total_accepted += serial.accepted;
+      total_rejected += serial.rejected;
       EXPECT_EQ(serial.accepted, rec->response.accepted);
       EXPECT_EQ(serial.rejected, rec->response.rejected);
       EXPECT_EQ(serial.pending, rec->response.pending);
@@ -390,20 +428,17 @@ TEST_F(ServiceFixture, StressMatchesSerialReplay) {
     }
   }
 
-  std::uint64_t total_accepted = 0;
   for (const int channel : kChannels) {
     EXPECT_EQ(csv_bytes(service.dataset_snapshot(channel)),
-              csv_bytes(db.dataset(channel)))
+              csv_bytes(reference.channels.at(channel).dataset()))
         << "dataset diverged on channel " << channel;
-    EXPECT_EQ(service.model(channel)->serialize(),
-              db.model(channel).serialize())
+    EXPECT_EQ(service.model(channel)->serialize(), reference.model(channel))
         << "model diverged on channel " << channel;
-    EXPECT_EQ(service.pending_count(channel), db.pending_count(channel));
+    EXPECT_EQ(service.pending_count(channel),
+              reference.channels.at(channel).pending().size());
   }
-  total_accepted = db.stats().uploads_accepted;
   EXPECT_EQ(service.counters().uploads_accepted, total_accepted);
-  EXPECT_EQ(service.counters().uploads_rejected,
-            db.stats().uploads_rejected);
+  EXPECT_EQ(service.counters().uploads_rejected, total_rejected);
 
   const ServiceStats stats = frontend.stats();
   EXPECT_EQ(stats.requests_served, kThreads * kRequestsPerThread);
