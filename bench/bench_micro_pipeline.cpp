@@ -17,6 +17,7 @@
 #include "waldo/core/channel_state.hpp"
 #include "waldo/core/detector.hpp"
 #include "waldo/core/features.hpp"
+#include "waldo/core/model_constructor.hpp"
 #include "waldo/dsp/detectors.hpp"
 #include "waldo/dsp/fft.hpp"
 #include "waldo/dsp/iq.hpp"
@@ -226,6 +227,39 @@ void BM_KMeansLocalities(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KMeansLocalities)->Arg(1)->Arg(0);
+
+/// One serving rebuild's model build (naive_bayes, 2 features, 3
+/// localities, serial) from a channel dataset and its Algorithm 1 labels,
+/// labeled outside the timed loop. 5,282 readings is the standard USRP
+/// sweep of channel 15; larger sizes append copies of its readings moved
+/// up to 40 m, the way accepted crowd uploads grow a channel.
+void BM_ModelBuild(benchmark::State& state) {
+  static bench::Campaign world;
+  const campaign::ChannelDataset& sweep =
+      world.dataset(bench::SensorKind::kUsrpB200, 15);
+  campaign::ChannelDataset ds = sweep;
+  std::mt19937_64 rng(10);
+  std::uniform_int_distribution<std::size_t> pick(0, sweep.size() - 1);
+  std::uniform_real_distribution<double> jitter(-40.0, 40.0);
+  while (ds.size() < static_cast<std::size_t>(state.range(0))) {
+    campaign::Measurement m = sweep.readings[pick(rng)];
+    m.position.east_m += jitter(rng);
+    m.position.north_m += jitter(rng);
+    ds.readings.push_back(std::move(m));
+  }
+  const std::vector<int> labels =
+      campaign::label_readings(ds.positions(), ds.rss_values());
+  core::ModelConstructorConfig config;
+  config.classifier = "naive_bayes";
+  config.num_features = 2;
+  config.num_localities = 3;
+  config.threads = 1;
+  const core::ModelConstructor constructor(config);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(constructor.build(ds, labels).num_localities());
+  }
+}
+BENCHMARK(BM_ModelBuild)->Arg(5282)->Arg(15000);
 
 void BM_ConvergenceFilter(benchmark::State& state) {
   std::mt19937_64 rng(7);

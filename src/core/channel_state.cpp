@@ -39,29 +39,23 @@ void index_readings(geo::GridCells& index,
   }
 }
 
-[[nodiscard]] geo::GridCells build_index(
-    const campaign::ChannelDataset& stored, const UploadPolicy& policy) {
-  geo::GridCells index(screening_cell_m(policy));
-  index_readings(index, stored, 0);
-  return index;
-}
-
-/// screen_upload against a prebuilt index over `stored`.
-UploadResult screen_indexed(const geo::GridCells& index,
-                            const campaign::ChannelDataset& stored,
-                            std::vector<PendingReading>& pending,
-                            const UploadPolicy& policy,
-                            std::span<const campaign::Measurement> readings,
-                            const std::string& contributor,
-                            std::vector<campaign::Measurement>& accepted) {
+/// The screen of one batch. `for_each_neighbour(center, fn)` calls fn(j)
+/// for every stored reading j within policy.neighbourhood_m of `center`,
+/// exactly as geo::GridCells::for_each_within over `stored` does, in any
+/// order.
+template <typename ForEachNeighbour>
+UploadResult screen_batch(const ForEachNeighbour& for_each_neighbour,
+                          const campaign::ChannelDataset& stored,
+                          std::vector<PendingReading>& pending,
+                          const UploadPolicy& policy,
+                          std::span<const campaign::Measurement> readings,
+                          const std::string& contributor,
+                          std::vector<campaign::Measurement>& accepted) {
   UploadResult result;
   // Correlation check against the stored neighbourhood (Section 3.4 /
   // secure collaborative sensing): an upload deviating wildly from what
   // nearby trusted readings saw is rejected; an upload nobody can vouch
   // for is held pending until independently corroborated.
-  const auto position_of = [&stored](std::uint32_t j) -> const geo::EnuPoint& {
-    return stored.readings[j].position;
-  };
   // A parked reading whose squared offset exceeds the padded reach is
   // farther than corroboration_m by more than the rounding of either
   // formula, so skipping it cannot change a verdict; the hypot test below
@@ -77,13 +71,12 @@ UploadResult screen_indexed(const geo::GridCells& index,
       continue;
     }
     neighbour_rss.clear();
-    index.for_each_within(m.position, policy.neighbourhood_m, position_of,
-                          [&](std::uint32_t j) {
-                            neighbour_rss.push_back(stored.readings[j].rss_dbm);
-                          });
+    for_each_neighbour(m.position, [&](std::size_t j) {
+      neighbour_rss.push_back(stored.readings[j].rss_dbm);
+    });
     if (neighbour_rss.size() >= policy.min_neighbours) {
-      // The median is an order statistic, so the order the index yields
-      // neighbours in cannot change a verdict.
+      // The median is an order statistic, so the order neighbours are
+      // visited in cannot change a verdict.
       const double median = ml::quantile(neighbour_rss, 0.5);
       if (std::abs(m.rss_dbm - median) > policy.max_deviation_db) {
         ++result.rejected;
@@ -181,8 +174,32 @@ UploadResult screen_upload(const campaign::ChannelDataset& stored,
                            const std::string& contributor,
                            std::vector<campaign::Measurement>& accepted) {
   if (readings.empty()) return {};
-  return screen_indexed(build_index(stored, policy), stored, pending, policy,
-                        readings, contributor, accepted);
+  // One linear pass over `stored` per reading, applying
+  // GridCells::for_each_within's test as it stands: the squared distance
+  // within r*r, then the reading's cell within [cell(c - r), cell(c + r)]
+  // on both axes, for cells of the index's size. No radius below 0
+  // matches.
+  const double r = policy.neighbourhood_m;
+  const double cell_m = screening_cell_m(policy);
+  const auto neighbours = [&](const geo::EnuPoint& c, const auto& fn) {
+    if (r < 0.0) return;
+    const double r2 = r * r;
+    const std::int64_t lo_e = geo::cell_coordinate(c.east_m - r, cell_m);
+    const std::int64_t hi_e = geo::cell_coordinate(c.east_m + r, cell_m);
+    const std::int64_t lo_n = geo::cell_coordinate(c.north_m - r, cell_m);
+    const std::int64_t hi_n = geo::cell_coordinate(c.north_m + r, cell_m);
+    for (std::size_t j = 0; j < stored.readings.size(); ++j) {
+      const geo::EnuPoint& p = stored.readings[j].position;
+      const double de = p.east_m - c.east_m;
+      const double dn = p.north_m - c.north_m;
+      if (!(de * de + dn * dn <= r2)) continue;
+      const std::int64_t ce = geo::cell_coordinate(p.east_m, cell_m);
+      const std::int64_t cn = geo::cell_coordinate(p.north_m, cell_m);
+      if (lo_e <= ce && ce <= hi_e && lo_n <= cn && cn <= hi_n) fn(j);
+    }
+  };
+  return screen_batch(neighbours, stored, pending, policy, readings,
+                      contributor, accepted);
 }
 
 ChannelState::ChannelState(campaign::ChannelDataset trusted)
@@ -207,11 +224,20 @@ ChannelState::Applied ChannelState::upload(
     const std::string& contributor) {
   // The cell size only tunes query cost: an index built under another
   // policy returns the same neighbours.
-  if (!index_) index_ = build_index(dataset_, policy);
+  if (!index_) {
+    index_.emplace(screening_cell_m(policy));
+    index_readings(*index_, dataset_, 0);
+  }
+  const auto position_of = [this](std::uint32_t j) -> const geo::EnuPoint& {
+    return dataset_.readings[j].position;
+  };
+  const auto neighbours = [&](const geo::EnuPoint& center, const auto& fn) {
+    index_->for_each_within(center, policy.neighbourhood_m, position_of, fn);
+  };
   std::vector<campaign::Measurement> accepted;
   Applied out;
-  out.ledger = screen_indexed(*index_, dataset_, pending_, policy, readings,
-                              contributor, accepted);
+  out.ledger = screen_batch(neighbours, dataset_, pending_, policy, readings,
+                            contributor, accepted);
   out.ledger.ticket = uploads_applied_++;
   if (!accepted.empty()) {
     const std::size_t first = dataset_.readings.size();

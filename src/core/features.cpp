@@ -6,12 +6,20 @@
 
 namespace waldo::core {
 
-std::vector<double> feature_row(const geo::EnuPoint& position, double rss_dbm,
-                                double cft_db, double aft_db,
-                                int num_features) {
+namespace {
+
+void check_feature_count(int num_features) {
   if (num_features < kMinFeatures || num_features > kMaxFeatures) {
     throw std::invalid_argument("feature count must be in [1, 4]");
   }
+}
+
+}  // namespace
+
+std::vector<double> feature_row(const geo::EnuPoint& position, double rss_dbm,
+                                double cft_db, double aft_db,
+                                int num_features) {
+  check_feature_count(num_features);
   std::vector<double> row;
   row.reserve(feature_columns(num_features));
   row.push_back(position.east_m);
@@ -22,14 +30,49 @@ std::vector<double> feature_row(const geo::EnuPoint& position, double rss_dbm,
   return row;
 }
 
-ml::Matrix build_features(const campaign::ChannelDataset& data,
-                          int num_features) {
-  ml::Matrix x;
-  for (const campaign::Measurement& m : data.readings) {
-    x.push_row(
-        feature_row(m.position, m.rss_dbm, m.cft_db, m.aft_db, num_features));
+TrainingColumns training_columns(const campaign::ChannelDataset& data,
+                                 int num_features) {
+  check_feature_count(num_features);
+  TrainingColumns out;
+  out.channel = data.channel;
+  const std::size_t n = data.readings.size();
+  out.positions.resize(n);
+  out.rss_dbm.resize(n);
+  if (num_features >= 3) out.cft_db.resize(n);
+  if (num_features >= 4) out.aft_db.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const campaign::Measurement& m = data.readings[i];
+    out.positions[i] = m.position;
+    out.rss_dbm[i] = m.rss_dbm;
+    if (num_features >= 3) out.cft_db[i] = m.cft_db;
+    if (num_features >= 4) out.aft_db[i] = m.aft_db;
+  }
+  return out;
+}
+
+ml::Matrix build_features(const TrainingColumns& data, int num_features) {
+  check_feature_count(num_features);
+  const std::size_t n = data.size();
+  if (data.rss_dbm.size() != n ||
+      (num_features >= 3 && data.cft_db.size() != n) ||
+      (num_features >= 4 && data.aft_db.size() != n)) {
+    throw std::invalid_argument("training columns of unequal length");
+  }
+  ml::Matrix x(n, feature_columns(num_features));
+  for (std::size_t i = 0; i < n; ++i) {
+    double* row = x.row_ptr(i);
+    row[0] = data.positions[i].east_m;
+    row[1] = data.positions[i].north_m;
+    if (num_features >= 2) row[2] = data.rss_dbm[i];
+    if (num_features >= 3) row[3] = data.cft_db[i];
+    if (num_features >= 4) row[4] = data.aft_db[i];
   }
   return x;
+}
+
+ml::Matrix build_features(const campaign::ChannelDataset& data,
+                          int num_features) {
+  return build_features(training_columns(data, num_features), num_features);
 }
 
 SpectralFeatures extract_spectral_features(

@@ -78,9 +78,9 @@ struct UploadResult {
 /// promoted — to `accepted`. The returned ledger's ticket is left 0;
 /// stores stamp their own apply order.
 ///
-/// One-shot form: builds a screening index over `stored` for this batch
-/// alone. ChannelState::upload keeps that index between batches and
-/// reaches the same verdicts.
+/// One-shot form: scans all of `stored` for each reading, with the exact
+/// neighbourhood test of the index that ChannelState::upload keeps between
+/// batches, and reaches the same verdicts without building that index.
 [[nodiscard]] UploadResult screen_upload(
     const campaign::ChannelDataset& stored,
     std::vector<PendingReading>& pending, const UploadPolicy& policy,

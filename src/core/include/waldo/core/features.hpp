@@ -32,6 +32,31 @@ inline constexpr int kMaxFeatures = 4;
                                               double aft_db,
                                               int num_features);
 
+/// The columns of a channel dataset that labeling and model training read:
+/// positions and RSS always, CFT only from 3 features and AFT only from 4.
+/// A serving rebuild copies these out of the shard instead of the whole
+/// dataset (80-byte readings, each with an I/Q vector).
+struct TrainingColumns {
+  int channel = 0;
+  std::vector<geo::EnuPoint> positions;
+  std::vector<double> rss_dbm;
+  std::vector<double> cft_db;  ///< empty when num_features < 3
+  std::vector<double> aft_db;  ///< empty when num_features < 4
+
+  [[nodiscard]] std::size_t size() const noexcept { return positions.size(); }
+};
+
+/// Copies the columns a `num_features` model needs out of `data`. Throws
+/// std::invalid_argument unless num_features is in [1, 4].
+[[nodiscard]] TrainingColumns training_columns(
+    const campaign::ChannelDataset& data, int num_features);
+
+/// Feature matrix over training columns, one feature_row per reading.
+/// Throws std::invalid_argument unless num_features is in [1, 4] and every
+/// column it reads is as long as `positions`.
+[[nodiscard]] ml::Matrix build_features(const TrainingColumns& data,
+                                        int num_features);
+
 /// Feature matrix over a whole dataset.
 [[nodiscard]] ml::Matrix build_features(const campaign::ChannelDataset& data,
                                         int num_features);

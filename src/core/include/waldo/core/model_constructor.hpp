@@ -9,6 +9,7 @@
 
 #include "waldo/campaign/labeling.hpp"
 #include "waldo/campaign/measurement.hpp"
+#include "waldo/core/features.hpp"
 #include "waldo/core/model.hpp"
 #include "waldo/ml/svm.hpp"
 
@@ -30,10 +31,10 @@ struct ModelConstructorConfig {
   std::uint64_t seed = 23;
   /// Worker threads for model construction (0 = all hardware threads,
   /// 1 = serial). The k per-locality classifiers train concurrently and
-  /// the k-means assignment step fans out per reading. Per-locality
-  /// randomness (the max_train_samples subsample) is seeded from
-  /// (seed + 1, locality index), so the serialized model is byte-identical
-  /// for every thread count. See docs/CONCURRENCY.md.
+  /// the k-means assignment step fans out in blocks of readings.
+  /// Per-locality randomness (the max_train_samples subsample) is seeded
+  /// from (seed + 1, locality index), so the serialized model is
+  /// byte-identical for every thread count. See docs/CONCURRENCY.md.
   unsigned threads = 0;
 };
 
@@ -45,6 +46,18 @@ class ModelConstructor {
   [[nodiscard]] const ModelConstructorConfig& config() const noexcept {
     return config_;
   }
+
+  /// Builds a model from training columns (core::training_columns of
+  /// this config's num_features) and their Algorithm 1 labels, parallel to
+  /// `data.positions`. The one build path: the dataset forms below copy
+  /// the columns out and call it.
+  [[nodiscard]] WhiteSpaceModel build(const TrainingColumns& data,
+                                      std::span<const int> labels) const;
+
+  /// Labels the columns with Algorithm 1, then builds.
+  [[nodiscard]] WhiteSpaceModel build_with_labeling(
+      const TrainingColumns& data,
+      const campaign::LabelingConfig& labeling = {}) const;
 
   /// Builds a model from a dataset and its Algorithm 1 labels (parallel to
   /// `data.readings`).

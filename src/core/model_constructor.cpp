@@ -13,21 +13,22 @@
 
 namespace waldo::core {
 
-WhiteSpaceModel ModelConstructor::build(const campaign::ChannelDataset& data,
+WhiteSpaceModel ModelConstructor::build(const TrainingColumns& data,
                                         std::span<const int> labels) const {
-  if (data.readings.empty()) {
+  const std::size_t n = data.size();
+  if (n == 0) {
     throw std::invalid_argument("cannot build a model from an empty dataset");
   }
-  if (labels.size() != data.readings.size()) {
+  if (labels.size() != n) {
     throw std::invalid_argument("labels / readings size mismatch");
   }
   runtime::StageTimer& timer = runtime::StageTimer::global();
 
   // Localities from reading locations only.
-  ml::Matrix locations(data.readings.size(), 2);
-  for (std::size_t i = 0; i < data.readings.size(); ++i) {
-    locations(i, 0) = data.readings[i].position.east_m;
-    locations(i, 1) = data.readings[i].position.north_m;
+  ml::Matrix locations(n, 2);
+  for (std::size_t i = 0; i < n; ++i) {
+    locations(i, 0) = data.positions[i].east_m;
+    locations(i, 1) = data.positions[i].north_m;
   }
   ml::KMeansConfig kmc;
   kmc.k = std::max<std::size_t>(1, config_.num_localities);
@@ -35,19 +36,19 @@ WhiteSpaceModel ModelConstructor::build(const campaign::ChannelDataset& data,
   kmc.threads = config_.threads;
   ml::KMeansResult clusters;
   {
-    const auto timing = timer.scope("model.kmeans", data.readings.size());
+    const auto timing = timer.scope("model.kmeans", n);
     clusters = ml::kmeans(locations, kmc);
   }
   const std::size_t k = clusters.centroids.rows();
 
   const ml::Matrix features = [&] {
-    const auto timing = timer.scope("model.features", data.readings.size());
+    const auto timing = timer.scope("model.features", n);
     return build_features(data, config_.num_features);
   }();
 
   // Membership lists per locality (cheap, serial).
   std::vector<std::vector<std::size_t>> members(k);
-  for (std::size_t i = 0; i < data.readings.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     members[clusters.assignment[i]].push_back(i);
   }
 
@@ -59,7 +60,7 @@ WhiteSpaceModel ModelConstructor::build(const campaign::ChannelDataset& data,
   const auto timing = timer.scope("model.train", k);
   std::vector<WhiteSpaceModel::Locality> localities =
       runtime::parallel_map(k, config_.threads, [&](std::size_t c) {
-        std::vector<std::size_t> member = members[c];
+        std::span<const std::size_t> member = members[c];
 
         WhiteSpaceModel::Locality loc;
         std::size_t safe = 0;
@@ -77,11 +78,15 @@ WhiteSpaceModel ModelConstructor::build(const campaign::ChannelDataset& data,
           return loc;
         }
 
+        // Only a subsample needs its own copy of the member list.
+        std::vector<std::size_t> sampled;
         if (config_.max_train_samples > 0 &&
             member.size() > config_.max_train_samples) {
+          sampled.assign(member.begin(), member.end());
           std::mt19937_64 rng(runtime::split_seed(config_.seed + 1, c));
-          std::shuffle(member.begin(), member.end(), rng);
-          member.resize(config_.max_train_samples);
+          std::shuffle(sampled.begin(), sampled.end(), rng);
+          sampled.resize(config_.max_train_samples);
+          member = sampled;
         }
 
         const ml::Matrix x = features.take_rows(member);
@@ -106,13 +111,23 @@ WhiteSpaceModel ModelConstructor::build(const campaign::ChannelDataset& data,
 }
 
 WhiteSpaceModel ModelConstructor::build_with_labeling(
+    const TrainingColumns& data,
+    const campaign::LabelingConfig& labeling) const {
+  const std::vector<int> labels =
+      campaign::label_readings(data.positions, data.rss_dbm, labeling);
+  return build(data, labels);
+}
+
+WhiteSpaceModel ModelConstructor::build(const campaign::ChannelDataset& data,
+                                        std::span<const int> labels) const {
+  return build(training_columns(data, config_.num_features), labels);
+}
+
+WhiteSpaceModel ModelConstructor::build_with_labeling(
     const campaign::ChannelDataset& data,
     const campaign::LabelingConfig& labeling) const {
-  const std::vector<geo::EnuPoint> positions = data.positions();
-  const std::vector<double> rss = data.rss_values();
-  const std::vector<int> labels =
-      campaign::label_readings(positions, rss, labeling);
-  return build(data, labels);
+  return build_with_labeling(training_columns(data, config_.num_features),
+                             labeling);
 }
 
 }  // namespace waldo::core

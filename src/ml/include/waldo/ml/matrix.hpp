@@ -37,6 +37,15 @@ class Matrix {
     return std::span<const double>(data_).subspan(r * cols_, cols_);
   }
 
+  /// Unchecked pointer to the first value of row `r` (rows are contiguous,
+  /// `cols()` apart) — the form the build kernels loop over.
+  [[nodiscard]] double* row_ptr(std::size_t r) noexcept {
+    return data_.data() + r * cols_;
+  }
+  [[nodiscard]] const double* row_ptr(std::size_t r) const noexcept {
+    return data_.data() + r * cols_;
+  }
+
   /// Copy of selected rows, in the given order.
   [[nodiscard]] Matrix take_rows(std::span<const std::size_t> idx) const;
 
@@ -60,5 +69,17 @@ class Matrix {
 /// Squared Euclidean distance between equal-length vectors.
 [[nodiscard]] double squared_distance(std::span<const double> a,
                                       std::span<const double> b);
+
+/// Unchecked form over `d` values at `a` and `b` (raw rows), summed in
+/// the same order.
+[[nodiscard]] inline double squared_distance(const double* a, const double* b,
+                                             std::size_t d) noexcept {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < d; ++i) {
+    const double diff = a[i] - b[i];
+    acc += diff * diff;
+  }
+  return acc;
+}
 
 }  // namespace waldo::ml

@@ -24,6 +24,14 @@ std::size_t nearest_centroid(const Matrix& centroids,
   return best;
 }
 
+namespace {
+
+/// Rows per parallel_for block of the assignment step: one body call per
+/// block, not per row.
+constexpr std::size_t kAssignBlock = 512;
+
+}  // namespace
+
 KMeansResult kmeans(const Matrix& x, const KMeansConfig& config) {
   if (x.rows() == 0) throw std::invalid_argument("kmeans: empty input");
   const std::size_t n = x.rows();
@@ -34,33 +42,36 @@ KMeansResult kmeans(const Matrix& x, const KMeansConfig& config) {
 
   // k-means++ seeding.
   Matrix centroids(k, d);
-  std::vector<double> min_d2(n, std::numeric_limits<double>::infinity());
+  const auto copy_row = [&](std::size_t from, std::size_t c) {
+    std::copy(x.row_ptr(from), x.row_ptr(from) + d, centroids.row_ptr(c));
+  };
+  // Each row's squared distance to its nearest seed while seeding, then to
+  // its assigned centroid after each assignment.
+  std::vector<double> row_d2(n, std::numeric_limits<double>::infinity());
   {
     std::uniform_int_distribution<std::size_t> first(0, n - 1);
-    const auto f = first(rng);
-    std::copy(x.row(f).begin(), x.row(f).end(), centroids.row(0).begin());
+    copy_row(first(rng), 0);
     for (std::size_t c = 1; c < k; ++c) {
+      const double* prev = centroids.row_ptr(c - 1);
       double total = 0.0;
       for (std::size_t i = 0; i < n; ++i) {
-        min_d2[i] =
-            std::min(min_d2[i], squared_distance(x.row(i),
-                                                 centroids.row(c - 1)));
-        total += min_d2[i];
+        row_d2[i] =
+            std::min(row_d2[i], squared_distance(x.row_ptr(i), prev, d));
+        total += row_d2[i];
       }
       std::size_t chosen = n - 1;
       if (total > 0.0) {
         std::uniform_real_distribution<double> u(0.0, total);
         double r = u(rng);
         for (std::size_t i = 0; i < n; ++i) {
-          if (r < min_d2[i]) {
+          if (r < row_d2[i]) {
             chosen = i;
             break;
           }
-          r -= min_d2[i];
+          r -= row_d2[i];
         }
       }
-      std::copy(x.row(chosen).begin(), x.row(chosen).end(),
-                centroids.row(c).begin());
+      copy_row(chosen, c);
     }
   }
 
@@ -69,17 +80,34 @@ KMeansResult kmeans(const Matrix& x, const KMeansConfig& config) {
   double prev_inertia = std::numeric_limits<double>::infinity();
 
   for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
-    // Assign — the O(n k d) hot step, fanned out per row. The inertia
-    // reduction runs serially afterwards so its floating-point summation
-    // order (row 0 .. n-1) never depends on the thread count.
-    runtime::parallel_for(n, config.threads, [&](std::size_t i) {
-      result.assignment[i] = nearest_centroid(centroids, x.row(i));
+    // Assign — the O(n k d) hot step, fanned out in blocks of rows. Each
+    // row keeps the squared distance to its centroid, and the inertia sums
+    // those serially afterwards, so its floating-point summation order
+    // (row 0 .. n-1) never depends on the thread count.
+    const std::size_t blocks = (n + kAssignBlock - 1) / kAssignBlock;
+    runtime::parallel_for(blocks, config.threads, [&](std::size_t b) {
+      const std::size_t end = std::min(n, (b + 1) * kAssignBlock);
+      for (std::size_t i = b * kAssignBlock; i < end; ++i) {
+        const double* row = x.row_ptr(i);
+        std::size_t best = 0;
+        double best_d2 = std::numeric_limits<double>::infinity();
+        for (std::size_t c = 0; c < k; ++c) {
+          const double d2 = squared_distance(centroids.row_ptr(c), row, d);
+          if (d2 < best_d2) {
+            best_d2 = d2;
+            best = c;
+          }
+        }
+        result.assignment[i] = best;
+        // A row no centroid is finitely near (NaN or overflowing
+        // coordinates) stays on centroid 0 and adds that distance.
+        row_d2[i] = best_d2 < std::numeric_limits<double>::infinity()
+                        ? best_d2
+                        : squared_distance(centroids.row_ptr(0), row, d);
+      }
     });
     double inertia = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      inertia += squared_distance(centroids.row(result.assignment[i]),
-                                  x.row(i));
-    }
+    for (std::size_t i = 0; i < n; ++i) inertia += row_d2[i];
     result.inertia = inertia;
     result.iterations = iter + 1;
 
@@ -89,27 +117,31 @@ KMeansResult kmeans(const Matrix& x, const KMeansConfig& config) {
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t c = result.assignment[i];
       ++counts[c];
-      for (std::size_t j = 0; j < d; ++j) sums(c, j) += x(i, j);
+      const double* row = x.row_ptr(i);
+      double* sum = sums.row_ptr(c);
+      for (std::size_t j = 0; j < d; ++j) sum[j] += row[j];
     }
     for (std::size_t c = 0; c < k; ++c) {
       if (counts[c] == 0) {
-        // Re-seed the empty cluster from the worst-fitted point.
+        // Re-seed the empty cluster from the worst-fitted point, measured
+        // against the centroids as updated so far.
         std::size_t worst = 0;
         double worst_d2 = -1.0;
         for (std::size_t i = 0; i < n; ++i) {
           const double d2 = squared_distance(
-              centroids.row(result.assignment[i]), x.row(i));
+              centroids.row_ptr(result.assignment[i]), x.row_ptr(i), d);
           if (d2 > worst_d2) {
             worst_d2 = d2;
             worst = i;
           }
         }
-        std::copy(x.row(worst).begin(), x.row(worst).end(),
-                  centroids.row(c).begin());
+        copy_row(worst, c);
         continue;
       }
+      const double* sum = sums.row_ptr(c);
+      double* centroid = centroids.row_ptr(c);
       for (std::size_t j = 0; j < d; ++j) {
-        centroids(c, j) = sums(c, j) / static_cast<double>(counts[c]);
+        centroid[j] = sum[j] / static_cast<double>(counts[c]);
       }
     }
 

@@ -21,8 +21,9 @@ Matrix Matrix::take_rows(std::span<const std::size_t> idx) const {
   Matrix out(idx.size(), cols_);
   for (std::size_t i = 0; i < idx.size(); ++i) {
     if (idx[i] >= rows_) throw std::out_of_range("take_rows index");
-    const auto src = row(idx[i]);
-    std::copy(src.begin(), src.end(), out.row(i).begin());
+    const double* src = row_ptr(idx[i]);
+    double* dst = out.row_ptr(i);
+    for (std::size_t j = 0; j < cols_; ++j) dst[j] = src[j];
   }
   return out;
 }
@@ -58,12 +59,7 @@ double squared_distance(std::span<const double> a, std::span<const double> b) {
   if (a.size() != b.size()) {
     throw std::invalid_argument("distance length mismatch");
   }
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = a[i] - b[i];
-    acc += d * d;
-  }
-  return acc;
+  return squared_distance(a.data(), b.data(), a.size());
 }
 
 }  // namespace waldo::ml

@@ -10,11 +10,14 @@
 //    per-channel writers — traffic on channel 15 never waits on channel 46.
 //    An upload screens against the shard's standing index and extends it
 //    under the same exclusive lock, so the lock is held for O(batch) work.
-//  - Model rebuilds run OUTSIDE the shard lock, from an immutable dataset
-//    snapshot taken under a brief shared lock, and are serialised by a
+//  - Model rebuilds run OUTSIDE the shard lock and are serialised by a
 //    per-shard rebuild mutex so a thundering herd of stale readers builds
-//    once. A slow rebuild never blocks downloads of other channels, and
-//    blocks this channel's uploads only for the snapshot copy.
+//    once. The shared lock covers only a copy of the columns the build
+//    reads (core::TrainingColumns: positions and RSS, plus CFT/AFT when
+//    the feature count uses them), not the whole dataset; labeling,
+//    k-means, training and serialization run after it is released. A slow
+//    rebuild never blocks downloads of other channels, and blocks this
+//    channel's uploads only for that column copy.
 //  - A rebuild runs on the request thread that found the model stale:
 //    the service builds with ModelConstructorConfig::threads = 1 whatever
 //    the caller's config says. A serving rebuild is already one of many

@@ -125,12 +125,14 @@ std::shared_ptr<const core::WhiteSpaceModel> SpectrumService::model(
   // of other channels are untouched; late arrivals for this channel queue
   // on rebuild_mutex and reuse the freshly published model.
   const std::lock_guard rebuild(s.rebuild_mutex);
-  campaign::ChannelDataset snapshot;
+  core::TrainingColumns snapshot;
   std::uint64_t built_from = 0;
   {
     const std::shared_lock lock(s.state_mutex);
     if (s.model && s.model_generation == s.generation) return s.model;
-    snapshot = s.state.dataset();  // uploads wait only for this copy
+    // Uploads wait only for this copy of the columns the build reads.
+    snapshot = core::training_columns(s.state.dataset(),
+                                      constructor_config_.num_features);
     built_from = s.generation;
   }
   const core::ModelConstructor constructor(constructor_config_);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <sstream>
 
@@ -55,6 +56,45 @@ TEST(Features, BuildMatrixFromDataset) {
   EXPECT_EQ(x.cols(), 4u);
   EXPECT_DOUBLE_EQ(x(2, 2), -82.0);
   EXPECT_DOUBLE_EQ(x(2, 3), -92.0);
+}
+
+TEST(Features, BuildMatrixMatchesFeatureRowsAndColumns) {
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> u(-120.0, 120.0);
+  campaign::ChannelDataset ds;
+  ds.channel = 21;
+  for (int i = 0; i < 37; ++i) {
+    campaign::Measurement m;
+    m.position = geo::EnuPoint{1e3 * u(rng), 1e3 * u(rng)};
+    m.rss_dbm = u(rng);
+    m.cft_db = u(rng);
+    m.aft_db = u(rng);
+    ds.readings.push_back(m);
+  }
+  for (int f = kMinFeatures; f <= kMaxFeatures; ++f) {
+    const ml::Matrix x = build_features(ds, f);
+    const TrainingColumns cols = training_columns(ds, f);
+    EXPECT_EQ(cols.channel, 21);
+    EXPECT_EQ(cols.cft_db.size(), f >= 3 ? ds.size() : 0u);
+    EXPECT_EQ(cols.aft_db.size(), f >= 4 ? ds.size() : 0u);
+    EXPECT_EQ(build_features(cols, f).data(), x.data());
+    ASSERT_EQ(x.rows(), ds.size());
+    ASSERT_EQ(x.cols(), feature_columns(f));
+    for (std::size_t i = 0; i < ds.size(); ++i) {
+      const campaign::Measurement& m = ds.readings[i];
+      const std::vector<double> row =
+          feature_row(m.position, m.rss_dbm, m.cft_db, m.aft_db, f);
+      EXPECT_TRUE(std::equal(row.begin(), row.end(), x.row(i).begin()))
+          << "features=" << f << " row " << i;
+    }
+  }
+  for (const int f : {0, 5, -1}) {
+    EXPECT_THROW((void)build_features(ds, f), std::invalid_argument);
+    EXPECT_THROW((void)training_columns(ds, f), std::invalid_argument);
+  }
+  // Columns cut for 2 features cannot feed a 3-feature matrix.
+  EXPECT_THROW((void)build_features(training_columns(ds, 2), 3),
+               std::invalid_argument);
 }
 
 TEST(MakeClassifier, KnownKindsAndErrors) {

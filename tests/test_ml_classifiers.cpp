@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "waldo/codec/codec.hpp"
 #include "waldo/ml/decision_tree.hpp"
@@ -13,6 +18,7 @@
 #include "waldo/ml/naive_bayes.hpp"
 #include "waldo/ml/standardizer.hpp"
 #include "waldo/ml/svm.hpp"
+#include "waldo/runtime/parallel.hpp"
 
 namespace waldo::ml {
 namespace {
@@ -488,6 +494,254 @@ TEST(KMeans, InertiaDecreasesWithMoreClusters) {
 
 TEST(KMeans, EmptyInputThrows) {
   EXPECT_THROW(kmeans(Matrix(), KMeansConfig{}), std::invalid_argument);
+}
+
+// ------------------------------------------------ k-means differential
+
+// ml::kmeans as it was before it ran over raw rows in blocks, kept
+// verbatim (its nearest_centroid and squared_distance too) so that the
+// oracle does not follow the library: per-row parallel_for, and an
+// inertia from a second distance pass.
+double oracle_squared_distance(std::span<const double> a,
+                               std::span<const double> b) {
+  if (a.size() != b.size()) {
+    throw std::invalid_argument("distance length mismatch");
+  }
+  double acc = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double d = a[i] - b[i];
+    acc += d * d;
+  }
+  return acc;
+}
+
+std::size_t oracle_nearest_centroid(const Matrix& centroids,
+                                    std::span<const double> x) {
+  if (centroids.rows() == 0) throw std::logic_error("no centroids");
+  std::size_t best = 0;
+  double best_d2 = std::numeric_limits<double>::infinity();
+  for (std::size_t c = 0; c < centroids.rows(); ++c) {
+    const double d2 = oracle_squared_distance(centroids.row(c), x);
+    if (d2 < best_d2) {
+      best_d2 = d2;
+      best = c;
+    }
+  }
+  return best;
+}
+
+KMeansResult oracle_kmeans(const Matrix& x, const KMeansConfig& config) {
+  if (x.rows() == 0) throw std::invalid_argument("kmeans: empty input");
+  const std::size_t n = x.rows();
+  const std::size_t d = x.cols();
+  const std::size_t k = std::max<std::size_t>(1, std::min(config.k, n));
+
+  std::mt19937_64 rng(config.seed);
+
+  // k-means++ seeding.
+  Matrix centroids(k, d);
+  std::vector<double> min_d2(n, std::numeric_limits<double>::infinity());
+  {
+    std::uniform_int_distribution<std::size_t> first(0, n - 1);
+    const auto f = first(rng);
+    std::copy(x.row(f).begin(), x.row(f).end(), centroids.row(0).begin());
+    for (std::size_t c = 1; c < k; ++c) {
+      double total = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        min_d2[i] = std::min(
+            min_d2[i], oracle_squared_distance(x.row(i), centroids.row(c - 1)));
+        total += min_d2[i];
+      }
+      std::size_t chosen = n - 1;
+      if (total > 0.0) {
+        std::uniform_real_distribution<double> u(0.0, total);
+        double r = u(rng);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (r < min_d2[i]) {
+            chosen = i;
+            break;
+          }
+          r -= min_d2[i];
+        }
+      }
+      std::copy(x.row(chosen).begin(), x.row(chosen).end(),
+                centroids.row(c).begin());
+    }
+  }
+
+  KMeansResult result;
+  result.assignment.assign(n, 0);
+  double prev_inertia = std::numeric_limits<double>::infinity();
+
+  for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
+    // Assign — the O(n k d) hot step, fanned out per row. The inertia
+    // reduction runs serially afterwards so its floating-point summation
+    // order (row 0 .. n-1) never depends on the thread count.
+    runtime::parallel_for(n, config.threads, [&](std::size_t i) {
+      result.assignment[i] = oracle_nearest_centroid(centroids, x.row(i));
+    });
+    double inertia = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      inertia += oracle_squared_distance(
+          centroids.row(result.assignment[i]), x.row(i));
+    }
+    result.inertia = inertia;
+    result.iterations = iter + 1;
+
+    // Update.
+    Matrix sums(k, d, 0.0);
+    std::vector<std::size_t> counts(k, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t c = result.assignment[i];
+      ++counts[c];
+      for (std::size_t j = 0; j < d; ++j) sums(c, j) += x(i, j);
+    }
+    for (std::size_t c = 0; c < k; ++c) {
+      if (counts[c] == 0) {
+        // Re-seed the empty cluster from the worst-fitted point.
+        std::size_t worst = 0;
+        double worst_d2 = -1.0;
+        for (std::size_t i = 0; i < n; ++i) {
+          const double d2 = oracle_squared_distance(
+              centroids.row(result.assignment[i]), x.row(i));
+          if (d2 > worst_d2) {
+            worst_d2 = d2;
+            worst = i;
+          }
+        }
+        std::copy(x.row(worst).begin(), x.row(worst).end(),
+                  centroids.row(c).begin());
+        continue;
+      }
+      for (std::size_t j = 0; j < d; ++j) {
+        centroids(c, j) = sums(c, j) / static_cast<double>(counts[c]);
+      }
+    }
+
+    if (prev_inertia - inertia <=
+        config.tolerance * std::max(prev_inertia, 1e-12)) {
+      break;
+    }
+    prev_inertia = inertia;
+  }
+
+  result.centroids = std::move(centroids);
+  return result;
+}
+
+/// Bit pattern of a double: equal iff the two values are the same bits.
+std::uint64_t bits(double v) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &v, sizeof out);
+  return out;
+}
+
+/// Bit-equality of two k-means results.
+void expect_same_clustering(const KMeansResult& got, const KMeansResult& want,
+                            const std::string& where) {
+  ASSERT_EQ(got.centroids.rows(), want.centroids.rows()) << where;
+  ASSERT_EQ(got.centroids.cols(), want.centroids.cols()) << where;
+  for (std::size_t i = 0; i < want.centroids.data().size(); ++i) {
+    ASSERT_EQ(bits(got.centroids.data()[i]), bits(want.centroids.data()[i]))
+        << where << " centroid value " << i;
+  }
+  EXPECT_EQ(got.assignment, want.assignment) << where;
+  EXPECT_EQ(bits(got.inertia), bits(want.inertia)) << where;
+  EXPECT_EQ(got.iterations, want.iterations) << where;
+}
+
+/// Runs the library kernel at threads 1 and 0 against the oracle.
+void expect_matches_oracle(const Matrix& x, std::size_t k, std::uint64_t seed,
+                           const std::string& where) {
+  KMeansConfig cfg;
+  cfg.k = k;
+  cfg.seed = seed;
+  cfg.threads = 1;
+  const KMeansResult want = oracle_kmeans(x, cfg);
+  for (const unsigned threads : {1u, 0u}) {
+    cfg.threads = threads;
+    expect_same_clustering(
+        kmeans(x, cfg), want,
+        where + " threads=" + std::to_string(threads));
+  }
+}
+
+TEST(KMeansDifferential, MatchesTheOldKernelBitForBit) {
+  std::mt19937_64 rng(91);
+  std::uniform_real_distribution<double> u(-5'000.0, 5'000.0);
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 64u, 511u, 513u, 2000u}) {
+    for (std::size_t d = 1; d <= 5; ++d) {
+      Matrix x(n, d);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < d; ++j) x(i, j) = u(rng);
+      }
+      for (const std::size_t k : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{3}, std::size_t{5}, n,
+                                  n + 4}) {
+        expect_matches_oracle(x, k, rng(),
+                              "n=" + std::to_string(n) +
+                                  " d=" + std::to_string(d) +
+                                  " k=" + std::to_string(k));
+      }
+    }
+  }
+}
+
+// Duplicate points: k-means++ runs out of distinct seeds, so clusters come
+// up empty and are re-seeded from the worst-fitted point.
+TEST(KMeansDifferential, ReseedsEmptyClustersLikeTheOldKernel) {
+  std::mt19937_64 rng(92);
+  std::uniform_int_distribution<int> spot(0, 2);
+  for (const std::size_t n : {1u, 5u, 40u, 700u}) {
+    for (std::size_t d = 1; d <= 3; ++d) {
+      Matrix same(n, d, 42.0);
+      Matrix three(n, d);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double v = 100.0 * spot(rng);
+        for (std::size_t j = 0; j < d; ++j) three(i, j) = v + j;
+      }
+      for (const std::size_t k : {std::size_t{2}, std::size_t{3},
+                                  std::size_t{4}, std::size_t{8}}) {
+        const std::string where = "n=" + std::to_string(n) +
+                                  " d=" + std::to_string(d) +
+                                  " k=" + std::to_string(k);
+        expect_matches_oracle(same, k, rng(), "same " + where);
+        expect_matches_oracle(three, k, rng(), "three spots " + where);
+      }
+    }
+  }
+}
+
+TEST(KMeansDifferential, MatchesTheOldKernelFarFromTheOrigin) {
+  std::mt19937_64 rng(93);
+  std::uniform_real_distribution<double> offset(-3'000.0, 3'000.0);
+  std::uniform_int_distribution<int> side(0, 1);
+  for (const std::size_t n : {2u, 300u, 1500u}) {
+    for (std::size_t d = 1; d <= 5; ++d) {
+      Matrix x(n, d);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < d; ++j) {
+          x(i, j) = (side(rng) == 0 ? -1e7 : 1e7) + offset(rng);
+        }
+      }
+      for (const std::size_t k : {std::size_t{1}, std::size_t{3},
+                                  std::size_t{6}}) {
+        expect_matches_oracle(x, k, rng(),
+                              "n=" + std::to_string(n) +
+                                  " d=" + std::to_string(d) +
+                                  " k=" + std::to_string(k));
+      }
+    }
+  }
+}
+
+TEST(Matrix, TakeRowsCopiesInOrderAndChecksIndices) {
+  const Matrix x = Matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}});
+  const std::vector<std::size_t> idx{2, 0, 2};
+  const Matrix y = x.take_rows(idx);
+  EXPECT_EQ(y.data(), (std::vector<double>{5.0, 6.0, 1.0, 2.0, 5.0, 6.0}));
+  const std::vector<std::size_t> bad{1, 3};
+  EXPECT_THROW((void)x.take_rows(bad), std::out_of_range);
 }
 
 }  // namespace

@@ -362,6 +362,46 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{4, tight_policy()}, Case{5, tight_policy()}),
     [](const auto& info) { return "Seed" + std::to_string(info.param.seed); });
 
+struct NeighbourhoodCase {
+  std::string name;
+  std::uint64_t seed;
+  double neighbourhood_m;
+};
+
+void PrintTo(const NeighbourhoodCase& c, std::ostream* os) { *os << c.name; }
+
+class NeighbourhoodRadiusDifferential
+    : public ::testing::TestWithParam<NeighbourhoodCase> {};
+
+// Vouching radii at the edges of the neighbourhood test, where the
+// one-shot screen's linear pass must still find exactly the neighbours of
+// the standing index: 0 (only a reading at the very spot vouches), -1 and
+// NaN (nothing vouches, so every reading goes to corroboration) and 1e7
+// (every stored reading vouches, from cells 1e7 m wide).
+TEST_P(NeighbourhoodRadiusDifferential, IndexedStoresMatchTheOracle) {
+  const NeighbourhoodCase& c = GetParam();
+  UploadPolicy policy;
+  policy.neighbourhood_m = c.neighbourhood_m;
+  const Tally tally = run_differential(make_traffic(c.seed, 500), policy);
+  EXPECT_GT(tally.accepted, 0u);
+  if (c.neighbourhood_m >= 1e7) {
+    EXPECT_GT(tally.rejected, 0u);
+    EXPECT_EQ(tally.parked, 0u);
+  } else {
+    EXPECT_GT(tally.parked, 0u);
+    EXPECT_GT(tally.promoted, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Radii, NeighbourhoodRadiusDifferential,
+    ::testing::Values(
+        NeighbourhoodCase{"Zero", 31, 0.0},
+        NeighbourhoodCase{"Negative", 32, -1.0},
+        NeighbourhoodCase{"NaN", 33, std::numeric_limits<double>::quiet_NaN()},
+        NeighbourhoodCase{"Huge", 34, 1e7}),
+    [](const auto& info) { return info.param.name; });
+
 /// Traffic that fills the pending pool. Trusted sweeps have whole-dB
 /// powers (so neighbourhoods hold duplicates) and a few infinite ones.
 /// Most crowd readings land in a wide frontier nobody vouches for, with

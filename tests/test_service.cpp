@@ -167,6 +167,41 @@ TEST_F(ServiceFixture, MatchesSerialReferenceOnSerialTraffic) {
   EXPECT_EQ(service.staleness(kChannelA), state.staleness());
 }
 
+// A rebuild copies only the columns its feature count reads out of the
+// shard. At every feature count, with a family that trains on every
+// column (svm) and one that is cheap (naive_bayes), the service must serve
+// what a serial build over the whole dataset gives.
+TEST_F(ServiceFixture, RebuildsFromColumnSnapshotAtEveryFeatureCount) {
+  for (const char* family : {"naive_bayes", "svm"}) {
+    for (int features = 1; features <= 4; ++features) {
+      core::ModelConstructorConfig config = fast_config();
+      config.classifier = family;
+      config.num_features = features;
+      SpectrumService service(config);
+      bootstrap(service);
+      (void)service.download_model(kChannelA);  // a model to invalidate
+      std::size_t accepted = 0;
+      for (int i = 0; i < 6; ++i) {
+        std::mt19937_64 branch(runtime::split_seed(57, i));
+        accepted += service
+                        .upload_measurements(
+                            kChannelA, make_batch(*data_a_, branch), "alice")
+                        .accepted;
+      }
+      ASSERT_GT(accepted, 0u);
+
+      core::ModelConstructorConfig serial = config;
+      serial.threads = 1;
+      const std::string want =
+          core::ModelConstructor(serial)
+              .build_with_labeling(service.dataset_snapshot(kChannelA))
+              .serialize();
+      EXPECT_EQ(service.download_model(kChannelA), want)
+          << family << ", " << features << " features";
+    }
+  }
+}
+
 TEST_F(ServiceFixture, UnknownChannelBehavesLikeDatabase) {
   SpectrumService service(fast_config());
   bootstrap(service);
