@@ -1,5 +1,6 @@
 #include "waldo/campaign/dataset_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <limits>
@@ -36,11 +37,22 @@ ChannelDataset read_csv(std::istream& in) {
     throw std::runtime_error("missing waldo-dataset header");
   }
   {
+    // `sensor=` comes last and takes the rest of the line: sensor names
+    // hold spaces ("USRP B200").
+    if (const auto at = line.find(" sensor="); at != std::string::npos) {
+      ds.sensor_name = line.substr(at + 8);
+      line.resize(at);
+    }
     std::istringstream hdr(line);
     std::string tok;
     while (hdr >> tok) {
-      if (tok.rfind("channel=", 0) == 0) ds.channel = std::stoi(tok.substr(8));
-      if (tok.rfind("sensor=", 0) == 0) ds.sensor_name = tok.substr(7);
+      if (tok.rfind("channel=", 0) != 0) continue;
+      const char* last = tok.data() + tok.size();
+      const auto [end, error] =
+          std::from_chars(tok.data() + 8, last, ds.channel);
+      if (error != std::errc{} || end != last) {
+        throw std::runtime_error("malformed dataset header: " + tok);
+      }
     }
   }
   if (!std::getline(in, line)) {

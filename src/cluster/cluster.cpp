@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <variant>
 
-#include "waldo/campaign/dataset_io.hpp"
 #include "waldo/cluster/wire.hpp"
-#include "waldo/core/protocol.hpp"
 
 namespace waldo::cluster {
 
@@ -99,13 +95,6 @@ TileKey Cluster::ingest_campaign(const campaign::ChannelDataset& dataset) {
   if (dataset.readings.empty()) {
     throw std::invalid_argument("refusing to ingest an empty campaign");
   }
-  // Normalize through the archival CSV form so every replica — and every
-  // future recovery replay — parses the exact same bytes. (CSV is the
-  // tier's canonical dataset representation: bit-exact round-trip, PR 3.)
-  std::ostringstream os;
-  campaign::write_csv(os, dataset);
-  const std::string csv = os.str();
-
   const Tiling tiling(config_.tile_size_m);
   // A campaign sweep belongs to the tile containing its centroid; sweeps
   // are expected to be tile-sized areas (a metro area per tile).
@@ -118,19 +107,17 @@ TileKey Cluster::ingest_campaign(const campaign::ChannelDataset& dataset) {
   centroid.north_m /= static_cast<double>(dataset.readings.size());
   const TileKey tile = tiling.tile_of(centroid);
 
-  const std::string envelope = encode_envelope(
-      {.verb = "ingest", .from = kClientNode, .tile = tile, .body = csv});
+  // The raw I/Q capture is not database state: the CFT/AFT features it
+  // feeds were computed at collection time.
+  campaign::ChannelDataset normalized = dataset;
+  for (campaign::Measurement& m : normalized.readings) m.iq = {};
   for (const NodeId id :
        replica_set(tile, config_.num_nodes, config_.replication)) {
-    const Envelope reply = decode_envelope(nodes_[id]->handle(envelope));
-    if (reply.verb != "ok") {
-      throw std::runtime_error("cluster: bootstrap ingest failed on node " +
-                               std::to_string(id));
-    }
+    nodes_[id]->ingest_campaign(tile, normalized);
   }
   {
     const std::lock_guard lock(bootstrap_mutex_);
-    bootstrap_csvs_[tile].push_back(csv);
+    bootstrap_[tile].push_back(std::move(normalized));
   }
   return tile;
 }
@@ -138,19 +125,18 @@ TileKey Cluster::ingest_campaign(const campaign::ChannelDataset& dataset) {
 campaign::ChannelDataset Cluster::normalized_campaign(
     TileKey tile, std::size_t index) const {
   const std::lock_guard lock(bootstrap_mutex_);
-  const auto it = bootstrap_csvs_.find(tile);
-  if (it == bootstrap_csvs_.end() || index >= it->second.size()) {
+  const auto it = bootstrap_.find(tile);
+  if (it == bootstrap_.end() || index >= it->second.size()) {
     throw std::out_of_range("cluster: no such bootstrap campaign");
   }
-  std::istringstream is(it->second[index]);
-  return campaign::read_csv(is);
+  return it->second[index];
 }
 
 std::vector<TileKey> Cluster::tiles() const {
   const std::lock_guard lock(bootstrap_mutex_);
   std::vector<TileKey> out;
-  out.reserve(bootstrap_csvs_.size());
-  for (const auto& [tile, csvs] : bootstrap_csvs_) out.push_back(tile);
+  out.reserve(bootstrap_.size());
+  for (const auto& [tile, campaigns] : bootstrap_) out.push_back(tile);
   return out;
 }
 
@@ -214,18 +200,16 @@ void Cluster::recover(NodeId id) {
       TileSnapshot bootstrap_only;
       {
         const std::lock_guard lock(bootstrap_mutex_);
-        for (const std::string& csv : bootstrap_csvs_.at(tile)) {
-          std::istringstream is(csv);
-          campaign::ChannelDataset dataset = campaign::read_csv(is);
+        for (const campaign::ChannelDataset& dataset : bootstrap_.at(tile)) {
           auto& states = bootstrap_only.channels;
           const auto it = std::find_if(
               states.begin(), states.end(), [&](const core::ChannelState& s) {
                 return s.channel() == dataset.channel;
               });
           if (it == states.end()) {
-            states.emplace_back(std::move(dataset));
+            states.emplace_back(dataset);
           } else {
-            it->ingest(std::move(dataset));
+            it->ingest(dataset);
           }
         }
       }

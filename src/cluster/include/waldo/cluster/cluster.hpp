@@ -3,10 +3,10 @@
 // the bootstrap / kill / recover lifecycle a control plane would drive.
 //
 // Everything observable about the cluster is reachable from here:
-// construct, ingest campaigns (bootstrap goes to every replica as the
-// same normalized CSV bytes, so replicas parse identical state), hand the
-// transport + membership to as many ClusterRouter instances as you like,
-// then kill/recover nodes while traffic flows.
+// construct, ingest campaigns (bootstrap hands every replica a copy of
+// the same dataset), hand the transport + membership to as many
+// ClusterRouter instances as you like, then kill/recover nodes while
+// traffic flows.
 //
 // kill(n) marks the node dead and wipes its state — process-crash
 // semantics, not a graceful drain. recover(n) re-admits it as kSyncing,
@@ -26,7 +26,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "waldo/campaign/measurement.hpp"
@@ -69,10 +68,10 @@ class Cluster {
   [[nodiscard]] MembershipView& membership() noexcept { return membership_; }
   [[nodiscard]] ClusterNode& node(NodeId id);
 
-  /// Bootstrap: normalizes the dataset through its CSV form (the archival
-  /// format — replicas must parse identical bytes) and ingests it on every
-  /// replica of the covering tile. Not fault-injected: bootstrap models
-  /// offline provisioning, not live traffic. Returns the tile.
+  /// Bootstrap: ingests the dataset, without its raw I/Q capture, on every
+  /// replica of the covering tile and retains it for R = 1 recovery. Not
+  /// sent through the transport: bootstrap models offline provisioning,
+  /// not live traffic. Returns the tile.
   TileKey ingest_campaign(const campaign::ChannelDataset& dataset);
 
   /// The normalized dataset exactly as replicas ingested it — the input a
@@ -103,7 +102,8 @@ class Cluster {
   std::unique_ptr<Loopback> transport_;
 
   mutable std::mutex bootstrap_mutex_;
-  std::map<TileKey, std::vector<std::string>> bootstrap_csvs_;
+  /// Every tile's bootstrap campaigns, in ingest order.
+  std::map<TileKey, std::vector<campaign::ChannelDataset>> bootstrap_;
 };
 
 }  // namespace waldo::cluster

@@ -5,20 +5,18 @@
 // Each tile owns a full SpectrumService (one core::ChannelState per
 // channel — dataset, pending pool, apply ticket, staleness counter,
 // screening index — plus models and descriptor caches) and the cluster
-// bookkeeping: a request-id dedup window and a reorder buffer for
-// replication frames that arrive while the tile is still syncing. No node
-// keeps a per-upload log: what an upload leaves behind is the readings it
-// added and, for kDedupHorizon, its dedup record.
+// bookkeeping: a request-id dedup window. No node keeps a per-upload log:
+// what an upload leaves behind is the readings it added and, for
+// kDedupHorizon, its dedup record.
 //
 // Write path. The tile's primary (first non-dead replica in HRW order)
 // applies a client upload through its service — which assigns the
 // per-channel apply ticket — and synchronously replicates {ticket,
 // request_id, verbatim client wire} to every other live replica before
-// acknowledging. Secondaries apply entries strictly in ticket order (a
-// syncing tile buffers them until its snapshot is in), so every replica
-// applies the identical byte stream in the identical order and the
-// serial-replay determinism theorem (tests/test_service.cpp) makes their
-// datasets, models and descriptors byte-identical.
+// acknowledging. Secondaries apply entries strictly in ticket order, so
+// every replica applies the identical byte stream in the identical order
+// and the serial-replay determinism theorem (tests/test_service.cpp) makes
+// their datasets, models and descriptors byte-identical.
 //
 // Safety under failure.
 //  - Exactly-once: uploads carry a request id; primaries and secondaries
@@ -33,15 +31,15 @@
 //    mutex. A primary that was just killed (or deposed by a recovery) has
 //    its final in-flight writes rejected rather than split into a second
 //    apply order.
-//  - Gap repair: with R >= 3 a primary can die after its last write
-//    reached one secondary but not another. The lagging secondary answers
-//    the next (later-ticket) entry with kNotReady, and the new primary
-//    pushes it the whole tile state instead (verb "state").
+//  - State push: a secondary that cannot apply an entry answers kNotReady,
+//    and the primary pushes it the whole tile state instead (verb
+//    "state"), taken under the primary's tile mutex. That covers a syncing
+//    tile and a gap: with R >= 3 a primary can die after its last write
+//    reached one secondary but not another.
 //  - Recovery is state transfer: a wiped node re-enters as kSyncing,
-//    buffers incoming replication, pulls each owned tile's TileSnapshot
-//    (every channel's ChannelState plus the live dedup window) from a
-//    ready peer, installs it, drains the buffer of entries the snapshot
-//    already covers or that follow it, and only then serves again — with
+//    pulls each owned tile's TileSnapshot (every channel's ChannelState
+//    plus the live dedup window) from a ready peer, installs it — unless a
+//    state push got there first — and only then serves again, with
 //    datasets and pending pools byte-identical to its peers'
 //    (test-enforced). Its cost follows the tile's size, not the number of
 //    uploads it has seen.
@@ -63,6 +61,7 @@
 #include <vector>
 
 #include "waldo/campaign/labeling.hpp"
+#include "waldo/campaign/measurement.hpp"
 #include "waldo/cluster/membership.hpp"
 #include "waldo/cluster/tiling.hpp"
 #include "waldo/cluster/transport.hpp"
@@ -87,7 +86,6 @@ struct NodeStats {
   std::uint64_t downloads_served = 0;
   std::uint64_t uploads_applied = 0;     ///< as primary
   std::uint64_t repl_applied = 0;        ///< as secondary
-  std::uint64_t repl_buffered = 0;       ///< arrived while syncing
   std::uint64_t repl_duplicates = 0;     ///< ticket already applied
   std::uint64_t repl_fenced = 0;         ///< rejected: sender not primary
   std::uint64_t dedup_hits = 0;
@@ -98,8 +96,8 @@ struct NodeStats {
   /// Replication to a live peer gave up after persistent non-transport
   /// errors (a logic fault, not a network fault); tests assert 0.
   std::uint64_t repl_abandoned = 0;
-  /// Gap repairs: full tile states pushed to a secondary that had missed a
-  /// write of a deposed primary (see handle_repl).
+  /// Full tile states pushed to a secondary that was syncing or had missed
+  /// a write of a deposed primary (see handle_repl).
   std::uint64_t state_pushes = 0;
   /// A replicated apply produced a different ticket than the primary's —
   /// a log-divergence alarm; tests assert it stays 0.
@@ -133,10 +131,12 @@ class ClusterNode {
   /// already marked the node kDead; in-flight handlers finish first.
   void wipe();
 
-  /// Recovery: installs a pulled tile snapshot (or completes a tile that
-  /// replication frames created in the buffering state) and drains
-  /// buffered replication. Idempotent on an already-synced tile. Throws if
-  /// a buffered entry cannot be applied.
+  /// Bootstrap: ingests a trusted campaign into the tile's service.
+  /// Throws if the node is down.
+  void ingest_campaign(TileKey tile, campaign::ChannelDataset dataset);
+
+  /// Recovery: installs a pulled tile snapshot. Does nothing on an
+  /// already-synced tile (a state push got there first).
   void install_snapshot(TileKey tile, TileSnapshot snapshot);
 
   // -- verification/diagnostic accessors (bypass the transport) --
@@ -159,7 +159,6 @@ class ClusterNode {
  private:
   struct Tile;
 
-  [[nodiscard]] std::string handle_ingest(const Envelope& request);
   [[nodiscard]] std::string handle_wsnp(const Envelope& request);
   [[nodiscard]] std::string handle_repl(const Envelope& request);
   [[nodiscard]] std::string handle_pull(const Envelope& request);
@@ -191,20 +190,15 @@ class ClusterNode {
   /// ticket. Caller holds the tile mutex.
   void apply_entry_locked(Tile& t, const ReplEntry& entry);
 
-  /// Applies every buffered entry that is next in its channel's ticket
-  /// order; drops already-applied duplicates. Caller holds the tile mutex.
-  void drain_reorder_locked(Tile& t);
-
   /// Synchronously replicates `entry` to every live replica other than
-  /// this node; a replica that reports a replication gap gets the whole
-  /// tile state instead. Returns false if a receiver fenced us (caller
-  /// must not ack). Caller holds the tile mutex.
+  /// this node; a replica that answers kNotReady (syncing, or a gap) gets
+  /// the whole tile state instead. Returns false if a receiver fenced us
+  /// (caller must not ack). Caller holds the tile mutex.
   [[nodiscard]] bool replicate_locked(Tile& t, TileKey key,
                                       const ReplEntry& entry);
 
-  /// Installs `snapshot` over the tile's channels and dedup window, marks
-  /// the tile synced and drains its reorder buffer. Caller holds the tile
-  /// mutex.
+  /// Installs `snapshot` over the tile's channels and dedup window and
+  /// marks the tile synced. Caller holds the tile mutex.
   void install_locked(Tile& t, TileSnapshot snapshot);
 
   /// A "state" envelope carrying the tile's TileSnapshot. Caller holds the

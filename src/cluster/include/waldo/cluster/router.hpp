@@ -21,7 +21,7 @@
 //
 // Latency accounting feeds two LatencyHistograms: one over all requests,
 // one over requests that needed more than one attempt (the failover path)
-// — the p50/p99 columns in BENCH_cluster.json.
+// — RouterStats::request_latency and failover_latency.
 #pragma once
 
 #include <atomic>

@@ -12,15 +12,14 @@
 //
 // Verbs: "wsnp" (a client WSNP request or response rides in the body —
 // the cluster never re-encodes client traffic), "repl" (a replicated
-// upload: ticket-stamped WSNP upload wire), "ingest" (a trusted campaign
-// as CSV — replicas parse the same normalized bytes, so bootstrap state is
-// identical everywhere), "pull" (state-transfer request; empty body),
-// "state" (a binary TileSnapshot: the reply to a pull, or a primary's
-// push to a secondary that reported a replication gap) and "ok" (bare
-// ack).
+// upload: ticket-stamped WSNP upload wire), "pull" (state-transfer
+// request; empty body), "state" (a binary TileSnapshot: the reply to a
+// pull, or a primary's push to a secondary that answered a repl with
+// kNotReady) and "ok" (bare ack of a repl or a state push). Bootstrap
+// campaigns are not traffic: the harness hands them to each replica.
 //
-// Bodies are length-prefixed byte strings: binary descriptors, snapshots
-// and CSVs pass through unmolested. Decode is checked the same way WSNP
+// Bodies are length-prefixed byte strings: binary descriptors and
+// snapshots pass through unmolested. Decode is checked the same way WSNP
 // is — hostile lengths, trailing garbage and truncation are rejected,
 // never trusted.
 #pragma once

@@ -41,9 +41,8 @@ struct ClusterNode::Tile {
   /// the apply. Downloads never take it.
   std::mutex mutex;
   DedupWindow dedup;
-  std::map<int, std::map<std::uint64_t, ReplEntry>> reorder;
-  /// False while the tile only buffers replication (fresh from a wipe,
-  /// waiting for install_snapshot). Client traffic requires synced.
+  /// False until a state is installed (fresh from a wipe). Client traffic
+  /// and replication require synced.
   bool synced;
 };
 
@@ -52,7 +51,6 @@ struct ClusterNode::Counters {
   std::atomic<std::uint64_t> downloads{0};
   std::atomic<std::uint64_t> uploads{0};
   std::atomic<std::uint64_t> repl_applied{0};
-  std::atomic<std::uint64_t> repl_buffered{0};
   std::atomic<std::uint64_t> repl_duplicates{0};
   std::atomic<std::uint64_t> repl_fenced{0};
   std::atomic<std::uint64_t> dedup_hits{0};
@@ -150,7 +148,6 @@ std::string ClusterNode::handle(const std::string& envelope_wire) noexcept {
     }
     if (request.verb == "wsnp") return handle_wsnp(request);
     if (request.verb == "repl") return handle_repl(request);
-    if (request.verb == "ingest") return handle_ingest(request);
     if (request.verb == "pull") return handle_pull(request);
     if (request.verb == "state") return handle_state(request);
     return error_envelope(request.tile, core::ErrorCode::kBadRequest, 0,
@@ -162,17 +159,6 @@ std::string ClusterNode::handle(const std::string& envelope_wire) noexcept {
     return error_envelope(request.tile, core::ErrorCode::kInternal, 0,
                           "unidentified failure");
   }
-}
-
-std::string ClusterNode::handle_ingest(const Envelope& request) {
-  std::istringstream is(request.body);
-  campaign::ChannelDataset dataset = campaign::read_csv(is);
-  Tile& t = tile_or_create(request.tile, /*synced=*/true);
-  const std::lock_guard lock(t.mutex);
-  t.service.ingest_campaign(std::move(dataset));
-  counters_->ingests.fetch_add(1, std::memory_order_relaxed);
-  return encode_envelope(
-      {.verb = "ok", .from = id_, .tile = request.tile, .body = {}});
 }
 
 std::string ClusterNode::handle_wsnp(const Envelope& request) {
@@ -290,7 +276,7 @@ std::string ClusterNode::handle_wsnp(const Envelope& request) {
 }
 
 std::string ClusterNode::handle_repl(const Envelope& request) {
-  ReplEntry entry = decode_repl_entry(request.body);
+  const ReplEntry entry = decode_repl_entry(request.body);
   // Fence stale writers: only the current primary may append. Checked
   // once before the tile is looked up, so a stray or fenced frame never
   // allocates a tile, and again under the tile mutex against a fresh
@@ -301,12 +287,13 @@ std::string ClusterNode::handle_repl(const Envelope& request) {
   if (!from_primary(request)) return fenced(request, entry.channel);
   const int channel = entry.channel;
   if (!t.synced) {
-    // Syncing: hold everything until install_snapshot installs the pulled
-    // state, then drain. Ack now — the entry is durable in the buffer.
-    t.reorder[channel][entry.ticket] = std::move(entry);
-    counters_->repl_buffered.fetch_add(1, std::memory_order_relaxed);
-  } else if (const std::uint64_t next = t.service.uploads_applied(channel);
-             entry.ticket < next) {
+    // Syncing: the primary answers kNotReady by pushing its whole tile
+    // state, which already holds this entry.
+    return error_envelope(request.tile, core::ErrorCode::kNotReady, channel,
+                          "tile not synced");
+  }
+  if (const std::uint64_t next = t.service.uploads_applied(channel);
+      entry.ticket < next) {
     counters_->repl_duplicates.fetch_add(1, std::memory_order_relaxed);
   } else if (entry.ticket > next) {
     // One primary replicates in ticket order and waits for each ack, so a
@@ -377,27 +364,6 @@ void ClusterNode::apply_entry_locked(Tile& t, const ReplEntry& entry) {
   counters_->repl_applied.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ClusterNode::drain_reorder_locked(Tile& t) {
-  for (auto it = t.reorder.begin(); it != t.reorder.end();) {
-    auto& pending = it->second;
-    const int channel = it->first;
-    while (!pending.empty()) {
-      const std::uint64_t next = t.service.uploads_applied(channel);
-      const auto first = pending.begin();
-      if (first->first < next) {
-        counters_->repl_duplicates.fetch_add(1, std::memory_order_relaxed);
-        pending.erase(first);
-        continue;
-      }
-      if (first->first > next) break;  // gap — wait for the missing entry
-      const ReplEntry entry = std::move(first->second);
-      pending.erase(first);
-      apply_entry_locked(t, entry);
-    }
-    it = pending.empty() ? t.reorder.erase(it) : ++it;
-  }
-}
-
 bool ClusterNode::replicate_locked(Tile& t, TileKey key,
                                    const ReplEntry& entry) {
   const auto replicas =
@@ -462,6 +428,19 @@ void ClusterNode::wipe() {
   tiles_.clear();
 }
 
+void ClusterNode::ingest_campaign(TileKey tile,
+                                  campaign::ChannelDataset dataset) {
+  const std::shared_lock lifecycle(lifecycle_mutex_);
+  if (!membership_->snapshot()->alive(id_)) {
+    throw std::runtime_error("cluster: node " + std::to_string(id_) +
+                             " is down");
+  }
+  Tile& t = tile_or_create(tile, /*synced=*/true);
+  const std::lock_guard lock(t.mutex);
+  t.service.ingest_campaign(std::move(dataset));
+  counters_->ingests.fetch_add(1, std::memory_order_relaxed);
+}
+
 void ClusterNode::install_snapshot(TileKey tile, TileSnapshot snapshot) {
   const std::shared_lock lifecycle(lifecycle_mutex_);
   Tile& t = tile_or_create(tile, /*synced=*/false);
@@ -476,7 +455,6 @@ void ClusterNode::install_locked(Tile& t, TileSnapshot snapshot) {
   }
   t.dedup.restore(snapshot.dedup, DedupWindow::Clock::now());
   t.synced = true;
-  drain_reorder_locked(t);
   counters_->installs.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -540,7 +518,6 @@ NodeStats ClusterNode::stats() const {
   out.downloads_served = c.downloads.load(std::memory_order_relaxed);
   out.uploads_applied = c.uploads.load(std::memory_order_relaxed);
   out.repl_applied = c.repl_applied.load(std::memory_order_relaxed);
-  out.repl_buffered = c.repl_buffered.load(std::memory_order_relaxed);
   out.repl_duplicates = c.repl_duplicates.load(std::memory_order_relaxed);
   out.repl_fenced = c.repl_fenced.load(std::memory_order_relaxed);
   out.dedup_hits = c.dedup_hits.load(std::memory_order_relaxed);

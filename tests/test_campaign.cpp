@@ -399,7 +399,7 @@ TEST(DatasetIo, CsvRoundTripIsBitExact) {
   };
   ChannelDataset ds;
   ds.channel = 21;
-  ds.sensor_name = "bitexact";
+  ds.sensor_name = "USRP B200";  // a space must survive the header
   for (const double v : awkward) {
     Measurement m;
     m.position = geo::EnuPoint{v, -v};
@@ -414,6 +414,8 @@ TEST(DatasetIo, CsvRoundTripIsBitExact) {
   write_csv(ss, ds);
   const ChannelDataset back = read_csv(ss);
   ASSERT_EQ(back.size(), ds.size());
+  EXPECT_EQ(back.channel, ds.channel);
+  EXPECT_EQ(back.sensor_name, ds.sensor_name);
   const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
   for (std::size_t i = 0; i < ds.size(); ++i) {
     const Measurement& a = ds.readings[i];
@@ -446,6 +448,12 @@ TEST(DatasetIo, RejectsMalformedRows) {
   // Trailing garbage after a complete row.
   std::stringstream trailing(header + "1,2,3,4,5,6,7,extra\n");
   EXPECT_THROW((void)read_csv(trailing), std::runtime_error);
+  // A channel number with trailing junk.
+  std::stringstream channel_junk(
+      "# waldo-dataset v1 channel=15x sensor=X\n"
+      "east_m,north_m,raw,rss_dbm,cft_db,aft_db,true_rss_dbm\n"
+      "1,2,3,4,5,6,7\n");
+  EXPECT_THROW((void)read_csv(channel_junk), std::runtime_error);
   // A well-formed row still parses.
   std::stringstream good(header + "1,2,3,4,5,6,7\n");
   const ChannelDataset ok = read_csv(good);

@@ -1000,5 +1000,48 @@ TEST_F(ClusterFixture, ReplicaThatMissedADeposedPrimarysWriteIsRepaired) {
   }
 }
 
+// A secondary that comes back as kSyncing while the primary takes writes
+// answers the primary's next repl with kNotReady, and one push of the
+// primary's tile state catches it up. The recovery pull that follows finds
+// the tile synced and changes nothing.
+TEST_F(ClusterFixture, SyncingSecondaryIsCaughtUpByOneStatePush) {
+  Cluster cluster(base_config(2, 2));
+  const TileKey tile = cluster.ingest_campaign(*data_a_);
+  const std::vector<NodeId> replicas = cluster.replicas_of(tile);
+  const NodeId primary = replicas[0];
+  const NodeId secondary = replicas[1];
+  ClusterRouter router(cluster.topology(), cluster.transport(),
+                       cluster.membership());
+  const geo::EnuPoint where = cluster.topology().tiling.center(tile);
+  std::mt19937_64 rng(41);
+  const auto upload = [&](const char* contributor) {
+    (void)router.upload(kChannelA, where, contributor,
+                        wire_roundtrip(kChannelA, make_batch(*data_a_, rng)));
+  };
+
+  upload("ida");
+  cluster.kill(secondary);
+  upload("jon");
+  cluster.membership().set_health(secondary, NodeHealth::kSyncing);
+  upload("kim");
+
+  EXPECT_EQ(cluster.node(primary).stats().state_pushes, 1u);
+  EXPECT_EQ(cluster.node(secondary).uploads_applied(tile, kChannelA), 3u);
+  EXPECT_EQ(cluster.node(secondary).dataset_csv(tile, kChannelA),
+            cluster.node(primary).dataset_csv(tile, kChannelA));
+
+  cluster.recover(secondary);
+  upload("lou");
+  for (const NodeId n : replicas) {
+    EXPECT_EQ(cluster.node(n).uploads_applied(tile, kChannelA), 4u)
+        << "node " << n;
+  }
+  EXPECT_EQ(cluster.node(secondary).dataset_csv(tile, kChannelA),
+            cluster.node(primary).dataset_csv(tile, kChannelA));
+  EXPECT_EQ(pending_bytes(cluster.node(secondary), tile, kChannelA),
+            pending_bytes(cluster.node(primary), tile, kChannelA));
+  EXPECT_EQ(cluster.node(primary).stats().state_pushes, 1u);
+}
+
 }  // namespace
 }  // namespace waldo::cluster

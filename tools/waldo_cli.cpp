@@ -39,15 +39,6 @@
 //       synthetic campaign and drive a mixed download/upload workload
 //       through the wire protocol; prints throughput and the frontend's
 //       ServiceStats (p50/p99 handle latency, rebuilds, bytes served).
-//   waldo cluster-bench [--nodes 4] [--replication 2] [--readings 500]
-//       [--requests 240] [--clients 3] [--upload-pct 15] [--kill 1]
-//       [--drop-pct 5] [--seed 33]
-//       Stand up the multi-node cluster tier (waldo::cluster): N
-//       in-process nodes behind a ClusterRouter, two bootstrapped metro
-//       tiles, a lossy fault-injected transport, and (with --kill 1) a
-//       mid-run kill + recovery of a tile primary. Prints throughput,
-//       retry/failover counts and the router's failover-latency
-//       percentiles. See docs/CLUSTER.md.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -59,14 +50,11 @@
 #include <random>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "waldo/campaign/dataset_io.hpp"
 #include "waldo/campaign/labeling.hpp"
 #include "waldo/campaign/wardrive.hpp"
-#include "waldo/cluster/cluster.hpp"
-#include "waldo/cluster/router.hpp"
 #include "waldo/geo/grid_index.hpp"
 #include "waldo/core/features.hpp"
 #include "waldo/core/model.hpp"
@@ -501,175 +489,11 @@ int cmd_serve_bench(const Args& args) {
   return 0;
 }
 
-int cmd_cluster_bench(const Args& args) {
-  const auto nodes =
-      static_cast<cluster::NodeId>(args.num("nodes", 4));
-  const auto replication =
-      static_cast<std::size_t>(args.num("replication", 2));
-  const auto readings = static_cast<std::size_t>(args.num("readings", 500));
-  const auto requests = static_cast<std::size_t>(args.num("requests", 240));
-  const auto clients = static_cast<int>(args.num("clients", 3));
-  const auto seed = static_cast<std::uint64_t>(args.num("seed", 33));
-  const double upload_pct = args.num("upload-pct", 15.0);
-  const double drop_pct = args.num("drop-pct", 5.0);
-  const bool kill = args.num("kill", 1) != 0;
-  if (upload_pct < 0.0 || upload_pct > 100.0) {
-    throw std::invalid_argument("--upload-pct must be in [0, 100]");
-  }
-  if (drop_pct < 0.0 || drop_pct > 50.0) {
-    throw std::invalid_argument("--drop-pct must be in [0, 50]");
-  }
-  if (clients < 1) throw std::invalid_argument("--clients must be >= 1");
-
-  // Two synthetic metro areas, two channels each — area 2 is the same
-  // sweep conducted 400 km east, which lands it in a different tile.
-  constexpr int kChannels[] = {15, 46};
-  constexpr double kAreaOffset = 400'000.0;
-  const rf::Environment world = rf::make_metro_environment();
-  const geo::DrivePath route =
-      campaign::standard_route(world, readings, seed);
-  sensors::Sensor usrp(sensors::usrp_b200_spec(), seed + 1);
-  usrp.calibrate();
-
-  cluster::ClusterConfig config;
-  config.num_nodes = nodes;
-  config.replication = replication;
-  config.tile_size_m = 200'000.0;
-  config.constructor_config.classifier = "naive_bayes";
-  config.constructor_config.num_features = 2;
-  config.upload_policy.rebuild_threshold =
-      static_cast<std::size_t>(args.num("rebuild-threshold", 25));
-  config.faults.drop_request = drop_pct / 100.0;
-  config.faults.drop_response = drop_pct / 200.0;
-  config.faults.duplicate_request = drop_pct / 200.0;
-  config.faults.delay = 0.2;
-  config.faults.max_delay_us = 100;
-  config.faults.seed = seed;
-  cluster::Cluster clu(std::move(config));
-
-  std::vector<campaign::ChannelDataset> sweeps;
-  for (const int channel : kChannels) {
-    sweeps.push_back(
-        campaign::collect_channel(world, usrp, channel, route.readings));
-  }
-  for (const int channel : kChannels) {
-    campaign::ChannelDataset far =
-        sweeps[channel == kChannels[0] ? 0 : 1];
-    for (campaign::Measurement& m : far.readings) {
-      m.position.east_m += kAreaOffset;
-    }
-    sweeps.push_back(std::move(far));
-  }
-  std::vector<cluster::TileKey> tiles;
-  tiles.push_back(clu.ingest_campaign(sweeps[0]));
-  clu.ingest_campaign(sweeps[1]);
-  tiles.push_back(clu.ingest_campaign(sweeps[2]));
-  clu.ingest_campaign(sweeps[3]);
-  std::printf("cluster: %u node(s), replication %zu, %zu tiles, "
-              "drop %.1f%%\n",
-              nodes, replication, tiles.size(), drop_pct);
-  for (std::size_t i = 0; i < tiles.size(); ++i) {
-    std::printf("  tile (%d,%d) replicas:", tiles[i].tx, tiles[i].ty);
-    for (const cluster::NodeId n : clu.replicas_of(tiles[i])) {
-      std::printf(" %u", n);
-    }
-    std::printf("\n");
-  }
-
-  cluster::RouterConfig router_config;
-  router_config.deadline = std::chrono::milliseconds(60'000);
-  router_config.backoff.base = std::chrono::nanoseconds{100'000};
-  router_config.backoff.cap = std::chrono::nanoseconds{2'000'000};
-  cluster::ClusterRouter router(clu.topology(), clu.transport(),
-                                clu.membership(), router_config);
-
-  const std::size_t per_client =
-      std::max<std::size_t>(1, requests / static_cast<std::size_t>(clients));
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> traffic;
-  for (int t = 0; t < clients; ++t) {
-    traffic.emplace_back([&, t] {
-      std::mt19937_64 rng(runtime::split_seed(seed, 100 + t));
-      std::uniform_real_distribution<double> roll(0.0, 100.0);
-      std::uniform_real_distribution<double> jitter(-40.0, 40.0);
-      for (std::size_t i = 0; i < per_client; ++i) {
-        const std::size_t area = rng() % 2;
-        const std::size_t slot = rng() % 2;
-        const int channel = kChannels[slot];
-        const campaign::ChannelDataset& sweep = sweeps[area * 2 + slot];
-        const geo::EnuPoint where =
-            clu.topology().tiling.center(tiles[area]);
-        if (roll(rng) < upload_pct) {
-          std::uniform_int_distribution<std::size_t> pick(0,
-                                                          sweep.size() - 1);
-          std::vector<campaign::Measurement> batch;
-          for (int r = 0; r < 3; ++r) {
-            campaign::Measurement m = sweep.readings[pick(rng)];
-            m.position.east_m += jitter(rng);
-            m.position.north_m += jitter(rng);
-            m.iq.clear();
-            batch.push_back(std::move(m));
-          }
-          (void)router.upload(channel, where, "cli" + std::to_string(t),
-                              batch);
-        } else {
-          (void)router.download_descriptor(channel, where);
-        }
-      }
-    });
-  }
-
-  const cluster::NodeId victim = clu.replicas_of(tiles[0])[0];
-  if (kill && nodes > 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
-    std::printf("\nkilling node %u (primary of tile (%d,%d))...\n", victim,
-                tiles[0].tx, tiles[0].ty);
-    clu.kill(victim);
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
-    clu.recover(victim);
-    std::printf("node %u recovered and resynced\n", victim);
-  }
-  for (std::thread& t : traffic) t.join();
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  const cluster::RouterStats stats = router.stats();
-  const std::size_t total = per_client * static_cast<std::size_t>(clients);
-  std::printf("\n%zu requests in %.3f s  (%.0f req/s over %d clients)\n",
-              total, seconds, static_cast<double>(total) / seconds, clients);
-  std::printf("uploads/downloads: %llu / %llu\n",
-              static_cast<unsigned long long>(stats.uploads),
-              static_cast<unsigned long long>(stats.downloads));
-  std::printf("retries: %llu, failovers: %llu, permanent failures: %llu\n",
-              static_cast<unsigned long long>(stats.retries),
-              static_cast<unsigned long long>(stats.failovers),
-              static_cast<unsigned long long>(stats.failures));
-  std::printf("request latency:  p50 %.1f us, p99 %.1f us\n",
-              stats.request_latency.p50_ns / 1e3,
-              stats.request_latency.p99_ns / 1e3);
-  std::printf("failover latency: p50 %.1f us, p99 %.1f us (%llu requests)\n",
-              stats.failover_latency.p50_ns / 1e3,
-              stats.failover_latency.p99_ns / 1e3,
-              static_cast<unsigned long long>(stats.failover_latency.count));
-  for (cluster::NodeId n = 0; n < nodes; ++n) {
-    const cluster::NodeStats ns = clu.node(n).stats();
-    std::printf("node %u: %llu uploads, %llu repl applied, %llu downloads, "
-                "%llu dedup hits%s\n",
-                n, static_cast<unsigned long long>(ns.uploads_applied),
-                static_cast<unsigned long long>(ns.repl_applied),
-                static_cast<unsigned long long>(ns.downloads_served),
-                static_cast<unsigned long long>(ns.dedup_hits),
-                kill && n == victim ? "  (killed + recovered)" : "");
-  }
-  return stats.failures == 0 ? 0 : 1;
-}
-
 void usage() {
   std::printf(
       "waldo — local and low-cost white space detection\n"
       "usage: waldo <simulate|label|train|predict|map|info|model-size|"
-      "serve-bench|cluster-bench> [--flags]\n"
+      "serve-bench> [--flags]\n"
       "see the header of tools/waldo_cli.cpp for per-command flags\n");
 }
 
@@ -700,8 +524,6 @@ int main(int argc, char** argv) {
       rc = cmd_model_size(args);
     } else if (command == "serve-bench") {
       rc = cmd_serve_bench(args);
-    } else if (command == "cluster-bench") {
-      rc = cmd_cluster_bench(args);
     } else {
       usage();
       return 1;
