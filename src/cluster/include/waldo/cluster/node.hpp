@@ -82,16 +82,10 @@ struct ClusterTopology {
 
 /// Monotonic per-node traffic counters (snapshot of atomics).
 struct NodeStats {
-  std::uint64_t ingests = 0;
-  std::uint64_t downloads_served = 0;
   std::uint64_t uploads_applied = 0;     ///< as primary
-  std::uint64_t repl_applied = 0;        ///< as secondary
-  std::uint64_t repl_duplicates = 0;     ///< ticket already applied
   std::uint64_t repl_fenced = 0;         ///< rejected: sender not primary
   std::uint64_t dedup_hits = 0;
   std::uint64_t rejected_not_owner = 0;
-  std::uint64_t rejected_not_ready = 0;
-  std::uint64_t pulls_served = 0;
   std::uint64_t snapshots_installed = 0;
   /// Replication to a live peer gave up after persistent non-transport
   /// errors (a logic fault, not a network fault); tests assert 0.

@@ -18,10 +18,6 @@
 // unique request id (derived from the router seed): a retried frame that
 // already executed hits the server's dedup table and returns the original
 // ledger — exactly-once upload semantics over an at-most-once transport.
-//
-// Latency accounting feeds two LatencyHistograms: one over all requests,
-// one over requests that needed more than one attempt (the failover path)
-// — RouterStats::request_latency and failover_latency.
 #pragma once
 
 #include <atomic>
@@ -36,7 +32,6 @@
 #include "waldo/cluster/transport.hpp"
 #include "waldo/core/protocol.hpp"
 #include "waldo/runtime/backoff.hpp"
-#include "waldo/runtime/histogram.hpp"
 
 namespace waldo::cluster {
 
@@ -48,20 +43,13 @@ struct RouterConfig {
                                  .cap = std::chrono::nanoseconds{10'000'000}};
   /// Root for request-id generation and jitter streams.
   std::uint64_t seed = 1;
-  /// Rotate downloads across ready replicas instead of always reading the
-  /// primary — the read-scaling half of the replication bargain.
-  bool spread_reads = true;
 };
 
 struct RouterStats {
   std::uint64_t requests = 0;
-  std::uint64_t uploads = 0;
-  std::uint64_t downloads = 0;
   std::uint64_t retries = 0;    ///< extra attempts beyond the first
   std::uint64_t failovers = 0;  ///< requests that needed >1 attempt
   std::uint64_t failures = 0;   ///< permanent errors + deadline misses
-  runtime::LatencyHistogram::Snapshot request_latency;
-  runtime::LatencyHistogram::Snapshot failover_latency;
 };
 
 class ClusterRouter {
@@ -99,13 +87,10 @@ class ClusterRouter {
 
   std::atomic<std::uint64_t> request_counter_{0};
   std::atomic<std::uint64_t> read_rotor_{0};
-  std::atomic<std::uint64_t> uploads_{0};
-  std::atomic<std::uint64_t> downloads_{0};
+  std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> failovers_{0};
   std::atomic<std::uint64_t> failures_{0};
-  runtime::LatencyHistogram request_latency_;
-  runtime::LatencyHistogram failover_latency_;
 };
 
 }  // namespace waldo::cluster

@@ -41,7 +41,8 @@ class Tiling {
   explicit Tiling(double tile_size_m);
 
   /// The tile containing `p` (floor division; tile (0,0) spans
-  /// [0, size) x [0, size)).
+  /// [0, size) x [0, size)). Coordinates beyond the int32 tile range
+  /// saturate to its ends, and NaN maps to 0.
   [[nodiscard]] TileKey tile_of(const geo::EnuPoint& p) const noexcept;
 
   /// Centre of a tile, for diagnostics and synthetic routing.

@@ -47,16 +47,10 @@ struct ClusterNode::Tile {
 };
 
 struct ClusterNode::Counters {
-  std::atomic<std::uint64_t> ingests{0};
-  std::atomic<std::uint64_t> downloads{0};
   std::atomic<std::uint64_t> uploads{0};
-  std::atomic<std::uint64_t> repl_applied{0};
-  std::atomic<std::uint64_t> repl_duplicates{0};
   std::atomic<std::uint64_t> repl_fenced{0};
   std::atomic<std::uint64_t> dedup_hits{0};
   std::atomic<std::uint64_t> not_owner{0};
-  std::atomic<std::uint64_t> not_ready{0};
-  std::atomic<std::uint64_t> pulls{0};
   std::atomic<std::uint64_t> installs{0};
   std::atomic<std::uint64_t> repl_abandoned{0};
   std::atomic<std::uint64_t> state_pushes{0};
@@ -165,7 +159,6 @@ std::string ClusterNode::handle_wsnp(const Envelope& request) {
   {
     const auto m = membership_->snapshot();
     if (!m->ready(id_)) {
-      counters_->not_ready.fetch_add(1, std::memory_order_relaxed);
       return error_envelope(request.tile, core::ErrorCode::kNotReady, 0,
                             "node is syncing");
     }
@@ -189,13 +182,11 @@ std::string ClusterNode::handle_wsnp(const Envelope& request) {
   if (const auto* r = std::get_if<core::ModelRequest>(&message)) {
     Tile* t = find_tile(request.tile);
     if (t == nullptr || !t->synced) {
-      counters_->not_ready.fetch_add(1, std::memory_order_relaxed);
       return error_envelope(request.tile, core::ErrorCode::kNotReady,
                             r->channel, "tile not resident");
     }
     // Reads go straight to the thread-safe service (cached descriptor fast
     // path); they never contend with the tile write mutex.
-    counters_->downloads.fetch_add(1, std::memory_order_relaxed);
     std::shared_ptr<const std::string> descriptor;
     try {
       descriptor = t->service.download_descriptor(r->channel);
@@ -222,7 +213,6 @@ std::string ClusterNode::handle_wsnp(const Envelope& request) {
 
   Tile* t = find_tile(request.tile);
   if (t == nullptr || !t->synced) {
-    counters_->not_ready.fetch_add(1, std::memory_order_relaxed);
     return error_envelope(request.tile, core::ErrorCode::kNotReady,
                           r->channel, "tile not resident");
   }
@@ -292,10 +282,9 @@ std::string ClusterNode::handle_repl(const Envelope& request) {
     return error_envelope(request.tile, core::ErrorCode::kNotReady, channel,
                           "tile not synced");
   }
+  // An entry below the next ticket is a duplicate: acked, not applied.
   if (const std::uint64_t next = t.service.uploads_applied(channel);
-      entry.ticket < next) {
-    counters_->repl_duplicates.fetch_add(1, std::memory_order_relaxed);
-  } else if (entry.ticket > next) {
+      entry.ticket > next) {
     // One primary replicates in ticket order and waits for each ack, so a
     // gap means a deposed primary's last write reached another replica
     // but not this one (possible with R >= 3). Nobody will resend it:
@@ -303,7 +292,7 @@ std::string ClusterNode::handle_repl(const Envelope& request) {
     return error_envelope(request.tile, core::ErrorCode::kNotReady, channel,
                           "replication gap: missing ticket " +
                               std::to_string(next));
-  } else {
+  } else if (entry.ticket == next) {
     apply_entry_locked(t, entry);
   }
   return encode_envelope(
@@ -311,9 +300,11 @@ std::string ClusterNode::handle_repl(const Envelope& request) {
 }
 
 std::string ClusterNode::handle_state(const Envelope& request) {
-  TileSnapshot snapshot = decode_tile_snapshot(request.body);
-  // A state push comes from the tile's primary only, fenced like repl.
+  // A state push comes from the tile's primary only, fenced like repl
+  // before its body is decoded: a stray or corrupt frame from any other
+  // sender is fenced, not answered with a decode error.
   if (!from_primary(request)) return fenced(request, 0);
+  TileSnapshot snapshot = decode_tile_snapshot(request.body);
   Tile& t = tile_or_create(request.tile, /*synced=*/false);
   const std::lock_guard lock(t.mutex);
   if (!from_primary(request)) return fenced(request, 0);
@@ -333,7 +324,6 @@ std::string ClusterNode::handle_pull(const Envelope& request) {
     return error_envelope(request.tile, core::ErrorCode::kNotReady, 0,
                           "tile not synced");
   }
-  counters_->pulls.fetch_add(1, std::memory_order_relaxed);
   return state_envelope_locked(*t, request.tile);
 }
 
@@ -361,7 +351,6 @@ void ClusterNode::apply_entry_locked(Tile& t, const ReplEntry& entry) {
     throw std::runtime_error("cluster: repl entry is not an upload");
   }
   (void)apply_locked(t, *upload, entry.request_id, entry.ticket);
-  counters_->repl_applied.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool ClusterNode::replicate_locked(Tile& t, TileKey key,
@@ -438,7 +427,6 @@ void ClusterNode::ingest_campaign(TileKey tile,
   Tile& t = tile_or_create(tile, /*synced=*/true);
   const std::lock_guard lock(t.mutex);
   t.service.ingest_campaign(std::move(dataset));
-  counters_->ingests.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ClusterNode::install_snapshot(TileKey tile, TileSnapshot snapshot) {
@@ -514,16 +502,10 @@ std::uint64_t ClusterNode::uploads_applied(TileKey tile, int channel) const {
 NodeStats ClusterNode::stats() const {
   const Counters& c = *counters_;
   NodeStats out;
-  out.ingests = c.ingests.load(std::memory_order_relaxed);
-  out.downloads_served = c.downloads.load(std::memory_order_relaxed);
   out.uploads_applied = c.uploads.load(std::memory_order_relaxed);
-  out.repl_applied = c.repl_applied.load(std::memory_order_relaxed);
-  out.repl_duplicates = c.repl_duplicates.load(std::memory_order_relaxed);
   out.repl_fenced = c.repl_fenced.load(std::memory_order_relaxed);
   out.dedup_hits = c.dedup_hits.load(std::memory_order_relaxed);
   out.rejected_not_owner = c.not_owner.load(std::memory_order_relaxed);
-  out.rejected_not_ready = c.not_ready.load(std::memory_order_relaxed);
-  out.pulls_served = c.pulls.load(std::memory_order_relaxed);
   out.snapshots_installed = c.installs.load(std::memory_order_relaxed);
   out.repl_abandoned = c.repl_abandoned.load(std::memory_order_relaxed);
   out.state_pushes = c.state_pushes.load(std::memory_order_relaxed);

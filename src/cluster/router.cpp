@@ -15,13 +15,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-[[nodiscard]] std::uint64_t elapsed_ns(Clock::time_point start) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           start)
-          .count());
-}
-
 }  // namespace
 
 ClusterRouter::ClusterRouter(ClusterTopology topology, Transport& transport,
@@ -55,23 +48,12 @@ core::Message ClusterRouter::route(const geo::EnuPoint& location,
                           request_counter_.fetch_add(1,
                                                      std::memory_order_relaxed)));
   std::size_t rotate =
-      (is_upload || !config_.spread_reads)
-          ? 0
-          : static_cast<std::size_t>(
-                read_rotor_.fetch_add(1, std::memory_order_relaxed) %
-                replicas.size());
-  std::uint64_t attempts = 0;
+      is_upload ? 0
+                : static_cast<std::size_t>(
+                      read_rotor_.fetch_add(1, std::memory_order_relaxed) %
+                      replicas.size());
+  bool failed_over = false;
   std::string last_failure = "no live replica";
-
-  const auto finish = [&](core::Message reply) {
-    const std::uint64_t ns = elapsed_ns(start);
-    request_latency_.record(ns);
-    if (attempts > 0) {
-      failovers_.fetch_add(1, std::memory_order_relaxed);
-      failover_latency_.record(ns);
-    }
-    return reply;
-  };
 
   while (true) {
     // Pick this attempt's target. Uploads chase the tile primary (first
@@ -109,7 +91,10 @@ core::Message ClusterRouter::route(const geo::EnuPoint& location,
             permanent = *err;
           }
         } else {
-          return finish(std::move(message));
+          if (failed_over) {
+            failovers_.fetch_add(1, std::memory_order_relaxed);
+          }
+          return message;
         }
       } catch (const TransportError& e) {
         last_failure = e.what();
@@ -132,7 +117,7 @@ core::Message ClusterRouter::route(const geo::EnuPoint& location,
                                last_failure);
     }
     retries_.fetch_add(1, std::memory_order_relaxed);
-    ++attempts;
+    failed_over = true;
     if (!is_upload) ++rotate;  // reads fail over to the next replica
     std::this_thread::sleep_for(backoff.next());
   }
@@ -147,7 +132,7 @@ core::UploadResponse ClusterRouter::upload(
   request.request_id = next_request_id();
   request.location = location;
   request.readings.assign(readings.begin(), readings.end());
-  uploads_.fetch_add(1, std::memory_order_relaxed);
+  requests_.fetch_add(1, std::memory_order_relaxed);
   // One wire for every attempt: the request id must not change across
   // retries or the dedup table cannot recognise them.
   const core::Message reply =
@@ -161,7 +146,7 @@ core::UploadResponse ClusterRouter::upload(
 
 std::string ClusterRouter::download_descriptor(int channel,
                                                const geo::EnuPoint& location) {
-  downloads_.fetch_add(1, std::memory_order_relaxed);
+  requests_.fetch_add(1, std::memory_order_relaxed);
   core::Message reply = route(
       location,
       core::encode(core::ModelRequest{.channel = channel,
@@ -176,14 +161,10 @@ std::string ClusterRouter::download_descriptor(int channel,
 
 RouterStats ClusterRouter::stats() const {
   RouterStats out;
-  out.uploads = uploads_.load(std::memory_order_relaxed);
-  out.downloads = downloads_.load(std::memory_order_relaxed);
-  out.requests = out.uploads + out.downloads;
+  out.requests = requests_.load(std::memory_order_relaxed);
   out.retries = retries_.load(std::memory_order_relaxed);
   out.failovers = failovers_.load(std::memory_order_relaxed);
   out.failures = failures_.load(std::memory_order_relaxed);
-  out.request_latency = request_latency_.snapshot();
-  out.failover_latency = failover_latency_.snapshot();
   return out;
 }
 

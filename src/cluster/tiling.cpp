@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
+#include "waldo/geo/grid_index.hpp"
 #include "waldo/runtime/seed.hpp"
 
 namespace waldo::cluster {
@@ -14,10 +16,21 @@ Tiling::Tiling(double tile_size_m) : tile_size_m_(tile_size_m) {
   }
 }
 
+namespace {
+
+/// geo::cell_coordinate saturated to the int32 range of a TileKey.
+[[nodiscard]] std::int32_t tile_coordinate(double v, double tile_m) noexcept {
+  using Limits = std::numeric_limits<std::int32_t>;
+  return static_cast<std::int32_t>(
+      std::clamp<std::int64_t>(geo::cell_coordinate(v, tile_m), Limits::min(),
+                               Limits::max()));
+}
+
+}  // namespace
+
 TileKey Tiling::tile_of(const geo::EnuPoint& p) const noexcept {
-  return TileKey{
-      .tx = static_cast<std::int32_t>(std::floor(p.east_m / tile_size_m_)),
-      .ty = static_cast<std::int32_t>(std::floor(p.north_m / tile_size_m_))};
+  return TileKey{.tx = tile_coordinate(p.east_m, tile_size_m_),
+                 .ty = tile_coordinate(p.north_m, tile_size_m_)};
 }
 
 geo::EnuPoint Tiling::center(TileKey tile) const noexcept {

@@ -68,19 +68,13 @@ LatencyHistogram::Snapshot LatencyHistogram::snapshot() const {
   // Bucket midpoints can overshoot the true sample values (a single
   // observation of 17 ns lands in a bucket whose midpoint is 17.5 ns), so
   // clamp every quantile to the exact recorded maximum. This keeps the
-  // p50 <= p90 <= p99 <= max invariant that sparse histograms (failover
-  // stats with a handful of samples) would otherwise violate.
+  // p50 <= p90 <= p99 <= max invariant that sparse histograms (a handful
+  // of samples) would otherwise violate.
   const double cap = static_cast<double>(out.max_ns);
   out.p50_ns = std::min(quantile(0.50), cap);
   out.p90_ns = std::min(quantile(0.90), cap);
   out.p99_ns = std::min(quantile(0.99), cap);
   return out;
-}
-
-void LatencyHistogram::reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  max_ns_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace waldo::runtime

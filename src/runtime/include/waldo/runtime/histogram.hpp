@@ -29,10 +29,6 @@ class LatencyHistogram {
   /// Point-in-time quantile summary (bucket-midpoint interpolation).
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Resets every counter to zero. Not linearisable against concurrent
-  /// record() calls — meant for between-phase reuse at quiescence.
-  void reset() noexcept;
-
   static constexpr std::size_t kBuckets = 1024;
 
  private:

@@ -78,16 +78,12 @@ ServiceStats ServiceFrontend::stats() const {
   const ServiceCounters service = service_->counters();
   out.model_downloads = service.model_downloads;
   out.uploads_accepted = service.uploads_accepted;
-  out.uploads_rejected = service.uploads_rejected;
-  out.uploads_pending = service.uploads_pending;
   out.rebuilds = service.models_built;
   out.descriptor_cache_hits = service.descriptor_cache_hits;
   out.descriptor_cache_misses = service.descriptor_cache_misses;
-  out.bytes_from_cache = service.bytes_from_cache;
   const runtime::LatencyHistogram::Snapshot latency = latency_.snapshot();
   out.p50_handle_us = latency.p50_ns / 1000.0;
   out.p99_handle_us = latency.p99_ns / 1000.0;
-  out.max_handle_us = latency.max_ns / 1000;
   return out;
 }
 

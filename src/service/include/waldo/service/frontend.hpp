@@ -4,7 +4,7 @@
 // isolation is absolute — a malformed or throwing request resolves to an
 // encoded ErrorResponse, never an exception out of a worker — and every
 // request is accounted in a ServiceStats snapshot (counts, bytes, p50/p99
-// handle latency) queryable at any time (CLI: `waldo serve-bench`).
+// handle latency) queryable at any time.
 #pragma once
 
 #include <atomic>
@@ -26,18 +26,13 @@ struct ServiceStats {
   std::uint64_t bytes_served = 0;     ///< response wire bytes
   std::uint64_t model_downloads = 0;
   std::uint64_t uploads_accepted = 0;
-  std::uint64_t uploads_rejected = 0;
-  std::uint64_t uploads_pending = 0;
   std::uint64_t rebuilds = 0;  ///< models built by the service
   /// Descriptor-cache effectiveness: downloads served from the cached
-  /// serialized descriptor vs. downloads that had to serialize, and the
-  /// bytes that came from the cache (subset of the service's bytes).
+  /// serialized descriptor vs. downloads that had to serialize.
   std::uint64_t descriptor_cache_hits = 0;
   std::uint64_t descriptor_cache_misses = 0;
-  std::uint64_t bytes_from_cache = 0;
   double p50_handle_us = 0.0;  ///< handle-latency quantiles (microseconds)
   double p99_handle_us = 0.0;
-  std::uint64_t max_handle_us = 0;
 };
 
 class ServiceFrontend {

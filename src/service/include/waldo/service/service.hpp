@@ -61,7 +61,6 @@ struct ServiceCounters {
   std::uint64_t bytes_served = 0;  ///< descriptor bytes
   std::uint64_t uploads_accepted = 0;
   std::uint64_t uploads_rejected = 0;
-  std::uint64_t uploads_pending = 0;
   /// Downloads served straight from the descriptor cached inside the
   /// model snapshot (a string copy) vs. downloads that serialized the
   /// model. hits + misses == model_downloads.
@@ -161,7 +160,6 @@ class SpectrumService final : public core::SpectrumStore {
   std::atomic<std::uint64_t> bytes_served_{0};
   std::atomic<std::uint64_t> uploads_accepted_{0};
   std::atomic<std::uint64_t> uploads_rejected_{0};
-  std::atomic<std::uint64_t> uploads_pending_{0};
   std::atomic<std::uint64_t> descriptor_cache_hits_{0};
   std::atomic<std::uint64_t> descriptor_cache_misses_{0};
   std::atomic<std::uint64_t> bytes_from_cache_{0};

@@ -206,7 +206,6 @@ core::UploadResult SpectrumService::upload_measurements(
   }
   uploads_accepted_.fetch_add(result.accepted, std::memory_order_relaxed);
   uploads_rejected_.fetch_add(result.rejected, std::memory_order_relaxed);
-  uploads_pending_.fetch_add(result.pending, std::memory_order_relaxed);
   return result;
 }
 
@@ -260,7 +259,6 @@ ServiceCounters SpectrumService::counters() const {
   out.bytes_served = bytes_served_.load(std::memory_order_relaxed);
   out.uploads_accepted = uploads_accepted_.load(std::memory_order_relaxed);
   out.uploads_rejected = uploads_rejected_.load(std::memory_order_relaxed);
-  out.uploads_pending = uploads_pending_.load(std::memory_order_relaxed);
   out.descriptor_cache_hits =
       descriptor_cache_hits_.load(std::memory_order_relaxed);
   out.descriptor_cache_misses =

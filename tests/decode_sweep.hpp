@@ -1,0 +1,45 @@
+// Exhaustive corruption sweep for decoders of network bytes: every strict
+// prefix of a valid frame and every single-bit flip of it. The sanitizer
+// CI job runs the suites that use it, so an over-read shows up there too.
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <exception>
+#include <stdexcept>
+#include <string>
+
+namespace waldo::testing {
+
+/// Every strict prefix of `good` must throw std::runtime_error. Every
+/// single-bit flip must either decode or throw std::runtime_error — never
+/// another exception type.
+template <typename Decode>
+void expect_truncations_rejected_and_flips_contained(const std::string& good,
+                                                     Decode decode) {
+  ASSERT_NO_THROW((void)decode(good));
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    EXPECT_THROW((void)decode(good.substr(0, len)), std::runtime_error)
+        << "truncation to " << len << " of " << good.size() << " bytes";
+  }
+  for (std::size_t byte = 0; byte < good.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bad = good;
+      bad[byte] = static_cast<char>(bad[byte] ^ (1 << bit));
+      try {
+        (void)decode(bad);
+      } catch (const std::runtime_error&) {
+        // a clean rejection
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "flip of bit " << bit << " in byte " << byte
+                      << " threw a non-runtime_error: " << e.what();
+      } catch (...) {
+        ADD_FAILURE() << "flip of bit " << bit << " in byte " << byte
+                      << " threw a non-standard exception";
+      }
+    }
+  }
+}
+
+}  // namespace waldo::testing

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <random>
 #include <set>
@@ -18,6 +19,7 @@
 #include <variant>
 #include <vector>
 
+#include "decode_sweep.hpp"
 #include "waldo/campaign/dataset_io.hpp"
 #include "waldo/campaign/wardrive.hpp"
 #include "waldo/cluster/cluster.hpp"
@@ -47,6 +49,24 @@ TEST(Tiling, FloorDivisionPlacesPointsAndCentersRoundTrip) {
   EXPECT_EQ(tiling.tile_of({-0.5, -1500.0}), (TileKey{-1, -2}));
   const TileKey t{3, -7};
   EXPECT_EQ(tiling.tile_of(tiling.center(t)), t);
+}
+
+// A device can send any location; one no map holds still gets a defined
+// tile. NaN maps to 0, and anything past the int32 tile range saturates
+// (a plain float-to-int cast would be undefined behaviour, which the UBSan
+// job catches).
+TEST(Tiling, ClampsImpossibleCoordinates) {
+  const Tiling tiling(1000.0);
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  EXPECT_EQ(tiling.tile_of({kNaN, kNaN}), (TileKey{0, 0}));
+  EXPECT_EQ(tiling.tile_of({kNaN, 2500.0}), (TileKey{0, 2}));
+  EXPECT_EQ(tiling.tile_of({1e300, -1e300}), (TileKey{kMax, kMin}));
+  EXPECT_EQ(tiling.tile_of({-1e300, 1e300}), (TileKey{kMin, kMax}));
+  EXPECT_EQ(tiling.tile_of({kInf, -kInf}), (TileKey{kMax, kMin}));
+  EXPECT_EQ(tiling.tile_of({-kInf, kInf}), (TileKey{kMin, kMax}));
 }
 
 TEST(Tiling, RejectsNonPositiveTileSize) {
@@ -202,6 +222,36 @@ TEST(ClusterWire, SnapshotRejectsEveryTruncationAndBitFlip) {
           << "flip of bit " << bit << " in byte " << byte << " accepted";
     }
   }
+}
+
+// The text framings get the same sweep: a CLSTR envelope carrying a WSNP
+// upload, and a repl entry.
+TEST(ClusterWire, EnvelopeAndReplEntryRejectEveryTruncationAndContainFlips) {
+  core::UploadRequest upload;
+  upload.channel = kChannelB;
+  upload.contributor = "bob";
+  upload.request_id = 77;
+  upload.location = {1234.5, -987.25};
+  for (int i = 0; i < 3; ++i) {
+    campaign::Measurement m;
+    m.position = {1234.5 + i, -987.25 - i};
+    m.rss_dbm = -83.0625 - i;
+    upload.readings.push_back(m);
+  }
+  const std::string upload_wire = core::encode(upload);
+
+  waldo::testing::expect_truncations_rejected_and_flips_contained(
+      encode_envelope({.verb = "wsnp",
+                       .from = kClientNode,
+                       .tile = TileKey{-5, 17},
+                       .body = upload_wire}),
+      [](const std::string& bytes) { return decode_envelope(bytes); });
+  waldo::testing::expect_truncations_rejected_and_flips_contained(
+      encode_repl_entry({.channel = kChannelB,
+                         .ticket = 12,
+                         .request_id = 77,
+                         .upload_wire = upload_wire}),
+      [](const std::string& bytes) { return decode_repl_entry(bytes); });
 }
 
 // ------------------------------------------------------------ dedup window
@@ -809,11 +859,13 @@ TEST_F(ClusterFixture, ReplicationOneRecoveryRestoresBootstrapState) {
   EXPECT_FALSE(router.download_descriptor(kChannelA, where).empty());
 }
 
-// A replication frame from a node that is not the tile's primary, for a
-// tile this node does not hold, is fenced before anything is allocated.
-TEST_F(ClusterFixture, FencedReplFrameAllocatesNoTile) {
-  Cluster cluster(base_config(4, 2));
-  const TileKey tile = cluster.ingest_campaign(*data_a_);
+/// Sends a `verb` frame with `body` for `tile` from one of its secondaries
+/// to a node outside its replica set, and expects it fenced before
+/// anything is decoded or allocated: kNotOwner, one fenced frame counted
+/// and no new tile.
+void expect_fenced_by_outsider(Cluster& cluster, TileKey tile,
+                               const std::string& verb,
+                               const std::string& body) {
   const std::vector<NodeId> replicas = cluster.replicas_of(tile);
   NodeId outsider = 0;
   while (std::find(replicas.begin(), replicas.end(), outsider) !=
@@ -824,20 +876,37 @@ TEST_F(ClusterFixture, FencedReplFrameAllocatesNoTile) {
   const std::vector<TileKey> before = node.tiles();
 
   const std::string wire = encode_envelope(
-      {.verb = "repl",
+      {.verb = verb,
        .from = replicas[1],  // a secondary, not the primary
        .tile = tile,
-       .body = encode_repl_entry({.channel = kChannelA,
-                                  .ticket = 0,
-                                  .request_id = 9,
-                                  .upload_wire = "stray"})});
+       .body = body});
   const Envelope reply = decode_envelope(node.handle(wire));
   const core::Message message = core::decode(reply.body);
   const auto* error = std::get_if<core::ErrorResponse>(&message);
   ASSERT_NE(error, nullptr);
-  EXPECT_EQ(error->code, core::ErrorCode::kNotOwner);
+  EXPECT_EQ(error->code, core::ErrorCode::kNotOwner) << error->reason;
   EXPECT_EQ(node.tiles(), before);
   EXPECT_EQ(node.stats().repl_fenced, 1u);
+}
+
+// A replication frame from a node that is not the tile's primary, for a
+// tile this node does not hold, is fenced before anything is allocated.
+TEST_F(ClusterFixture, FencedReplFrameAllocatesNoTile) {
+  Cluster cluster(base_config(4, 2));
+  const TileKey tile = cluster.ingest_campaign(*data_a_);
+  expect_fenced_by_outsider(cluster, tile, "repl",
+                            encode_repl_entry({.channel = kChannelA,
+                                               .ticket = 0,
+                                               .request_id = 9,
+                                               .upload_wire = "stray"}));
+}
+
+// A state push is fenced the same way, before its snapshot is decoded: a
+// corrupt one from a non-primary is a fenced frame, not an internal error.
+TEST_F(ClusterFixture, FencedStateFrameIsNotDecoded) {
+  Cluster cluster(base_config(4, 2));
+  const TileKey tile = cluster.ingest_campaign(*data_a_);
+  expect_fenced_by_outsider(cluster, tile, "state", "not a snapshot");
 }
 
 // No node keeps a per-upload log: uploads that change nothing but the

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "decode_sweep.hpp"
 #include "waldo/campaign/wardrive.hpp"
 #include "waldo/core/features.hpp"
+#include "waldo/core/model_constructor.hpp"
 #include "waldo/core/protocol.hpp"
 #include "waldo/ml/metrics.hpp"
 #include "waldo/rf/environment.hpp"
@@ -278,6 +280,52 @@ TEST_F(ProtocolFixture, ServerSurvivesGarbageAndWrongMessages) {
   const Message reply2 =
       decode(server.handle(encode(UploadResponse{.accepted = 1})));
   EXPECT_NE(std::get_if<ErrorResponse>(&reply2), nullptr);
+}
+
+// Every WSNP message type, cut short at any length, is rejected; with any
+// single bit flipped it either decodes or is rejected with
+// std::runtime_error. The model response carries a real binary descriptor.
+TEST_F(ProtocolFixture, DecodeRejectsEveryTruncationAndContainsEveryBitFlip) {
+  // Channel 46 labels one class everywhere on this route, which would
+  // collapse every locality to a constant; label by side of the map
+  // instead so that the descriptor holds a trained SVM.
+  const campaign::ChannelDataset dataset = db_->dataset_snapshot(46);
+  std::vector<int> labels;
+  for (const campaign::Measurement& m : dataset.readings) {
+    labels.push_back(m.position.east_m < 5000.0 ? ml::kSafe : ml::kNotSafe);
+  }
+  const std::string descriptor =
+      ModelConstructor().build(dataset, labels).serialize();
+
+  UploadRequest upload;
+  upload.channel = 46;
+  upload.contributor = "alice";
+  upload.request_id = 0xC0FFEE;
+  upload.location = geo::EnuPoint{5000.0, -250.5};
+  for (int i = 0; i < 3; ++i) {
+    campaign::Measurement m;
+    m.position = geo::EnuPoint{5000.0 + 12.25 * i, -250.5 - 7.0 * i};
+    m.raw = -80.5 - i;
+    m.rss_dbm = -86.125 - i;
+    m.cft_db = -97.0 - i;
+    m.aft_db = -99.5 - i;
+    upload.readings.push_back(m);
+  }
+
+  const Message messages[] = {
+      ModelRequest{.channel = 46, .location = geo::EnuPoint{1234.5, -678.9}},
+      ModelResponse{.channel = 46, .descriptor = descriptor},
+      upload,
+      UploadResponse{.accepted = 5, .rejected = 2, .pending = 1, .ticket = 41},
+      ErrorResponse{.reason = "tile not resident",
+                    .code = ErrorCode::kNotReady,
+                    .channel = 46}};
+  for (const Message& message : messages) {
+    const std::string wire = encode(message);
+    SCOPED_TRACE(wire.substr(0, wire.find('\n')));
+    waldo::testing::expect_truncations_rejected_and_flips_contained(
+        wire, [](const std::string& bytes) { return decode(bytes); });
+  }
 }
 
 }  // namespace

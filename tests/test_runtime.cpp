@@ -245,9 +245,6 @@ TEST(LatencyHistogram, ConcurrentRecordsAllCounted) {
   EXPECT_LE(snap.p50_ns, snap.p90_ns);
   EXPECT_LE(snap.p90_ns, snap.p99_ns);
   EXPECT_LE(snap.p99_ns, static_cast<double>(snap.max_ns) * 1.07);
-
-  h.reset();
-  EXPECT_EQ(h.snapshot().count, 0u);
 }
 
 // Regression: bucket-midpoint interpolation reported quantiles above the

@@ -33,18 +33,10 @@
 //       binary descriptor size — the paper's Section 5 ~4 kB Naive Bayes
 //       vs ~40 kB SVM comparison. --json 1 emits the table as JSON on
 //       stdout.
-//   waldo serve-bench [--readings 900] [--channels 15,46] [--requests 4000]
-//       [--workers 0] [--upload-pct 15] [--rebuild-threshold 25] [--seed 33]
-//       Stand up the concurrent serving layer (waldo::service) over a
-//       synthetic campaign and drive a mixed download/upload workload
-//       through the wire protocol; prints throughput and the frontend's
-//       ServiceStats (p50/p99 handle latency, rebuilds, bytes served).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <map>
 #include <optional>
 #include <random>
@@ -60,14 +52,10 @@
 #include "waldo/core/model.hpp"
 #include "waldo/core/model_constructor.hpp"
 #include "waldo/ml/metrics.hpp"
-#include "waldo/core/protocol.hpp"
 #include "waldo/rf/environment.hpp"
-#include "waldo/runtime/seed.hpp"
 #include "waldo/runtime/stage_timer.hpp"
 #include "waldo/runtime/thread_pool.hpp"
 #include "waldo/sensors/sensor.hpp"
-#include "waldo/service/frontend.hpp"
-#include "waldo/service/service.hpp"
 
 namespace {
 
@@ -384,116 +372,11 @@ int cmd_model_size(const Args& args) {
   return 0;
 }
 
-int cmd_serve_bench(const Args& args) {
-  const auto readings = static_cast<std::size_t>(args.num("readings", 900));
-  const auto requests = static_cast<std::size_t>(args.num("requests", 4000));
-  const auto seed = static_cast<std::uint64_t>(args.num("seed", 33));
-  const double upload_pct = args.num("upload-pct", 15.0);
-  if (upload_pct < 0.0 || upload_pct > 100.0) {
-    throw std::invalid_argument("--upload-pct must be in [0, 100]");
-  }
-  const unsigned workers =
-      static_cast<unsigned>(args.num("workers", 0));
-  std::vector<int> channels{15, 46};
-  if (const std::string list = args.get_or("channels", ""); !list.empty()) {
-    channels = parse_channels(list);
-  }
-
-  // Bootstrap: one synthetic sweep per channel into the serving layer.
-  const rf::Environment world = rf::make_metro_environment();
-  const geo::DrivePath route = campaign::standard_route(world, readings,
-                                                        seed);
-  sensors::Sensor usrp(sensors::usrp_b200_spec(), seed + 1);
-  usrp.calibrate();
-  core::ModelConstructorConfig mc;
-  mc.classifier = "naive_bayes";
-  mc.num_features = 2;
-  core::UploadPolicy policy;
-  policy.rebuild_threshold =
-      static_cast<std::size_t>(args.num("rebuild-threshold", 25));
-  service::SpectrumService service(mc, campaign::LabelingConfig{}, policy);
-  std::map<int, campaign::ChannelDataset> sweeps;
-  for (const int channel : channels) {
-    campaign::ChannelDataset sweep =
-        campaign::collect_channel(world, usrp, channel, route.readings);
-    sweeps.emplace(channel, sweep);
-    service.ingest_campaign(std::move(sweep));
-  }
-  service::ServiceFrontend frontend(service, workers);
-  // Warm every model so the steady-state numbers aren't one-off builds.
-  for (const int channel : channels) (void)service.model(channel);
-  std::printf("serving %zu channels x %zu readings on %u workers\n",
-              channels.size(), readings, frontend.workers());
-
-  // Pre-encode the workload so the measured section is serving only.
-  std::mt19937_64 rng(runtime::split_seed(seed, 2));
-  std::uniform_real_distribution<double> roll(0.0, 100.0);
-  std::vector<std::string> wires;
-  wires.reserve(requests);
-  for (std::size_t i = 0; i < requests; ++i) {
-    const int channel = channels[rng() % channels.size()];
-    if (roll(rng) < upload_pct) {
-      const campaign::ChannelDataset& sweep = sweeps.at(channel);
-      std::uniform_int_distribution<std::size_t> pick(0, sweep.size() - 1);
-      std::uniform_real_distribution<double> jitter(-40.0, 40.0);
-      core::UploadRequest up;
-      up.channel = channel;
-      up.contributor = "bench" + std::to_string(i % 7);
-      for (int r = 0; r < 3; ++r) {
-        campaign::Measurement m = sweep.readings[pick(rng)];
-        m.position.east_m += jitter(rng);
-        m.position.north_m += jitter(rng);
-        m.iq.clear();
-        up.readings.push_back(std::move(m));
-      }
-      wires.push_back(core::encode(up));
-    } else {
-      wires.push_back(core::encode(core::ModelRequest{.channel = channel}));
-    }
-  }
-
-  std::vector<std::future<std::string>> replies;
-  replies.reserve(wires.size());
-  const auto start = std::chrono::steady_clock::now();
-  for (std::string& wire : wires) replies.push_back(
-      frontend.submit(std::move(wire)));
-  for (auto& reply : replies) (void)reply.get();
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  const service::ServiceStats stats = frontend.stats();
-  std::printf("\n%zu requests in %.3f s  (%.0f req/s)\n", requests, seconds,
-              static_cast<double>(requests) / seconds);
-  std::printf("requests served:  %llu (%llu errors)\n",
-              static_cast<unsigned long long>(stats.requests_served),
-              static_cast<unsigned long long>(stats.error_responses));
-  std::printf("model downloads:  %llu (%.1f MiB served)\n",
-              static_cast<unsigned long long>(stats.model_downloads),
-              static_cast<double>(stats.bytes_served) / (1024.0 * 1024.0));
-  std::printf("uploads:          %llu accepted, %llu rejected, %llu pending\n",
-              static_cast<unsigned long long>(stats.uploads_accepted),
-              static_cast<unsigned long long>(stats.uploads_rejected),
-              static_cast<unsigned long long>(stats.uploads_pending));
-  std::printf("model rebuilds:   %llu\n",
-              static_cast<unsigned long long>(stats.rebuilds));
-  std::printf("descriptor cache: %llu hits, %llu misses (%.1f MiB from "
-              "cache)\n",
-              static_cast<unsigned long long>(stats.descriptor_cache_hits),
-              static_cast<unsigned long long>(stats.descriptor_cache_misses),
-              static_cast<double>(stats.bytes_from_cache) /
-                  (1024.0 * 1024.0));
-  std::printf("handle latency:   p50 %.1f us, p99 %.1f us, max %llu us\n",
-              stats.p50_handle_us, stats.p99_handle_us,
-              static_cast<unsigned long long>(stats.max_handle_us));
-  return 0;
-}
-
 void usage() {
   std::printf(
       "waldo — local and low-cost white space detection\n"
-      "usage: waldo <simulate|label|train|predict|map|info|model-size|"
-      "serve-bench> [--flags]\n"
+      "usage: waldo <simulate|label|train|predict|map|info|model-size> "
+      "[--flags]\n"
       "see the header of tools/waldo_cli.cpp for per-command flags\n");
 }
 
@@ -522,8 +405,6 @@ int main(int argc, char** argv) {
       rc = cmd_info(args);
     } else if (command == "model-size") {
       rc = cmd_model_size(args);
-    } else if (command == "serve-bench") {
-      rc = cmd_serve_bench(args);
     } else {
       usage();
       return 1;
