@@ -10,6 +10,7 @@
 
 #include "common.hpp"
 #include "waldo/core/security.hpp"
+#include "waldo/service/secure_updater.hpp"
 #include "waldo/service/service.hpp"
 
 using namespace waldo;
@@ -103,7 +104,7 @@ int main() {
   // the reputation down until the identity is quarantined.
   {
     const auto db = make_database(campaign, {});
-    core::SecureUpdater updater;
+    service::SecureUpdater updater;
     std::size_t accepted = 0;
     int quarantined_after = -1;
     for (int round = 0; round < 5; ++round) {

@@ -66,7 +66,6 @@
 #include "waldo/cluster/tiling.hpp"
 #include "waldo/cluster/transport.hpp"
 #include "waldo/cluster/wire.hpp"
-#include "waldo/core/database.hpp"
 #include "waldo/core/model_constructor.hpp"
 #include "waldo/core/protocol.hpp"
 #include "waldo/runtime/backoff.hpp"

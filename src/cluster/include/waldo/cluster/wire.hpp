@@ -11,17 +11,19 @@
 // killed primary's final in-flight writes from splitting the log.
 //
 // Verbs: "wsnp" (a client WSNP request or response rides in the body —
-// the cluster never re-encodes client traffic), "repl" (a replicated
-// upload: ticket-stamped WSNP upload wire), "pull" (state-transfer
+// the cluster never re-encodes client traffic), "repl" (a binary
+// ReplEntry: a ticket-stamped WSNP upload wire), "pull" (state-transfer
 // request; empty body), "state" (a binary TileSnapshot: the reply to a
 // pull, or a primary's push to a secondary that answered a repl with
 // kNotReady) and "ok" (bare ack of a repl or a state push). Bootstrap
 // campaigns are not traffic: the harness hands them to each replica.
 //
 // Bodies are length-prefixed byte strings: binary descriptors and
-// snapshots pass through unmolested. Decode is checked the same way WSNP
-// is — hostile lengths, trailing garbage and truncation are rejected,
-// never trusted.
+// snapshots pass through unmolested. The envelope decode is checked the
+// same way WSNP is — hostile lengths, trailing garbage and truncation are
+// rejected, never trusted. ReplEntry and TileSnapshot bodies are framed
+// with codec::Writer (docs/WIRE_FORMAT.md), whose CRC32 trailer also
+// rejects every single-bit flip.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +54,8 @@ struct Envelope {
 /// (ticket), its dedup identity, and the verbatim WSNP upload_request wire
 /// the primary applied. Replicas replay the exact client bytes — nothing
 /// is re-encoded between replicas, so there is nothing to drift.
+/// Framed with codec::Writer: i64 channel, u64 ticket, u64 request id,
+/// str upload wire, CRC32 trailer.
 struct ReplEntry {
   int channel = 0;
   std::uint64_t ticket = 0;
@@ -60,6 +64,7 @@ struct ReplEntry {
 };
 
 [[nodiscard]] std::string encode_repl_entry(const ReplEntry& entry);
+/// Throws codec::Error (a std::runtime_error) on malformed input.
 [[nodiscard]] ReplEntry decode_repl_entry(const std::string& body);
 
 /// Full tile state for recovery: every channel's core::ChannelState

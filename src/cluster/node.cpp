@@ -266,12 +266,12 @@ std::string ClusterNode::handle_wsnp(const Envelope& request) {
 }
 
 std::string ClusterNode::handle_repl(const Envelope& request) {
-  const ReplEntry entry = decode_repl_entry(request.body);
   // Fence stale writers: only the current primary may append. Checked
-  // once before the tile is looked up, so a stray or fenced frame never
-  // allocates a tile, and again under the tile mutex against a fresh
-  // snapshot, mirroring the sender-side check.
-  if (!from_primary(request)) return fenced(request, entry.channel);
+  // once before the body is decoded or the tile looked up, so a stray,
+  // corrupt or fenced frame never allocates a tile, and again under the
+  // tile mutex against a fresh snapshot, mirroring the sender-side check.
+  if (!from_primary(request)) return fenced(request, 0);
+  const ReplEntry entry = decode_repl_entry(request.body);
   Tile& t = tile_or_create(request.tile, /*synced=*/false);
   const std::lock_guard lock(t.mutex);
   if (!from_primary(request)) return fenced(request, entry.channel);

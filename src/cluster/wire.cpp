@@ -3,6 +3,7 @@
 #include "waldo/codec/codec.hpp"
 
 #include <charconv>
+#include <limits>
 #include <sstream>
 #include <utility>
 #include <stdexcept>
@@ -89,29 +90,27 @@ Envelope decode_envelope(const std::string& wire) {
 }
 
 std::string encode_repl_entry(const ReplEntry& entry) {
-  std::ostringstream os;
-  os << entry.channel << " " << entry.ticket << " " << entry.request_id
-     << " " << entry.upload_wire.size() << "\n"
-     << entry.upload_wire;
-  return os.str();
+  codec::Writer out;
+  out.i64(entry.channel);
+  out.u64(entry.ticket);
+  out.u64(entry.request_id);
+  out.str(entry.upload_wire);
+  return std::move(out).finish();
 }
 
 ReplEntry decode_repl_entry(const std::string& body) {
-  const std::size_t nl = body.find('\n');
-  if (nl == std::string::npos) {
-    throw std::runtime_error("CLSTR: truncated repl entry");
-  }
-  const auto tokens =
-      split_tokens(std::string_view(body.data(), nl), 4, "repl entry");
+  codec::Reader in(body);
   ReplEntry entry;
-  entry.channel = parse_int<int>(tokens[0], "repl channel");
-  entry.ticket = parse_int<std::uint64_t>(tokens[1], "repl ticket");
-  entry.request_id = parse_int<std::uint64_t>(tokens[2], "repl request id");
-  const auto length = parse_int<std::size_t>(tokens[3], "repl wire length");
-  entry.upload_wire = body.substr(nl + 1);
-  if (entry.upload_wire.size() != length) {
-    throw std::runtime_error("CLSTR: repl wire length mismatch");
+  const std::int64_t channel = in.i64();
+  if (channel < std::numeric_limits<int>::min() ||
+      channel > std::numeric_limits<int>::max()) {
+    throw codec::Error("repl channel out of range");
   }
+  entry.channel = static_cast<int>(channel);
+  entry.ticket = in.u64();
+  entry.request_id = in.u64();
+  entry.upload_wire = in.str();
+  in.expect_done();
   return entry;
 }
 

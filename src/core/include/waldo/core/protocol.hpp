@@ -10,13 +10,14 @@
 // descriptors they carry.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "waldo/campaign/measurement.hpp"
-#include "waldo/core/database.hpp"
 #include "waldo/core/model.hpp"
 
 namespace waldo::core {
@@ -97,21 +98,6 @@ using Message = std::variant<ModelRequest, ModelResponse, UploadRequest,
 /// Parses a wire string. Throws std::runtime_error on malformed input
 /// (bad magic, unknown type, truncated body).
 [[nodiscard]] Message decode(const std::string& wire);
-
-/// Server side: binds a SpectrumStore behind the protocol. Every request
-/// wire string maps to exactly one response wire string; internal errors
-/// surface as ErrorResponse rather than exceptions. handle() keeps no
-/// per-request state, so it is reentrant: concurrent calls are safe
-/// whenever the backing store is (service::SpectrumService is).
-class ProtocolServer {
- public:
-  explicit ProtocolServer(SpectrumStore& store) : store_(&store) {}
-
-  [[nodiscard]] std::string handle(const std::string& request_wire) const;
-
- private:
-  SpectrumStore* store_;
-};
 
 /// Client side: issues typed requests through a caller-supplied transport
 /// (a callable taking the request wire and returning the response wire).

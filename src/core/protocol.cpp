@@ -208,58 +208,6 @@ Message decode(const std::string& wire) {
   return decode_body(type, body);
 }
 
-std::string ProtocolServer::handle(const std::string& request_wire) const {
-  Message request;
-  try {
-    request = decode(request_wire);
-  } catch (const std::exception& e) {
-    return encode(ErrorResponse{.reason = e.what(),
-                                .code = ErrorCode::kMalformed});
-  }
-
-  if (const auto* r = std::get_if<ModelRequest>(&request)) {
-    try {
-      if (!store_->has_channel(r->channel)) {
-        return encode(ErrorResponse{
-            .reason = "no data for channel " + std::to_string(r->channel),
-            .code = ErrorCode::kUnknownChannel,
-            .channel = r->channel});
-      }
-      return encode(ModelResponse{
-          .channel = r->channel,
-          .descriptor = store_->download_model(r->channel)});
-    } catch (const std::exception& e) {
-      return encode(ErrorResponse{.reason = e.what(),
-                                  .code = ErrorCode::kInternal,
-                                  .channel = r->channel});
-    }
-  }
-  if (const auto* r = std::get_if<UploadRequest>(&request)) {
-    try {
-      const UploadResult result =
-          store_->upload_measurements(r->channel, r->readings,
-                                      r->contributor);
-      return encode(UploadResponse{.accepted = result.accepted,
-                                   .rejected = result.rejected,
-                                   .pending = result.pending,
-                                   .ticket = result.ticket});
-    } catch (const std::out_of_range& e) {
-      // The store throws out_of_range for uploads addressing a channel
-      // that was never bootstrapped.
-      return encode(ErrorResponse{.reason = e.what(),
-                                  .code = ErrorCode::kUnknownChannel,
-                                  .channel = r->channel});
-    } catch (const std::exception& e) {
-      return encode(ErrorResponse{.reason = e.what(),
-                                  .code = ErrorCode::kInternal,
-                                  .channel = r->channel});
-    }
-  }
-  return encode(
-      ErrorResponse{.reason = "server only accepts request messages",
-                    .code = ErrorCode::kBadRequest});
-}
-
 WhiteSpaceModel ProtocolClient::fetch_model(int channel,
                                             const geo::EnuPoint& location) {
   const Message reply = decode(transport_(

@@ -11,11 +11,11 @@
 #include <span>
 #include <vector>
 
-#include "waldo/core/database.hpp"
 #include "waldo/core/detector.hpp"
 #include "waldo/core/model.hpp"
 #include "waldo/rf/environment.hpp"
 #include "waldo/sensors/sensor.hpp"
+#include "waldo/service/service.hpp"
 
 namespace waldo::device {
 
@@ -77,7 +77,7 @@ class PhoneRuntime {
   [[nodiscard]] bool has_model(int channel) const noexcept;
 
   /// Downloads any missing models from the store; returns bytes moved.
-  std::size_t ensure_models(core::SpectrumStore& store,
+  std::size_t ensure_models(service::SpectrumService& store,
                             std::span<const int> channels);
 
   /// Scans one channel at a stationary position: streams sensor readings

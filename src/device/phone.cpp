@@ -36,7 +36,7 @@ bool PhoneRuntime::has_model(int channel) const noexcept {
   return models_.contains(channel);
 }
 
-std::size_t PhoneRuntime::ensure_models(core::SpectrumStore& store,
+std::size_t PhoneRuntime::ensure_models(service::SpectrumService& store,
                                         std::span<const int> channels) {
   std::size_t bytes = 0;
   for (const int ch : channels) {

@@ -2,36 +2,87 @@
 
 #include <chrono>
 #include <memory>
-#include <string_view>
+#include <stdexcept>
 #include <utility>
+#include <variant>
+
+#include "waldo/core/protocol.hpp"
 
 namespace waldo::service {
 
 namespace {
 
-// Cheap error-reply detection on the wire form — avoids a decode just to
-// account the response. The header is "WSNP/1 error <len>\n...".
-[[nodiscard]] bool is_error_wire(std::string_view wire) noexcept {
-  constexpr std::string_view kErrorPrefix = "WSNP/1 error ";
-  return wire.substr(0, kErrorPrefix.size()) == kErrorPrefix;
+// Decode, then dispatch to the service: every request wire maps to exactly
+// one reply, and a store failure becomes an ErrorResponse naming the
+// failing channel. Keeps no per-request state, so it is reentrant.
+[[nodiscard]] core::Message respond(SpectrumService& service,
+                                    const std::string& request_wire) {
+  core::Message request;
+  try {
+    request = core::decode(request_wire);
+  } catch (const std::exception& e) {
+    return core::ErrorResponse{.reason = e.what(),
+                               .code = core::ErrorCode::kMalformed};
+  }
+
+  if (const auto* r = std::get_if<core::ModelRequest>(&request)) {
+    try {
+      if (!service.has_channel(r->channel)) {
+        return core::ErrorResponse{
+            .reason = "no data for channel " + std::to_string(r->channel),
+            .code = core::ErrorCode::kUnknownChannel,
+            .channel = r->channel};
+      }
+      return core::ModelResponse{
+          .channel = r->channel,
+          .descriptor = service.download_model(r->channel)};
+    } catch (const std::exception& e) {
+      return core::ErrorResponse{.reason = e.what(),
+                                 .code = core::ErrorCode::kInternal,
+                                 .channel = r->channel};
+    }
+  }
+  if (const auto* r = std::get_if<core::UploadRequest>(&request)) {
+    try {
+      const core::UploadResult result = service.upload_measurements(
+          r->channel, r->readings, r->contributor);
+      return core::UploadResponse{.accepted = result.accepted,
+                                  .rejected = result.rejected,
+                                  .pending = result.pending,
+                                  .ticket = result.ticket};
+    } catch (const std::out_of_range& e) {
+      // The service throws out_of_range for uploads addressing a channel
+      // that was never bootstrapped.
+      return core::ErrorResponse{.reason = e.what(),
+                                 .code = core::ErrorCode::kUnknownChannel,
+                                 .channel = r->channel};
+    } catch (const std::exception& e) {
+      return core::ErrorResponse{.reason = e.what(),
+                                 .code = core::ErrorCode::kInternal,
+                                 .channel = r->channel};
+    }
+  }
+  return core::ErrorResponse{.reason = "server only accepts request messages",
+                             .code = core::ErrorCode::kBadRequest};
 }
 
 }  // namespace
 
 ServiceFrontend::ServiceFrontend(SpectrumService& service, unsigned workers)
-    : service_(&service),
-      server_(service),
-      pool_(runtime::resolve_threads(workers)) {}
+    : service_(&service), pool_(runtime::resolve_threads(workers)) {}
 
 std::string ServiceFrontend::handle_isolated(
     const std::string& request_wire) noexcept {
   const auto start = std::chrono::steady_clock::now();
   std::string response;
+  bool is_error = true;
   try {
-    response = server_.handle(request_wire);
+    const core::Message reply = respond(*service_, request_wire);
+    response = core::encode(reply);
+    is_error = std::holds_alternative<core::ErrorResponse>(reply);
   } catch (const std::exception& e) {
-    // ProtocolServer already folds its exceptions into ErrorResponse; this
-    // is the worker's last line of defence (e.g. bad_alloc mid-encode).
+    // respond() already folds store exceptions into ErrorResponse; this is
+    // the worker's last line of defence (e.g. bad_alloc mid-encode).
     try {
       response = core::encode(core::ErrorResponse{.reason = e.what()});
     } catch (...) {
@@ -49,9 +100,7 @@ std::string ServiceFrontend::handle_isolated(
       std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
   requests_.fetch_add(1, std::memory_order_relaxed);
   bytes_.fetch_add(response.size(), std::memory_order_relaxed);
-  if (is_error_wire(response)) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (is_error) errors_.fetch_add(1, std::memory_order_relaxed);
   return response;
 }
 

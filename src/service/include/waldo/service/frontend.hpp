@@ -1,6 +1,6 @@
-// The request-serving frontend: N worker threads (a dedicated
-// runtime::ThreadPool) draining a queue of WSNP wire requests against one
-// SpectrumService through a reentrant ProtocolServer. Per-request error
+// The WSNP server: N worker threads (a dedicated runtime::ThreadPool)
+// draining a queue of WSNP wire requests; each is decoded, dispatched to
+// one SpectrumService and its reply encoded. Per-request error
 // isolation is absolute — a malformed or throwing request resolves to an
 // encoded ErrorResponse, never an exception out of a worker — and every
 // request is accounted in a ServiceStats snapshot (counts, bytes, p50/p99
@@ -12,7 +12,6 @@
 #include <future>
 #include <string>
 
-#include "waldo/core/protocol.hpp"
 #include "waldo/runtime/histogram.hpp"
 #include "waldo/runtime/thread_pool.hpp"
 #include "waldo/service/service.hpp"
@@ -62,7 +61,6 @@ class ServiceFrontend {
       const std::string& request_wire) noexcept;
 
   SpectrumService* service_;
-  core::ProtocolServer server_;
   runtime::ThreadPool pool_;
   runtime::LatencyHistogram latency_;
   std::atomic<std::uint64_t> requests_{0};

@@ -48,7 +48,7 @@
 
 #include "waldo/campaign/labeling.hpp"
 #include "waldo/campaign/measurement.hpp"
-#include "waldo/core/database.hpp"
+#include "waldo/core/channel_state.hpp"
 #include "waldo/core/model.hpp"
 #include "waldo/core/model_constructor.hpp"
 
@@ -71,12 +71,12 @@ struct ServiceCounters {
 
 /// Thread-safe, per-channel-sharded spectrum store: one core::ChannelState
 /// (screening, pending pool, rebuild-threshold cache policy) per channel.
-class SpectrumService final : public core::SpectrumStore {
+class SpectrumService {
  public:
   explicit SpectrumService(core::ModelConstructorConfig constructor_config = {},
                            campaign::LabelingConfig labeling = {},
                            core::UploadPolicy upload_policy = {});
-  ~SpectrumService() override;
+  ~SpectrumService();
 
   SpectrumService(const SpectrumService&) = delete;
   SpectrumService& operator=(const SpectrumService&) = delete;
@@ -86,7 +86,7 @@ class SpectrumService final : public core::SpectrumStore {
   /// Safe to call concurrently with serving traffic.
   void ingest_campaign(campaign::ChannelDataset dataset);
 
-  [[nodiscard]] bool has_channel(int channel) const override;
+  [[nodiscard]] bool has_channel(int channel) const;
   [[nodiscard]] std::vector<int> channels() const;
 
   /// The channel's current model — cached when fresh, rebuilt serially on
@@ -96,7 +96,9 @@ class SpectrumService final : public core::SpectrumStore {
   [[nodiscard]] std::shared_ptr<const core::WhiteSpaceModel> model(
       int channel);
 
-  [[nodiscard]] std::string download_model(int channel) override;
+  /// Serialized model descriptor — what a WSD's Local Model Parameters
+  /// Updater downloads. Throws std::out_of_range for unknown channels.
+  [[nodiscard]] std::string download_model(int channel);
 
   /// Zero-copy variant of download_model: the cached serialized descriptor
   /// as a shared immutable blob (serializing first on a cache miss). The
@@ -106,9 +108,13 @@ class SpectrumService final : public core::SpectrumStore {
   [[nodiscard]] std::shared_ptr<const std::string> download_descriptor(
       int channel);
 
+  /// Online phase, Global Model Updater: screens and applies a device's
+  /// measurements. `contributor` identifies the uploader for the
+  /// corroboration rule (pending readings are promoted only by *other*
+  /// contributors). Throws std::out_of_range for unknown channels.
   core::UploadResult upload_measurements(
       int channel, std::span<const campaign::Measurement> readings,
-      const std::string& contributor) override;
+      const std::string& contributor);
 
   /// Copy of the channel's trusted dataset (for replay verification and
   /// offline export). Throws std::out_of_range for unknown channels.
@@ -123,7 +129,10 @@ class SpectrumService final : public core::SpectrumStore {
   /// traffic; the caller orders it against uploads to the same channel.
   void install_channel(core::ChannelState state);
 
-  std::size_t purge_pending(const std::string& contributor) override;
+  /// Drops every pending reading parked by `contributor`, on all channels;
+  /// returns how many were purged. SecureUpdater calls this at quarantine
+  /// time so a quarantined identity's stash is never promoted later.
+  std::size_t purge_pending(const std::string& contributor);
 
   [[nodiscard]] std::size_t pending_count(int channel) const;
   [[nodiscard]] std::size_t staleness(int channel) const;

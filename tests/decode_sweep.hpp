@@ -1,4 +1,4 @@
-// Exhaustive corruption sweep for decoders of network bytes: every strict
+// Exhaustive corruption sweeps for decoders of network bytes: every strict
 // prefix of a valid frame and every single-bit flip of it. The sanitizer
 // CI job runs the suites that use it, so an over-read shows up there too.
 #pragma once
@@ -38,6 +38,26 @@ void expect_truncations_rejected_and_flips_contained(const std::string& good,
         ADD_FAILURE() << "flip of bit " << bit << " in byte " << byte
                       << " threw a non-standard exception";
       }
+    }
+  }
+}
+
+/// For framings with an integrity check: every strict prefix of `good` and
+/// every single-bit flip of it must throw std::runtime_error.
+template <typename Decode>
+void expect_truncations_and_flips_rejected(const std::string& good,
+                                           Decode decode) {
+  ASSERT_NO_THROW((void)decode(good));
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    EXPECT_THROW((void)decode(good.substr(0, len)), std::runtime_error)
+        << "truncation to " << len << " of " << good.size() << " bytes";
+  }
+  for (std::size_t byte = 0; byte < good.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bad = good;
+      bad[byte] = static_cast<char>(bad[byte] ^ (1 << bit));
+      EXPECT_THROW((void)decode(bad), std::runtime_error)
+          << "flip of bit " << bit << " in byte " << byte << " accepted";
     }
   }
 }

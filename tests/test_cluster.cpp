@@ -207,26 +207,12 @@ TEST(ClusterWire, ReplEntryAndSnapshotRoundTrip) {
 // snapshot cut short at any length or with any single bit flipped is
 // rejected, never installed.
 TEST(ClusterWire, SnapshotRejectsEveryTruncationAndBitFlip) {
-  const std::string good = encode_tile_snapshot(sample_snapshot());
-  ASSERT_NO_THROW((void)decode_tile_snapshot(good));
-  for (std::size_t len = 0; len < good.size(); ++len) {
-    EXPECT_THROW((void)decode_tile_snapshot(good.substr(0, len)),
-                 std::runtime_error)
-        << "truncation to " << len << " bytes accepted";
-  }
-  for (std::size_t byte = 0; byte < good.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string bad = good;
-      bad[byte] = static_cast<char>(bad[byte] ^ (1 << bit));
-      EXPECT_THROW((void)decode_tile_snapshot(bad), std::runtime_error)
-          << "flip of bit " << bit << " in byte " << byte << " accepted";
-    }
-  }
+  waldo::testing::expect_truncations_and_flips_rejected(
+      encode_tile_snapshot(sample_snapshot()),
+      [](const std::string& bytes) { return decode_tile_snapshot(bytes); });
 }
 
-// The text framings get the same sweep: a CLSTR envelope carrying a WSNP
-// upload, and a repl entry.
-TEST(ClusterWire, EnvelopeAndReplEntryRejectEveryTruncationAndContainFlips) {
+std::string sample_upload_wire() {
   core::UploadRequest upload;
   upload.channel = kChannelB;
   upload.contributor = "bob";
@@ -238,20 +224,30 @@ TEST(ClusterWire, EnvelopeAndReplEntryRejectEveryTruncationAndContainFlips) {
     m.rss_dbm = -83.0625 - i;
     upload.readings.push_back(m);
   }
-  const std::string upload_wire = core::encode(upload);
+  return core::encode(upload);
+}
 
+// A repl entry is codec-framed like the snapshot, so its CRC trailer
+// rejects every flip: none can change the ticket, request id or channel
+// that a replica applies.
+TEST(ClusterWire, ReplEntryRejectsEveryTruncationAndBitFlip) {
+  waldo::testing::expect_truncations_and_flips_rejected(
+      encode_repl_entry({.channel = kChannelB,
+                         .ticket = 12,
+                         .request_id = 77,
+                         .upload_wire = sample_upload_wire()}),
+      [](const std::string& bytes) { return decode_repl_entry(bytes); });
+}
+
+// The CLSTR envelope is still text: a truncation is rejected, and a flip
+// either decodes or is rejected with std::runtime_error.
+TEST(ClusterWire, EnvelopeRejectsEveryTruncationAndContainsFlips) {
   waldo::testing::expect_truncations_rejected_and_flips_contained(
       encode_envelope({.verb = "wsnp",
                        .from = kClientNode,
                        .tile = TileKey{-5, 17},
-                       .body = upload_wire}),
+                       .body = sample_upload_wire()}),
       [](const std::string& bytes) { return decode_envelope(bytes); });
-  waldo::testing::expect_truncations_rejected_and_flips_contained(
-      encode_repl_entry({.channel = kChannelB,
-                         .ticket = 12,
-                         .request_id = 77,
-                         .upload_wire = upload_wire}),
-      [](const std::string& bytes) { return decode_repl_entry(bytes); });
 }
 
 // ------------------------------------------------------------ dedup window
@@ -899,6 +895,14 @@ TEST_F(ClusterFixture, FencedReplFrameAllocatesNoTile) {
                                                .ticket = 0,
                                                .request_id = 9,
                                                .upload_wire = "stray"}));
+}
+
+// Fencing comes before the decode: a corrupt replication frame from a
+// non-primary is a fenced frame, not an internal error.
+TEST_F(ClusterFixture, FencedCorruptReplFrameIsNotDecoded) {
+  Cluster cluster(base_config(4, 2));
+  const TileKey tile = cluster.ingest_campaign(*data_a_);
+  expect_fenced_by_outsider(cluster, tile, "repl", "not an entry");
 }
 
 // A state push is fenced the same way, before its snapshot is decoded: a

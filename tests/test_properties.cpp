@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <numeric>
 #include <random>
+#include <stdexcept>
 
 #include "waldo/campaign/labeling.hpp"
 #include "waldo/campaign/truth.hpp"
@@ -292,26 +293,47 @@ INSTANTIATE_TEST_SUITE_P(Alphas, AlphaSweep,
 // -------------------------------------------------------------- protocol
 
 TEST(ProtocolProperty, DecodeNeverCrashesOnMutations) {
-  // Fuzz-lite: random mutations of a valid wire string either parse or
-  // throw — never crash, never loop.
-  const std::string valid = core::encode(core::ModelRequest{
-      .channel = 46, .location = geo::EnuPoint{1.0, 2.0}});
+  // Fuzz-lite: random multi-byte mutations of a valid wire string either
+  // parse or throw std::runtime_error — never another exception, never a
+  // crash or a hang.
+  core::UploadRequest upload;
+  upload.channel = 46;
+  upload.contributor = "alice";
+  upload.request_id = 7;
+  upload.location = geo::EnuPoint{1.0, 2.0};
+  for (int i = 0; i < 2; ++i) {
+    campaign::Measurement m;
+    m.position = geo::EnuPoint{10.0 * i, -20.0 * i};
+    m.rss_dbm = -85.5 - i;
+    upload.readings.push_back(m);
+  }
+  const std::string wires[] = {
+      core::encode(core::ModelRequest{.channel = 46,
+                                      .location = geo::EnuPoint{1.0, 2.0}}),
+      core::encode(upload)};
   std::mt19937_64 rng(16);
-  std::uniform_int_distribution<std::size_t> pick_pos(0, valid.size() - 1);
   std::uniform_int_distribution<int> pick_char(0, 255);
-  for (int trial = 0; trial < 500; ++trial) {
-    std::string mutated = valid;
-    const int edits = 1 + trial % 5;
-    for (int e = 0; e < edits; ++e) {
-      mutated[pick_pos(rng)] = static_cast<char>(pick_char(rng));
-    }
-    try {
-      (void)core::decode(mutated);
-    } catch (const std::exception&) {
-      // expected for most mutations
+  for (const std::string& valid : wires) {
+    std::uniform_int_distribution<std::size_t> pick_pos(0, valid.size() - 1);
+    for (int trial = 0; trial < 500; ++trial) {
+      std::string mutated = valid;
+      const int edits = 1 + trial % 5;
+      for (int e = 0; e < edits; ++e) {
+        mutated[pick_pos(rng)] = static_cast<char>(pick_char(rng));
+      }
+      try {
+        (void)core::decode(mutated);
+      } catch (const std::runtime_error&) {
+        // a clean rejection, expected for most mutations
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "mutation " << trial << " threw a non-runtime_error: "
+                      << e.what();
+      } catch (...) {
+        ADD_FAILURE() << "mutation " << trial
+                      << " threw a non-standard exception";
+      }
     }
   }
-  SUCCEED();
 }
 
 TEST(ProtocolProperty, EncodeDecodeIsIdentityOnRandomUploads) {

@@ -7,6 +7,7 @@
 #include "waldo/core/protocol.hpp"
 #include "waldo/ml/metrics.hpp"
 #include "waldo/rf/environment.hpp"
+#include "waldo/service/frontend.hpp"
 #include "waldo/service/service.hpp"
 
 namespace waldo::core {
@@ -176,8 +177,12 @@ class ProtocolFixture : public ::testing::Test {
     db_ = new service::SpectrumService(mc);
     sensors::Sensor usrp(sensors::usrp_b200_spec(), 72);
     usrp.calibrate();
-    db_->ingest_campaign(
-        campaign::collect_channel(*env_, usrp, 46, route.readings));
+    // Channel 46 collapses every locality to a constant on this route;
+    // channel 21 trains a classifier in one of them.
+    for (const int channel : {46, 21}) {
+      db_->ingest_campaign(
+          campaign::collect_channel(*env_, usrp, channel, route.readings));
+    }
   }
   static void TearDownTestSuite() {
     delete env_;
@@ -193,9 +198,9 @@ rf::Environment* ProtocolFixture::env_ = nullptr;
 service::SpectrumService* ProtocolFixture::db_ = nullptr;
 
 TEST_F(ProtocolFixture, ClientFetchesWorkingModelThroughServer) {
-  ProtocolServer server(*db_);
+  service::ServiceFrontend frontend(*db_, 1);
   ProtocolClient client(
-      [&server](const std::string& wire) { return server.handle(wire); });
+      [&frontend](const std::string& wire) { return frontend.handle(wire); });
 
   const WhiteSpaceModel model =
       client.fetch_model(46, geo::EnuPoint{5000.0, 5000.0});
@@ -206,20 +211,26 @@ TEST_F(ProtocolFixture, ClientFetchesWorkingModelThroughServer) {
   const int decision = model.predict(row);
   EXPECT_TRUE(decision == ml::kSafe || decision == ml::kNotSafe);
   EXPECT_EQ(db_->counters().model_downloads, 1u);
+
+  // A descriptor with a trained classifier survives the trip too.
+  const WhiteSpaceModel trained =
+      client.fetch_model(21, geo::EnuPoint{5000.0, 5000.0});
+  EXPECT_EQ(trained.channel(), 21);
+  EXPECT_LT(trained.num_constant_localities(), trained.num_localities());
 }
 
 TEST_F(ProtocolFixture, UnknownChannelYieldsProtocolError) {
-  ProtocolServer server(*db_);
+  service::ServiceFrontend frontend(*db_, 1);
   ProtocolClient client(
-      [&server](const std::string& wire) { return server.handle(wire); });
+      [&frontend](const std::string& wire) { return frontend.handle(wire); });
   EXPECT_THROW((void)client.fetch_model(33, geo::EnuPoint{0.0, 0.0}),
                std::runtime_error);
 }
 
 TEST_F(ProtocolFixture, UploadsFlowThroughTheProtocol) {
-  ProtocolServer server(*db_);
+  service::ServiceFrontend frontend(*db_, 1);
   ProtocolClient client(
-      [&server](const std::string& wire) { return server.handle(wire); });
+      [&frontend](const std::string& wire) { return frontend.handle(wire); });
 
   const campaign::ChannelDataset stored = db_->dataset_snapshot(46);
   std::vector<campaign::Measurement> readings(stored.readings.begin(),
@@ -234,10 +245,10 @@ TEST_F(ProtocolFixture, UploadsFlowThroughTheProtocol) {
 // the machine-readable code AND the channel it failed on, so routers can
 // distinguish "retry elsewhere" from "give up" without parsing prose.
 TEST_F(ProtocolFixture, ServerErrorsCarryCodeAndFailingChannel) {
-  ProtocolServer server(*db_);
+  service::ServiceFrontend frontend(*db_, 1);
 
   const Message model_err =
-      decode(server.handle(encode(ModelRequest{.channel = 33})));
+      decode(frontend.handle(encode(ModelRequest{.channel = 33})));
   const auto* e1 = std::get_if<ErrorResponse>(&model_err);
   ASSERT_NE(e1, nullptr);
   EXPECT_EQ(e1->code, ErrorCode::kUnknownChannel);
@@ -247,38 +258,38 @@ TEST_F(ProtocolFixture, ServerErrorsCarryCodeAndFailingChannel) {
   UploadRequest upload;
   upload.channel = 34;
   upload.contributor = "mallory";
-  const Message upload_err = decode(server.handle(encode(upload)));
+  const Message upload_err = decode(frontend.handle(encode(upload)));
   const auto* e2 = std::get_if<ErrorResponse>(&upload_err);
   ASSERT_NE(e2, nullptr);
   EXPECT_EQ(e2->code, ErrorCode::kUnknownChannel);
   EXPECT_EQ(e2->channel, 34);
 
-  const Message garbage_err = decode(server.handle("complete garbage"));
+  const Message garbage_err = decode(frontend.handle("complete garbage"));
   const auto* e3 = std::get_if<ErrorResponse>(&garbage_err);
   ASSERT_NE(e3, nullptr);
   EXPECT_EQ(e3->code, ErrorCode::kMalformed);
 
   const Message legacy_err = decode(
-      server.handle("WSNP/1 error 20\nchannel unavailable\n"));
+      frontend.handle("WSNP/1 error 20\nchannel unavailable\n"));
   const auto* e5 = std::get_if<ErrorResponse>(&legacy_err);
   ASSERT_NE(e5, nullptr);
   EXPECT_EQ(e5->code, ErrorCode::kMalformed);
 
   const Message wrong_err =
-      decode(server.handle(encode(UploadResponse{.accepted = 1})));
+      decode(frontend.handle(encode(UploadResponse{.accepted = 1})));
   const auto* e4 = std::get_if<ErrorResponse>(&wrong_err);
   ASSERT_NE(e4, nullptr);
   EXPECT_EQ(e4->code, ErrorCode::kBadRequest);
 }
 
 TEST_F(ProtocolFixture, ServerSurvivesGarbageAndWrongMessages) {
-  ProtocolServer server(*db_);
+  service::ServiceFrontend frontend(*db_, 1);
   // Garbage in, error message out — never an exception.
-  const Message reply = decode(server.handle("complete garbage"));
+  const Message reply = decode(frontend.handle("complete garbage"));
   EXPECT_NE(std::get_if<ErrorResponse>(&reply), nullptr);
   // A response message sent as a request is answered with an error too.
   const Message reply2 =
-      decode(server.handle(encode(UploadResponse{.accepted = 1})));
+      decode(frontend.handle(encode(UploadResponse{.accepted = 1})));
   EXPECT_NE(std::get_if<ErrorResponse>(&reply2), nullptr);
 }
 

@@ -8,6 +8,8 @@
 #include "waldo/core/security.hpp"
 #include "waldo/ml/metrics.hpp"
 #include "waldo/rf/environment.hpp"
+#include "waldo/service/frontend.hpp"
+#include "waldo/service/secure_updater.hpp"
 #include "waldo/service/service.hpp"
 
 namespace waldo::core {
@@ -101,7 +103,7 @@ TEST_F(SecurityFixture, CorrelationCheckRejectsCoveredAreaForgery) {
 
 TEST_F(SecurityFixture, ReputationQuarantinesRepeatOffender) {
   const auto db = make_db();
-  SecureUpdater updater;
+  service::SecureUpdater updater;
   bool quarantined = false;
   for (std::uint64_t wave = 0; wave < 5 && !quarantined; ++wave) {
     (void)updater.submit(*db, 46, "mallory", covered_area_forgery(wave));
@@ -122,7 +124,7 @@ TEST_F(SecurityFixture, ReputationQuarantinesRepeatOffender) {
 // the stash into the trusted dataset. Quarantine must purge the pool.
 TEST_F(SecurityFixture, QuarantinePurgesPendingStash) {
   const auto db = make_db();
-  SecureUpdater updater;
+  service::SecureUpdater updater;
 
   // Mallory parks a stash far outside campaign coverage: nothing can vouch
   // there, so every reading is held pending. The area is small enough
@@ -163,7 +165,7 @@ TEST_F(SecurityFixture, QuarantinePurgesPendingStash) {
 
 TEST_F(SecurityFixture, HonestContributorGainsReputation) {
   const auto db = make_db();
-  SecureUpdater updater;
+  service::SecureUpdater updater;
   // Honest uploads: real readings displaced slightly off the drive path.
   std::vector<campaign::Measurement> honest(data_->readings.begin(),
                                             data_->readings.begin() + 80);
@@ -201,9 +203,9 @@ TEST_F(SecurityFixture, ReputationComposesWithTheWireProtocol) {
   // database's checks reject them, and the SecureUpdater can meanwhile
   // quarantine the identity for direct submissions.
   const auto db = make_db();
-  ProtocolServer server(*db);
+  service::ServiceFrontend frontend(*db, 1);
   ProtocolClient client(
-      [&server](const std::string& wire) { return server.handle(wire); });
+      [&frontend](const std::string& wire) { return frontend.handle(wire); });
   const auto wire_result =
       client.upload(46, "mallory", covered_area_forgery(3));
   EXPECT_EQ(wire_result.accepted, 0u);
@@ -213,7 +215,7 @@ TEST_F(SecurityFixture, ReputationComposesWithTheWireProtocol) {
 }
 
 TEST_F(SecurityFixture, RecordLookupValidates) {
-  SecureUpdater updater;
+  service::SecureUpdater updater;
   EXPECT_THROW((void)updater.record("nobody"), std::out_of_range);
   EXPECT_FALSE(updater.is_quarantined("nobody"));
   EXPECT_EQ(updater.num_contributors(), 0u);
