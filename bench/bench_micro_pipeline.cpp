@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -228,12 +229,10 @@ void BM_KMeansLocalities(benchmark::State& state) {
 }
 BENCHMARK(BM_KMeansLocalities)->Arg(1)->Arg(0);
 
-/// One serving rebuild's model build (naive_bayes, 2 features, 3
-/// localities, serial) from a channel dataset and its Algorithm 1 labels,
-/// labeled outside the timed loop. 5,282 readings is the standard USRP
-/// sweep of channel 15; larger sizes append copies of its readings moved
-/// up to 40 m, the way accepted crowd uploads grow a channel.
-void BM_ModelBuild(benchmark::State& state) {
+/// `n` readings of channel 15: the standard USRP sweep (5,282 readings),
+/// then copies of its readings moved up to 40 m, the way accepted crowd
+/// uploads grow a channel.
+campaign::ChannelDataset grown_channel(std::size_t n) {
   static bench::Campaign world;
   const campaign::ChannelDataset& sweep =
       world.dataset(bench::SensorKind::kUsrpB200, 15);
@@ -241,12 +240,57 @@ void BM_ModelBuild(benchmark::State& state) {
   std::mt19937_64 rng(10);
   std::uniform_int_distribution<std::size_t> pick(0, sweep.size() - 1);
   std::uniform_real_distribution<double> jitter(-40.0, 40.0);
-  while (ds.size() < static_cast<std::size_t>(state.range(0))) {
+  while (ds.size() < n) {
     campaign::Measurement m = sweep.readings[pick(rng)];
     m.position.east_m += jitter(rng);
     m.position.north_m += jitter(rng);
     ds.readings.push_back(std::move(m));
   }
+  return ds;
+}
+
+/// A serving rebuild's labeling step before rebuilds kept their labels:
+/// Algorithm 1 over the whole grown channel.
+void BM_RelabelGrownChannel(benchmark::State& state) {
+  const campaign::ChannelDataset ds =
+      grown_channel(static_cast<std::size_t>(state.range(0)));
+  const std::vector<geo::EnuPoint> pos = ds.positions();
+  const std::vector<double> rss = ds.rss_values();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(campaign::label_readings(pos, rss).data());
+  }
+}
+BENCHMARK(BM_RelabelGrownChannel)->Arg(5282)->Arg(15000);
+
+/// The same step with kept labels: the labels of all but the last 3
+/// readings (one crowd upload batch) extended by those 3. The prefix is
+/// copied back outside the timed region.
+void BM_ExtendLabels(benchmark::State& state) {
+  const campaign::ChannelDataset ds =
+      grown_channel(static_cast<std::size_t>(state.range(0)));
+  const std::vector<geo::EnuPoint> pos = ds.positions();
+  const std::vector<double> rss = ds.rss_values();
+  const std::size_t prefix = pos.size() - 3;
+  const std::vector<int> kept = campaign::label_readings(
+      std::span(pos).first(prefix), std::span(rss).first(prefix));
+  std::vector<int> labels;
+  for (auto _ : state) {
+    state.PauseTiming();
+    labels = kept;
+    state.ResumeTiming();
+    campaign::extend_labels(pos, rss, {}, labels);
+    benchmark::DoNotOptimize(labels.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ExtendLabels)->Arg(5282)->Arg(15000);
+
+/// One serving rebuild's model build (naive_bayes, 2 features, 3
+/// localities, serial) from a grown channel and its Algorithm 1 labels,
+/// labeled outside the timed loop.
+void BM_ModelBuild(benchmark::State& state) {
+  const campaign::ChannelDataset ds =
+      grown_channel(static_cast<std::size_t>(state.range(0)));
   const std::vector<int> labels =
       campaign::label_readings(ds.positions(), ds.rss_values());
   core::ModelConstructorConfig config;

@@ -28,6 +28,17 @@ struct LabelingConfig {
     std::span<const geo::EnuPoint> positions, std::span<const double> rss_dbm,
     const LabelingConfig& config = {});
 
+/// Extends `labels`, which must hold label_readings of the first
+/// labels.size() readings, to label_readings of all of them. Appending a
+/// reading can only turn SAFE labels NOT SAFE, so only pairs with a new
+/// reading in them are tested: O(n) per appended reading. An empty
+/// `labels` or a long append relabels from scratch. Throws
+/// std::invalid_argument on a size mismatch or when `labels` is longer
+/// than `positions`.
+void extend_labels(std::span<const geo::EnuPoint> positions,
+                   std::span<const double> rss_dbm,
+                   const LabelingConfig& config, std::vector<int>& labels);
+
 /// Fraction of readings labeled kSafe — the channel's white-space
 /// availability under a given labeling.
 [[nodiscard]] double safe_fraction(std::span<const int> labels) noexcept;

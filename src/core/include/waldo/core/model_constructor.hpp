@@ -54,11 +54,6 @@ class ModelConstructor {
   [[nodiscard]] WhiteSpaceModel build(const TrainingColumns& data,
                                       std::span<const int> labels) const;
 
-  /// Labels the columns with Algorithm 1, then builds.
-  [[nodiscard]] WhiteSpaceModel build_with_labeling(
-      const TrainingColumns& data,
-      const campaign::LabelingConfig& labeling = {}) const;
-
   /// Builds a model from a dataset and its Algorithm 1 labels (parallel to
   /// `data.readings`).
   [[nodiscard]] WhiteSpaceModel build(const campaign::ChannelDataset& data,

@@ -110,14 +110,6 @@ WhiteSpaceModel ModelConstructor::build(const TrainingColumns& data,
                          std::move(localities));
 }
 
-WhiteSpaceModel ModelConstructor::build_with_labeling(
-    const TrainingColumns& data,
-    const campaign::LabelingConfig& labeling) const {
-  const std::vector<int> labels =
-      campaign::label_readings(data.positions, data.rss_dbm, labeling);
-  return build(data, labels);
-}
-
 WhiteSpaceModel ModelConstructor::build(const campaign::ChannelDataset& data,
                                         std::span<const int> labels) const {
   return build(training_columns(data, config_.num_features), labels);
@@ -126,8 +118,9 @@ WhiteSpaceModel ModelConstructor::build(const campaign::ChannelDataset& data,
 WhiteSpaceModel ModelConstructor::build_with_labeling(
     const campaign::ChannelDataset& data,
     const campaign::LabelingConfig& labeling) const {
-  return build_with_labeling(training_columns(data, config_.num_features),
-                             labeling);
+  const TrainingColumns columns = training_columns(data, config_.num_features);
+  return build(columns, campaign::label_readings(columns.positions,
+                                                 columns.rss_dbm, labeling));
 }
 
 }  // namespace waldo::core

@@ -18,6 +18,12 @@
 //    k-means, training and serialization run after it is released. A slow
 //    rebuild never blocks downloads of other channels, and blocks this
 //    channel's uploads only for that column copy.
+//  - A rebuild labels only what changed: each shard keeps the Algorithm 1
+//    labels of its last rebuild, under the rebuild mutex, and the next
+//    rebuild extends them by the readings appended since
+//    (campaign::extend_labels). install_channel, which replaces the
+//    dataset instead of appending to it, makes the next rebuild relabel
+//    from scratch. Uploads do no labeling.
 //  - A rebuild runs on the request thread that found the model stale:
 //    the service builds with ModelConstructorConfig::threads = 1 whatever
 //    the caller's config says. A serving rebuild is already one of many
@@ -61,9 +67,9 @@ struct ServiceCounters {
   std::uint64_t bytes_served = 0;  ///< descriptor bytes
   std::uint64_t uploads_accepted = 0;
   std::uint64_t uploads_rejected = 0;
-  /// Downloads served straight from the descriptor cached inside the
-  /// model snapshot (a string copy) vs. downloads that serialized the
-  /// model. hits + misses == model_downloads.
+  /// Downloads served from the shard's cached descriptor bytes, which
+  /// download_descriptor shares without copying, vs. downloads that
+  /// serialized the model. hits + misses == model_downloads.
   std::uint64_t descriptor_cache_hits = 0;
   std::uint64_t descriptor_cache_misses = 0;
   std::uint64_t bytes_from_cache = 0;  ///< subset of bytes_served

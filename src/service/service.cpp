@@ -25,13 +25,23 @@ struct SpectrumService::Shard {
   std::uint64_t model_generation = 0;
   /// Serialized form of `model`, filled lazily by the first download of
   /// each snapshot and reset whenever a new model is published — the
-  /// invalidation rule that makes a repeat download a memcpy. Non-null
-  /// implies it is the serialization of the current `model`.
+  /// invalidation rule that makes a repeat download share the cached
+  /// bytes. Non-null implies it is the serialization of the current
+  /// `model`.
   std::shared_ptr<const std::string> descriptor;
+  /// Bumped by install_channel, which replaces the dataset where ingests
+  /// and uploads only append to it.
+  std::uint64_t installs = 0;
 
   /// Serialises rebuilds of this channel so a thundering herd of stale
   /// readers builds once. Never held while holding state_mutex upward.
   std::mutex rebuild_mutex;
+  // The fields below are guarded by rebuild_mutex.
+  /// Algorithm 1 labels of the first labels.size() readings of the
+  /// dataset as it stood after `labels_installs` installs; the next
+  /// rebuild extends them by the readings appended since.
+  std::vector<int> labels;
+  std::uint64_t labels_installs = 0;
 };
 
 SpectrumService::SpectrumService(
@@ -84,6 +94,7 @@ void SpectrumService::install_channel(core::ChannelState state) {
   const std::unique_lock lock(s.state_mutex);
   s.state = std::move(state);
   ++s.generation;  // the cached model described the replaced state
+  ++s.installs;    // and the cached labels its readings
 }
 
 std::vector<core::ChannelState> SpectrumService::channel_states() const {
@@ -127,6 +138,7 @@ std::shared_ptr<const core::WhiteSpaceModel> SpectrumService::model(
   const std::lock_guard rebuild(s.rebuild_mutex);
   core::TrainingColumns snapshot;
   std::uint64_t built_from = 0;
+  std::uint64_t installs = 0;
   {
     const std::shared_lock lock(s.state_mutex);
     if (s.model && s.model_generation == s.generation) return s.model;
@@ -134,10 +146,19 @@ std::shared_ptr<const core::WhiteSpaceModel> SpectrumService::model(
     snapshot = core::training_columns(s.state.dataset(),
                                       constructor_config_.num_features);
     built_from = s.generation;
+    installs = s.installs;
   }
+  // The cached labels cover a prefix of this snapshot unless an install
+  // replaced the dataset since they were taken.
+  if (installs != s.labels_installs || s.labels.size() > snapshot.size()) {
+    s.labels.clear();
+    s.labels_installs = installs;
+  }
+  campaign::extend_labels(snapshot.positions, snapshot.rss_dbm, labeling_,
+                          s.labels);
   const core::ModelConstructor constructor(constructor_config_);
   auto built = std::make_shared<const core::WhiteSpaceModel>(
-      constructor.build_with_labeling(snapshot, labeling_));
+      constructor.build(snapshot, s.labels));
   models_built_.fetch_add(1, std::memory_order_relaxed);
 
   const std::unique_lock lock(s.state_mutex);

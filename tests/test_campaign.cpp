@@ -3,8 +3,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <sstream>
+#include <string>
 
 #include "waldo/campaign/dataset_io.hpp"
 #include "waldo/campaign/labeling.hpp"
@@ -257,26 +259,33 @@ TEST(LabelingDifferential, EdgeCasesMatchThePerPoisonerOracle) {
             static_cast<std::ptrdiff_t>(line.size()));
 }
 
-/// The serving benchmark's world: channels 15 and 46 of the seed-99
-/// metro war-drive, 5,282 readings each, centred on their centroid.
+/// The serving benchmark's world: channel 15 or 46 of the seed-99 metro
+/// war-drive, 5,282 readings, centred on their centroid.
+ChannelDataset serving_world_channel(const rf::Environment& env,
+                                     const geo::DrivePath& route,
+                                     int channel) {
+  sensors::Sensor sensor(sensors::usrp_b200_spec(),
+                         1000 + 10 * static_cast<std::uint64_t>(channel) + 1);
+  if (!sensor.calibration().has_value()) sensor.calibrate();
+  ChannelDataset ds = collect_channel(env, sensor, channel, route.readings);
+  geo::EnuPoint centroid{};
+  for (const Measurement& m : ds.readings) {
+    centroid.east_m += m.position.east_m;
+    centroid.north_m += m.position.north_m;
+  }
+  const double n = static_cast<double>(ds.readings.size());
+  for (Measurement& m : ds.readings) {
+    m.position.east_m -= centroid.east_m / n;
+    m.position.north_m -= centroid.north_m / n;
+  }
+  return ds;
+}
+
 TEST(LabelingDifferential, ServingWorldChannelsMatchThePerPoisonerOracle) {
   const rf::Environment env = rf::make_metro_environment();
   const geo::DrivePath route = standard_route(env, 5'282, 99);
   for (const int channel : {15, 46}) {
-    sensors::Sensor sensor(sensors::usrp_b200_spec(),
-                           1000 + 10 * static_cast<std::uint64_t>(channel) + 1);
-    if (!sensor.calibration().has_value()) sensor.calibrate();
-    ChannelDataset ds = collect_channel(env, sensor, channel, route.readings);
-    geo::EnuPoint centroid{};
-    for (const Measurement& m : ds.readings) {
-      centroid.east_m += m.position.east_m;
-      centroid.north_m += m.position.north_m;
-    }
-    const double n = static_cast<double>(ds.readings.size());
-    for (Measurement& m : ds.readings) {
-      m.position.east_m -= centroid.east_m / n;
-      m.position.north_m -= centroid.north_m / n;
-    }
+    const ChannelDataset ds = serving_world_channel(env, route, channel);
     for (const double correction : {0.0, 7.5}) {
       LabelingConfig cfg;
       cfg.correction_db = correction;
@@ -291,6 +300,187 @@ TEST(LabelingDifferential, ServingWorldChannelsMatchThePerPoisonerOracle) {
       EXPECT_LT(safe, 1.0) << "channel " << channel;
     }
   }
+}
+
+// ------------------------------------------- Algorithm 1 extension
+
+/// Cuts the readings into a prefix and appended batches from one reading
+/// to well past the longest append extend_labels extends in place. After
+/// every batch the extended labels must equal a relabel and the oracle.
+/// Returns how many batches were extended.
+std::size_t check_append_stream(std::span<const geo::EnuPoint> positions,
+                                std::span<const double> rss,
+                                const LabelingConfig& config,
+                                std::mt19937_64& rng,
+                                std::size_t first_prefix) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::size_t end = std::min(first_prefix, positions.size());
+  std::vector<int> labels =
+      end == 0 ? std::vector<int>{}
+               : label_readings(positions.first(end), rss.first(end), config);
+  std::size_t batches = 0;
+  while (end < positions.size()) {
+    const double u = unit(rng);
+    const auto batch = static_cast<std::size_t>(
+        u < 0.7 ? 1.0 + 6.0 * unit(rng)
+                : u < 0.95 ? 1.0 + 80.0 * unit(rng) : 60.0 + 300.0 * unit(rng));
+    end = std::min(positions.size(), end + batch);
+    const auto pos = positions.first(end);
+    const auto r = rss.first(end);
+    extend_labels(pos, r, config, labels);
+    const std::vector<int> want = oracle_label_readings(pos, r, config);
+    EXPECT_EQ(label_readings(pos, r, config), want);
+    if (labels != want) {
+      ADD_FAILURE() << "extension to " << end << " readings, batch " << batch
+                    << ", separation " << config.separation_m
+                    << ", correction " << config.correction_db;
+      return batches;
+    }
+    ++batches;
+  }
+  return batches;
+}
+
+TEST(LabelExtension, RandomAppendStreamsMatchRelabelAndOracle) {
+  std::mt19937_64 rng(20'261'019);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::size_t batches = 0, relabelled_from_empty = 0;
+  for (int k = 0; k < 3'000; ++k) {
+    LabelCase c = random_label_case(rng);
+    if (unit(rng) < 0.08) c.config.separation_m = nan;
+    // Readings no kernel may pair: NaN RSS (a poisoner, by the
+    // threshold test) and non-finite positions.
+    if (unit(rng) < 0.2) {
+      for (double& v : c.rss) {
+        if (unit(rng) < 0.05) v = nan;
+      }
+    }
+    if (unit(rng) < 0.2) {
+      for (geo::EnuPoint& p : c.positions) {
+        const double u = unit(rng);
+        if (u < 0.02) p.east_m = nan;
+        else if (u < 0.04) p.north_m = inf;
+        else if (u < 0.06) p.east_m = -inf;
+      }
+    }
+    const auto prefix = static_cast<std::size_t>(
+        unit(rng) < 0.1 ? 0.0 : unit(rng) * c.positions.size());
+    relabelled_from_empty += prefix == 0 ? 1 : 0;
+    batches += check_append_stream(c.positions, c.rss, c.config, rng, prefix);
+    if (HasFailure()) FAIL() << "case " << k;
+  }
+  EXPECT_GT(batches, 15'000u);
+  EXPECT_GT(relabelled_from_empty, 200u);
+}
+
+TEST(LabelExtension, EdgePairsInBothOrders) {
+  // Each pair is checked with the poisoner in the prefix and the quiet
+  // reading appended, and the other way round.
+  const double half_ulp_below = std::nextafter(4'096.0, 0.0);
+  struct Pair {
+    geo::EnuPoint a, b;
+    double separation;
+    int quiet_label;  ///< the quiet reading's label
+  };
+  const std::vector<Pair> pairs{
+      // Outside the poisoner's query window although the distance rounds
+      // to exactly r (see EdgeCasesMatchThePerPoisonerOracle).
+      {{8'192.0, 0.0}, {half_ulp_below, 0.0}, 4'096.0, ml::kSafe},
+      // Exactly r apart, on an axis and on a 3-4-5 diagonal.
+      {{0.0, 0.0}, {6'000.0, 0.0}, 6'000.0, ml::kNotSafe},
+      {{0.0, 0.0}, {3'600.0, -4'800.0}, 6'000.0, ml::kNotSafe},
+      // One ulp past r.
+      {{0.0, 0.0}, {std::nextafter(6'000.0, 1e300), 0.0}, 6'000.0,
+       ml::kSafe},
+      // On a cell edge, and one ulp below it.
+      {{1'500.0, 0.0}, {3'000.0, 0.0}, 1'500.0, ml::kNotSafe},
+      {{1'500.0, 0.0}, {std::nextafter(3'000.0, 0.0), 0.0}, 1'500.0,
+       ml::kNotSafe},
+      // Stacked readings at r = 0; a negative or NaN radius reaches none.
+      {{7.0, 7.0}, {7.0, 7.0}, 0.0, ml::kNotSafe},
+      {{7.0, 7.0}, {7.0, 7.0}, -1.0, ml::kSafe},
+      {{7.0, 7.0}, {7.0, 7.0}, std::numeric_limits<double>::quiet_NaN(),
+       ml::kSafe},
+  };
+  for (const Pair& pair : pairs) {
+    for (const double correction : {0.0, 7.5, -10.0}) {
+      LabelingConfig cfg;
+      cfg.separation_m = pair.separation;
+      cfg.correction_db = correction;
+      const double loud = cfg.threshold_dbm - correction + 1.0;
+      const double quiet = cfg.threshold_dbm - correction;  // on it: quiet
+      for (const bool poisoner_first : {true, false}) {
+        const std::vector<geo::EnuPoint> pos =
+            poisoner_first ? std::vector{pair.a, pair.b}
+                           : std::vector{pair.b, pair.a};
+        const std::vector<double> rss = poisoner_first
+                                            ? std::vector{loud, quiet}
+                                            : std::vector{quiet, loud};
+        std::vector<int> labels =
+            label_readings(std::span(pos).first(1), std::span(rss).first(1),
+                           cfg);
+        extend_labels(pos, rss, cfg, labels);
+        const std::size_t q = poisoner_first ? 1 : 0;
+        EXPECT_EQ(labels[q], pair.quiet_label)
+            << "separation " << pair.separation << ", correction "
+            << correction << (poisoner_first ? ", quiet appended"
+                                             : ", poisoner appended");
+        EXPECT_EQ(labels[1 - q], ml::kNotSafe);
+        EXPECT_EQ(labels, oracle_label_readings(pos, rss, cfg));
+      }
+    }
+  }
+}
+
+TEST(LabelExtension, RejectsMismatchedInputs) {
+  const std::vector<geo::EnuPoint> pos{{0.0, 0.0}, {1.0, 0.0}};
+  std::vector<int> labels{ml::kSafe};
+  EXPECT_THROW(extend_labels(pos, std::vector<double>{-90.0}, {}, labels),
+               std::invalid_argument);
+  labels = {ml::kSafe, ml::kSafe, ml::kSafe};
+  EXPECT_THROW(extend_labels(pos, std::vector<double>{-90.0, -90.0}, {},
+                             labels),
+               std::invalid_argument);
+  // Nothing appended: nothing changes.
+  labels = label_readings(pos, std::vector<double>{-50.0, -90.0});
+  const std::vector<int> before = labels;
+  extend_labels(pos, std::vector<double>{-50.0, -90.0}, {}, labels);
+  EXPECT_EQ(labels, before);
+}
+
+/// Channels 15 and 46 of the serving world, grown the way accepted crowd
+/// uploads grow them (copies of their readings moved up to 40 m), labeled
+/// from a prefix by append streams.
+TEST(LabelExtension, ServingWorldAppendStreamsMatchRelabelAndOracle) {
+  const rf::Environment env = rf::make_metro_environment();
+  const geo::DrivePath route = standard_route(env, 5'282, 99);
+  std::mt19937_64 rng(46'015);
+  std::size_t batches = 0;
+  for (const int channel : {15, 46}) {
+    ChannelDataset ds = serving_world_channel(env, route, channel);
+    const std::size_t sweep = ds.readings.size();
+    std::uniform_int_distribution<std::size_t> pick(0, sweep - 1);
+    std::uniform_real_distribution<double> jitter(-40.0, 40.0);
+    std::uniform_real_distribution<double> noise(-2.0, 2.0);
+    for (int i = 0; i < 300; ++i) {
+      Measurement m = ds.readings[pick(rng)];
+      m.position.east_m += jitter(rng);
+      m.position.north_m += jitter(rng);
+      m.rss_dbm += noise(rng);
+      ds.readings.push_back(std::move(m));
+    }
+    const std::vector<geo::EnuPoint> pos = ds.positions();
+    const std::vector<double> rss = ds.rss_values();
+    SCOPED_TRACE("channel " + std::to_string(channel));
+    for (const double correction : {0.0, 7.5}) {
+      LabelingConfig cfg;
+      cfg.correction_db = correction;
+      batches += check_append_stream(pos, rss, cfg, rng, sweep - 100);
+    }
+  }
+  EXPECT_GT(batches, 40u);
 }
 
 TEST(Labeling, SafeFraction) {

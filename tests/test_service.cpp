@@ -285,6 +285,65 @@ TEST_F(ServiceFixture, DescriptorCacheHitsUntilModelChanges) {
             c.model_downloads);
 }
 
+// A rebuild extends the labels of the previous one by the readings
+// appended since. install_channel replaces the dataset instead, so the
+// labels of the replaced readings must not survive it, even when the new
+// dataset is longer; appends after it must still be labeled.
+TEST_F(ServiceFixture, InstallOrAppendAfterRebuildRelabels) {
+  SpectrumService service(fast_config());
+  bootstrap(service);
+  const auto expect_serial_build = [&service](const char* step) {
+    core::ModelConstructorConfig serial = fast_config();
+    serial.threads = 1;
+    const std::string want =
+        core::ModelConstructor(serial)
+            .build_with_labeling(service.dataset_snapshot(kChannelA))
+            .serialize();
+    EXPECT_EQ(*service.download_descriptor(kChannelA), want) << step;
+  };
+  expect_serial_build("bootstrap");
+
+  // Same positions, with every reading west of the middle of the drive
+  // turned quiet: labels the first rebuild cached are wrong for it.
+  std::mt19937_64 rng(73);
+  campaign::ChannelDataset replaced = *data_a_;
+  const double quiet = campaign::LabelingConfig{}.threshold_dbm - 30.0;
+  const auto [west, east] = std::minmax_element(
+      replaced.readings.begin(), replaced.readings.end(),
+      [](const campaign::Measurement& a, const campaign::Measurement& b) {
+        return a.position.east_m < b.position.east_m;
+      });
+  const double middle = (west->position.east_m + east->position.east_m) / 2;
+  for (campaign::Measurement& m : replaced.readings) {
+    if (m.position.east_m < middle) m.rss_dbm = quiet;
+  }
+  ASSERT_NE(campaign::label_readings(replaced.positions(),
+                                     replaced.rss_values()),
+            campaign::label_readings(data_a_->positions(),
+                                     data_a_->rss_values()));
+  for (int i = 0; i < 4; ++i) {
+    for (campaign::Measurement& m : make_batch(replaced, rng)) {
+      replaced.readings.push_back(std::move(m));
+    }
+  }
+  service.install_channel(core::ChannelState(replaced));
+  expect_serial_build("after a longer install");
+
+  campaign::ChannelDataset sweep;
+  sweep.channel = kChannelA;
+  for (int i = 0; i < 10; ++i) {
+    for (campaign::Measurement& m : make_batch(*data_a_, rng)) {
+      sweep.readings.push_back(std::move(m));
+    }
+  }
+  service.ingest_campaign(sweep);
+  expect_serial_build("after an appended sweep");
+
+  // A shorter install leaves more cached labels than readings.
+  service.install_channel(core::ChannelState(*data_a_));
+  expect_serial_build("after a shorter install");
+}
+
 TEST_F(ServiceFixture, PurgePendingDropsOnlyThatContributor) {
   SpectrumService service(fast_config());
   bootstrap(service);
