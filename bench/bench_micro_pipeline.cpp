@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) of the on-device pipeline stages, the
-// offline model-construction stages and server-side upload screening, plus
-// the pilot-vs-energy detector ablation called out in DESIGN.md.
+// offline model-construction stages, server-side upload screening and the
+// WSNP/CLSTR/1 wire codecs, plus the pilot-vs-energy detector ablation
+// called out in DESIGN.md.
 //
 // Accepts `--json <path>` (in addition to the standard --benchmark_* flags)
 // to also write the measured ns/item rates as machine-readable JSON — the
@@ -15,10 +16,12 @@
 
 #include "common.hpp"
 #include "waldo/campaign/labeling.hpp"
+#include "waldo/cluster/wire.hpp"
 #include "waldo/core/channel_state.hpp"
 #include "waldo/core/detector.hpp"
 #include "waldo/core/features.hpp"
 #include "waldo/core/model_constructor.hpp"
+#include "waldo/core/protocol.hpp"
 #include "waldo/dsp/detectors.hpp"
 #include "waldo/dsp/fft.hpp"
 #include "waldo/dsp/iq.hpp"
@@ -411,6 +414,72 @@ void BM_ScreenGrownChannel(benchmark::State& state) {
   state.counters["parked"] = static_cast<double>(grown.pending().size());
 }
 BENCHMARK(BM_ScreenGrownChannel);
+
+/// A 3-reading upload as a device sends it: 17 significant digits in
+/// every coordinate and level, as measured values have.
+core::UploadRequest wire_upload() {
+  std::mt19937_64 rng(10);
+  std::uniform_real_distribution<double> coord(0.0, 18'000.0);
+  std::uniform_real_distribution<double> level(-120.0, -40.0);
+  core::UploadRequest r;
+  r.channel = 15;
+  r.contributor = "dev17";
+  r.request_id = 0x9E3779B97F4A7C15ull;
+  r.location = {coord(rng), coord(rng)};
+  for (int i = 0; i < 3; ++i) {
+    campaign::Measurement m;
+    m.position = {coord(rng), coord(rng)};
+    m.raw = level(rng);
+    m.rss_dbm = level(rng);
+    m.cft_db = level(rng);
+    m.aft_db = level(rng);
+    r.readings.push_back(m);
+  }
+  return r;
+}
+
+/// A model response carrying a 316-byte descriptor of arbitrary bytes.
+core::ModelResponse wire_model_response() {
+  std::mt19937_64 rng(11);
+  std::string descriptor(316, '\0');
+  for (char& c : descriptor) c = static_cast<char>(rng());
+  return core::ModelResponse{.channel = 15, .descriptor = descriptor};
+}
+
+void BM_WsnpUploadEncode(benchmark::State& state) {
+  const core::Message upload = wire_upload();
+  for (auto _ : state) benchmark::DoNotOptimize(core::encode(upload).size());
+}
+BENCHMARK(BM_WsnpUploadEncode);
+
+void BM_WsnpUploadDecode(benchmark::State& state) {
+  const std::string wire = core::encode(wire_upload());
+  for (auto _ : state) benchmark::DoNotOptimize(core::decode(wire).index());
+}
+BENCHMARK(BM_WsnpUploadDecode);
+
+/// What a download costs the codecs: encode the reply, decode it.
+void BM_WsnpModelRoundTrip(benchmark::State& state) {
+  const core::Message response = wire_model_response();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::decode(core::encode(response)).index());
+  }
+}
+BENCHMARK(BM_WsnpModelRoundTrip);
+
+/// The CLSTR/1 envelope around that reply, as each cluster hop wraps it.
+void BM_EnvelopeRoundTrip(benchmark::State& state) {
+  const cluster::Envelope envelope{.verb = "wsnp",
+                                   .from = 2,
+                                   .tile = {3, -1},
+                                   .body = core::encode(wire_model_response())};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        cluster::decode_envelope(cluster::encode_envelope(envelope))
+            .body.size());
+  }
+}
+BENCHMARK(BM_EnvelopeRoundTrip);
 
 /// Console output as usual, plus every finished run captured for --json.
 class CapturingReporter : public benchmark::ConsoleReporter {

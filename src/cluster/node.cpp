@@ -201,8 +201,7 @@ std::string ClusterNode::handle_wsnp(const Envelope& request) {
         {.verb = "wsnp",
          .from = id_,
          .tile = request.tile,
-         .body = core::encode(core::ModelResponse{
-             .channel = r->channel, .descriptor = *descriptor})});
+         .body = core::encode_model_response(r->channel, *descriptor)});
   }
 
   const auto* r = std::get_if<core::UploadRequest>(&message);

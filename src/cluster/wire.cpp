@@ -1,10 +1,10 @@
 #include "waldo/cluster/wire.hpp"
 
 #include "waldo/codec/codec.hpp"
+#include "waldo/core/wire_text.hpp"
 
-#include <charconv>
+#include <array>
 #include <limits>
-#include <sstream>
 #include <utility>
 #include <stdexcept>
 #include <string_view>
@@ -14,40 +14,22 @@ namespace waldo::cluster {
 namespace {
 
 constexpr std::string_view kMagic = "CLSTR/1";
+constexpr std::string_view kFraming = "CLSTR";  // error-message prefix
 
-// Same checked-parsing discipline as core/protocol.cpp: a field must be a
-// base-10 integer occupying its whole token.
-template <typename Int>
-[[nodiscard]] Int parse_int(std::string_view text, const char* field) {
-  Int value{};
-  const char* const begin = text.data();
-  const char* const end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end) {
-    throw std::runtime_error(std::string("CLSTR: malformed ") + field +
-                             ": '" + std::string(text) + "'");
-  }
-  return value;
-}
-
-/// Splits `line` into exactly `n` space-separated tokens.
-[[nodiscard]] std::vector<std::string_view> split_tokens(std::string_view line,
-                                                         std::size_t n,
-                                                         const char* what) {
-  std::vector<std::string_view> tokens;
+/// Splits the header line into exactly its six single-space-separated
+/// tokens. Numeric tokens are then read whole, as WSNP's fields are.
+[[nodiscard]] std::array<std::string_view, 6> header_tokens(
+    std::string_view line) {
+  std::array<std::string_view, 6> tokens;
   std::size_t pos = 0;
-  while (pos <= line.size() && tokens.size() < n) {
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
     const std::size_t space = line.find(' ', pos);
-    if (space == std::string_view::npos) {
-      tokens.push_back(line.substr(pos));
-      pos = line.size() + 1;
-    } else {
-      tokens.push_back(line.substr(pos, space - pos));
-      pos = space + 1;
+    const bool last = i + 1 == tokens.size();
+    if (last != (space == std::string_view::npos)) {
+      throw std::runtime_error("CLSTR: malformed envelope header");
     }
-  }
-  if (tokens.size() != n || pos <= line.size()) {
-    throw std::runtime_error(std::string("CLSTR: malformed ") + what);
+    tokens[i] = line.substr(pos, last ? std::string_view::npos : space - pos);
+    pos = space + 1;
   }
   return tokens;
 }
@@ -59,12 +41,15 @@ std::string encode_envelope(const Envelope& envelope) {
       envelope.verb.find_first_of(" \t\n") != std::string::npos) {
     throw std::invalid_argument("CLSTR verb must be a single token");
   }
-  std::ostringstream os;
-  os << kMagic << " " << envelope.verb << " " << envelope.from << " "
-     << envelope.tile.tx << " " << envelope.tile.ty << " "
-     << envelope.body.size() << "\n"
-     << envelope.body;
-  return os.str();
+  // Four numbers of at most 20 bytes each, five spaces and a newline.
+  std::string out;
+  out.reserve(kMagic.size() + envelope.verb.size() + 86 +
+              envelope.body.size());
+  core::wire_text::append_line(out, kMagic, envelope.verb, envelope.from,
+                               envelope.tile.tx, envelope.tile.ty,
+                               envelope.body.size());
+  out += envelope.body;
+  return out;
 }
 
 Envelope decode_envelope(const std::string& wire) {
@@ -72,16 +57,17 @@ Envelope decode_envelope(const std::string& wire) {
   if (nl == std::string::npos) {
     throw std::runtime_error("CLSTR: missing header line");
   }
-  const auto tokens = split_tokens(std::string_view(wire.data(), nl), 6,
-                                   "envelope header");
+  const auto tokens = header_tokens(std::string_view(wire.data(), nl));
   if (tokens[0] != kMagic) throw std::runtime_error("CLSTR: bad magic");
+  using core::wire_text::parse_int;
   Envelope env;
   env.verb = std::string(tokens[1]);
   if (env.verb.empty()) throw std::runtime_error("CLSTR: empty verb");
-  env.from = parse_int<NodeId>(tokens[2], "sender id");
-  env.tile.tx = parse_int<std::int32_t>(tokens[3], "tile x");
-  env.tile.ty = parse_int<std::int32_t>(tokens[4], "tile y");
-  const auto length = parse_int<std::size_t>(tokens[5], "body length");
+  env.from = parse_int<NodeId>(tokens[2], kFraming, "sender id");
+  env.tile.tx = parse_int<std::int32_t>(tokens[3], kFraming, "tile x");
+  env.tile.ty = parse_int<std::int32_t>(tokens[4], kFraming, "tile y");
+  const auto length =
+      parse_int<std::size_t>(tokens[5], kFraming, "body length");
   env.body = wire.substr(nl + 1);
   if (env.body.size() != length) {
     throw std::runtime_error("CLSTR: body length mismatch");

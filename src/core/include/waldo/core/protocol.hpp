@@ -6,14 +6,15 @@
 // would run it over TCP/HTTP).
 //
 // Wire format: a one-line header `WSNP/1 <type> <body-bytes>` followed by
-// `\n` and the body. Bodies are line-oriented text, matching the model
-// descriptors they carry.
+// `\n` and the body. Bodies are line-oriented text, except that a model
+// response carries its binary descriptor raw after a length-prefixed line.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -92,8 +93,15 @@ struct ErrorResponse {
 using Message = std::variant<ModelRequest, ModelResponse, UploadRequest,
                              UploadResponse, ErrorResponse>;
 
-/// Serialises a message to its wire form.
+/// Serialises a message to its wire form. Numbers are written as
+/// docs/WIRE_FORMAT.md ("WSNP framing") specifies.
 [[nodiscard]] std::string encode(const Message& message);
+
+/// encode(ModelResponse{channel, descriptor}) without first copying the
+/// descriptor into a ModelResponse: the download path frames a cached
+/// descriptor straight from its shared bytes.
+[[nodiscard]] std::string encode_model_response(int channel,
+                                                std::string_view descriptor);
 
 /// Parses a wire string. Throws std::runtime_error on malformed input
 /// (bad magic, unknown type, truncated body).

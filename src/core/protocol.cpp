@@ -1,38 +1,23 @@
 #include "waldo/core/protocol.hpp"
 
-#include <charconv>
-#include <iomanip>
-#include <locale>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
+
+#include "waldo/core/wire_text.hpp"
 
 namespace waldo::core {
 
 namespace {
 
-constexpr const char* kMagic = "WSNP/1";
+constexpr std::string_view kMagic = "WSNP/1";
+constexpr std::string_view kFraming = "WSNP";  // error-message prefix
 
-// Parses a base-10 integer occupying the whole of `text`: empty input,
-// non-digit bytes, and trailing junk are all rejected, naming the field.
-template <typename Int>
-[[nodiscard]] Int parse_int_field(std::string_view text, const char* field) {
-  Int value{};
-  const char* const begin = text.data();
-  const char* const end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end) {
-    throw std::runtime_error(std::string("WSNP: malformed ") + field +
-                             ": '" + std::string(text) + "'");
-  }
-  return value;
-}
+using wire_text::append_line;
 
 // Throws unless nothing but whitespace remains — numeric fields followed
 // by trailing garbage ("46 1 2 junk") must not decode successfully.
-void require_drained(std::istream& is, const char* what) {
-  char stray = '\0';
-  if (is >> stray) {
+void require_drained(wire_text::Tokens& in, const char* what) {
+  if (!in.done()) {
     throw std::runtime_error(std::string("WSNP: trailing garbage after ") +
                              what);
   }
@@ -51,59 +36,63 @@ void require_drained(std::istream& is, const char* what) {
   return std::visit(Visitor{}, m);
 }
 
-[[nodiscard]] std::string encode_body(const Message& m) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << std::setprecision(17);
-  struct Visitor {
-    std::ostringstream& os;
-    void operator()(const ModelRequest& r) {
-      os << r.channel << " " << r.location.east_m << " "
-         << r.location.north_m << "\n";
+/// Appends a message's body to `out`, one line per record. A model
+/// response's body is "<channel> <descriptor-bytes>\n" and then the raw
+/// descriptor (binary, any byte value), which is left in `raw_tail` for
+/// the frame to append.
+struct BodyWriter {
+  std::string& out;
+  std::string_view raw_tail;
+
+  void operator()(const ModelRequest& r) {
+    append_line(out, r.channel, r.location.east_m, r.location.north_m);
+  }
+  void operator()(const ModelResponse& r) {
+    append_line(out, r.channel, r.descriptor.size());
+    raw_tail = r.descriptor;
+  }
+  void operator()(const UploadRequest& r) {
+    if (r.contributor.empty() ||
+        r.contributor.find_first_of(" \t\n") != std::string::npos) {
+      throw std::invalid_argument(
+          "contributor must be a single non-empty token");
     }
-    void operator()(const ModelResponse& r) {
-      // Length-prefixed: binary descriptors may contain any byte value,
-      // so the old "rest of the body" framing is replaced by an explicit
-      // byte count on the first line.
-      os << r.channel << " " << r.descriptor.size() << "\n" << r.descriptor;
+    append_line(out, r.channel, r.contributor, r.readings.size(),
+                r.request_id, r.location.east_m, r.location.north_m);
+    for (const campaign::Measurement& m : r.readings) {
+      append_line(out, m.position.east_m, m.position.north_m, m.raw,
+                  m.rss_dbm, m.cft_db, m.aft_db);
     }
-    void operator()(const UploadRequest& r) {
-      if (r.contributor.empty() ||
-          r.contributor.find_first_of(" \t\n") != std::string::npos) {
-        throw std::invalid_argument(
-            "contributor must be a single non-empty token");
-      }
-      os << r.channel << " " << r.contributor << " " << r.readings.size()
-         << " " << r.request_id << " " << r.location.east_m << " "
-         << r.location.north_m << "\n";
-      for (const campaign::Measurement& m : r.readings) {
-        os << m.position.east_m << " " << m.position.north_m << " " << m.raw
-           << " " << m.rss_dbm << " " << m.cft_db << " " << m.aft_db << "\n";
-      }
-    }
-    void operator()(const UploadResponse& r) {
-      os << r.accepted << " " << r.rejected << " " << r.pending << " "
-         << r.ticket << "\n";
-    }
-    void operator()(const ErrorResponse& r) {
-      os << static_cast<int>(r.code) << " " << r.channel << " " << r.reason
-         << "\n";
-    }
-  };
-  std::visit(Visitor{os}, m);
-  return os.str();
+  }
+  void operator()(const UploadResponse& r) {
+    append_line(out, r.accepted, r.rejected, r.pending, r.ticket);
+  }
+  void operator()(const ErrorResponse& r) {
+    append_line(out, static_cast<int>(r.code), r.channel, r.reason);
+  }
+};
+
+/// "WSNP/1 <type> <body-bytes>\n" followed by the body, `head` then
+/// `tail`, in one allocation.
+[[nodiscard]] std::string frame(std::string_view type, std::string_view head,
+                                std::string_view tail) {
+  std::string out;
+  out.reserve(kMagic.size() + type.size() + 24 + head.size() + tail.size());
+  append_line(out, kMagic, type, head.size() + tail.size());
+  out += head;
+  out += tail;
+  return out;
 }
 
-[[nodiscard]] Message decode_body(const std::string& type,
-                                  const std::string& body) {
-  std::istringstream is(body);
-  is.imbue(std::locale::classic());
+[[nodiscard]] Message decode_body(std::string_view type,
+                                  std::string_view body) {
+  wire_text::Tokens in(body);
   if (type == "model_request") {
     ModelRequest r;
-    if (!(is >> r.channel >> r.location.east_m >> r.location.north_m)) {
+    if (!in.read(r.channel, r.location.east_m, r.location.north_m)) {
       throw std::runtime_error("malformed model_request body");
     }
-    require_drained(is, "model_request fields");
+    require_drained(in, "model_request fields");
     return r;
   }
   if (type == "model_response") {
@@ -111,29 +100,30 @@ void require_drained(std::istream& is, const char* what) {
     // follows raw (it is binary, so it is never parsed as text here).
     ModelResponse r;
     const auto nl = body.find('\n');
-    if (nl == std::string::npos) {
+    if (nl == std::string_view::npos) {
       throw std::runtime_error("malformed model_response body");
     }
-    const std::string_view line(body.data(), nl);
+    const std::string_view line = body.substr(0, nl);
     const auto space = line.find(' ');
     if (space == std::string_view::npos) {
       throw std::runtime_error("malformed model_response body");
     }
-    r.channel =
-        parse_int_field<int>(line.substr(0, space), "model_response channel");
-    const auto declared = parse_int_field<std::size_t>(
-        line.substr(space + 1), "model_response descriptor length");
-    r.descriptor = body.substr(nl + 1);
-    if (r.descriptor.size() != declared) {
+    r.channel = wire_text::parse_int<int>(line.substr(0, space), kFraming,
+                                          "model_response channel");
+    const auto declared = wire_text::parse_int<std::size_t>(
+        line.substr(space + 1), kFraming, "model_response descriptor length");
+    const std::string_view descriptor = body.substr(nl + 1);
+    if (descriptor.size() != declared) {
       throw std::runtime_error("WSNP: descriptor length mismatch");
     }
+    r.descriptor = descriptor;
     return r;
   }
   if (type == "upload_request") {
     UploadRequest r;
     std::size_t count = 0;
-    if (!(is >> r.channel >> r.contributor >> count >> r.request_id >>
-          r.location.east_m >> r.location.north_m)) {
+    if (!in.read(r.channel, r.contributor, count, r.request_id,
+                 r.location.east_m, r.location.north_m)) {
       throw std::runtime_error("malformed upload_request body");
     }
     // Each reading occupies at least a dozen body bytes; a count the body
@@ -144,64 +134,69 @@ void require_drained(std::istream& is, const char* what) {
     }
     r.readings.resize(count);
     for (campaign::Measurement& m : r.readings) {
-      if (!(is >> m.position.east_m >> m.position.north_m >> m.raw >>
-            m.rss_dbm >> m.cft_db >> m.aft_db)) {
+      if (!in.read(m.position.east_m, m.position.north_m, m.raw, m.rss_dbm,
+                   m.cft_db, m.aft_db)) {
         throw std::runtime_error("truncated upload_request body");
       }
     }
-    require_drained(is, "upload_request readings");
+    require_drained(in, "upload_request readings");
     return r;
   }
   if (type == "upload_response") {
     UploadResponse r;
-    if (!(is >> r.accepted >> r.rejected >> r.pending >> r.ticket)) {
+    if (!in.read(r.accepted, r.rejected, r.pending, r.ticket)) {
       throw std::runtime_error("malformed upload_response body");
     }
-    require_drained(is, "upload_response fields");
+    require_drained(in, "upload_response fields");
     return r;
   }
   if (type == "error") {
     // "<code> <channel> <reason...>"; a body without both numbers is
-    // malformed.
+    // malformed. The reason is the first line after them.
     ErrorResponse r;
     int code = 0;
-    if (!(is >> code >> r.channel)) {
+    if (!in.read(code, r.channel)) {
       throw std::runtime_error("malformed error body");
     }
     r.code = static_cast<ErrorCode>(code);
-    std::getline(is >> std::ws, r.reason);
+    r.reason = in.rest_of_line();
     return r;
   }
-  throw std::runtime_error("unknown WSNP message type: " + type);
+  throw std::runtime_error("unknown WSNP message type: " + std::string(type));
 }
 
 }  // namespace
 
 std::string encode(const Message& message) {
-  const std::string body = encode_body(message);
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << kMagic << " " << type_name(message) << " " << body.size() << "\n"
-     << body;
-  return os.str();
+  std::string head;
+  BodyWriter writer{head, {}};
+  std::visit(writer, message);
+  return frame(type_name(message), head, writer.raw_tail);
+}
+
+std::string encode_model_response(int channel, std::string_view descriptor) {
+  std::string head;
+  append_line(head, channel, descriptor.size());
+  return frame("model_response", head, descriptor);
 }
 
 Message decode(const std::string& wire) {
-  const auto header_end = wire.find('\n');
-  if (header_end == std::string::npos) {
+  const std::string_view text(wire);
+  const auto header_end = text.find('\n');
+  if (header_end == std::string_view::npos) {
     throw std::runtime_error("WSNP: missing header line");
   }
-  std::istringstream header(wire.substr(0, header_end));
-  header.imbue(std::locale::classic());
-  std::string magic, type;
-  std::string length_token;
-  if (!(header >> magic >> type >> length_token) || magic != kMagic) {
+  wire_text::Tokens header(text.substr(0, header_end));
+  const std::string_view magic = header.next();
+  const std::string_view type = header.next();
+  const std::string_view length_token = header.next();
+  if (length_token.empty() || magic != kMagic) {
     throw std::runtime_error("WSNP: bad header");
   }
   require_drained(header, "WSNP header");
-  const std::size_t length =
-      parse_int_field<std::size_t>(length_token, "body length");
-  const std::string body = wire.substr(header_end + 1);
+  const auto length =
+      wire_text::parse_int<std::size_t>(length_token, kFraming, "body length");
+  const std::string_view body = text.substr(header_end + 1);
   if (body.size() != length) {
     throw std::runtime_error("WSNP: body length mismatch");
   }

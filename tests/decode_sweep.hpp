@@ -12,6 +12,22 @@
 
 namespace waldo::testing {
 
+/// Calls `visit` with every strict prefix of `good`, then with every
+/// single-bit flip of it.
+template <typename Visit>
+void for_each_truncation_and_flip(const std::string& good, Visit visit) {
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    visit(good.substr(0, len));
+  }
+  for (std::size_t byte = 0; byte < good.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bad = good;
+      bad[byte] = static_cast<char>(bad[byte] ^ (1 << bit));
+      visit(bad);
+    }
+  }
+}
+
 /// Every strict prefix of `good` must throw std::runtime_error. Every
 /// single-bit flip must either decode or throw std::runtime_error — never
 /// another exception type.

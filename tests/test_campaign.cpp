@@ -133,8 +133,9 @@ struct LabelCase {
 };
 
 /// Readings scattered, snapped to cell edges (and one ulp either side),
-/// stacked on each other, or placed exactly one radius from an earlier
-/// reading, around the origin or around +-1e7 m; poisoner shares from
+/// stacked on each other, placed exactly one radius from an earlier
+/// reading, or in pairs one radius from a cell edge and one ulp either
+/// side of it, around the origin or around +-1e7 m; poisoner shares from
 /// none to all, RSS sometimes exactly on the threshold.
 LabelCase random_label_case(std::mt19937_64& rng) {
   std::uniform_real_distribution<double> unit(0.0, 1.0);
@@ -152,6 +153,14 @@ LabelCase random_label_case(std::mt19937_64& rng) {
   const double spread = std::max(std::abs(r), 10.0) * pick({0.5, 2.0, 6.0});
   const double poison_share = pick({0.0, 1.0, 0.01, 0.2, unit(rng)});
   const double quiet_top = c.config.threshold_dbm - c.config.correction_db;
+  const auto add = [&](const geo::EnuPoint& p) {
+    c.positions.push_back(p);
+    const double u = unit(rng);
+    c.rss.push_back(u < 0.05 ? quiet_top
+                    : unit(rng) < poison_share
+                        ? quiet_top + 0.001 + 20.0 * u
+                        : quiet_top - 30.0 * u);
+  };
   const auto n = static_cast<std::size_t>(unit(rng) * 250.0);
   for (std::size_t i = 0; i < n; ++i) {
     geo::EnuPoint p{origin + spread * unit(rng), origin + spread * unit(rng)};
@@ -174,13 +183,28 @@ LabelCase random_label_case(std::mt19937_64& rng) {
         case 4: p = {std::nextafter(q.east_m + d, 1e300), q.north_m}; break;
         default: p = q; break;
       }
+    } else if (kind < 0.55) {
+      // A pair on one row: a reading one ulp either side of a cell edge
+      // (or on it), and one at that edge plus or minus r. The second
+      // reading's p -+ r rounds onto or next to the edge, so the first can
+      // round to within r of it yet lie outside its query window: a pair
+      // only the window check in PairRule::poisons decides.
+      const double edge =
+          origin + cell * pick({1.0, 2.0, 3.0,
+                                std::round(spread * unit(rng) / cell)});
+      const double row = origin + spread * unit(rng);
+      const double near = pick({std::nextafter(edge, -1e300), edge,
+                                std::nextafter(edge, 1e300)});
+      const double far = edge + (unit(rng) < 0.5 ? -r : r);
+      const bool east = unit(rng) < 0.5;
+      const auto on_row = [&](double v) {
+        return east ? geo::EnuPoint{v, row} : geo::EnuPoint{row, v};
+      };
+      const bool near_first = unit(rng) < 0.5;
+      add(on_row(near_first ? near : far));
+      p = on_row(near_first ? far : near);
     }
-    c.positions.push_back(p);
-    const double u = unit(rng);
-    c.rss.push_back(u < 0.05 ? quiet_top
-                    : unit(rng) < poison_share
-                        ? quiet_top + 0.001 + 20.0 * u
-                        : quiet_top - 30.0 * u);
+    add(p);
   }
   return c;
 }

@@ -11,6 +11,7 @@
 #include "waldo/campaign/labeling.hpp"
 #include "waldo/campaign/truth.hpp"
 #include "waldo/campaign/wardrive.hpp"
+#include "waldo/cluster/wire.hpp"
 #include "waldo/core/detector.hpp"
 #include "waldo/core/protocol.hpp"
 #include "waldo/device/energy.hpp"
@@ -292,10 +293,35 @@ INSTANTIATE_TEST_SUITE_P(Alphas, AlphaSweep,
 
 // -------------------------------------------------------------- protocol
 
+/// Fuzz-lite: 500 random multi-byte mutations of a valid frame either
+/// decode or throw std::runtime_error — never another exception, never a
+/// crash or a hang.
+template <typename Decode>
+void expect_mutations_contained(const std::string& valid, Decode decode,
+                                std::mt19937_64& rng) {
+  std::uniform_int_distribution<int> pick_char(0, 255);
+  std::uniform_int_distribution<std::size_t> pick_pos(0, valid.size() - 1);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::string mutated = valid;
+    const int edits = 1 + trial % 5;
+    for (int e = 0; e < edits; ++e) {
+      mutated[pick_pos(rng)] = static_cast<char>(pick_char(rng));
+    }
+    try {
+      (void)decode(mutated);
+    } catch (const std::runtime_error&) {
+      // a clean rejection, expected for most mutations
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutation " << trial << " threw a non-runtime_error: "
+                    << e.what();
+    } catch (...) {
+      ADD_FAILURE() << "mutation " << trial
+                    << " threw a non-standard exception";
+    }
+  }
+}
+
 TEST(ProtocolProperty, DecodeNeverCrashesOnMutations) {
-  // Fuzz-lite: random multi-byte mutations of a valid wire string either
-  // parse or throw std::runtime_error — never another exception, never a
-  // crash or a hang.
   core::UploadRequest upload;
   upload.channel = 46;
   upload.contributor = "alice";
@@ -312,28 +338,16 @@ TEST(ProtocolProperty, DecodeNeverCrashesOnMutations) {
                                       .location = geo::EnuPoint{1.0, 2.0}}),
       core::encode(upload)};
   std::mt19937_64 rng(16);
-  std::uniform_int_distribution<int> pick_char(0, 255);
   for (const std::string& valid : wires) {
-    std::uniform_int_distribution<std::size_t> pick_pos(0, valid.size() - 1);
-    for (int trial = 0; trial < 500; ++trial) {
-      std::string mutated = valid;
-      const int edits = 1 + trial % 5;
-      for (int e = 0; e < edits; ++e) {
-        mutated[pick_pos(rng)] = static_cast<char>(pick_char(rng));
-      }
-      try {
-        (void)core::decode(mutated);
-      } catch (const std::runtime_error&) {
-        // a clean rejection, expected for most mutations
-      } catch (const std::exception& e) {
-        ADD_FAILURE() << "mutation " << trial << " threw a non-runtime_error: "
-                      << e.what();
-      } catch (...) {
-        ADD_FAILURE() << "mutation " << trial
-                      << " threw a non-standard exception";
-      }
-    }
+    expect_mutations_contained(
+        valid, [](const std::string& w) { return core::decode(w); }, rng);
   }
+  // The CLSTR/1 envelope every cluster hop wraps a WSNP frame in.
+  const std::string envelope = cluster::encode_envelope(
+      {.verb = "wsnp", .from = 3, .tile = {-2, 5}, .body = wires[1]});
+  expect_mutations_contained(
+      envelope,
+      [](const std::string& w) { return cluster::decode_envelope(w); }, rng);
 }
 
 TEST(ProtocolProperty, EncodeDecodeIsIdentityOnRandomUploads) {
