@@ -12,7 +12,7 @@ namespace {
 /// Largest distance at which `model` predicts at least `threshold_dbm`
 /// from a transmitter with `erp_dbm`, found by bisection (path loss is
 /// monotone in distance).
-[[nodiscard]] double solve_contour_radius_m(const rf::PathLossModel& model,
+[[nodiscard]] double solve_contour_radius_m(const rf::FccCurvesModel& model,
                                             double erp_dbm,
                                             double threshold_dbm) {
   const auto rss_at = [&](double d) { return erp_dbm - model.path_loss_db(d); };

@@ -7,7 +7,7 @@
 
 #include <vector>
 
-#include "waldo/baselines/estimator.hpp"
+#include "waldo/geo/latlon.hpp"
 #include "waldo/rf/environment.hpp"
 
 namespace waldo::baselines {
@@ -26,7 +26,7 @@ struct GeoDatabaseConfig {
   double curve_underprediction_db = 1.0;
 };
 
-class GeoDatabase final : public WhiteSpaceEstimator {
+class GeoDatabase {
  public:
   /// Builds contours for every transmitter registered in the environment.
   /// Only public registration data (location, ERP, height, channel) is
@@ -34,7 +34,7 @@ class GeoDatabase final : public WhiteSpaceEstimator {
   GeoDatabase(const rf::Environment& environment, int channel,
               GeoDatabaseConfig config = {});
 
-  [[nodiscard]] int classify(const geo::EnuPoint& p) const override;
+  [[nodiscard]] int classify(const geo::EnuPoint& p) const;
 
   /// Protected-contour radius (before separation) of transmitter `i` on
   /// this database's channel.

@@ -8,10 +8,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "waldo/baselines/estimator.hpp"
 #include "waldo/campaign/measurement.hpp"
+#include "waldo/geo/latlon.hpp"
 #include "waldo/rf/channels.hpp"
 
 namespace waldo::baselines {
@@ -27,7 +28,7 @@ struct VScopeConfig {
   std::uint64_t seed = 31;
 };
 
-class VScope final : public WhiteSpaceEstimator {
+class VScope {
  public:
   explicit VScope(VScopeConfig config = {}) : config_(config) {}
 
@@ -41,7 +42,7 @@ class VScope final : public WhiteSpaceEstimator {
 
   /// Not safe when the prediction (or any point within the separation
   /// distance, via the fitted monotone contour) exceeds the threshold.
-  [[nodiscard]] int classify(const geo::EnuPoint& p) const override;
+  [[nodiscard]] int classify(const geo::EnuPoint& p) const;
 
   struct ClusterFit {
     geo::EnuPoint centroid;

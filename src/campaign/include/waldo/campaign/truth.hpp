@@ -27,9 +27,6 @@ class GroundTruthLabeler {
   /// kSafe / kNotSafe at an arbitrary location (nearest grid cell).
   [[nodiscard]] int label(const geo::EnuPoint& p) const noexcept;
 
-  [[nodiscard]] std::vector<int> label_all(
-      std::span<const geo::EnuPoint> points) const;
-
   /// Fraction of the region's grid cells that are safe.
   [[nodiscard]] double safe_area_fraction() const noexcept;
 

@@ -81,14 +81,6 @@ int GroundTruthLabeler::label(const geo::EnuPoint& p) const noexcept {
   return labels_[cell_index(ix, iy)];
 }
 
-std::vector<int> GroundTruthLabeler::label_all(
-    std::span<const geo::EnuPoint> points) const {
-  std::vector<int> out;
-  out.reserve(points.size());
-  for (const geo::EnuPoint& p : points) out.push_back(label(p));
-  return out;
-}
-
 double GroundTruthLabeler::safe_area_fraction() const noexcept {
   if (labels_.empty()) return 0.0;
   std::size_t safe = 0;

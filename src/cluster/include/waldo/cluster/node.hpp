@@ -135,7 +135,6 @@ class ClusterNode {
   // -- verification/diagnostic accessors (bypass the transport) --
 
   [[nodiscard]] std::vector<TileKey> tiles() const;
-  [[nodiscard]] std::vector<int> channels(TileKey tile) const;
   /// Serialized model descriptor for a (tile, channel); builds if stale.
   /// Empty string when the tile/channel is absent.
   [[nodiscard]] std::string descriptor_bytes(TileKey tile, int channel);

@@ -466,11 +466,6 @@ std::vector<TileKey> ClusterNode::tiles() const {
   return out;
 }
 
-std::vector<int> ClusterNode::channels(TileKey tile) const {
-  Tile* t = find_tile(tile);
-  return t == nullptr ? std::vector<int>{} : t->service.channels();
-}
-
 std::string ClusterNode::descriptor_bytes(TileKey tile, int channel) {
   Tile* t = find_tile(tile);
   if (t == nullptr) return {};

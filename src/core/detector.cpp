@@ -64,11 +64,6 @@ ConvergenceFilter::ConvergenceFilter(DetectorConfig config)
   if (config_.min_samples < 2) config_.min_samples = 2;
 }
 
-void ConvergenceFilter::reset() {
-  readings_.clear();
-  converged_ = false;
-}
-
 std::vector<double> ConvergenceFilter::trimmed() const {
   std::vector<double> sorted(readings_);
   std::sort(sorted.begin(), sorted.end());

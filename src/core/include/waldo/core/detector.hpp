@@ -42,8 +42,6 @@ class ConvergenceFilter {
     return readings_.size();
   }
 
-  void reset();
-
   [[nodiscard]] const DetectorConfig& config() const noexcept {
     return config_;
   }

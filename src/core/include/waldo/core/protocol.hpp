@@ -11,15 +11,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <variant>
 #include <vector>
 
 #include "waldo/campaign/measurement.hpp"
-#include "waldo/core/model.hpp"
 
 namespace waldo::core {
 
@@ -106,31 +103,5 @@ using Message = std::variant<ModelRequest, ModelResponse, UploadRequest,
 /// Parses a wire string. Throws std::runtime_error on malformed input
 /// (bad magic, unknown type, truncated body).
 [[nodiscard]] Message decode(const std::string& wire);
-
-/// Client side: issues typed requests through a caller-supplied transport
-/// (a callable taking the request wire and returning the response wire).
-class ProtocolClient {
- public:
-  using Transport = std::function<std::string(const std::string&)>;
-
-  explicit ProtocolClient(Transport transport)
-      : transport_(std::move(transport)) {}
-
-  /// Downloads and deserialises the model for a channel. Throws
-  /// std::runtime_error carrying the server's reason on error replies.
-  [[nodiscard]] WhiteSpaceModel fetch_model(int channel,
-                                            const geo::EnuPoint& location);
-
-  /// Uploads measurements; returns the server's ledger. `location` and
-  /// `request_id` ride along as routing/dedup metadata (see
-  /// UploadRequest); single-node callers may leave them defaulted.
-  UploadResponse upload(int channel, const std::string& contributor,
-                        std::span<const campaign::Measurement> readings,
-                        const geo::EnuPoint& location = {},
-                        std::uint64_t request_id = 0);
-
- private:
-  Transport transport_;
-};
 
 }  // namespace waldo::core

@@ -203,39 +203,4 @@ Message decode(const std::string& wire) {
   return decode_body(type, body);
 }
 
-WhiteSpaceModel ProtocolClient::fetch_model(int channel,
-                                            const geo::EnuPoint& location) {
-  const Message reply = decode(transport_(
-      encode(ModelRequest{.channel = channel, .location = location})));
-  if (const auto* error = std::get_if<ErrorResponse>(&reply)) {
-    throw std::runtime_error("WSNP error: " + error->reason);
-  }
-  const auto* response = std::get_if<ModelResponse>(&reply);
-  if (response == nullptr) {
-    throw std::runtime_error("WSNP: unexpected reply to model request");
-  }
-  return WhiteSpaceModel::deserialize(response->descriptor);
-}
-
-UploadResponse ProtocolClient::upload(
-    int channel, const std::string& contributor,
-    std::span<const campaign::Measurement> readings,
-    const geo::EnuPoint& location, std::uint64_t request_id) {
-  UploadRequest request;
-  request.channel = channel;
-  request.contributor = contributor;
-  request.request_id = request_id;
-  request.location = location;
-  request.readings.assign(readings.begin(), readings.end());
-  const Message reply = decode(transport_(encode(request)));
-  if (const auto* error = std::get_if<ErrorResponse>(&reply)) {
-    throw std::runtime_error("WSNP error: " + error->reason);
-  }
-  const auto* response = std::get_if<UploadResponse>(&reply);
-  if (response == nullptr) {
-    throw std::runtime_error("WSNP: unexpected reply to upload request");
-  }
-  return *response;
-}
-
 }  // namespace waldo::core

@@ -65,68 +65,19 @@ double pilot_band_power_dbm(std::span<const cplx> capture,
   return rf::mw_to_dbm(std::max(pilot_band_mw(ps, pilot_bins), kFloorMw));
 }
 
-double pilot_band_power_dbm(std::span<const cplx> capture,
-                            CaptureWorkspace& ws, std::size_t pilot_bins) {
-  const auto ps = power_spectrum_shifted_into(capture, ws);
-  return rf::mw_to_dbm(std::max(pilot_band_mw(ps, pilot_bins), kFloorMw));
-}
-
 double pilot_detector_dbm(std::span<const cplx> capture,
                           std::size_t pilot_bins) {
   return pilot_band_power_dbm(capture, pilot_bins) +
          rf::kPilotToChannelCorrectionDb;
 }
 
-double pilot_detector_dbm(std::span<const cplx> capture, CaptureWorkspace& ws,
-                          std::size_t pilot_bins) {
-  return pilot_band_power_dbm(capture, ws, pilot_bins) +
-         rf::kPilotToChannelCorrectionDb;
-}
-
-double matched_pilot_power_dbm(std::span<const cplx> capture,
-                               std::size_t search_bins,
-                               std::size_t pilot_bins) {
-  if (search_bins == 0 || search_bins % 2 == 0) {
-    throw std::invalid_argument("search_bins must be odd and nonzero");
-  }
-  if (pilot_bins == 0 || pilot_bins % 2 == 0) {
-    throw std::invalid_argument("pilot_bins must be odd and nonzero");
-  }
-  const std::vector<double> ps = power_spectrum_shifted(capture);
-  const std::size_t n = ps.size();
-  const std::size_t c = n / 2;
-  const std::size_t search_half = std::min(search_bins / 2, c - 1);
-  const std::size_t pilot_half = pilot_bins / 2;
-  double best_mw = kFloorMw;
-  for (std::size_t k = c - search_half; k <= c + search_half; ++k) {
-    double mw = 0.0;
-    for (std::size_t j = k - pilot_half; j <= k + pilot_half && j < n; ++j) {
-      mw += ps[j];
-    }
-    best_mw = std::max(best_mw, mw);
-  }
-  return rf::mw_to_dbm(best_mw);
-}
-
 double central_bin_db(std::span<const cplx> capture) {
-  const std::vector<double> ps = power_spectrum_shifted(capture);
-  return rf::mw_to_dbm(std::max(ps[ps.size() / 2], kFloorMw));
-}
-
-double central_bin_db(std::span<const cplx> capture, CaptureWorkspace& ws) {
-  const auto ps = power_spectrum_shifted_into(capture, ws);
-  return rf::mw_to_dbm(std::max(ps[ps.size() / 2], kFloorMw));
+  return central_bin_db_from_power(power_spectrum_shifted(capture));
 }
 
 double central_band_mean_db(std::span<const cplx> capture, double fraction) {
-  const std::vector<double> ps = power_spectrum_shifted(capture);
-  return rf::mw_to_dbm(std::max(central_band_mean_mw(ps, fraction), kFloorMw));
-}
-
-double central_band_mean_db(std::span<const cplx> capture,
-                            CaptureWorkspace& ws, double fraction) {
-  const auto ps = power_spectrum_shifted_into(capture, ws);
-  return rf::mw_to_dbm(std::max(central_band_mean_mw(ps, fraction), kFloorMw));
+  return central_band_mean_db_from_power(power_spectrum_shifted(capture),
+                                         fraction);
 }
 
 double central_bin_db_from_power(std::span<const double> ps) {

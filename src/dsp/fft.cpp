@@ -22,37 +22,6 @@ namespace {
 
 }  // namespace
 
-void reference_transform(std::span<cplx> a, bool inverse) {
-  const std::size_t n = a.size();
-  if (!is_pow2(n)) throw std::invalid_argument("FFT size must be 2^k");
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(a[i], a[j]);
-  }
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double ang = 2.0 * std::numbers::pi / static_cast<double>(len) *
-                       (inverse ? 1.0 : -1.0);
-    const cplx wlen(std::cos(ang), std::sin(ang));
-    for (std::size_t i = 0; i < n; i += len) {
-      cplx w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const cplx u = a[i + k];
-        const cplx v = a[i + k + len / 2] * w;
-        a[i + k] = u + v;
-        a[i + k + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
-  }
-  if (inverse) {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (cplx& x : a) x *= inv_n;
-  }
-}
-
 FftPlan::FftPlan(std::size_t n) : n_(n) {
   if (!is_pow2(n)) throw std::invalid_argument("FFT size must be 2^k");
   if (n > (std::size_t{1} << 31)) {
@@ -171,20 +140,6 @@ std::vector<double> power_spectrum_shifted(std::span<const cplx> data) {
     power[k] = std::norm(spec[src]) * norm;
   }
   return power;
-}
-
-std::vector<double> hann_window(std::size_t n) {
-  std::vector<double> w(n);
-  if (n == 1) {
-    w[0] = 1.0;
-    return w;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    w[i] = 0.5 * (1.0 - std::cos(2.0 * std::numbers::pi *
-                                 static_cast<double>(i) /
-                                 static_cast<double>(n - 1)));
-  }
-  return w;
 }
 
 double mean_power(std::span<const cplx> data) noexcept {

@@ -3,13 +3,14 @@
 // (pilot-band power + 12 dB), which buys ~8 dB of effective noise-floor
 // headroom over full-band energy detection.
 //
-// Every statistic has two forms: the original allocating form (a fresh
-// power spectrum per call) and a CaptureWorkspace form that reuses the
-// workspace's scratch buffers — bit-identical results, zero steady-state
-// heap allocation. The *_from_spectrum variants compute the statistic
-// straight from a synthesized fftshift-ordered spectrum, skipping the
-// ifft -> fft round trip (the --fast-spectral path; equal to the exact
-// path within FFT round-trip error, see tests/test_dsp.cpp).
+// The statistics over a capture allocate a fresh power spectrum per call.
+// The campaign's hot path instead fills one CaptureWorkspace spectrum with
+// power_spectrum_shifted_into and reads CFT and AFT from it with the
+// *_from_power forms — bit-identical results, zero steady-state heap
+// allocation. The *_from_spectrum variants compute the statistic straight
+// from a synthesized fftshift-ordered spectrum, skipping the ifft -> fft
+// round trip (the --fast-spectral path; equal to the exact path within FFT
+// round-trip error, see tests/test_dsp.cpp).
 #pragma once
 
 #include <span>
@@ -33,38 +34,18 @@ std::span<const double> power_spectrum_shifted_into(
 /// bins (the capture is tuned to the pilot). `pilot_bins` must be odd.
 [[nodiscard]] double pilot_band_power_dbm(std::span<const cplx> capture,
                                           std::size_t pilot_bins = 3);
-[[nodiscard]] double pilot_band_power_dbm(std::span<const cplx> capture,
-                                          CaptureWorkspace& ws,
-                                          std::size_t pilot_bins = 3);
 
 /// The paper's channel-power estimate: pilot-band power plus the 12 dB
 /// pilot-to-channel correction.
 [[nodiscard]] double pilot_detector_dbm(std::span<const cplx> capture,
                                         std::size_t pilot_bins = 3);
-[[nodiscard]] double pilot_detector_dbm(std::span<const cplx> capture,
-                                        CaptureWorkspace& ws,
-                                        std::size_t pilot_bins = 3);
-
-/// Matched-filter pilot search: the maximum pilot-band power over a window
-/// of candidate frequency offsets (bins) around the capture centre, dBm.
-/// Robust to tuner frequency error, which defeats the fixed central-bin
-/// statistic: a pilot `offset` bins away still correlates at full strength
-/// with the matching complex exponential. `search_bins` must be odd.
-[[nodiscard]] double matched_pilot_power_dbm(std::span<const cplx> capture,
-                                             std::size_t search_bins = 9,
-                                             std::size_t pilot_bins = 3);
 
 /// Central DFT bin power in dB (relative scale) — the CFT feature.
 [[nodiscard]] double central_bin_db(std::span<const cplx> capture);
-[[nodiscard]] double central_bin_db(std::span<const cplx> capture,
-                                    CaptureWorkspace& ws);
 
 /// Mean power of the central `fraction` of DFT bins in dB — the AFT
 /// feature (paper: central 15 %).
 [[nodiscard]] double central_band_mean_db(std::span<const cplx> capture,
-                                          double fraction = 0.15);
-[[nodiscard]] double central_band_mean_db(std::span<const cplx> capture,
-                                          CaptureWorkspace& ws,
                                           double fraction = 0.15);
 
 /// CFT / AFT from an already-computed fftshifted power spectrum (e.g.

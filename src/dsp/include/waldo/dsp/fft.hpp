@@ -60,11 +60,6 @@ void fft_inplace(std::span<cplx> data);
 /// In-place inverse FFT (normalised by 1/N).
 void ifft_inplace(std::span<cplx> data);
 
-/// The direct (non-memoized) transform — the recurrence the plans memoize.
-/// Kept as the reference implementation for the bit-identity tests; prefer
-/// fft_inplace / ifft_inplace everywhere else.
-void reference_transform(std::span<cplx> data, bool inverse);
-
 /// Forward FFT returning a new vector.
 [[nodiscard]] std::vector<cplx> fft(std::span<const cplx> data);
 
@@ -73,9 +68,6 @@ void reference_transform(std::span<cplx> data, bool inverse);
 /// bin N/2 is the capture's centre frequency.
 [[nodiscard]] std::vector<double> power_spectrum_shifted(
     std::span<const cplx> data);
-
-/// Hann window coefficients.
-[[nodiscard]] std::vector<double> hann_window(std::size_t n);
 
 /// Mean |x|^2 of a capture (the classic energy detector statistic) in the
 /// input's linear power scale.

@@ -109,24 +109,4 @@ DrivePath generate_drive_path(const DrivePathConfig& cfg) {
   return out;
 }
 
-std::vector<EnuPoint> thin_by_distance(const std::vector<EnuPoint>& points,
-                                       double min_dist_m) {
-  std::vector<EnuPoint> kept;
-  kept.reserve(points.size());
-  // Incremental grid over the kept points; rebuilt lazily in chunks would be
-  // faster, but a fresh index per doubling keeps the code simple and the
-  // call sites are offline.
-  for (const EnuPoint& p : points) {
-    bool ok = true;
-    for (const EnuPoint& q : kept) {
-      if (distance_m(p, q) < min_dist_m) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) kept.push_back(p);
-  }
-  return kept;
-}
-
 }  // namespace waldo::geo

@@ -38,13 +38,6 @@ GridIndex::GridIndex(std::vector<EnuPoint> points, double cell_size_m)
   }
 }
 
-std::size_t GridIndex::insert(const EnuPoint& p) {
-  const std::size_t i = points_.size();
-  cells_.insert(checked_id(i), p);
-  points_.push_back(p);
-  return i;
-}
-
 void GridIndex::for_each_within(
     const EnuPoint& center, double radius_m,
     const std::function<void(std::size_t)>& fn) const {
@@ -87,32 +80,6 @@ std::size_t GridIndex::nearest(const EnuPoint& center) const {
   }
   for (std::size_t i = 0; i < points_.size(); ++i) consider(i);
   return best;
-}
-
-std::vector<std::size_t> GridIndex::k_nearest(const EnuPoint& center,
-                                              std::size_t k) const {
-  k = std::min(k, points_.size());
-  if (k == 0) return {};
-  std::vector<std::size_t> candidates;
-  for (double radius = cell_size_m();; radius *= 2.0) {
-    candidates = query_radius(center, radius);
-    if (candidates.size() >= k || radius > 1e9) break;
-  }
-  if (candidates.size() < k) {
-    candidates.resize(points_.size());
-    for (std::size_t i = 0; i < points_.size(); ++i) candidates[i] = i;
-  }
-  const auto dist2 = [&](std::size_t i) {
-    const double de = points_[i].east_m - center.east_m;
-    const double dn = points_[i].north_m - center.north_m;
-    return de * de + dn * dn;
-  };
-  std::partial_sort(candidates.begin(), candidates.begin() + static_cast<std::ptrdiff_t>(k),
-                    candidates.end(), [&](std::size_t a, std::size_t b) {
-                      return dist2(a) < dist2(b);
-                    });
-  candidates.resize(k);
-  return candidates;
 }
 
 }  // namespace waldo::geo

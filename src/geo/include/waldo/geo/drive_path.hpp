@@ -40,10 +40,4 @@ struct DrivePath {
 /// whole region instead of looping near the start.
 [[nodiscard]] DrivePath generate_drive_path(const DrivePathConfig& cfg);
 
-/// Greedily thins `points` so that every surviving pair is at least
-/// `min_dist_m` apart (order-preserving). Used to enforce the >20 m
-/// decorrelation spacing on arbitrary point sets.
-[[nodiscard]] std::vector<EnuPoint> thin_by_distance(
-    const std::vector<EnuPoint>& points, double min_dist_m);
-
 }  // namespace waldo::geo

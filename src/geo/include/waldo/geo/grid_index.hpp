@@ -5,7 +5,8 @@
 //
 // GridCells buckets point ids by cell and stores no coordinates, so an
 // index kept beside a dataset costs 4 bytes per point; GridIndex owns a
-// copy of its points on top of that. Both are append-only.
+// copy of its points on top of that. GridCells is append-only; a GridIndex
+// is built once over its points.
 #pragma once
 
 #include <algorithm>
@@ -107,11 +108,6 @@ class GridIndex {
     return points_;
   }
 
-  /// Appends `p`; returns its index (the previous size()). Queries after
-  /// the call see exactly what an index built over all points at once
-  /// would see.
-  std::size_t insert(const EnuPoint& p);
-
   /// Indices of all points within `radius_m` of `center` (inclusive).
   [[nodiscard]] std::vector<std::size_t> query_radius(
       const EnuPoint& center, double radius_m) const;
@@ -123,10 +119,6 @@ class GridIndex {
   /// Index of the nearest point to `center`, or `size()` if empty. Ties
   /// go to the lowest index.
   [[nodiscard]] std::size_t nearest(const EnuPoint& center) const;
-
-  /// Indices of the k nearest points, closest first.
-  [[nodiscard]] std::vector<std::size_t> k_nearest(const EnuPoint& center,
-                                                   std::size_t k) const;
 
  private:
   std::vector<EnuPoint> points_;

@@ -35,9 +35,6 @@ struct EnuPoint {
   friend bool operator==(const EnuPoint&, const EnuPoint&) = default;
 };
 
-/// Great-circle (haversine) distance between two coordinates in meters.
-[[nodiscard]] double haversine_m(const LatLon& a, const LatLon& b) noexcept;
-
 /// Euclidean distance between two ENU points in meters.
 [[nodiscard]] inline double distance_m(const EnuPoint& a,
                                        const EnuPoint& b) noexcept {

@@ -4,17 +4,6 @@
 
 namespace waldo::geo {
 
-double haversine_m(const LatLon& a, const LatLon& b) noexcept {
-  const double lat1 = deg_to_rad(a.lat_deg);
-  const double lat2 = deg_to_rad(b.lat_deg);
-  const double dlat = lat2 - lat1;
-  const double dlon = deg_to_rad(b.lon_deg - a.lon_deg);
-  const double s1 = std::sin(dlat / 2.0);
-  const double s2 = std::sin(dlon / 2.0);
-  const double h = s1 * s1 + std::cos(lat1) * std::cos(lat2) * s2 * s2;
-  return 2.0 * kEarthRadiusM * std::asin(std::sqrt(std::min(1.0, h)));
-}
-
 void BoundingBox::expand(const EnuPoint& p) noexcept {
   min_east_m = std::min(min_east_m, p.east_m);
   min_north_m = std::min(min_north_m, p.north_m);

@@ -4,13 +4,6 @@
 
 namespace waldo::ml {
 
-std::vector<int> Classifier::predict_all(const Matrix& x) const {
-  std::vector<int> out;
-  out.reserve(x.rows());
-  for (std::size_t r = 0; r < x.rows(); ++r) out.push_back(predict(x.row(r)));
-  return out;
-}
-
 std::size_t Classifier::descriptor_size_bytes() const {
   codec::Writer w;
   save(w);

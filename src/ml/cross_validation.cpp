@@ -77,52 +77,4 @@ CrossValidationResult cross_validate(const Matrix& x, std::span<const int> y,
   return result;
 }
 
-ConfusionMatrix evaluate_training_fraction(const Matrix& x,
-                                           std::span<const int> y,
-                                           const ClassifierFactory& factory,
-                                           double train_fraction,
-                                           double test_fraction,
-                                           std::uint64_t seed,
-                                           std::size_t max_train_samples) {
-  if (x.rows() != y.size()) {
-    throw std::invalid_argument("evaluate_training_fraction: size mismatch");
-  }
-  train_fraction = std::clamp(train_fraction, 0.0, 1.0);
-  test_fraction = std::clamp(test_fraction, 0.01, 0.9);
-
-  std::vector<std::size_t> perm(x.rows());
-  std::iota(perm.begin(), perm.end(), std::size_t{0});
-  std::mt19937_64 rng(seed);
-  std::shuffle(perm.begin(), perm.end(), rng);
-
-  const auto test_n = std::max<std::size_t>(
-      1, static_cast<std::size_t>(test_fraction *
-                                  static_cast<double>(x.rows())));
-  std::vector<std::size_t> test_idx(perm.begin(),
-                                    perm.begin() +
-                                        static_cast<std::ptrdiff_t>(test_n));
-  std::vector<std::size_t> pool(perm.begin() +
-                                    static_cast<std::ptrdiff_t>(test_n),
-                                perm.end());
-  const auto train_n = std::max<std::size_t>(
-      2, static_cast<std::size_t>(train_fraction *
-                                  static_cast<double>(pool.size())));
-  pool.resize(std::min(train_n, pool.size()));
-  cap_indices(pool, max_train_samples, seed + 1);
-
-  const Matrix x_train = x.take_rows(pool);
-  std::vector<int> y_train;
-  y_train.reserve(pool.size());
-  for (const std::size_t i : pool) y_train.push_back(y[i]);
-
-  auto model = factory();
-  model->fit(x_train, y_train);
-
-  ConfusionMatrix cm;
-  for (const std::size_t i : test_idx) {
-    cm.add(model->predict(x.row(i)), y[i]);
-  }
-  return cm;
-}
-
 }  // namespace waldo::ml

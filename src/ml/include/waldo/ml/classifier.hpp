@@ -44,9 +44,6 @@ class Classifier {
   /// Predicted label for one feature vector. Requires a trained model.
   [[nodiscard]] virtual int predict(std::span<const double> x) const = 0;
 
-  /// Predictions for every row of `x`.
-  [[nodiscard]] std::vector<int> predict_all(const Matrix& x) const;
-
   /// Short model-family identifier ("svm", "naive_bayes", ...).
   [[nodiscard]] virtual std::string kind() const = 0;
 

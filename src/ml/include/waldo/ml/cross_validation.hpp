@@ -40,12 +40,4 @@ struct CrossValidationResult {
     const Matrix& x, std::span<const int> y, const ClassifierFactory& factory,
     const CrossValidationConfig& config = {});
 
-/// Trains on a random `train_fraction` of the data (after holding out a
-/// random `test_fraction`), evaluates on the held-out set — the protocol of
-/// the paper's incremental-training study (Fig. 14).
-[[nodiscard]] ConfusionMatrix evaluate_training_fraction(
-    const Matrix& x, std::span<const int> y, const ClassifierFactory& factory,
-    double train_fraction, double test_fraction = 0.1,
-    std::uint64_t seed = 17, std::size_t max_train_samples = 0);
-
 }  // namespace waldo::ml

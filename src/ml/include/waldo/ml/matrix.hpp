@@ -49,9 +49,6 @@ class Matrix {
   /// Copy of selected rows, in the given order.
   [[nodiscard]] Matrix take_rows(std::span<const std::size_t> idx) const;
 
-  /// Copy of the first `k` columns of every row.
-  [[nodiscard]] Matrix take_cols(std::size_t k) const;
-
   void push_row(std::span<const double> row);
 
   [[nodiscard]] const std::vector<double>& data() const noexcept {

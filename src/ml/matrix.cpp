@@ -28,17 +28,6 @@ Matrix Matrix::take_rows(std::span<const std::size_t> idx) const {
   return out;
 }
 
-Matrix Matrix::take_cols(std::size_t k) const {
-  if (k > cols_) throw std::out_of_range("take_cols count");
-  Matrix out(rows_, k);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const auto src = row(r);
-    std::copy(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(k),
-              out.row(r).begin());
-  }
-  return out;
-}
-
 void Matrix::push_row(std::span<const double> row) {
   if (rows_ == 0 && cols_ == 0) cols_ = row.size();
   if (row.size() != cols_) {

@@ -79,30 +79,6 @@ Environment::Environment(Environment&& other) noexcept
   build_propagation_index();
 }
 
-Environment& Environment::operator=(const Environment& other) {
-  if (this != &other) {
-    config_ = other.config_;
-    transmitters_ = other.transmitters_;
-    obstacles_ = other.obstacles_;
-    shadowing_ = other.shadowing_;
-    floor_dbm_ = other.floor_dbm_;
-    build_propagation_index();
-  }
-  return *this;
-}
-
-Environment& Environment::operator=(Environment&& other) noexcept {
-  if (this != &other) {
-    config_ = std::move(other.config_);
-    transmitters_ = std::move(other.transmitters_);
-    obstacles_ = std::move(other.obstacles_);
-    shadowing_ = std::move(other.shadowing_);
-    floor_dbm_ = other.floor_dbm_;
-    build_propagation_index();
-  }
-  return *this;
-}
-
 Environment seasonal_variant(const Environment& base,
                              const SeasonalDrift& drift) {
   EnvironmentConfig config = base.config();

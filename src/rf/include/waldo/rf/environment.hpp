@@ -100,10 +100,11 @@ class Environment {
 
   // The channel index and per-transmitter Hata models point into / depend
   // on transmitters_, so copies rebuild them against their own storage.
+  // Nothing assigns one environment over another.
   Environment(const Environment& other);
   Environment(Environment&& other) noexcept;
-  Environment& operator=(const Environment& other);
-  Environment& operator=(Environment&& other) noexcept;
+  Environment& operator=(const Environment&) = delete;
+  Environment& operator=(Environment&&) = delete;
   ~Environment() = default;
 
  private:

@@ -1,31 +1,12 @@
-// Median path-loss models. The environment's ground truth uses Hata urban
-// (plus shadowing and obstructions); the conventional-database baseline uses
-// the smooth FCC-curve surrogate, mirroring the paper's contrast between
+// Median path-loss models: loss between isotropic antennas in positive dB,
+// at a distance clamped to the model's validity range (callers may pass any
+// positive distance). The environment's ground truth uses Hata urban (plus
+// shadowing and obstructions); the conventional-database baseline uses the
+// smooth FCC-curve surrogate, mirroring the paper's contrast between
 // generic propagation models and reality.
 #pragma once
 
-#include <memory>
-
 namespace waldo::rf {
-
-/// Median path loss between isotropic antennas, positive dB.
-class PathLossModel {
- public:
-  virtual ~PathLossModel() = default;
-  /// Loss in dB at distance `distance_m` (clamped internally to the model's
-  /// validity range; callers may pass any positive distance).
-  [[nodiscard]] virtual double path_loss_db(double distance_m) const = 0;
-};
-
-/// Free-space path loss: 32.45 + 20 log10(d_km) + 20 log10(f_MHz).
-class FreeSpaceModel final : public PathLossModel {
- public:
-  explicit FreeSpaceModel(double frequency_hz) noexcept;
-  [[nodiscard]] double path_loss_db(double distance_m) const override;
-
- private:
-  double freq_mhz_;
-};
 
 /// Hata's empirical urban model (valid 150-1500 MHz; we clamp frequency at
 /// the upper edge for high UHF channels, a standard engineering extension).
@@ -33,11 +14,11 @@ class FreeSpaceModel final : public PathLossModel {
 /// antenna-correction terms) is hoisted into the constructor — evaluated
 /// with the same expression order as the former per-call formula, so
 /// path_loss_db is bit-identical — leaving one log10 per query.
-class HataUrbanModel final : public PathLossModel {
+class HataUrbanModel {
  public:
   HataUrbanModel(double frequency_hz, double tx_height_m,
                  double rx_height_m) noexcept;
-  [[nodiscard]] double path_loss_db(double distance_m) const override;
+  [[nodiscard]] double path_loss_db(double distance_m) const;
 
   /// Mobile-antenna correction term a(h_m) as used in the paper:
   /// 3.2 (log10(11.5 h_m))^2 - 4.97. For the paper's 8 m height deficit
@@ -52,39 +33,6 @@ class HataUrbanModel final : public PathLossModel {
   double slope_ = 0.0;     ///< 44.9 - 6.55 lhb (dB per decade of distance)
 };
 
-/// Egli's median model for irregular terrain (VHF/UHF).
-class EgliModel final : public PathLossModel {
- public:
-  EgliModel(double frequency_hz, double tx_height_m,
-            double rx_height_m) noexcept;
-  [[nodiscard]] double path_loss_db(double distance_m) const override;
-
- private:
-  double freq_mhz_;
-  double tx_height_m_;
-  double rx_height_m_;
-};
-
-/// Log-distance model PL(d) = PL(d0) + 10 n log10(d / d0). This is the
-/// parametric family V-Scope fits to local measurements.
-class LogDistanceModel final : public PathLossModel {
- public:
-  LogDistanceModel(double ref_loss_db, double ref_distance_m,
-                   double exponent) noexcept;
-  [[nodiscard]] double path_loss_db(double distance_m) const override;
-
-  [[nodiscard]] double exponent() const noexcept { return exponent_; }
-  [[nodiscard]] double ref_loss_db() const noexcept { return ref_loss_db_; }
-  [[nodiscard]] double ref_distance_m() const noexcept {
-    return ref_distance_m_;
-  }
-
- private:
-  double ref_loss_db_;
-  double ref_distance_m_;
-  double exponent_;
-};
-
 /// Surrogate for the FCC R-6602 propagation curves that certified spectrum
 /// databases use. The curves were fit to open-terrain broadcast data, so in
 /// cluttered metro terrain they under-predict loss by ~10 dB — the root of
@@ -92,11 +40,11 @@ class LogDistanceModel final : public PathLossModel {
 /// where the signal is actually decodable, and sees no shadowing pockets
 /// at all). Modelled as Hata at the regulatory 10 m receiver height minus a
 /// clutter under-prediction offset.
-class FccCurvesModel final : public PathLossModel {
+class FccCurvesModel {
  public:
   explicit FccCurvesModel(double frequency_hz, double tx_height_m,
                           double clutter_underprediction_db = 0.0) noexcept;
-  [[nodiscard]] double path_loss_db(double distance_m) const override;
+  [[nodiscard]] double path_loss_db(double distance_m) const;
 
  private:
   HataUrbanModel hata_;

@@ -12,14 +12,6 @@ constexpr double kMinDistanceM = 10.0;  // below this all models saturate
 }
 }  // namespace
 
-FreeSpaceModel::FreeSpaceModel(double frequency_hz) noexcept
-    : freq_mhz_(frequency_hz / 1e6) {}
-
-double FreeSpaceModel::path_loss_db(double distance_m) const {
-  const double d_km = std::max(distance_m, kMinDistanceM) / 1000.0;
-  return 32.45 + 20.0 * log10_clamped(d_km) + 20.0 * log10_clamped(freq_mhz_);
-}
-
 HataUrbanModel::HataUrbanModel(double frequency_hz, double tx_height_m,
                                double rx_height_m) noexcept
     : freq_mhz_(std::clamp(frequency_hz / 1e6, 150.0, 1500.0)),
@@ -40,30 +32,6 @@ double HataUrbanModel::antenna_correction_db(double rx_height_m) {
 double HataUrbanModel::path_loss_db(double distance_m) const {
   const double d_km = std::max(distance_m, kMinDistanceM) / 1000.0;
   return fixed_db_ + slope_ * log10_clamped(d_km);
-}
-
-EgliModel::EgliModel(double frequency_hz, double tx_height_m,
-                     double rx_height_m) noexcept
-    : freq_mhz_(frequency_hz / 1e6),
-      tx_height_m_(tx_height_m),
-      rx_height_m_(rx_height_m) {}
-
-double EgliModel::path_loss_db(double distance_m) const {
-  const double d_km = std::max(distance_m, kMinDistanceM) / 1000.0;
-  // Egli 1957 median loss with the h_m < 10 m mobile-height term.
-  return 88.0 + 40.0 * log10_clamped(d_km) + 20.0 * log10_clamped(freq_mhz_ / 100.0) -
-         20.0 * log10_clamped(tx_height_m_) - 10.0 * log10_clamped(rx_height_m_);
-}
-
-LogDistanceModel::LogDistanceModel(double ref_loss_db, double ref_distance_m,
-                                   double exponent) noexcept
-    : ref_loss_db_(ref_loss_db),
-      ref_distance_m_(std::max(ref_distance_m, 1.0)),
-      exponent_(exponent) {}
-
-double LogDistanceModel::path_loss_db(double distance_m) const {
-  const double d = std::max(distance_m, kMinDistanceM);
-  return ref_loss_db_ + 10.0 * exponent_ * log10_clamped(d / ref_distance_m_);
 }
 
 FccCurvesModel::FccCurvesModel(double frequency_hz, double tx_height_m,

@@ -68,8 +68,6 @@ class StageTimer {
   /// when nothing was recorded.
   [[nodiscard]] std::string report() const;
 
-  void reset();
-
   /// The process-wide timer the pipeline records into.
   [[nodiscard]] static StageTimer& global();
 

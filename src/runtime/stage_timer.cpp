@@ -36,11 +36,6 @@ std::string StageTimer::report() const {
   return out;
 }
 
-void StageTimer::reset() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  stages_.clear();
-}
-
 StageTimer& StageTimer::global() {
   static StageTimer timer;
   return timer;

@@ -28,15 +28,4 @@ LinearCalibration fit_calibration(
   return cal;
 }
 
-double calibration_rms_error_db(const LinearCalibration& cal,
-                                std::span<const CalibrationSample> samples) {
-  if (samples.empty()) return 0.0;
-  double acc = 0.0;
-  for (const CalibrationSample& s : samples) {
-    const double e = cal.to_dbm(s.raw_reading) - s.input_dbm;
-    acc += e * e;
-  }
-  return std::sqrt(acc / static_cast<double>(samples.size()));
-}
-
 }  // namespace waldo::sensors

@@ -32,8 +32,4 @@ struct CalibrationSample {
 [[nodiscard]] LinearCalibration fit_calibration(
     std::span<const CalibrationSample> samples);
 
-/// Root-mean-square residual of a calibration over samples, in dB.
-[[nodiscard]] double calibration_rms_error_db(
-    const LinearCalibration& cal, std::span<const CalibrationSample> samples);
-
 }  // namespace waldo::sensors

@@ -3,7 +3,6 @@
 #include <random>
 
 #include "waldo/baselines/geo_database.hpp"
-#include "waldo/baselines/interpolation.hpp"
 #include "waldo/baselines/sensing_only.hpp"
 #include "waldo/baselines/vscope.hpp"
 #include "waldo/campaign/labeling.hpp"
@@ -175,44 +174,6 @@ TEST_F(BaselineFixture, SensingOnlyOverprotectsWithAnalyzer) {
   }
   EXPECT_LT(cm.fp_rate(), 0.05);
   EXPECT_GT(cm.fn_rate(), 0.2);
-}
-
-TEST(Idw, InterpolatesSmoothField) {
-  campaign::ChannelDataset ds;
-  ds.channel = 30;
-  // RSS = -60 - east/1000 (linear field), on a grid.
-  for (int i = 0; i <= 20; ++i) {
-    for (int j = 0; j <= 20; ++j) {
-      campaign::Measurement m;
-      m.position = geo::EnuPoint{i * 500.0, j * 500.0};
-      m.rss_dbm = -60.0 - m.position.east_m / 1000.0;
-      ds.readings.push_back(m);
-    }
-  }
-  IdwDatabase idw;
-  idw.fit(ds);
-  EXPECT_NEAR(idw.predict_rss_dbm(geo::EnuPoint{5250.0, 5250.0}), -65.25,
-              0.5);
-}
-
-TEST(Idw, ClassifyAppliesSeparationRule) {
-  campaign::ChannelDataset ds;
-  ds.channel = 30;
-  for (int i = 0; i < 40; ++i) {
-    campaign::Measurement m;
-    m.position = geo::EnuPoint{i * 400.0, 0.0};
-    m.rss_dbm = i == 0 ? -70.0 : -105.0;  // one hot reading at the origin
-    ds.readings.push_back(m);
-  }
-  IdwDatabase idw;
-  idw.fit(ds);
-  // 4 km from the hot reading: prediction is cold but the separation rule
-  // still forbids it.
-  EXPECT_EQ(idw.classify(geo::EnuPoint{4000.0, 0.0}), ml::kNotSafe);
-  // 10 km away: allowed.
-  EXPECT_EQ(idw.classify(geo::EnuPoint{10'000.0, 0.0}), ml::kSafe);
-  EXPECT_THROW((void)IdwDatabase().classify(geo::EnuPoint{0, 0}),
-               std::logic_error);
 }
 
 }  // namespace

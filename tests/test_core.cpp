@@ -337,16 +337,6 @@ TEST(ConvergenceFilter, ExhaustionOnDriftingSignal) {
   EXPECT_FALSE(filter.converged());
 }
 
-TEST(ConvergenceFilter, ResetClearsState) {
-  ConvergenceFilter filter;
-  for (int i = 0; i < 30; ++i) filter.ingest(-85.0);
-  EXPECT_TRUE(filter.converged());
-  filter.reset();
-  EXPECT_FALSE(filter.converged());
-  EXPECT_EQ(filter.samples_seen(), 0u);
-  EXPECT_THROW((void)filter.estimate_dbm(), std::logic_error);
-}
-
 TEST(ConvergenceFilter, Validation) {
   DetectorConfig bad;
   bad.alpha_db = 0.0;

@@ -14,6 +14,19 @@
 namespace waldo::geo {
 namespace {
 
+// Great-circle (haversine) distance between two coordinates in meters: the
+// reference the local ENU projection is checked against.
+double haversine_m(const LatLon& a, const LatLon& b) {
+  const double lat1 = deg_to_rad(a.lat_deg);
+  const double lat2 = deg_to_rad(b.lat_deg);
+  const double dlat = lat2 - lat1;
+  const double dlon = deg_to_rad(b.lon_deg - a.lon_deg);
+  const double s1 = std::sin(dlat / 2.0);
+  const double s2 = std::sin(dlon / 2.0);
+  const double h = s1 * s1 + std::cos(lat1) * std::cos(lat2) * s2 * s2;
+  return 2.0 * kEarthRadiusM * std::asin(std::sqrt(std::min(1.0, h)));
+}
+
 TEST(LatLon, HaversineKnownDistance) {
   // Atlanta city hall to Georgia Tech: ~3.6 km.
   const LatLon city_hall{33.7490, -84.3880};
@@ -114,38 +127,15 @@ TEST_P(GridIndexProperty, NearestMatchesBruteForce) {
   }
 }
 
-TEST_P(GridIndexProperty, KNearestSortedAndCorrectCount) {
-  std::mt19937_64 rng(GetParam() + 2000);
-  std::uniform_real_distribution<double> coord(-2000.0, 2000.0);
-  std::vector<EnuPoint> pts(100);
-  for (auto& p : pts) p = EnuPoint{coord(rng), coord(rng)};
-  const GridIndex index(pts, 500.0);
-  const EnuPoint center{coord(rng), coord(rng)};
-  const auto got = index.k_nearest(center, 10);
-  ASSERT_EQ(got.size(), 10u);
-  for (std::size_t i = 1; i < got.size(); ++i) {
-    EXPECT_LE(distance_m(pts[got[i - 1]], center),
-              distance_m(pts[got[i]], center));
-  }
-  // The k-th neighbour must not be farther than any excluded point.
-  const double kth = distance_m(pts[got.back()], center);
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    if (std::find(got.begin(), got.end(), i) == got.end()) {
-      EXPECT_GE(distance_m(pts[i], center) + 1e-9, kth);
-    }
-  }
-}
-
-// An index grown point by point answers exactly like one built over all
+// GridCells, the coordinate-free core that labeling and screening grow
+// reading by reading, answers exactly like a GridIndex built over all
 // points at once, and both like brute force — also when queries are
-// interleaved with the inserts. GridCells, the coordinate-free core, is
-// checked the same way against positions kept outside it.
+// interleaved with the inserts.
 TEST_P(GridIndexProperty, InsertMatchesBulkBuildAndBruteForce) {
   std::mt19937_64 rng(GetParam() + 3000);
   std::uniform_real_distribution<double> coord(-4000.0, 4000.0);
   std::uniform_real_distribution<double> radius(0.0, 2500.0);
   std::vector<EnuPoint> pts;
-  GridIndex grown({}, 600.0);
   GridCells cells(600.0);
   const auto sorted = [](std::vector<std::size_t> v) {
     std::sort(v.begin(), v.end());
@@ -154,14 +144,12 @@ TEST_P(GridIndexProperty, InsertMatchesBulkBuildAndBruteForce) {
   for (int round = 0; round < 6; ++round) {
     for (int i = 0; i < 60; ++i) {
       const EnuPoint p{coord(rng), coord(rng)};
-      EXPECT_EQ(grown.insert(p), pts.size());
       cells.insert(static_cast<std::uint32_t>(pts.size()), p);
       pts.push_back(p);
     }
-    ASSERT_EQ(grown.size(), pts.size());
     ASSERT_EQ(cells.size(), pts.size());
-    EXPECT_EQ(grown.points(), pts);
     const GridIndex bulk(pts, 600.0);
+    EXPECT_EQ(bulk.points(), pts);
     for (int q = 0; q < 20; ++q) {
       const EnuPoint center{coord(rng), coord(rng)};
       const double r = radius(rng);
@@ -174,12 +162,8 @@ TEST_P(GridIndexProperty, InsertMatchesBulkBuildAndBruteForce) {
           center, r,
           [&](std::uint32_t i) -> const EnuPoint& { return pts[i]; },
           [&](std::uint32_t i) { from_cells.push_back(i); });
-      EXPECT_EQ(sorted(grown.query_radius(center, r)), want);
       EXPECT_EQ(sorted(bulk.query_radius(center, r)), want);
       EXPECT_EQ(sorted(from_cells), want);
-      EXPECT_EQ(grown.k_nearest(center, 5).size(), 5u);
-      EXPECT_DOUBLE_EQ(distance_m(pts[grown.nearest(center)], center),
-                       distance_m(pts[bulk.nearest(center)], center));
     }
   }
 }
@@ -191,7 +175,6 @@ TEST(GridIndex, EmptyAndEdgeCases) {
   const GridIndex empty({}, 100.0);
   EXPECT_EQ(empty.size(), 0u);
   EXPECT_TRUE(empty.query_radius(EnuPoint{0, 0}, 1000.0).empty());
-  EXPECT_TRUE(empty.k_nearest(EnuPoint{0, 0}, 5).empty());
   EXPECT_THROW(GridIndex({}, 0.0), std::invalid_argument);
   EXPECT_THROW(GridIndex({}, -5.0), std::invalid_argument);
   EXPECT_THROW(GridCells(0.0), std::invalid_argument);
@@ -396,25 +379,6 @@ TEST(DrivePath, LongerCampaignsVisitMoreBlocks) {
   large.num_readings = 4000;
   EXPECT_LT(generate_drive_path(small).blocks_visited,
             generate_drive_path(large).blocks_visited);
-}
-
-TEST(ThinByDistance, EnforcesMinimumPairwiseDistance) {
-  std::mt19937_64 rng(3);
-  std::uniform_real_distribution<double> coord(0.0, 1000.0);
-  std::vector<EnuPoint> pts(300);
-  for (auto& p : pts) p = EnuPoint{coord(rng), coord(rng)};
-  const auto kept = thin_by_distance(pts, 80.0);
-  EXPECT_LT(kept.size(), pts.size());
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    for (std::size_t j = i + 1; j < kept.size(); ++j) {
-      EXPECT_GE(distance_m(kept[i], kept[j]), 80.0);
-    }
-  }
-}
-
-TEST(ThinByDistance, KeepsAllWhenAlreadySparse) {
-  const std::vector<EnuPoint> pts{{0, 0}, {500, 0}, {0, 500}};
-  EXPECT_EQ(thin_by_distance(pts, 100.0).size(), 3u);
 }
 
 }  // namespace

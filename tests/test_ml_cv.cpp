@@ -85,38 +85,6 @@ TEST(CrossValidate, SizeMismatchThrows) {
       std::invalid_argument);
 }
 
-TEST(TrainingFraction, MoreDataHelpsOnHardProblem) {
-  Matrix x;
-  std::vector<int> y;
-  make_blobs(2000, 1.0, 6, x, y);
-  const auto factory = [] {
-    SvmConfig cfg;
-    cfg.c = 1.0;
-    return std::make_unique<Svm>(cfg);
-  };
-  double err_small = 0.0, err_large = 0.0;
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    err_small += evaluate_training_fraction(x, y, factory, 0.02, 0.1, seed)
-                     .error_rate();
-    err_large += evaluate_training_fraction(x, y, factory, 0.9, 0.1, seed)
-                     .error_rate();
-  }
-  EXPECT_LE(err_large, err_small + 0.02);
-}
-
-TEST(TrainingFraction, FractionClampedAndReproducible) {
-  Matrix x;
-  std::vector<int> y;
-  make_blobs(200, 2.0, 7, x, y);
-  const auto factory = [] {
-    return std::make_unique<GaussianNaiveBayes>();
-  };
-  const auto a = evaluate_training_fraction(x, y, factory, 2.0, 0.1, 9);
-  const auto b = evaluate_training_fraction(x, y, factory, 1.0, 0.1, 9);
-  EXPECT_EQ(a.total(), b.total());
-  EXPECT_EQ(a.error_rate(), b.error_rate());
-}
-
 class FoldCountSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FoldCountSweep, AnyFoldCountCoversData) {

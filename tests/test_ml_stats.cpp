@@ -30,10 +30,6 @@ TEST(Matrix, FromRowsAndTake) {
   const Matrix sub = m.take_rows(idx);
   EXPECT_DOUBLE_EQ(sub(0, 0), 7.0);
   EXPECT_DOUBLE_EQ(sub(1, 2), 3.0);
-  const Matrix cols = m.take_cols(2);
-  EXPECT_EQ(cols.cols(), 2u);
-  EXPECT_DOUBLE_EQ(cols(2, 1), 8.0);
-  EXPECT_THROW(m.take_cols(5), std::out_of_range);
   EXPECT_THROW(Matrix::from_rows({{1, 2}, {1}}), std::invalid_argument);
 }
 

@@ -186,10 +186,15 @@ TEST(ModelCodec, HostileTextDescriptorsAreRejected) {
 
 TEST(ModelCodec, FetchModelRejectsHostileTextDescriptors) {
   for (const std::string& bytes : hostile_text_descriptors()) {
-    ProtocolClient client([&bytes](const std::string&) {
+    const auto transport = [&bytes](const std::string&) {
       return encode(ModelResponse{.channel = 30, .descriptor = bytes});
-    });
-    EXPECT_THROW((void)client.fetch_model(30, {}), codec::Error) << bytes;
+    };
+    const Message reply =
+        decode(transport(encode(ModelRequest{.channel = 30, .location = {}})));
+    EXPECT_THROW((void)WhiteSpaceModel::deserialize(
+                     std::get<ModelResponse>(reply).descriptor),
+                 codec::Error)
+        << bytes;
   }
 }
 

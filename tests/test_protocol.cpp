@@ -970,11 +970,14 @@ service::SpectrumService* ProtocolFixture::db_ = nullptr;
 
 TEST_F(ProtocolFixture, ClientFetchesWorkingModelThroughServer) {
   service::ServiceFrontend frontend(*db_, 1);
-  ProtocolClient client(
-      [&frontend](const std::string& wire) { return frontend.handle(wire); });
+  const auto fetch_model = [&frontend](int channel) {
+    const Message reply = decode(frontend.handle(encode(ModelRequest{
+        .channel = channel, .location = geo::EnuPoint{5000.0, 5000.0}})));
+    return WhiteSpaceModel::deserialize(
+        std::get<ModelResponse>(reply).descriptor);
+  };
 
-  const WhiteSpaceModel model =
-      client.fetch_model(46, geo::EnuPoint{5000.0, 5000.0});
+  const WhiteSpaceModel model = fetch_model(46);
   EXPECT_EQ(model.channel(), 46);
   // The transported model is usable.
   const auto row = feature_row(geo::EnuPoint{5000.0, 5000.0}, -86.0, -97.0,
@@ -984,30 +987,32 @@ TEST_F(ProtocolFixture, ClientFetchesWorkingModelThroughServer) {
   EXPECT_EQ(db_->counters().model_downloads, 1u);
 
   // A descriptor with a trained classifier survives the trip too.
-  const WhiteSpaceModel trained =
-      client.fetch_model(21, geo::EnuPoint{5000.0, 5000.0});
+  const WhiteSpaceModel trained = fetch_model(21);
   EXPECT_EQ(trained.channel(), 21);
   EXPECT_LT(trained.num_constant_localities(), trained.num_localities());
 }
 
 TEST_F(ProtocolFixture, UnknownChannelYieldsProtocolError) {
   service::ServiceFrontend frontend(*db_, 1);
-  ProtocolClient client(
-      [&frontend](const std::string& wire) { return frontend.handle(wire); });
-  EXPECT_THROW((void)client.fetch_model(33, geo::EnuPoint{0.0, 0.0}),
-               std::runtime_error);
+  const Message reply = decode(frontend.handle(encode(
+      ModelRequest{.channel = 33, .location = geo::EnuPoint{0.0, 0.0}})));
+  const auto* error = std::get_if<ErrorResponse>(&reply);
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->channel, 33);
 }
 
 TEST_F(ProtocolFixture, UploadsFlowThroughTheProtocol) {
   service::ServiceFrontend frontend(*db_, 1);
-  ProtocolClient client(
-      [&frontend](const std::string& wire) { return frontend.handle(wire); });
 
   const campaign::ChannelDataset stored = db_->dataset_snapshot(46);
-  std::vector<campaign::Measurement> readings(stored.readings.begin(),
-                                              stored.readings.begin() + 10);
-  for (auto& m : readings) m.position.east_m += 30.0;
-  const UploadResponse response = client.upload(46, "bob", readings);
+  UploadRequest request;
+  request.channel = 46;
+  request.contributor = "bob";
+  request.readings.assign(stored.readings.begin(),
+                          stored.readings.begin() + 10);
+  for (auto& m : request.readings) m.position.east_m += 30.0;
+  const UploadResponse response =
+      std::get<UploadResponse>(decode(frontend.handle(encode(request))));
   EXPECT_EQ(response.accepted + response.rejected + response.pending, 10u);
   EXPECT_GT(response.accepted, 0u);
 }

@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "waldo/baselines/interpolation.hpp"
 #include "waldo/campaign/wardrive.hpp"
 #include "waldo/core/model_constructor.hpp"
 #include "waldo/ml/cross_validation.hpp"
@@ -185,9 +184,9 @@ TEST(StageTimer, AccumulatesScopesAndRecords) {
   EXPECT_EQ(stages.at("train").items, 5u);
   EXPECT_EQ(stages.at("collect").calls, 1u);
   EXPECT_NE(timer.report().find("train"), std::string::npos);
-  timer.reset();
-  EXPECT_TRUE(timer.stages().empty());
-  EXPECT_TRUE(timer.report().empty());
+  const runtime::StageTimer fresh;
+  EXPECT_TRUE(fresh.stages().empty());
+  EXPECT_TRUE(fresh.report().empty());
 }
 
 // --- latency histogram ---------------------------------------------------
@@ -456,23 +455,6 @@ TEST(Determinism, CollectChannelIsThreadInvariantAndReproducible) {
     any_different = a.readings[i].raw != other.readings[i].raw;
   }
   EXPECT_TRUE(any_different);
-}
-
-TEST(Determinism, EstimatorBatchMatchesPointQueries) {
-  const auto ds = make_split_dataset(300, 31);
-  baselines::IdwDatabase idw;
-  idw.fit(ds);
-  std::vector<geo::EnuPoint> queries;
-  for (std::size_t i = 0; i < ds.size(); i += 3) {
-    queries.push_back(ds.readings[i].position);
-  }
-  const auto batch = idw.classify_batch(queries, 8);
-  const auto rss = idw.predict_rss_batch(queries, 8);
-  ASSERT_EQ(batch.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(batch[i], idw.classify(queries[i]));
-    EXPECT_EQ(rss[i], idw.predict_rss_dbm(queries[i]));
-  }
 }
 
 }  // namespace

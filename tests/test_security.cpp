@@ -204,10 +204,12 @@ TEST_F(SecurityFixture, ReputationComposesWithTheWireProtocol) {
   // quarantine the identity for direct submissions.
   const auto db = make_db();
   service::ServiceFrontend frontend(*db, 1);
-  ProtocolClient client(
-      [&frontend](const std::string& wire) { return frontend.handle(wire); });
+  UploadRequest request;
+  request.channel = 46;
+  request.contributor = "mallory";
+  request.readings = covered_area_forgery(3);
   const auto wire_result =
-      client.upload(46, "mallory", covered_area_forgery(3));
+      std::get<UploadResponse>(decode(frontend.handle(encode(request))));
   EXPECT_EQ(wire_result.accepted, 0u);
   EXPECT_GT(wire_result.rejected, 0u);
   // Nothing forged reached the model path.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
+#include <span>
 
 #include "waldo/rf/channels.hpp"
 #include "waldo/sensors/calibration.hpp"
@@ -8,6 +10,17 @@
 
 namespace waldo::sensors {
 namespace {
+
+// Root-mean-square residual of a calibration over samples, in dB.
+double calibration_rms_error_db(const LinearCalibration& cal,
+                                std::span<const CalibrationSample> samples) {
+  double acc = 0.0;
+  for (const CalibrationSample& s : samples) {
+    const double e = cal.to_dbm(s.raw_reading) - s.input_dbm;
+    acc += e * e;
+  }
+  return std::sqrt(acc / static_cast<double>(samples.size()));
+}
 
 TEST(Calibration, ExactLineIsRecovered) {
   std::vector<CalibrationSample> samples;
