@@ -77,15 +77,6 @@ const std::vector<int>& Campaign::labels(SensorKind kind, int channel,
       .first->second;
 }
 
-const campaign::GroundTruthLabeler& Campaign::truth(int channel) {
-  auto it = truths_.find(channel);
-  if (it != truths_.end()) return *it->second;
-  return *truths_
-              .emplace(channel, std::make_unique<campaign::GroundTruthLabeler>(
-                                    *env_, channel))
-              .first->second;
-}
-
 ml::Matrix build_paper_features(const campaign::ChannelDataset& data,
                                 int num_features) {
   // Degrees per meter in the local ENU frame at Atlanta's latitude.

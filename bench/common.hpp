@@ -12,7 +12,6 @@
 
 #include "waldo/campaign/labeling.hpp"
 #include "waldo/campaign/measurement.hpp"
-#include "waldo/campaign/truth.hpp"
 #include "waldo/campaign/wardrive.hpp"
 #include "waldo/core/features.hpp"
 #include "waldo/core/model_constructor.hpp"
@@ -53,9 +52,6 @@ class Campaign {
   [[nodiscard]] const std::vector<int>& labels(SensorKind sensor, int channel,
                                                double correction_db = 0.0);
 
-  /// Analytic regulatory ground truth for a channel (cached).
-  [[nodiscard]] const campaign::GroundTruthLabeler& truth(int channel);
-
   /// A fresh calibrated sensor instance of a kind (distinct physical unit).
   [[nodiscard]] sensors::Sensor make_sensor(SensorKind kind,
                                             std::uint64_t seed);
@@ -65,7 +61,6 @@ class Campaign {
   std::unique_ptr<geo::DrivePath> route_;
   std::map<std::pair<int, int>, campaign::ChannelDataset> datasets_;
   std::map<std::tuple<int, int, int>, std::vector<int>> labels_;
-  std::map<int, std::unique_ptr<campaign::GroundTruthLabeler>> truths_;
 };
 
 /// Paper-protocol evaluation of a plain classifier on one channel: k-fold

@@ -127,8 +127,7 @@ double VScope::predict_rss_dbm(const geo::EnuPoint& p) const {
 int VScope::classify(const geo::EnuPoint& p) const {
   const ClusterFit& cf = fits_[cluster_of(p)];
   const double d_m = std::max(10.0, nearest_tx_distance_m(p));
-  const double rss = cf.intercept_dbm -
-                     10.0 * cf.exponent * std::log10(d_m / 1000.0);
+  const double rss = predict_rss_dbm(p);
   const double guarded_threshold =
       config_.threshold_dbm - config_.protection_margin_db;
   if (rss >= guarded_threshold) return ml::kNotSafe;

@@ -39,23 +39,59 @@ void index_readings(geo::GridCells& index,
   }
 }
 
-/// The screen of one batch. `for_each_neighbour(center, fn)` calls fn(j)
+using Verdict = ChannelState::Verdict;
+
+/// The read-only pass over one batch: each reading's verdict against
+/// `stored` as it stands. `for_each_neighbour(center, fn)` calls fn(j)
 /// for every stored reading j within policy.neighbourhood_m of `center`,
 /// exactly as geo::GridCells::for_each_within over `stored` does, in any
 /// order.
 template <typename ForEachNeighbour>
-UploadResult screen_batch(const ForEachNeighbour& for_each_neighbour,
-                          const campaign::ChannelDataset& stored,
-                          std::vector<PendingReading>& pending,
-                          const UploadPolicy& policy,
-                          std::span<const campaign::Measurement> readings,
-                          const std::string& contributor,
-                          std::vector<campaign::Measurement>& accepted) {
-  UploadResult result;
+std::vector<Verdict> screen_batch(
+    const ForEachNeighbour& for_each_neighbour,
+    const campaign::ChannelDataset& stored, const UploadPolicy& policy,
+    std::span<const campaign::Measurement> readings) {
   // Correlation check against the stored neighbourhood (Section 3.4 /
   // secure collaborative sensing): an upload deviating wildly from what
   // nearby trusted readings saw is rejected; an upload nobody can vouch
-  // for is held pending until independently corroborated.
+  // for is left to the pending pool.
+  std::vector<Verdict> verdicts;
+  verdicts.reserve(readings.size());
+  std::vector<double> neighbour_rss;  // reused, and selected in place
+  for (const campaign::Measurement& m : readings) {
+    if (!plausible(m)) {
+      verdicts.push_back(Verdict::kReject);
+      continue;
+    }
+    neighbour_rss.clear();
+    for_each_neighbour(m.position, [&](std::size_t j) {
+      neighbour_rss.push_back(stored.readings[j].rss_dbm);
+    });
+    if (neighbour_rss.size() < policy.min_neighbours) {
+      verdicts.push_back(Verdict::kUnvouched);
+      continue;
+    }
+    // The median is an order statistic, so the order neighbours are
+    // visited in cannot change a verdict.
+    const double median = ml::quantile_in_place(neighbour_rss, 0.5);
+    verdicts.push_back(std::abs(m.rss_dbm - median) > policy.max_deviation_db
+                           ? Verdict::kReject
+                           : Verdict::kAccept);
+  }
+  return verdicts;
+}
+
+/// The mutating step of one batch, in batch order: counts the rejects,
+/// passes each accepted reading to `accepted`, and settles each unvouched
+/// one against `pending` — promoted with the parked readings that
+/// corroborate it (they follow it into `accepted`), or parked.
+UploadResult settle_batch(std::vector<PendingReading>& pending,
+                          const UploadPolicy& policy,
+                          std::span<const campaign::Measurement> readings,
+                          std::span<const Verdict> verdicts,
+                          const std::string& contributor,
+                          std::vector<campaign::Measurement>& accepted) {
+  UploadResult result;
   // A parked reading whose squared offset exceeds the padded reach is
   // farther than corroboration_m by more than the rounding of either
   // formula, so skipping it cannot change a verdict; the hypot test below
@@ -64,26 +100,15 @@ UploadResult screen_batch(const ForEachNeighbour& for_each_neighbour,
   const double reach2 = policy.corroboration_m >= 0.0
                             ? reach * reach
                             : std::numeric_limits<double>::infinity();
-  std::vector<double> neighbour_rss;
-  for (const campaign::Measurement& m : readings) {
-    if (!plausible(m)) {
+  for (std::size_t i = 0; i < readings.size(); ++i) {
+    const campaign::Measurement& m = readings[i];
+    if (verdicts[i] == Verdict::kReject) {
       ++result.rejected;
       continue;
     }
-    neighbour_rss.clear();
-    for_each_neighbour(m.position, [&](std::size_t j) {
-      neighbour_rss.push_back(stored.readings[j].rss_dbm);
-    });
-    if (neighbour_rss.size() >= policy.min_neighbours) {
-      // The median is an order statistic, so the order neighbours are
-      // visited in cannot change a verdict.
-      const double median = ml::quantile(neighbour_rss, 0.5);
-      if (std::abs(m.rss_dbm - median) > policy.max_deviation_db) {
-        ++result.rejected;
-      } else {
-        accepted.push_back(m);
-        ++result.accepted;
-      }
+    if (verdicts[i] == Verdict::kAccept) {
+      accepted.push_back(m);
+      ++result.accepted;
       continue;
     }
 
@@ -198,7 +223,8 @@ UploadResult screen_upload(const campaign::ChannelDataset& stored,
       if (lo_e <= ce && ce <= hi_e && lo_n <= cn && cn <= hi_n) fn(j);
     }
   };
-  return screen_batch(neighbours, stored, pending, policy, readings,
+  return settle_batch(pending, policy, readings,
+                      screen_batch(neighbours, stored, policy, readings),
                       contributor, accepted);
 }
 
@@ -218,6 +244,46 @@ void ChannelState::ingest(campaign::ChannelDataset trusted) {
   accepted_since_build_ = 0;
 }
 
+std::optional<std::vector<ChannelState::Verdict>> ChannelState::screen(
+    const UploadPolicy& policy,
+    std::span<const campaign::Measurement> readings) const {
+  if (!index_) return std::nullopt;
+  const auto position_of = [this](std::uint32_t j) -> const geo::EnuPoint& {
+    return dataset_.readings[j].position;
+  };
+  const auto neighbours = [&](const geo::EnuPoint& center, const auto& fn) {
+    index_->for_each_within(center, policy.neighbourhood_m, position_of, fn);
+  };
+  return screen_batch(neighbours, dataset_, policy, readings);
+}
+
+ChannelState::Applied ChannelState::apply(
+    const UploadPolicy& policy,
+    std::span<const campaign::Measurement> readings,
+    const std::string& contributor, std::span<const Verdict> verdicts) {
+  if (verdicts.size() != readings.size()) {
+    throw std::invalid_argument("apply needs one verdict per reading");
+  }
+  std::vector<campaign::Measurement> accepted;
+  Applied out;
+  out.ledger = settle_batch(pending_, policy, readings, verdicts, contributor,
+                            accepted);
+  out.ledger.ticket = uploads_applied_++;
+  if (!accepted.empty()) {
+    const std::size_t first = dataset_.readings.size();
+    dataset_.readings.insert(dataset_.readings.end(),
+                             std::make_move_iterator(accepted.begin()),
+                             std::make_move_iterator(accepted.end()));
+    if (index_) index_readings(*index_, dataset_, first);
+    accepted_since_build_ += out.ledger.accepted;
+    if (accepted_since_build_ >= policy.rebuild_threshold) {
+      out.model_stale = true;
+      accepted_since_build_ = 0;
+    }
+  }
+  return out;
+}
+
 ChannelState::Applied ChannelState::upload(
     const UploadPolicy& policy,
     std::span<const campaign::Measurement> readings,
@@ -228,30 +294,7 @@ ChannelState::Applied ChannelState::upload(
     index_.emplace(screening_cell_m(policy));
     index_readings(*index_, dataset_, 0);
   }
-  const auto position_of = [this](std::uint32_t j) -> const geo::EnuPoint& {
-    return dataset_.readings[j].position;
-  };
-  const auto neighbours = [&](const geo::EnuPoint& center, const auto& fn) {
-    index_->for_each_within(center, policy.neighbourhood_m, position_of, fn);
-  };
-  std::vector<campaign::Measurement> accepted;
-  Applied out;
-  out.ledger = screen_batch(neighbours, dataset_, pending_, policy, readings,
-                            contributor, accepted);
-  out.ledger.ticket = uploads_applied_++;
-  if (!accepted.empty()) {
-    const std::size_t first = dataset_.readings.size();
-    dataset_.readings.insert(dataset_.readings.end(),
-                             std::make_move_iterator(accepted.begin()),
-                             std::make_move_iterator(accepted.end()));
-    index_readings(*index_, dataset_, first);
-    accepted_since_build_ += out.ledger.accepted;
-    if (accepted_since_build_ >= policy.rebuild_threshold) {
-      out.model_stale = true;
-      accepted_since_build_ = 0;
-    }
-  }
-  return out;
+  return apply(policy, readings, contributor, *screen(policy, readings));
 }
 
 std::size_t ChannelState::purge_pending(const std::string& contributor) {

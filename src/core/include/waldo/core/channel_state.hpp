@@ -7,6 +7,11 @@
 // replica recovers. The screening index grows with each ingest and
 // each accepted batch, so screening one upload batch costs O(batch) index
 // queries instead of a rebuild over the whole channel.
+//
+// An upload runs in two steps. screen() is const: it decides each
+// reading against the dataset and the index alone, so a store can run it
+// beside its readers. apply() then settles the batch against the pending
+// pool and appends it; it is the only step that writes.
 #pragma once
 
 #include <cstdint>
@@ -98,6 +103,13 @@ class ChannelState {
     bool model_stale = false;
   };
 
+  /// What screen() decides for one reading of a batch.
+  enum class Verdict : std::uint8_t {
+    kReject,     ///< implausible, or beyond max_deviation_db of the median
+    kAccept,     ///< vouched for by min_neighbours stored readings or more
+    kUnvouched,  ///< too few neighbours: apply() asks the pending pool
+  };
+
   ChannelState() = default;
   explicit ChannelState(campaign::ChannelDataset trusted);
 
@@ -122,9 +134,29 @@ class ChannelState {
   /// counter — the next build sees everything.
   void ingest(campaign::ChannelDataset trusted);
 
-  /// Screens `readings` exactly as screen_upload does, appends the newly
-  /// trusted readings to the dataset and the screening index, and stamps
-  /// the ledger with this state's next apply ticket.
+  /// First step of an upload, read-only: one verdict per reading, by one
+  /// radius query of the screening index each. std::nullopt until the
+  /// index exists (the first upload() builds it). Every verdict depends
+  /// only on the dataset before the batch, which apply() appends to last.
+  [[nodiscard]] std::optional<std::vector<Verdict>> screen(
+      const UploadPolicy& policy,
+      std::span<const campaign::Measurement> readings) const;
+
+  /// Second step: settles each kUnvouched reading against the pending
+  /// pool in batch order (promoted with the parked readings that
+  /// corroborate it, or parked), appends the newly trusted readings to the
+  /// dataset and the screening index, and stamps the ledger with this
+  /// state's next apply ticket. `verdicts` must be screen()'s for
+  /// `readings`, with the dataset unchanged since; the result is then
+  /// exactly screen_upload's. Throws std::invalid_argument unless there is
+  /// one verdict per reading.
+  [[nodiscard]] Applied apply(const UploadPolicy& policy,
+                              std::span<const campaign::Measurement> readings,
+                              const std::string& contributor,
+                              std::span<const Verdict> verdicts);
+
+  /// Both steps at once, for single-threaded callers: builds the
+  /// screening index if absent, then apply() of screen().
   [[nodiscard]] Applied upload(const UploadPolicy& policy,
                                std::span<const campaign::Measurement> readings,
                                const std::string& contributor);
@@ -148,7 +180,7 @@ class ChannelState {
   std::size_t accepted_since_build_ = 0;
   std::uint64_t uploads_applied_ = 0;
   /// Reading ids of dataset_ bucketed for the neighbourhood query; built
-  /// by the first upload (cells sized to its policy's radius), then
+  /// by the first upload() (cells sized to its policy's radius), then
   /// extended by every ingest and accepted batch.
   std::optional<geo::GridCells> index_;
 };

@@ -22,6 +22,10 @@ struct SummaryStats {
 /// Linear-interpolated quantile, q in [0, 1]. Selects on a copy: O(n).
 [[nodiscard]] double quantile(std::span<const double> values, double q);
 
+/// quantile() without the copy: selects within `values`, leaving them
+/// permuted. Returns the same double as quantile() on the same values.
+[[nodiscard]] double quantile_in_place(std::span<double> values, double q);
+
 /// Boxplot five-number summary plus the mean.
 struct BoxStats {
   double min = 0.0;

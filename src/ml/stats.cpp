@@ -27,22 +27,27 @@ SummaryStats summarize(std::span<const double> values) {
   return s;
 }
 
-double quantile(std::span<const double> values, double q) {
+double quantile_in_place(std::span<double> values, double q) {
   if (values.empty()) throw std::invalid_argument("quantile of empty range");
   q = std::clamp(q, 0.0, 1.0);
-  std::vector<double> v(values.begin(), values.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
+  const double pos = q * static_cast<double>(values.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const auto at_lo = v.begin() + static_cast<std::ptrdiff_t>(lo);
+  const auto at_lo = values.begin() + static_cast<std::ptrdiff_t>(lo);
   // The lo-th and (lo+1)-th order statistics, which are all a full sort
   // would read: selection puts the first in place and leaves the second
   // as the minimum of what lies above it.
-  std::nth_element(v.begin(), at_lo, v.end());
+  std::nth_element(values.begin(), at_lo, values.end());
   const double below = *at_lo;
-  const double above =
-      at_lo + 1 == v.end() ? below : *std::min_element(at_lo + 1, v.end());
+  const double above = at_lo + 1 == values.end()
+                           ? below
+                           : *std::min_element(at_lo + 1, values.end());
   const double frac = pos - static_cast<double>(lo);
   return below + frac * (above - below);
+}
+
+double quantile(std::span<const double> values, double q) {
+  std::vector<double> v(values.begin(), values.end());
+  return quantile_in_place(v, q);
 }
 
 BoxStats box_stats(std::span<const double> values) {

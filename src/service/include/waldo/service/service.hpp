@@ -8,8 +8,15 @@
 //    screening index) and the model cache behind its own
 //    std::shared_mutex, so downloads are concurrent readers and uploads are
 //    per-channel writers — traffic on channel 15 never waits on channel 46.
-//    An upload screens against the shard's standing index and extends it
-//    under the same exclusive lock, so the lock is held for O(batch) work.
+//  - An upload runs in two steps (core::ChannelState::screen, then
+//    apply). The screen gathers each reading's neighbourhood from the
+//    shard's standing index and takes its median under the shared lock,
+//    beside downloads and rebuild snapshots; the apply settles the batch
+//    against the pending pool and appends it under the unique lock, which
+//    is all that readers of the channel wait for. A per-shard
+//    upload_mutex, held from screen to apply and taken by ingests and
+//    installs too, keeps any other append from landing in between, so
+//    the verdicts are those of one indivisible upload.
 //  - Model rebuilds run OUTSIDE the shard lock and are serialised by a
 //    per-shard rebuild mutex so a thundering herd of stale readers builds
 //    once. The shared lock covers only a copy of the columns the build

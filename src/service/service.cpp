@@ -1,16 +1,23 @@
 #include "waldo/service/service.hpp"
 
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 namespace waldo::service {
 
-// Lock order (docs/CONCURRENCY.md): shards_mutex_ -> rebuild_mutex ->
-// state_mutex, each optional, never taken upward. state_mutex is never
-// held across a model build; rebuild_mutex is never held by readers of a
-// fresh cache.
+// Lock order (docs/CONCURRENCY.md): shards_mutex_ -> rebuild_mutex or
+// upload_mutex -> state_mutex, each optional, never taken upward;
+// rebuild_mutex and upload_mutex are never held together. state_mutex is
+// never held across a model build; rebuild_mutex is never held by readers
+// of a fresh cache.
 struct SpectrumService::Shard {
+  /// Serialises everything that changes the dataset or its index: an
+  /// upload holds it from its screen to its apply, and ingests and
+  /// installs take it too, so no append or replacement lands between the
+  /// two.
+  std::mutex upload_mutex;
   mutable std::shared_mutex state_mutex;
 
   // All fields below are guarded by state_mutex.
@@ -84,6 +91,7 @@ void SpectrumService::ingest_campaign(campaign::ChannelDataset dataset) {
     throw std::invalid_argument("refusing to ingest an empty campaign");
   }
   Shard& s = shard_or_create(dataset.channel);
+  const std::lock_guard serial(s.upload_mutex);
   const std::unique_lock lock(s.state_mutex);
   s.state.ingest(std::move(dataset));
   ++s.generation;  // cached model (if any) is now stale
@@ -91,6 +99,7 @@ void SpectrumService::ingest_campaign(campaign::ChannelDataset dataset) {
 
 void SpectrumService::install_channel(core::ChannelState state) {
   Shard& s = shard_or_create(state.channel());
+  const std::lock_guard serial(s.upload_mutex);
   const std::unique_lock lock(s.state_mutex);
   s.state = std::move(state);
   ++s.generation;  // the cached model described the replaced state
@@ -219,9 +228,20 @@ core::UploadResult SpectrumService::upload_measurements(
   }
   core::UploadResult result;
   {
+    // The screen only reads the dataset and the index, so downloads and
+    // rebuild snapshots share the lock with it and wait for the apply
+    // alone. A state without an index yet screens under the unique lock.
+    const std::lock_guard serial(s->upload_mutex);
+    std::optional<std::vector<core::ChannelState::Verdict>> verdicts;
+    {
+      const std::shared_lock lock(s->state_mutex);
+      verdicts = s->state.screen(upload_policy_, readings);
+    }
     const std::unique_lock lock(s->state_mutex);
     const core::ChannelState::Applied applied =
-        s->state.upload(upload_policy_, readings, contributor);
+        verdicts ? s->state.apply(upload_policy_, readings, contributor,
+                                  *verdicts)
+                 : s->state.upload(upload_policy_, readings, contributor);
     if (applied.model_stale) ++s->generation;  // invalidate the cached model
     result = applied.ledger;
   }
@@ -246,6 +266,7 @@ std::size_t SpectrumService::purge_pending(const std::string& contributor) {
   }
   std::size_t purged = 0;
   for (Shard* s : all) {
+    // No upload_mutex: an upload's screen never reads the pending pool.
     const std::unique_lock lock(s->state_mutex);
     purged += s->state.purge_pending(contributor);
   }

@@ -119,8 +119,9 @@ double sorted_quantile(std::span<const double> values, double q) {
 }
 
 // Selection reads the same two order statistics as the full sort, so
-// every result is the same double (compared with ==, NaN aside: neither
-// algorithm fixes the sign of a zero result).
+// every result of quantile() and quantile_in_place() is the same double
+// (compared with ==, NaN aside: neither algorithm fixes the sign of a
+// zero result).
 TEST(Stats, QuantileMatchesTheSortingReference) {
   std::mt19937_64 rng(21);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
@@ -147,20 +148,28 @@ TEST(Stats, QuantileMatchesTheSortingReference) {
       std::vector<double> qs{0.0, 0.25, 0.5, 0.9, 1.0};
       for (int r = 0; r < 3; ++r) qs.push_back(unit(rng));
       for (const double q : qs) {
-        const double got = quantile(v, q);
         const double want = sorted_quantile(v, q);
-        if (std::isnan(want)) {
-          EXPECT_TRUE(std::isnan(got)) << "n=" << n << " q=" << q;
-        } else {
-          EXPECT_TRUE(got == want)
-              << "n=" << n << " kind=" << kind << " q=" << q << ": " << got
-              << " vs " << want;
+        std::vector<double> selected = v;
+        const double in_place = quantile_in_place(selected, q);
+        for (const double got : {quantile(v, q), in_place}) {
+          if (std::isnan(want)) {
+            EXPECT_TRUE(std::isnan(got)) << "n=" << n << " q=" << q;
+          } else {
+            EXPECT_TRUE(got == want)
+                << "n=" << n << " kind=" << kind << " q=" << q << ": "
+                << got << " vs " << want;
+          }
+          ++compared;
         }
-        ++compared;
+        // The in-place form only permutes its input.
+        std::sort(selected.begin(), selected.end());
+        std::vector<double> sorted = v;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_TRUE(selected == sorted) << "n=" << n << " kind=" << kind;
       }
     }
   }
-  EXPECT_EQ(compared, 300u * 4u * 8u);
+  EXPECT_EQ(compared, 300u * 4u * 8u * 2u);
 }
 
 TEST(Stats, BoxStatsOrdered) {

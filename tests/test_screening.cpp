@@ -663,6 +663,9 @@ TEST(ChannelState, DecodedStateScreensLikeTheOriginal) {
   in.expect_done();
   EXPECT_EQ(copy.uploads_applied(), original.uploads_applied());
   EXPECT_EQ(copy.staleness(), original.staleness());
+  // No index arrives with the copy, so it cannot screen until its first
+  // upload builds one.
+  EXPECT_FALSE(copy.screen(policy, {}).has_value());
 
   for (std::size_t step = split; step < traffic.size(); ++step) {
     const Op& op = traffic[step];
@@ -679,6 +682,10 @@ TEST(ChannelState, DecodedStateScreensLikeTheOriginal) {
   }
   EXPECT_EQ(csv_bytes(copy.dataset()), csv_bytes(original.dataset()));
   EXPECT_EQ(pending_bytes(copy.pending()), pending_bytes(original.pending()));
+  EXPECT_TRUE(copy.screen(policy, {}).has_value());
+  const campaign::Measurement unscreened;
+  EXPECT_THROW((void)copy.apply(policy, {&unscreened, 1}, "ann", {}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <future>
 #include <map>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -19,6 +21,7 @@
 
 #include "waldo/campaign/dataset_io.hpp"
 #include "waldo/campaign/wardrive.hpp"
+#include "waldo/codec/codec.hpp"
 #include "waldo/core/channel_state.hpp"
 #include "waldo/core/model_constructor.hpp"
 #include "waldo/core/protocol.hpp"
@@ -538,6 +541,137 @@ TEST_F(ServiceFixture, StressMatchesSerialReplay) {
   EXPECT_EQ(stats.requests_served, kThreads * kRequestsPerThread);
   EXPECT_GT(stats.error_responses, 0u);  // the malformed frames
   EXPECT_LE(stats.p50_handle_us, stats.p99_handle_us);
+}
+
+// An ingest racing uploads lands between two of them. Four threads upload
+// to one channel while a fifth ingests a second sweep of it once and a
+// sixth keeps purging a contributor that never parks. Some ticket k must
+// then exist such that the uploads with tickets below k, the ingest and
+// the rest, replayed serially through a bare core::ChannelState,
+// reproduce the channel's state bytes (dataset, pending pool, ticket,
+// staleness) and every ledger. An upload that screened before the ingest
+// and applied after it would match no k: the ingested sweep moves the
+// medians its readings are screened against, and the order of appends.
+TEST_F(ServiceFixture, IngestRacingUploadsLandsBetweenTwoTickets) {
+  constexpr int kUploaders = 4;
+  constexpr int kBatchesPerUploader = 12;
+  constexpr std::uint64_t kIngestAfter = 8;  // uploads applied first
+
+  SpectrumService service(fast_config());
+  bootstrap(service);
+  // The second sweep: the first moved 60 m north-east and 5 dB up.
+  campaign::ChannelDataset second = *data_a_;
+  for (campaign::Measurement& m : second.readings) {
+    m.position.east_m += 60.0;
+    m.position.north_m += 60.0;
+    m.rss_dbm += 5.0;
+  }
+
+  // Readings near stored ones with up to 14 dB of error, so that some sit
+  // near max_deviation_db; every third batch leads with a reading at one
+  // of four frontier sites, which the pending pool parks or promotes.
+  const auto racing_batch = [](std::mt19937_64& rng, int i) {
+    std::uniform_int_distribution<std::size_t> pick(0, data_a_->size() - 1);
+    std::uniform_real_distribution<double> jitter(-40.0, 40.0);
+    std::uniform_real_distribution<double> error(-14.0, 14.0);
+    std::vector<campaign::Measurement> batch;
+    for (int r = 0; r < 3; ++r) {
+      campaign::Measurement m = data_a_->readings[pick(rng)];
+      m.position.east_m += jitter(rng);
+      m.position.north_m += jitter(rng);
+      m.rss_dbm += error(rng);
+      m.iq.clear();
+      batch.push_back(m);
+    }
+    if (i % 3 == 0) {
+      batch[0].position = geo::EnuPoint{
+          -400'000.0 + 3'000.0 * static_cast<double>(rng() % 4), -400'000.0};
+      batch[0].rss_dbm = -95.0 + jitter(rng) / 20.0;
+    }
+    return batch;
+  };
+
+  struct RecordedUpload {
+    std::string contributor;
+    std::vector<campaign::Measurement> readings;
+    core::UploadResult ledger;
+  };
+  std::vector<std::vector<RecordedUpload>> recorded(kUploaders);
+  std::atomic<bool> uploads_done{false};
+  {
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kUploaders; ++t) {
+      writers.emplace_back([&, t] {
+        std::mt19937_64 rng(runtime::split_seed(4'242, t));
+        const std::string contributor = "uploader" + std::to_string(t);
+        for (int i = 0; i < kBatchesPerUploader; ++i) {
+          RecordedUpload rec{contributor, racing_batch(rng, i), {}};
+          rec.ledger =
+              service.upload_measurements(kChannelA, rec.readings, contributor);
+          recorded[t].push_back(std::move(rec));
+        }
+      });
+    }
+    writers.emplace_back([&] {
+      while (service.uploads_applied(kChannelA) < kIngestAfter) {
+        std::this_thread::yield();
+      }
+      service.ingest_campaign(second);
+    });
+    std::thread purger([&] {
+      do {
+        EXPECT_EQ(service.purge_pending("nobody"), 0u);
+        std::this_thread::yield();
+      } while (!uploads_done.load(std::memory_order_acquire));
+    });
+    for (std::thread& w : writers) w.join();
+    uploads_done.store(true, std::memory_order_release);
+    purger.join();
+  }
+
+  std::vector<const RecordedUpload*> by_ticket;
+  for (const auto& thread_records : recorded) {
+    for (const RecordedUpload& rec : thread_records) by_ticket.push_back(&rec);
+  }
+  std::sort(by_ticket.begin(), by_ticket.end(),
+            [](const RecordedUpload* a, const RecordedUpload* b) {
+              return a->ledger.ticket < b->ledger.ticket;
+            });
+  for (std::size_t i = 0; i < by_ticket.size(); ++i) {
+    ASSERT_EQ(by_ticket[i]->ledger.ticket, i);
+  }
+  const auto state_bytes = [](const core::ChannelState& state) {
+    codec::Writer out;
+    state.encode(out);
+    return std::move(out).finish();
+  };
+  std::string served;
+  for (const core::ChannelState& state : service.channel_states()) {
+    if (state.channel() == kChannelA) served = state_bytes(state);
+  }
+
+  std::optional<std::size_t> landed;
+  for (std::size_t k = 0; k <= by_ticket.size() && !landed; ++k) {
+    core::ChannelState replay;
+    replay.ingest(*data_a_);
+    bool ledgers_match = true;
+    for (std::size_t i = 0; i <= by_ticket.size(); ++i) {
+      if (i == k) replay.ingest(second);
+      if (i == by_ticket.size()) break;
+      const RecordedUpload& rec = *by_ticket[i];
+      const core::UploadResult serial =
+          replay.upload(core::UploadPolicy{}, rec.readings, rec.contributor)
+              .ledger;
+      ledgers_match = ledgers_match && serial.accepted == rec.ledger.accepted &&
+                      serial.rejected == rec.ledger.rejected &&
+                      serial.pending == rec.ledger.pending &&
+                      serial.ticket == rec.ledger.ticket;
+    }
+    if (ledgers_match && state_bytes(replay) == served) landed = k;
+  }
+  ASSERT_TRUE(landed.has_value())
+      << "no ticket at which the ingest could have landed";
+  EXPECT_GE(*landed, kIngestAfter);
 }
 
 // stats() is documented as callable at any time: hammer it from reader
