@@ -7,6 +7,7 @@
 // to also write the measured ns/item rates as machine-readable JSON — the
 // format archived in BENCH_micro_pipeline.json and uploaded by CI.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <cmath>
 #include <random>
@@ -31,6 +32,7 @@
 #include "waldo/ml/stats.hpp"
 #include "waldo/ml/svm.hpp"
 #include "waldo/sensors/sensor.hpp"
+#include "waldo/service/service.hpp"
 
 namespace {
 
@@ -308,6 +310,57 @@ void BM_ModelBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelBuild)->Arg(5282)->Arg(15000);
 
+/// One crowd upload and the rebuild it causes, through SpectrumService with
+/// the serving model (naive_bayes, 2 features, 3 localities) on a channel
+/// grown to n readings: a 3-reading upload (stored readings moved up to
+/// 40 m), then download_descriptor, which rebuilds because every accepted
+/// reading makes the model stale. Three such steps warm up first; the
+/// channel then grows by 3 readings an iteration (900 over the 300 timed
+/// iterations). minor_faults is the calling thread's minor page faults per
+/// iteration (getrusage RUSAGE_THREAD).
+void BM_UploadAndRebuild(benchmark::State& state) {
+  static bench::Campaign world;
+  const campaign::ChannelDataset& sweep =
+      world.dataset(bench::SensorKind::kUsrpB200, 15);
+  core::ModelConstructorConfig config;
+  config.classifier = "naive_bayes";
+  config.num_features = 2;
+  config.num_localities = 3;
+  service::SpectrumService service(config);
+  service.ingest_campaign(
+      grown_channel(static_cast<std::size_t>(state.range(0))));
+  std::mt19937_64 rng(35);
+  std::uniform_int_distribution<std::size_t> pick(0, sweep.size() - 1);
+  std::uniform_real_distribution<double> jitter(-40.0, 40.0);
+  std::vector<std::vector<campaign::Measurement>> batches(303);
+  for (auto& batch : batches) {
+    for (int r = 0; r < 3; ++r) {
+      campaign::Measurement m = sweep.readings[pick(rng)];
+      m.position.east_m += jitter(rng);
+      m.position.north_m += jitter(rng);
+      batch.push_back(std::move(m));
+    }
+  }
+  std::size_t next = 0;
+  const auto step = [&] {
+    (void)service.upload_measurements(15, batches[next++ % batches.size()],
+                                      "dev");
+    return service.download_descriptor(15)->size();
+  };
+  for (int i = 0; i < 3; ++i) (void)step();
+  const auto faults = [] {
+    rusage usage{};
+    getrusage(RUSAGE_THREAD, &usage);
+    return usage.ru_minflt;
+  };
+  const long before = faults();
+  for (auto _ : state) benchmark::DoNotOptimize(step());
+  state.counters["minor_faults"] = benchmark::Counter(
+      static_cast<double>(faults() - before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_UploadAndRebuild)->Arg(15000)->Arg(30000)->Iterations(300);
+
 void BM_ConvergenceFilter(benchmark::State& state) {
   std::mt19937_64 rng(7);
   std::normal_distribution<double> noise(-85.0, 0.5);
@@ -410,7 +463,7 @@ void BM_ScreenGrownChannel(benchmark::State& state) {
     channel = {};  // freed outside the timed region too
     state.ResumeTiming();
   }
-  state.counters["trusted"] = static_cast<double>(grown.dataset().readings.size());
+  state.counters["trusted"] = static_cast<double>(grown.size());
   state.counters["parked"] = static_cast<double>(grown.pending().size());
 }
 BENCHMARK(BM_ScreenGrownChannel);

@@ -108,7 +108,8 @@ TileKey Cluster::ingest_campaign(const campaign::ChannelDataset& dataset) {
   const TileKey tile = tiling.tile_of(centroid);
 
   // The raw I/Q capture is not database state: the CFT/AFT features it
-  // feeds were computed at collection time.
+  // feeds were computed at collection time. Every replica converts this
+  // one normalized copy into its own columns.
   campaign::ChannelDataset normalized = dataset;
   for (campaign::Measurement& m : normalized.readings) m.iq = {};
   for (const NodeId id :

@@ -3,8 +3,8 @@
 // the bootstrap / kill / recover lifecycle a control plane would drive.
 //
 // Everything observable about the cluster is reachable from here:
-// construct, ingest campaigns (bootstrap hands every replica a copy of
-// the same dataset), hand the transport + membership to as many
+// construct, ingest campaigns (bootstrap hands every replica the same
+// dataset, from which each stores its own columns), hand the transport + membership to as many
 // ClusterRouter instances as you like, then kill/recover nodes while
 // traffic flows.
 //
@@ -74,8 +74,8 @@ class Cluster {
   /// not live traffic. Returns the tile.
   TileKey ingest_campaign(const campaign::ChannelDataset& dataset);
 
-  /// The normalized dataset exactly as replicas ingested it — the input a
-  /// determinism test must replay.
+  /// The normalized dataset exactly as replicas were handed it — the input
+  /// a determinism test must replay.
   [[nodiscard]] campaign::ChannelDataset normalized_campaign(
       TileKey tile, std::size_t index) const;
 

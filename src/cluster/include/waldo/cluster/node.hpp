@@ -124,9 +124,9 @@ class ClusterNode {
   /// already marked the node kDead; in-flight handlers finish first.
   void wipe();
 
-  /// Bootstrap: ingests a trusted campaign into the tile's service.
-  /// Throws if the node is down.
-  void ingest_campaign(TileKey tile, campaign::ChannelDataset dataset);
+  /// Bootstrap: ingests a trusted campaign into the tile's service, which
+  /// copies out the columns it stores. Throws if the node is down.
+  void ingest_campaign(TileKey tile, const campaign::ChannelDataset& dataset);
 
   /// Recovery: installs a pulled tile snapshot. Does nothing on an
   /// already-synced tile (a state push got there first).

@@ -73,6 +73,11 @@ struct ReplEntry {
 /// replica's datasets and pending pools byte-for-byte, and lets retries of
 /// uploads the source applied still hit the dedup table.
 ///
+/// Layout 2 opens with its layout number and carries each stored reading
+/// as 5 f64 (position, RSS, CFT, AFT: 40 B); a pending reading adds its
+/// contributor. Layout 1, with no number, carried 7 f64 and an I/Q count
+/// a reading; nodes of different layouts cannot exchange state.
+///
 /// Framed with codec::Writer (docs/WIRE_FORMAT.md): doubles travel as raw
 /// IEEE-754 bits, every count is bounds-checked, and a CRC32 trailer
 /// rejects corruption.
@@ -80,6 +85,8 @@ struct TileSnapshot {
   std::vector<core::ChannelState> channels;
   std::vector<DedupRecord> dedup;
 };
+
+inline constexpr std::uint64_t kTileSnapshotLayout = 2;
 
 [[nodiscard]] std::string encode_tile_snapshot(const TileSnapshot& snapshot);
 /// Throws codec::Error (a std::runtime_error) on malformed input.

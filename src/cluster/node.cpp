@@ -417,7 +417,7 @@ void ClusterNode::wipe() {
 }
 
 void ClusterNode::ingest_campaign(TileKey tile,
-                                  campaign::ChannelDataset dataset) {
+                                  const campaign::ChannelDataset& dataset) {
   const std::shared_lock lifecycle(lifecycle_mutex_);
   if (!membership_->snapshot()->alive(id_)) {
     throw std::runtime_error("cluster: node " + std::to_string(id_) +
@@ -425,7 +425,7 @@ void ClusterNode::ingest_campaign(TileKey tile,
   }
   Tile& t = tile_or_create(tile, /*synced=*/true);
   const std::lock_guard lock(t.mutex);
-  t.service.ingest_campaign(std::move(dataset));
+  t.service.ingest_campaign(dataset);
 }
 
 void ClusterNode::install_snapshot(TileKey tile, TileSnapshot snapshot) {

@@ -102,6 +102,7 @@ ReplEntry decode_repl_entry(const std::string& body) {
 
 std::string encode_tile_snapshot(const TileSnapshot& snapshot) {
   codec::Writer out;
+  out.u64(kTileSnapshotLayout);
   out.u64(snapshot.channels.size());
   for (const core::ChannelState& state : snapshot.channels) state.encode(out);
   out.u64(snapshot.dedup.size());
@@ -118,6 +119,9 @@ std::string encode_tile_snapshot(const TileSnapshot& snapshot) {
 
 TileSnapshot decode_tile_snapshot(const std::string& body) {
   codec::Reader in(body);
+  if (in.u64() != kTileSnapshotLayout) {
+    throw codec::Error("unsupported tile snapshot layout");
+  }
   TileSnapshot snapshot;
   // A channel state is at least a channel, a name and four counts.
   snapshot.channels.resize(in.count(6));

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "waldo/ml/stats.hpp"
+#include "waldo/runtime/reuse.hpp"
 
 namespace waldo::core {
 
@@ -28,28 +29,26 @@ constexpr double kMaxCoordinateM = 2.0e7;
 }
 
 void index_readings(geo::GridCells& index,
-                    const campaign::ChannelDataset& stored,
+                    const StoredColumn<geo::EnuPoint>& positions,
                     std::size_t first) {
-  const auto& readings = stored.readings;
-  if (readings.size() > std::numeric_limits<std::uint32_t>::max()) {
+  if (positions.size() > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error("a channel holds at most 2^32 readings");
   }
-  for (std::size_t i = first; i < readings.size(); ++i) {
-    index.insert(static_cast<std::uint32_t>(i), readings[i].position);
+  for (std::size_t i = first; i < positions.size(); ++i) {
+    index.insert(static_cast<std::uint32_t>(i), positions[i]);
   }
 }
 
 using Verdict = ChannelState::Verdict;
 
-/// The read-only pass over one batch: each reading's verdict against
-/// `stored` as it stands. `for_each_neighbour(center, fn)` calls fn(j)
-/// for every stored reading j within policy.neighbourhood_m of `center`,
-/// exactly as geo::GridCells::for_each_within over `stored` does, in any
-/// order.
+/// The read-only pass over one batch: each reading's verdict against the
+/// stored dataset as it stands. `for_each_neighbour(center, fn)` calls
+/// fn(rss) with the RSS of every stored reading within
+/// policy.neighbourhood_m of `center`, exactly as geo::GridCells::
+/// for_each_within over the stored positions finds them, in any order.
 template <typename ForEachNeighbour>
 std::vector<Verdict> screen_batch(
-    const ForEachNeighbour& for_each_neighbour,
-    const campaign::ChannelDataset& stored, const UploadPolicy& policy,
+    const ForEachNeighbour& for_each_neighbour, const UploadPolicy& policy,
     std::span<const campaign::Measurement> readings) {
   // Correlation check against the stored neighbourhood (Section 3.4 /
   // secure collaborative sensing): an upload deviating wildly from what
@@ -64,9 +63,8 @@ std::vector<Verdict> screen_batch(
       continue;
     }
     neighbour_rss.clear();
-    for_each_neighbour(m.position, [&](std::size_t j) {
-      neighbour_rss.push_back(stored.readings[j].rss_dbm);
-    });
+    for_each_neighbour(m.position,
+                       [&](double rss) { neighbour_rss.push_back(rss); });
     if (neighbour_rss.size() < policy.min_neighbours) {
       verdicts.push_back(Verdict::kUnvouched);
       continue;
@@ -90,7 +88,7 @@ UploadResult settle_batch(std::vector<PendingReading>& pending,
                           std::span<const campaign::Measurement> readings,
                           std::span<const Verdict> verdicts,
                           const std::string& contributor,
-                          std::vector<campaign::Measurement>& accepted) {
+                          std::vector<StoredReading>& accepted) {
   UploadResult result;
   // A parked reading whose squared offset exceeds the padded reach is
   // farther than corroboration_m by more than the rounding of either
@@ -107,7 +105,7 @@ UploadResult settle_batch(std::vector<PendingReading>& pending,
       continue;
     }
     if (verdicts[i] == Verdict::kAccept) {
-      accepted.push_back(m);
+      accepted.push_back(StoredReading::of(m));
       ++result.accepted;
       continue;
     }
@@ -118,13 +116,13 @@ UploadResult settle_batch(std::vector<PendingReading>& pending,
     std::vector<const std::string*> others;  // distinct other contributors
     for (std::size_t p = 0; p < pending.size(); ++p) {
       const PendingReading& pr = pending[p];
-      const double de = pr.measurement.position.east_m - m.position.east_m;
-      const double dn = pr.measurement.position.north_m - m.position.north_m;
+      const double de = pr.reading.position.east_m - m.position.east_m;
+      const double dn = pr.reading.position.north_m - m.position.north_m;
       if (de * de + dn * dn > reach2 ||
           std::hypot(de, dn) > policy.corroboration_m) {
         continue;
       }
-      if (std::abs(pr.measurement.rss_dbm - m.rss_dbm) >
+      if (std::abs(pr.reading.rss_dbm - m.rss_dbm) >
           policy.max_deviation_db) {
         continue;
       }
@@ -139,55 +137,41 @@ UploadResult settle_batch(std::vector<PendingReading>& pending,
     }
     if (1 + others.size() >= policy.min_corroborators) {
       // Promote the agreeing cluster plus this reading.
-      accepted.push_back(m);
+      accepted.push_back(StoredReading::of(m));
       ++result.accepted;
       for (auto rit = corroborators.rbegin(); rit != corroborators.rend();
            ++rit) {
-        accepted.push_back(pending[*rit].measurement);
+        accepted.push_back(pending[*rit].reading);
         ++result.accepted;  // promoted into the trusted store now
         pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(*rit));
       }
     } else {
-      pending.push_back(PendingReading{m, contributor});
+      pending.push_back(PendingReading{StoredReading::of(m), contributor});
       ++result.pending;
     }
   }
   return result;
 }
 
-void encode_measurement(codec::Writer& out, const campaign::Measurement& m) {
-  out.f64(m.position.east_m);
-  out.f64(m.position.north_m);
-  out.f64(m.raw);
-  out.f64(m.rss_dbm);
-  out.f64(m.cft_db);
-  out.f64(m.aft_db);
-  out.f64(m.true_rss_dbm);
-  out.u64(m.iq.size());
-  for (const dsp::cplx& s : m.iq) {
-    out.f64(s.real());
-    out.f64(s.imag());
-  }
+void encode_reading(codec::Writer& out, const StoredReading& r) {
+  out.f64(r.position.east_m);
+  out.f64(r.position.north_m);
+  out.f64(r.rss_dbm);
+  out.f64(r.cft_db);
+  out.f64(r.aft_db);
 }
 
-/// Seven f64 fields plus a one-byte I/Q count.
-constexpr std::size_t kMinMeasurementBytes = 7 * 8 + 1;
+/// Five f64 fields.
+constexpr std::size_t kReadingBytes = 5 * 8;
 
-[[nodiscard]] campaign::Measurement decode_measurement(codec::Reader& in) {
-  campaign::Measurement m;
-  m.position.east_m = in.f64();
-  m.position.north_m = in.f64();
-  m.raw = in.f64();
-  m.rss_dbm = in.f64();
-  m.cft_db = in.f64();
-  m.aft_db = in.f64();
-  m.true_rss_dbm = in.f64();
-  m.iq.resize(in.count(16));
-  for (dsp::cplx& s : m.iq) {
-    const double re = in.f64();
-    s = dsp::cplx(re, in.f64());
-  }
-  return m;
+[[nodiscard]] StoredReading decode_reading(codec::Reader& in) {
+  StoredReading r;
+  r.position.east_m = in.f64();
+  r.position.north_m = in.f64();
+  r.rss_dbm = in.f64();
+  r.cft_db = in.f64();
+  r.aft_db = in.f64();
+  return r;
 }
 
 }  // namespace
@@ -213,34 +197,95 @@ UploadResult screen_upload(const campaign::ChannelDataset& stored,
     const std::int64_t hi_e = geo::cell_coordinate(c.east_m + r, cell_m);
     const std::int64_t lo_n = geo::cell_coordinate(c.north_m - r, cell_m);
     const std::int64_t hi_n = geo::cell_coordinate(c.north_m + r, cell_m);
-    for (std::size_t j = 0; j < stored.readings.size(); ++j) {
-      const geo::EnuPoint& p = stored.readings[j].position;
+    for (const campaign::Measurement& s : stored.readings) {
+      const geo::EnuPoint& p = s.position;
       const double de = p.east_m - c.east_m;
       const double dn = p.north_m - c.north_m;
       if (!(de * de + dn * dn <= r2)) continue;
       const std::int64_t ce = geo::cell_coordinate(p.east_m, cell_m);
       const std::int64_t cn = geo::cell_coordinate(p.north_m, cell_m);
-      if (lo_e <= ce && ce <= hi_e && lo_n <= cn && cn <= hi_n) fn(j);
+      if (lo_e <= ce && ce <= hi_e && lo_n <= cn && cn <= hi_n) {
+        fn(s.rss_dbm);
+      }
     }
   };
-  return settle_batch(pending, policy, readings,
-                      screen_batch(neighbours, stored, policy, readings),
-                      contributor, accepted);
+  std::vector<StoredReading> trusted;
+  const UploadResult result =
+      settle_batch(pending, policy, readings,
+                   screen_batch(neighbours, policy, readings), contributor,
+                   trusted);
+  for (const StoredReading& t : trusted) accepted.push_back(t.measurement());
+  return result;
 }
 
-ChannelState::ChannelState(campaign::ChannelDataset trusted)
-    : dataset_(std::move(trusted)) {}
+ChannelState::ChannelState(const campaign::ChannelDataset& trusted) {
+  ingest(trusted);
+}
 
-void ChannelState::ingest(campaign::ChannelDataset trusted) {
-  const std::size_t first = dataset_.readings.size();
-  if (dataset_.readings.empty()) {
-    dataset_ = std::move(trusted);
-  } else {
-    dataset_.readings.insert(dataset_.readings.end(),
-                             std::make_move_iterator(trusted.readings.begin()),
-                             std::make_move_iterator(trusted.readings.end()));
+template <typename T>
+void StoredColumn<T>::copy_to(std::vector<T>& out) const {
+  runtime::resize_reused(out, size_);
+  auto it = out.begin();
+  for (const std::vector<T>& block : blocks_) {
+    it = std::copy(block.begin(), block.end(), it);
   }
-  if (index_) index_readings(*index_, dataset_, first);
+}
+
+template class StoredColumn<geo::EnuPoint>;
+template class StoredColumn<double>;
+
+void ChannelState::copy_columns(int num_features,
+                                TrainingColumns& into) const {
+  if (num_features < kMinFeatures || num_features > kMaxFeatures) {
+    throw std::invalid_argument("feature count must be in [1, 4]");
+  }
+  into.channel = channel_;
+  positions_.copy_to(into.positions);
+  rss_dbm_.copy_to(into.rss_dbm);
+  if (num_features >= 3) {
+    cft_db_.copy_to(into.cft_db);
+  } else {
+    into.cft_db.clear();
+  }
+  if (num_features >= 4) {
+    aft_db_.copy_to(into.aft_db);
+  } else {
+    into.aft_db.clear();
+  }
+}
+
+campaign::ChannelDataset ChannelState::dataset() const {
+  campaign::ChannelDataset out{.channel = channel_,
+                               .sensor_name = sensor_name_,
+                               .readings = {}};
+  out.readings.reserve(size());
+  for (std::size_t i = 0; i < size(); ++i) {
+    out.readings.push_back(reading(i).measurement());
+  }
+  return out;
+}
+
+StoredReading ChannelState::reading(std::size_t i) const {
+  return {positions_[i], rss_dbm_[i], cft_db_[i], aft_db_[i]};
+}
+
+void ChannelState::append(const StoredReading& r) {
+  positions_.push_back(r.position);
+  rss_dbm_.push_back(r.rss_dbm);
+  cft_db_.push_back(r.cft_db);
+  aft_db_.push_back(r.aft_db);
+}
+
+void ChannelState::ingest(const campaign::ChannelDataset& trusted) {
+  const std::size_t first = size();
+  if (first == 0) {
+    channel_ = trusted.channel;
+    sensor_name_ = trusted.sensor_name;
+  }
+  for (const campaign::Measurement& m : trusted.readings) {
+    append(StoredReading::of(m));
+  }
+  if (index_) index_readings(*index_, positions_, first);
   accepted_since_build_ = 0;
 }
 
@@ -249,12 +294,14 @@ std::optional<std::vector<ChannelState::Verdict>> ChannelState::screen(
     std::span<const campaign::Measurement> readings) const {
   if (!index_) return std::nullopt;
   const auto position_of = [this](std::uint32_t j) -> const geo::EnuPoint& {
-    return dataset_.readings[j].position;
+    return positions_[j];
   };
   const auto neighbours = [&](const geo::EnuPoint& center, const auto& fn) {
-    index_->for_each_within(center, policy.neighbourhood_m, position_of, fn);
+    index_->for_each_within(
+        center, policy.neighbourhood_m, position_of,
+        [&](std::uint32_t j) { fn(rss_dbm_[j]); });
   };
-  return screen_batch(neighbours, dataset_, policy, readings);
+  return screen_batch(neighbours, policy, readings);
 }
 
 ChannelState::Applied ChannelState::apply(
@@ -264,17 +311,15 @@ ChannelState::Applied ChannelState::apply(
   if (verdicts.size() != readings.size()) {
     throw std::invalid_argument("apply needs one verdict per reading");
   }
-  std::vector<campaign::Measurement> accepted;
+  std::vector<StoredReading> accepted;
   Applied out;
   out.ledger = settle_batch(pending_, policy, readings, verdicts, contributor,
                             accepted);
   out.ledger.ticket = uploads_applied_++;
   if (!accepted.empty()) {
-    const std::size_t first = dataset_.readings.size();
-    dataset_.readings.insert(dataset_.readings.end(),
-                             std::make_move_iterator(accepted.begin()),
-                             std::make_move_iterator(accepted.end()));
-    if (index_) index_readings(*index_, dataset_, first);
+    const std::size_t first = size();
+    for (const StoredReading& r : accepted) append(r);
+    if (index_) index_readings(*index_, positions_, first);
     accepted_since_build_ += out.ledger.accepted;
     if (accepted_since_build_ >= policy.rebuild_threshold) {
       out.model_stale = true;
@@ -292,7 +337,7 @@ ChannelState::Applied ChannelState::upload(
   // policy returns the same neighbours.
   if (!index_) {
     index_.emplace(screening_cell_m(policy));
-    index_readings(*index_, dataset_, 0);
+    index_readings(*index_, positions_, 0);
   }
   return apply(policy, readings, contributor, *screen(policy, readings));
 }
@@ -304,15 +349,13 @@ std::size_t ChannelState::purge_pending(const std::string& contributor) {
 }
 
 void ChannelState::encode(codec::Writer& out) const {
-  out.i64(dataset_.channel);
-  out.str(dataset_.sensor_name);
-  out.u64(dataset_.readings.size());
-  for (const campaign::Measurement& m : dataset_.readings) {
-    encode_measurement(out, m);
-  }
+  out.i64(channel_);
+  out.str(sensor_name_);
+  out.u64(size());
+  for (std::size_t i = 0; i < size(); ++i) encode_reading(out, reading(i));
   out.u64(pending_.size());
   for (const PendingReading& pr : pending_) {
-    encode_measurement(out, pr.measurement);
+    encode_reading(out, pr.reading);
     out.str(pr.contributor);
   }
   out.u64(uploads_applied_);
@@ -326,15 +369,13 @@ ChannelState ChannelState::decode(codec::Reader& in) {
       channel > std::numeric_limits<int>::max()) {
     throw codec::Error("channel number out of range");
   }
-  state.dataset_.channel = static_cast<int>(channel);
-  state.dataset_.sensor_name = in.str();
-  state.dataset_.readings.resize(in.count(kMinMeasurementBytes));
-  for (campaign::Measurement& m : state.dataset_.readings) {
-    m = decode_measurement(in);
-  }
-  state.pending_.resize(in.count(kMinMeasurementBytes + 1));
+  state.channel_ = static_cast<int>(channel);
+  state.sensor_name_ = in.str();
+  const std::size_t n = in.count(kReadingBytes);
+  for (std::size_t i = 0; i < n; ++i) state.append(decode_reading(in));
+  state.pending_.resize(in.count(kReadingBytes + 1));
   for (PendingReading& pr : state.pending_) {
-    pr.measurement = decode_measurement(in);
+    pr.reading = decode_reading(in);
     pr.contributor = in.str();
   }
   state.uploads_applied_ = in.u64();

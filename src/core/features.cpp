@@ -51,6 +51,13 @@ TrainingColumns training_columns(const campaign::ChannelDataset& data,
 }
 
 ml::Matrix build_features(const TrainingColumns& data, int num_features) {
+  ml::Matrix x;
+  build_features_into(data, num_features, x);
+  return x;
+}
+
+void build_features_into(const TrainingColumns& data, int num_features,
+                         ml::Matrix& x) {
   check_feature_count(num_features);
   const std::size_t n = data.size();
   if (data.rss_dbm.size() != n ||
@@ -58,7 +65,7 @@ ml::Matrix build_features(const TrainingColumns& data, int num_features) {
       (num_features >= 4 && data.aft_db.size() != n)) {
     throw std::invalid_argument("training columns of unequal length");
   }
-  ml::Matrix x(n, feature_columns(num_features));
+  x.reshape(n, feature_columns(num_features));
   for (std::size_t i = 0; i < n; ++i) {
     double* row = x.row_ptr(i);
     row[0] = data.positions[i].east_m;
@@ -67,7 +74,6 @@ ml::Matrix build_features(const TrainingColumns& data, int num_features) {
     if (num_features >= 3) row[3] = data.cft_db[i];
     if (num_features >= 4) row[4] = data.aft_db[i];
   }
-  return x;
 }
 
 ml::Matrix build_features(const campaign::ChannelDataset& data,

@@ -2,6 +2,14 @@
 // one channel's trusted dataset, its pending-corroboration pool, its apply
 // ticket, its staleness counter and the screening index over the dataset.
 //
+// The dataset is stored by column, and only the columns the model reads
+// (Section 3.2): position, RSS, CFT and AFT, 40 B a reading. A reading's
+// raw device value, its validation-only ground truth and its I/Q capture
+// are dropped at the edge, when an ingest or an upload hands it in. Each
+// column grows in fixed blocks, so it holds its readings and at most one
+// part-filled block: a doubling vector would hold up to twice its size
+// and leave the buffers it outgrew behind in the allocator.
+//
 // service::SpectrumService, the one spectrum store, is a map of these
 // behind per-shard locks; a cluster node transfers them verbatim when a
 // replica recovers. The screening index grows with each ingest and
@@ -22,6 +30,7 @@
 
 #include "waldo/campaign/measurement.hpp"
 #include "waldo/codec/codec.hpp"
+#include "waldo/core/features.hpp"
 #include "waldo/geo/grid_index.hpp"
 
 namespace waldo::core {
@@ -51,9 +60,31 @@ struct UploadPolicy {
   std::size_t rebuild_threshold = 1;
 };
 
+/// What the store keeps of one reading: its location and the three signal
+/// features the model reads.
+struct StoredReading {
+  geo::EnuPoint position;
+  double rss_dbm = 0.0;
+  double cft_db = 0.0;
+  double aft_db = 0.0;
+
+  [[nodiscard]] static StoredReading of(const campaign::Measurement& m) {
+    return {m.position, m.rss_dbm, m.cft_db, m.aft_db};
+  }
+  /// As a Measurement: raw and true_rss_dbm are 0 and there is no I/Q.
+  [[nodiscard]] campaign::Measurement measurement() const {
+    campaign::Measurement m;
+    m.position = position;
+    m.rss_dbm = rss_dbm;
+    m.cft_db = cft_db;
+    m.aft_db = aft_db;
+    return m;
+  }
+};
+
 /// A crowd-sourced reading parked for corroboration — seen but not trusted.
 struct PendingReading {
-  campaign::Measurement measurement;
+  StoredReading reading;
   std::string contributor;
 };
 
@@ -80,8 +111,9 @@ struct UploadResult {
 /// corroborate, parked pending otherwise. Mutates `pending` (parks new
 /// readings, removes promoted ones) and appends every newly trusted
 /// measurement — each accepted batch reading followed by the pendings it
-/// promoted — to `accepted`. The returned ledger's ticket is left 0;
-/// stores stamp their own apply order.
+/// promoted — to `accepted`; a promoted pending comes back as the store
+/// keeps it (StoredReading::measurement). The returned ledger's ticket is
+/// left 0; stores stamp their own apply order.
 ///
 /// One-shot form: scans all of `stored` for each reading, with the exact
 /// neighbourhood test of the index that ChannelState::upload keeps between
@@ -92,6 +124,32 @@ struct UploadResult {
     std::span<const campaign::Measurement> readings,
     const std::string& contributor,
     std::vector<campaign::Measurement>& accepted);
+
+/// One stored column: values in blocks of kBlock that never move once
+/// written.
+template <typename T>
+class StoredColumn {
+ public:
+  static constexpr std::size_t kBlock = 2048;
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
+    return blocks_[i / kBlock][i % kBlock];
+  }
+  void push_back(const T& value) {
+    if (size_ % kBlock == 0) blocks_.emplace_back();
+    std::vector<T>& block = blocks_.back();
+    if (block.capacity() < kBlock) block.reserve(kBlock);
+    block.push_back(value);
+    ++size_;
+  }
+  /// Copies every value into `out`, resized under runtime::resize_reused.
+  void copy_to(std::vector<T>& out) const;
+
+ private:
+  std::vector<std::vector<T>> blocks_;
+  std::size_t size_ = 0;
+};
 
 class ChannelState {
  public:
@@ -111,12 +169,20 @@ class ChannelState {
   };
 
   ChannelState() = default;
-  explicit ChannelState(campaign::ChannelDataset trusted);
+  explicit ChannelState(const campaign::ChannelDataset& trusted);
 
-  [[nodiscard]] int channel() const noexcept { return dataset_.channel; }
-  [[nodiscard]] const campaign::ChannelDataset& dataset() const noexcept {
-    return dataset_;
-  }
+  [[nodiscard]] int channel() const noexcept { return channel_; }
+  /// Number of trusted readings.
+  [[nodiscard]] std::size_t size() const noexcept { return positions_.size(); }
+  /// Copies the columns a `num_features` model reads (positions and RSS,
+  /// plus CFT from 3 features and AFT from 4) into `into`, whose buffers
+  /// keep their storage (runtime::resize_reused); the others are left
+  /// empty. A serving rebuild's snapshot. Throws std::invalid_argument
+  /// unless num_features is in [1, 4].
+  void copy_columns(int num_features, TrainingColumns& into) const;
+  /// A copy of the trusted dataset as Measurements, each with raw and
+  /// true_rss_dbm 0 and no I/Q (the store keeps none of them).
+  [[nodiscard]] campaign::ChannelDataset dataset() const;
   [[nodiscard]] const std::vector<PendingReading>& pending() const noexcept {
     return pending_;
   }
@@ -129,10 +195,10 @@ class ChannelState {
     return accepted_since_build_;
   }
 
-  /// Offline phase: appends a trusted sweep (adopting its channel and
-  /// sensor name if this state is still empty) and zeroes the staleness
-  /// counter — the next build sees everything.
-  void ingest(campaign::ChannelDataset trusted);
+  /// Offline phase: appends a trusted sweep's stored columns (adopting its
+  /// channel and sensor name if this state is still empty) and zeroes the
+  /// staleness counter — the next build sees everything.
+  void ingest(const campaign::ChannelDataset& trusted);
 
   /// First step of an upload, read-only: one verdict per reading, by one
   /// radius query of the screening index each. std::nullopt until the
@@ -167,19 +233,30 @@ class ChannelState {
   /// Drops every pending reading parked by `contributor`; returns how many.
   std::size_t purge_pending(const std::string& contributor);
 
-  /// Appends dataset (raw f64 fields, I/Q included), pending pool, apply
-  /// ticket and staleness counter. The screening index is derived state:
-  /// decode() leaves it to be rebuilt by the first upload.
+  /// Appends the stored columns (5 raw f64 a reading), the pending pool
+  /// (the same plus a contributor), apply ticket and staleness counter
+  /// (docs/WIRE_FORMAT.md, "TileSnapshot"). The screening index is derived
+  /// state: decode() leaves it to be rebuilt by the first upload.
   void encode(codec::Writer& out) const;
   /// Throws codec::Error on malformed input.
   [[nodiscard]] static ChannelState decode(codec::Reader& in);
 
  private:
-  campaign::ChannelDataset dataset_;
+  /// Trusted reading `i`, gathered from the columns.
+  [[nodiscard]] StoredReading reading(std::size_t i) const;
+  /// Appends one reading to every column (the caller extends the index).
+  void append(const StoredReading& r);
+
+  int channel_ = 0;
+  std::string sensor_name_;
+  StoredColumn<geo::EnuPoint> positions_;
+  StoredColumn<double> rss_dbm_;
+  StoredColumn<double> cft_db_;
+  StoredColumn<double> aft_db_;
   std::vector<PendingReading> pending_;
   std::size_t accepted_since_build_ = 0;
   std::uint64_t uploads_applied_ = 0;
-  /// Reading ids of dataset_ bucketed for the neighbourhood query; built
+  /// Reading ids of the dataset bucketed for the neighbourhood query; built
   /// by the first upload() (cells sized to its policy's radius), then
   /// extended by every ingest and accepted batch.
   std::optional<geo::GridCells> index_;

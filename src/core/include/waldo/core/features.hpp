@@ -34,8 +34,8 @@ inline constexpr int kMaxFeatures = 4;
 
 /// The columns of a channel dataset that labeling and model training read:
 /// positions and RSS always, CFT only from 3 features and AFT only from 4.
-/// A serving rebuild copies these out of the shard instead of the whole
-/// dataset (80-byte readings, each with an I/Q vector).
+/// A serving rebuild copies them out of core::ChannelState, which stores
+/// all four (40 B a reading).
 struct TrainingColumns {
   int channel = 0;
   std::vector<geo::EnuPoint> positions;
@@ -56,6 +56,9 @@ struct TrainingColumns {
 /// column it reads is as long as `positions`.
 [[nodiscard]] ml::Matrix build_features(const TrainingColumns& data,
                                         int num_features);
+/// build_features into `out`, reshaped and reusing its storage.
+void build_features_into(const TrainingColumns& data, int num_features,
+                         ml::Matrix& out);
 
 /// Feature matrix over a whole dataset.
 [[nodiscard]] ml::Matrix build_features(const campaign::ChannelDataset& data,

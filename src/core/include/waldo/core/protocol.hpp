@@ -80,6 +80,8 @@ enum class ErrorCode : int {
 }
 
 struct ErrorResponse {
+  /// One line on the wire: encode() writes each '\n' and '\r' in it as a
+  /// space, and decode() rejects any byte after that line.
   std::string reason;
   ErrorCode code = ErrorCode::kUnspecified;
   /// The channel the failing request addressed; 0 when the failure is not

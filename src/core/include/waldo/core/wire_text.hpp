@@ -108,16 +108,22 @@ class Tokens {
     return pos_ == text_.size();
   }
 
-  /// Skips whitespace (newlines too), then returns the rest of that line
-  /// without its '\n'.
+  /// Skips whitespace other than '\n', then returns the rest of the line
+  /// without its '\n' and moves past that '\n'.
   [[nodiscard]] std::string_view rest_of_line() noexcept {
-    skip_space();
+    while (pos_ < text_.size() && text_[pos_] != '\n' &&
+           is_space(text_[pos_])) {
+      ++pos_;
+    }
     const std::size_t nl = text_.find('\n', pos_);
     const std::size_t end = nl == std::string_view::npos ? text_.size() : nl;
     const std::string_view line = text_.substr(pos_, end - pos_);
-    pos_ = end;
+    pos_ = nl == std::string_view::npos ? end : end + 1;
     return line;
   }
+
+  /// True iff every byte has been read, whitespace included.
+  [[nodiscard]] bool at_end() const noexcept { return pos_ == text_.size(); }
 
  private:
   template <std::integral Int>

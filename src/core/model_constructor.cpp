@@ -8,13 +8,25 @@
 #include "waldo/ml/kmeans.hpp"
 #include "waldo/ml/metrics.hpp"
 #include "waldo/runtime/parallel.hpp"
+#include "waldo/runtime/reuse.hpp"
 #include "waldo/runtime/seed.hpp"
 #include "waldo/runtime/stage_timer.hpp"
 
 namespace waldo::core {
 
+BuildWorkspace& ModelConstructor::thread_workspace() {
+  thread_local BuildWorkspace ws;
+  return ws;
+}
+
 WhiteSpaceModel ModelConstructor::build(const TrainingColumns& data,
                                         std::span<const int> labels) const {
+  return build(data, labels, thread_workspace());
+}
+
+WhiteSpaceModel ModelConstructor::build(const TrainingColumns& data,
+                                        std::span<const int> labels,
+                                        BuildWorkspace& ws) const {
   const std::size_t n = data.size();
   if (n == 0) {
     throw std::invalid_argument("cannot build a model from an empty dataset");
@@ -25,7 +37,8 @@ WhiteSpaceModel ModelConstructor::build(const TrainingColumns& data,
   runtime::StageTimer& timer = runtime::StageTimer::global();
 
   // Localities from reading locations only.
-  ml::Matrix locations(n, 2);
+  ml::Matrix& locations = ws.locations;
+  locations.reshape(n, 2);
   for (std::size_t i = 0; i < n; ++i) {
     locations(i, 0) = data.positions[i].east_m;
     locations(i, 1) = data.positions[i].north_m;
@@ -34,22 +47,46 @@ WhiteSpaceModel ModelConstructor::build(const TrainingColumns& data,
   kmc.k = std::max<std::size_t>(1, config_.num_localities);
   kmc.seed = config_.seed;
   kmc.threads = config_.threads;
-  ml::KMeansResult clusters;
+  const ml::KMeansResult& clusters = ws.clusters;
   {
     const auto timing = timer.scope("model.kmeans", n);
-    clusters = ml::kmeans(locations, kmc);
+    ml::kmeans_into(locations, kmc, ws.kmeans, ws.clusters);
   }
   const std::size_t k = clusters.centroids.rows();
 
-  const ml::Matrix features = [&] {
+  const ml::Matrix& features = ws.features;
+  {
     const auto timing = timer.scope("model.features", n);
-    return build_features(data, config_.num_features);
-  }();
+    build_features_into(data, config_.num_features, ws.features);
+  }
 
-  // Membership lists per locality (cheap, serial).
-  std::vector<std::vector<std::size_t>> members(k);
+  // Membership lists per locality (cheap, serial): reading indices
+  // grouped by locality, in index order within each, locality c's at
+  // members[offsets[c], offsets[c + 1]). One list of n, however the
+  // localities split it.
+  std::vector<std::size_t>& offsets = ws.member_offsets;
+  runtime::resize_reused(offsets, k + 1);
+  std::fill(offsets.begin(), offsets.end(), 0);
+  for (std::size_t i = 0; i < n; ++i) ++offsets[clusters.assignment[i] + 1];
+  for (std::size_t c = 0; c < k; ++c) offsets[c + 1] += offsets[c];
+  runtime::resize_reused(ws.members, n);
   for (std::size_t i = 0; i < n; ++i) {
-    members[clusters.assignment[i]].push_back(i);
+    ws.members[offsets[clusters.assignment[i]]++] = i;
+  }
+  for (std::size_t c = k; c > 0; --c) offsets[c] = offsets[c - 1];
+  offsets[0] = 0;
+
+  // Each lane trains its localities in its own rows and labels, with room
+  // for all n readings: k-means is reseeded on every build, so one
+  // locality's size can swing up to n from one build to the next.
+  const std::size_t lanes = runtime::parallel_lane_count(k, config_.threads);
+  if (ws.rows.size() < lanes) {
+    ws.rows.resize(lanes);
+    ws.labels.resize(lanes);
+  }
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    ws.rows[lane].reserve(n * features.cols());
+    runtime::reserve_reused(ws.labels[lane], n);
   }
 
   // Per-locality training — k independent classifiers, the pipeline's
@@ -58,11 +95,13 @@ WhiteSpaceModel ModelConstructor::build(const TrainingColumns& data,
   // model is a pure function of (config, data, labels): thread counts and
   // scheduling cannot change a single byte of the descriptor.
   const auto timing = timer.scope("model.train", k);
-  std::vector<WhiteSpaceModel::Locality> localities =
-      runtime::parallel_map(k, config_.threads, [&](std::size_t c) {
-        std::span<const std::size_t> member = members[c];
-
-        WhiteSpaceModel::Locality loc;
+  std::vector<WhiteSpaceModel::Locality> localities(k);
+  runtime::parallel_for_lanes(
+      k, config_.threads, [&](std::size_t lane, std::size_t c) {
+        std::span<const std::size_t> member =
+            std::span<const std::size_t>(ws.members)
+                .subspan(offsets[c], offsets[c + 1] - offsets[c]);
+        WhiteSpaceModel::Locality& loc = localities[c];
         std::size_t safe = 0;
         for (const std::size_t i : member) {
           safe += labels[i] == ml::kSafe ? 1 : 0;
@@ -75,7 +114,7 @@ WhiteSpaceModel ModelConstructor::build(const TrainingColumns& data,
           loc.constant_label = (!member.empty() && safe == member.size())
                                    ? ml::kSafe
                                    : ml::kNotSafe;
-          return loc;
+          return;
         }
 
         // Only a subsample needs its own copy of the member list.
@@ -89,9 +128,10 @@ WhiteSpaceModel ModelConstructor::build(const TrainingColumns& data,
           member = sampled;
         }
 
-        const ml::Matrix x = features.take_rows(member);
-        std::vector<int> y;
-        y.reserve(member.size());
+        ml::Matrix& x = ws.rows[lane];
+        features.take_rows_into(member, x);
+        std::vector<int>& y = ws.labels[lane];
+        y.clear();
         for (const std::size_t i : member) y.push_back(labels[i]);
 
         std::unique_ptr<ml::Classifier> clf;
@@ -102,7 +142,6 @@ WhiteSpaceModel ModelConstructor::build(const TrainingColumns& data,
         }
         clf->fit(x, y);
         loc.classifier = std::move(clf);
-        return loc;
       });
 
   return WhiteSpaceModel(data.channel, config_.num_features,

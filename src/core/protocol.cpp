@@ -1,5 +1,6 @@
 #include "waldo/core/protocol.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string_view>
 
@@ -68,7 +69,12 @@ struct BodyWriter {
     append_line(out, r.accepted, r.rejected, r.pending, r.ticket);
   }
   void operator()(const ErrorResponse& r) {
-    append_line(out, static_cast<int>(r.code), r.channel, r.reason);
+    // The reason is one line: each line break in it becomes a space.
+    std::string reason = r.reason;
+    std::replace_if(
+        reason.begin(), reason.end(),
+        [](char c) { return c == '\n' || c == '\r'; }, ' ');
+    append_line(out, static_cast<int>(r.code), r.channel, reason);
   }
 };
 
@@ -151,8 +157,9 @@ struct BodyWriter {
     return r;
   }
   if (type == "error") {
-    // "<code> <channel> <reason...>"; a body without both numbers is
-    // malformed. The reason is the first line after them.
+    // "<code> <channel> <reason...>\n"; a body without both numbers is
+    // malformed. The reason is the rest of that one line: no byte may
+    // follow it, and it holds no '\r', which the encoder never writes.
     ErrorResponse r;
     int code = 0;
     if (!in.read(code, r.channel)) {
@@ -160,6 +167,9 @@ struct BodyWriter {
     }
     r.code = static_cast<ErrorCode>(code);
     r.reason = in.rest_of_line();
+    if (!in.at_end() || r.reason.find('\r') != std::string::npos) {
+      throw std::runtime_error("WSNP: error reason is not one line");
+    }
     return r;
   }
   throw std::runtime_error("unknown WSNP message type: " + std::string(type));

@@ -28,9 +28,24 @@ struct KMeansResult {
   std::size_t iterations = 0;
 };
 
+/// Storage kmeans_into reuses from one call to the next: each row's
+/// squared distance, and the update step's sums and counts.
+struct KMeansScratch {
+  std::vector<double> row_d2;
+  Matrix sums;
+  std::vector<std::size_t> counts;
+};
+
 /// Clusters the rows of `x`. k is clamped to the number of rows. Empty
 /// clusters are re-seeded from the point farthest from its centroid.
 [[nodiscard]] KMeansResult kmeans(const Matrix& x, const KMeansConfig& config);
+
+/// kmeans into caller-owned storage: the result goes to `out`, whose
+/// assignment keeps its storage, and the working buffers are `scratch`'s.
+/// Bit-identical to kmeans(x, config). Once both have held an input at
+/// least as large, it allocates nothing that grows with x's rows.
+void kmeans_into(const Matrix& x, const KMeansConfig& config,
+                 KMeansScratch& scratch, KMeansResult& out);
 
 /// Index of the centroid nearest to `x`.
 [[nodiscard]] std::size_t nearest_centroid(const Matrix& centroids,

@@ -46,8 +46,20 @@ class Matrix {
     return data_.data() + r * cols_;
   }
 
+  /// Sets the shape to rows x cols for a matrix reused from one call to
+  /// the next: its storage is kept when large enough and at least doubled
+  /// when not (runtime::resize_reused). Values are unspecified until
+  /// written.
+  void reshape(std::size_t rows, std::size_t cols);
+  /// Makes room for `values` values under reshape's growth rule, without
+  /// changing the shape. New storage is written once (zeroed), so that a
+  /// matrix reshaped to varying sizes within it never faults a page in.
+  void reserve(std::size_t values);
+
   /// Copy of selected rows, in the given order.
   [[nodiscard]] Matrix take_rows(std::span<const std::size_t> idx) const;
+  /// take_rows into `out`, reshaped and reusing its storage.
+  void take_rows_into(std::span<const std::size_t> idx, Matrix& out) const;
 
   void push_row(std::span<const double> row);
 

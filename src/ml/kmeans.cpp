@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "waldo/runtime/parallel.hpp"
+#include "waldo/runtime/reuse.hpp"
 
 namespace waldo::ml {
 
@@ -33,6 +34,14 @@ constexpr std::size_t kAssignBlock = 512;
 }  // namespace
 
 KMeansResult kmeans(const Matrix& x, const KMeansConfig& config) {
+  KMeansScratch scratch;
+  KMeansResult result;
+  kmeans_into(x, config, scratch, result);
+  return result;
+}
+
+void kmeans_into(const Matrix& x, const KMeansConfig& config,
+                 KMeansScratch& scratch, KMeansResult& result) {
   if (x.rows() == 0) throw std::invalid_argument("kmeans: empty input");
   const std::size_t n = x.rows();
   const std::size_t d = x.cols();
@@ -41,13 +50,17 @@ KMeansResult kmeans(const Matrix& x, const KMeansConfig& config) {
   std::mt19937_64 rng(config.seed);
 
   // k-means++ seeding.
-  Matrix centroids(k, d);
+  Matrix& centroids = result.centroids;
+  centroids.reshape(k, d);
   const auto copy_row = [&](std::size_t from, std::size_t c) {
     std::copy(x.row_ptr(from), x.row_ptr(from) + d, centroids.row_ptr(c));
   };
   // Each row's squared distance to its nearest seed while seeding, then to
   // its assigned centroid after each assignment.
-  std::vector<double> row_d2(n, std::numeric_limits<double>::infinity());
+  std::vector<double>& row_d2 = scratch.row_d2;
+  runtime::resize_reused(row_d2, n);
+  std::fill(row_d2.begin(), row_d2.end(),
+            std::numeric_limits<double>::infinity());
   {
     std::uniform_int_distribution<std::size_t> first(0, n - 1);
     copy_row(first(rng), 0);
@@ -75,8 +88,10 @@ KMeansResult kmeans(const Matrix& x, const KMeansConfig& config) {
     }
   }
 
-  KMeansResult result;
-  result.assignment.assign(n, 0);
+  runtime::resize_reused(result.assignment, n);
+  std::fill(result.assignment.begin(), result.assignment.end(), 0);
+  result.inertia = 0.0;
+  result.iterations = 0;
   double prev_inertia = std::numeric_limits<double>::infinity();
 
   for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
@@ -112,8 +127,12 @@ KMeansResult kmeans(const Matrix& x, const KMeansConfig& config) {
     result.iterations = iter + 1;
 
     // Update.
-    Matrix sums(k, d, 0.0);
-    std::vector<std::size_t> counts(k, 0);
+    Matrix& sums = scratch.sums;
+    sums.reshape(k, d);
+    std::fill_n(sums.row_ptr(0), k * d, 0.0);
+    std::vector<std::size_t>& counts = scratch.counts;
+    runtime::resize_reused(counts, k);
+    std::fill(counts.begin(), counts.end(), 0);
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t c = result.assignment[i];
       ++counts[c];
@@ -151,9 +170,6 @@ KMeansResult kmeans(const Matrix& x, const KMeansConfig& config) {
     }
     prev_inertia = inertia;
   }
-
-  result.centroids = std::move(centroids);
-  return result;
 }
 
 }  // namespace waldo::ml

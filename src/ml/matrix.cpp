@@ -1,5 +1,7 @@
 #include "waldo/ml/matrix.hpp"
 
+#include "waldo/runtime/reuse.hpp"
+
 namespace waldo::ml {
 
 Matrix Matrix::from_rows(const std::vector<std::vector<double>>& rows) {
@@ -17,15 +19,37 @@ Matrix Matrix::from_rows(const std::vector<std::vector<double>>& rows) {
   return m;
 }
 
+void Matrix::reshape(std::size_t rows, std::size_t cols) {
+  runtime::resize_reused(data_, rows * cols);
+  rows_ = rows;
+  cols_ = cols;
+}
+
+void Matrix::reserve(std::size_t values) {
+  if (values <= data_.capacity()) return;
+  const std::size_t size = data_.size();
+  runtime::reserve_reused(data_, values);
+  // Write all of the new storage once, so that later reshapes within it
+  // land on pages already resident instead of faulting them in.
+  data_.resize(data_.capacity());
+  data_.resize(size);
+}
+
 Matrix Matrix::take_rows(std::span<const std::size_t> idx) const {
-  Matrix out(idx.size(), cols_);
+  Matrix out;
+  take_rows_into(idx, out);
+  return out;
+}
+
+void Matrix::take_rows_into(std::span<const std::size_t> idx,
+                            Matrix& out) const {
+  out.reshape(idx.size(), cols_);
   for (std::size_t i = 0; i < idx.size(); ++i) {
     if (idx[i] >= rows_) throw std::out_of_range("take_rows index");
     const double* src = row_ptr(idx[i]);
     double* dst = out.row_ptr(i);
     for (std::size_t j = 0; j < cols_; ++j) dst[j] = src[j];
   }
-  return out;
 }
 
 void Matrix::push_row(std::span<const double> row) {

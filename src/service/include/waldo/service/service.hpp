@@ -17,14 +17,25 @@
 //    upload_mutex, held from screen to apply and taken by ingests and
 //    installs too, keeps any other append from landing in between, so
 //    the verdicts are those of one indivisible upload.
+//  - A channel stores only what the model reads: position, RSS, CFT and
+//    AFT, by column (core::ChannelState, 40 B a reading). A Measurement
+//    handed in by ingest_campaign or upload_measurements keeps those four
+//    fields; one handed back by dataset_snapshot reports 0 in raw and
+//    true_rss_dbm and carries no I/Q, since the store keeps none of them.
 //  - Model rebuilds run OUTSIDE the shard lock and are serialised by a
 //    per-shard rebuild mutex so a thundering herd of stale readers builds
 //    once. The shared lock covers only a copy of the columns the build
-//    reads (core::TrainingColumns: positions and RSS, plus CFT/AFT when
-//    the feature count uses them), not the whole dataset; labeling,
-//    k-means, training and serialization run after it is released. A slow
-//    rebuild never blocks downloads of other channels, and blocks this
-//    channel's uploads only for that column copy.
+//    reads (positions and RSS, plus CFT/AFT when the feature count uses
+//    them); labeling, k-means, training and serialization run after it is
+//    released. A slow rebuild never blocks downloads of other channels,
+//    and blocks this channel's uploads only for that column copy.
+//  - The copy and every buffer of the build that grows with the channel
+//    live in the rebuilding thread's core::BuildWorkspace, which keeps
+//    them from one rebuild to the next: a rebuild of a channel grown by a
+//    few readings allocates nothing that grows with it. The buffers
+//    belong to the thread, not the shard, so their memory grows with the
+//    number of threads rebuilding at once, not with the number of
+//    channels.
 //  - A rebuild labels only what changed: each shard keeps the Algorithm 1
 //    labels of its last rebuild, under the rebuild mutex, and the next
 //    rebuild extends them by the readings appended since
@@ -94,10 +105,10 @@ class SpectrumService {
   SpectrumService(const SpectrumService&) = delete;
   SpectrumService& operator=(const SpectrumService&) = delete;
 
-  /// Offline phase: stores a trusted sweep (appends if the channel exists),
-  /// invalidates the cached model and zeroes the staleness counter.
-  /// Safe to call concurrently with serving traffic.
-  void ingest_campaign(campaign::ChannelDataset dataset);
+  /// Offline phase: stores a trusted sweep's columns (appends if the
+  /// channel exists), invalidates the cached model and zeroes the
+  /// staleness counter. Safe to call concurrently with serving traffic.
+  void ingest_campaign(const campaign::ChannelDataset& dataset);
 
   [[nodiscard]] bool has_channel(int channel) const;
   [[nodiscard]] std::vector<int> channels() const;
@@ -130,7 +141,9 @@ class SpectrumService {
       const std::string& contributor);
 
   /// Copy of the channel's trusted dataset (for replay verification and
-  /// offline export). Throws std::out_of_range for unknown channels.
+  /// offline export), as stored: every reading's raw and true_rss_dbm are
+  /// 0 and its I/Q is empty. Throws std::out_of_range for unknown
+  /// channels.
   [[nodiscard]] campaign::ChannelDataset dataset_snapshot(int channel) const;
 
   /// Copies of every channel's state, each taken under its shard lock —

@@ -86,14 +86,15 @@ SpectrumService::Shard& SpectrumService::shard_or_create(int channel) {
   return *slot;
 }
 
-void SpectrumService::ingest_campaign(campaign::ChannelDataset dataset) {
+void SpectrumService::ingest_campaign(
+    const campaign::ChannelDataset& dataset) {
   if (dataset.readings.empty()) {
     throw std::invalid_argument("refusing to ingest an empty campaign");
   }
   Shard& s = shard_or_create(dataset.channel);
   const std::lock_guard serial(s.upload_mutex);
   const std::unique_lock lock(s.state_mutex);
-  s.state.ingest(std::move(dataset));
+  s.state.ingest(dataset);
   ++s.generation;  // cached model (if any) is now stale
 }
 
@@ -145,15 +146,17 @@ std::shared_ptr<const core::WhiteSpaceModel> SpectrumService::model(
   // of other channels are untouched; late arrivals for this channel queue
   // on rebuild_mutex and reuse the freshly published model.
   const std::lock_guard rebuild(s.rebuild_mutex);
-  core::TrainingColumns snapshot;
+  // The snapshot and every O(n) buffer of the build live in this thread's
+  // workspace, which keeps them from one rebuild to the next.
+  core::BuildWorkspace& ws = core::ModelConstructor::thread_workspace();
+  const core::TrainingColumns& snapshot = ws.columns;
   std::uint64_t built_from = 0;
   std::uint64_t installs = 0;
   {
     const std::shared_lock lock(s.state_mutex);
     if (s.model && s.model_generation == s.generation) return s.model;
     // Uploads wait only for this copy of the columns the build reads.
-    snapshot = core::training_columns(s.state.dataset(),
-                                      constructor_config_.num_features);
+    s.state.copy_columns(constructor_config_.num_features, ws.columns);
     built_from = s.generation;
     installs = s.installs;
   }
@@ -167,7 +170,7 @@ std::shared_ptr<const core::WhiteSpaceModel> SpectrumService::model(
                           s.labels);
   const core::ModelConstructor constructor(constructor_config_);
   auto built = std::make_shared<const core::WhiteSpaceModel>(
-      constructor.build(snapshot, s.labels));
+      constructor.build(snapshot, s.labels, ws));
   models_built_.fetch_add(1, std::memory_order_relaxed);
 
   const std::unique_lock lock(s.state_mutex);

@@ -111,8 +111,8 @@ TEST(Rendezvous, EveryNodeOwnsSomeTiles) {
 
 // ------------------------------------------------------------ wire codec
 
-/// Two channel states (one with I/Q, one with a pending reading) and two
-/// dedup records.
+/// Two channel states (one ingested with I/Q, which the store drops, one
+/// with a pending reading) and two dedup records.
 TileSnapshot sample_snapshot() {
   campaign::Measurement m;
   m.position = {1234.5, -987.25};
@@ -192,7 +192,17 @@ TEST(ClusterWire, ReplEntryAndSnapshotRoundTrip) {
   EXPECT_EQ(back.channels[0].channel(), 15);
   EXPECT_EQ(back.channels[0].dataset().sensor_name, "usrp");
   ASSERT_EQ(back.channels[0].dataset().size(), 2u);
-  EXPECT_EQ(back.channels[0].dataset().readings[1].iq.size(), 2u);
+  // The served fields of the reading ingested with I/Q come back bit for
+  // bit; its raw value, ground truth and I/Q were never stored.
+  const campaign::Measurement served = back.channels[0].dataset().readings[1];
+  EXPECT_EQ(served.position.east_m, 1234.5);
+  EXPECT_EQ(served.position.north_m, -987.25);
+  EXPECT_EQ(served.rss_dbm, -83.0625);
+  EXPECT_EQ(served.cft_db, -90.5);
+  EXPECT_EQ(served.aft_db, -95.75);
+  EXPECT_EQ(served.raw, 0.0);
+  EXPECT_EQ(served.true_rss_dbm, 0.0);
+  EXPECT_TRUE(served.iq.empty());
   EXPECT_EQ(back.channels[0].uploads_applied(), 1u);
   ASSERT_EQ(back.channels[1].pending().size(), 1u);
   EXPECT_EQ(back.channels[1].pending()[0].contributor, "carol");
@@ -201,6 +211,34 @@ TEST(ClusterWire, ReplEntryAndSnapshotRoundTrip) {
   EXPECT_EQ(back.dedup[1].age_ns, 7u);
   EXPECT_EQ(back.dedup[1].ledger.ticket, 1u);
   EXPECT_THROW((void)decode_tile_snapshot(wire + "junk"), std::runtime_error);
+}
+
+// Layout 2: a stored reading travels as 5 f64 (40 bytes), a pending
+// reading as the same plus its contributor, and the layout number leads.
+TEST(ClusterWire, SnapshotCarriesFortyBytesAReading) {
+  static_assert(sizeof(core::StoredReading) == 40);
+  campaign::Measurement m;
+  m.position = {10.0, 20.0};
+  m.rss_dbm = -80.0;
+  m.iq = {{1.0, 2.0}, {3.0, 4.0}};
+  const auto snapshot_bytes = [&](std::size_t readings) {
+    campaign::ChannelDataset ds{.channel = 21, .sensor_name = "usrp",
+                                .readings = {}};
+    ds.readings.assign(readings, m);
+    return encode_tile_snapshot({.channels = {core::ChannelState(ds)},
+                                 .dedup = {}})
+        .size();
+  };
+  // 100 more readings stay within the one-byte varint of the count.
+  EXPECT_EQ(snapshot_bytes(110) - snapshot_bytes(10), 100u * 40u);
+
+  // An empty snapshot, well formed but for its layout number.
+  codec::Writer old_layout;
+  old_layout.u64(1);
+  old_layout.u64(0);
+  old_layout.u64(0);
+  EXPECT_THROW((void)decode_tile_snapshot(std::move(old_layout).finish()),
+               std::runtime_error);
 }
 
 // The test_codec corruption sweep, applied to the state-transfer wire: a
@@ -434,9 +472,9 @@ class ClusterFixture : public ::testing::Test {
   static std::string pending_bytes(const core::ChannelState& state) {
     codec::Writer out;
     for (const core::PendingReading& pr : state.pending()) {
-      const campaign::Measurement& m = pr.measurement;
-      for (const double v : {m.position.east_m, m.position.north_m, m.raw,
-                             m.rss_dbm, m.cft_db, m.aft_db, m.true_rss_dbm}) {
+      const core::StoredReading& m = pr.reading;
+      for (const double v : {m.position.east_m, m.position.north_m,
+                             m.rss_dbm, m.cft_db, m.aft_db}) {
         out.f64(v);
       }
       out.str(pr.contributor);

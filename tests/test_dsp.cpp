@@ -48,22 +48,6 @@ void reference_transform(std::span<cplx> a, bool inverse) {
   }
 }
 
-// Hann window coefficients (the shape test's subject; no pipeline stage
-// windows its captures).
-std::vector<double> hann_window(std::size_t n) {
-  std::vector<double> w(n);
-  if (n == 1) {
-    w[0] = 1.0;
-    return w;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    w[i] = 0.5 * (1.0 - std::cos(2.0 * std::numbers::pi *
-                                 static_cast<double>(i) /
-                                 static_cast<double>(n - 1)));
-  }
-  return w;
-}
-
 TEST(Fft, ImpulseGivesFlatSpectrum) {
   std::vector<cplx> x(16, cplx{0.0, 0.0});
   x[0] = cplx{1.0, 0.0};
@@ -138,14 +122,6 @@ TEST(Fft, PowerSpectrumShiftedPutsDcInCenter) {
       EXPECT_NEAR(ps[k], 0.0, 1e-12);
     }
   }
-}
-
-TEST(Fft, HannWindowShape) {
-  const auto w = hann_window(64);
-  EXPECT_NEAR(w.front(), 0.0, 1e-12);
-  EXPECT_NEAR(w.back(), 0.0, 1e-12);
-  EXPECT_NEAR(w[31], 1.0, 0.01);
-  EXPECT_EQ(hann_window(1).at(0), 1.0);
 }
 
 TEST(Fft, MeanPowerOfUnitTone) {

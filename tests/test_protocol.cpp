@@ -437,6 +437,49 @@ TEST(ProtocolWire, ErrorCodeAndChannelRoundTrip) {
   EXPECT_EQ(e->reason, "channel 33 is not provisioned");
 }
 
+/// An error frame with `body` as its body.
+[[nodiscard]] std::string error_frame(const std::string& body) {
+  return "WSNP/1 error " + std::to_string(body.size()) + "\n" + body;
+}
+
+// Regression: the decoder took the first line after "<code> <channel>" as
+// the reason and ignored whatever followed, while every other type
+// rejects trailing bytes.
+TEST(ProtocolWire, ErrorFrameRejectsBytesAfterItsReasonLine) {
+  const auto reason_of = [](const std::string& body) {
+    const Message m = decode(error_frame(body));
+    return std::get<ErrorResponse>(m).reason;
+  };
+  EXPECT_EQ(reason_of("20 1 tile not resident\n"), "tile not resident");
+  EXPECT_EQ(reason_of("20 1 tile not resident"), "tile not resident");
+  EXPECT_EQ(reason_of("20 1\n"), "");
+  EXPECT_EQ(reason_of("20 1 \t  spaced  out \n"), "spaced  out ");
+  for (const char* body :
+       {"20 1 tile not resident\nsecond line\n", "20 1 tile not resident\n\n",
+        "20 1 tile not resident\n ", "20 1\nreason on line two\n",
+        "20 1 \n\n", "20 1 carriage\rreturn\n", "20 1 crlf\r\n"}) {
+    EXPECT_THROW((void)decode(error_frame(body)), std::runtime_error)
+        << ::testing::PrintToString(std::string(body));
+  }
+}
+
+// The encoder writes the reason on one line, each '\n' and '\r' in it
+// replaced by a space, and that one-line form round-trips exactly.
+TEST(ProtocolWire, ErrorReasonWithALineBreakRoundTripsToOneLine) {
+  const ErrorResponse err{.reason = "two\nlines\r\nand\rmore",
+                          .code = ErrorCode::kNotReady,
+                          .channel = 46};
+  const std::string wire = encode(err);
+  EXPECT_EQ(wire, "WSNP/1 error 25\n6 46 two lines  and more\n");
+  const Message decoded = decode(wire);
+  const auto* e = std::get_if<ErrorResponse>(&decoded);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->reason, "two lines  and more");
+  EXPECT_EQ(e->code, ErrorCode::kNotReady);
+  EXPECT_EQ(e->channel, 46);
+  EXPECT_EQ(encode(decoded), wire);
+}
+
 TEST(ProtocolWire, LegacyErrorBodiesDecodeAsUnspecified) {
   // An error body must open with "<code> <channel>". The bare reason line
   // of the pre-code form has no peer left to send it and is malformed.
@@ -743,8 +786,9 @@ TEST(ProtocolWire, DifferentialEncodeMatchesOracleOnEdgeValues) {
       }
       expect_matches_oracle(r);
     }
-    for (const char* reason :
-         {"", "tile not resident", "  leading spaces", "two\nlines"}) {
+    // A reason with a line break encodes to its one-line form, which the
+    // text oracle does not know (ErrorReasonWithALineBreakRoundTrips...).
+    for (const char* reason : {"", "tile not resident", "  leading spaces"}) {
       expect_matches_oracle(ErrorResponse{.reason = reason,
                                           .code = static_cast<ErrorCode>(channel),
                                           .channel = channel});

@@ -17,11 +17,14 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "waldo/campaign/dataset_io.hpp"
+#include "waldo/campaign/labeling.hpp"
 #include "waldo/codec/codec.hpp"
 #include "waldo/core/channel_state.hpp"
+#include "waldo/core/model_constructor.hpp"
 #include "waldo/geo/grid_index.hpp"
 #include "waldo/service/service.hpp"
 
@@ -41,8 +44,14 @@ double oracle_median(std::vector<double> values) {
   return values[lo] + frac * (values[hi] - values[lo]);
 }
 
+/// A parked reading as the oracle keeps it: the whole Measurement.
+struct OracleParked {
+  campaign::Measurement measurement;
+  std::string contributor;
+};
+
 UploadResult oracle_screen_upload(const campaign::ChannelDataset& stored,
-                                  std::vector<PendingReading>& pending,
+                                  std::vector<OracleParked>& pending,
                                   const UploadPolicy& policy,
                                   std::span<const campaign::Measurement> readings,
                                   const std::string& contributor,
@@ -82,7 +91,7 @@ UploadResult oracle_screen_upload(const campaign::ChannelDataset& stored,
     std::vector<std::size_t> corroborators;
     std::set<std::string> distinct{contributor};
     for (std::size_t p = 0; p < pending.size(); ++p) {
-      const PendingReading& pr = pending[p];
+      const OracleParked& pr = pending[p];
       if (geo::distance_m(pr.measurement.position, m.position) >
           policy.corroboration_m) {
         continue;
@@ -105,29 +114,50 @@ UploadResult oracle_screen_upload(const campaign::ChannelDataset& stored,
         pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(*rit));
       }
     } else {
-      pending.push_back(PendingReading{m, contributor});
+      pending.push_back(OracleParked{m, contributor});
       ++result.pending;
     }
   }
   return result;
 }
 
-/// One channel as the old stores kept it, screened by the oracle (or, with
-/// `one_shot`, by today's one-shot core::screen_upload).
+/// The one-shot core::screen_upload, over core's pending pool.
+UploadResult screen(const campaign::ChannelDataset& stored,
+                    std::vector<PendingReading>& pending,
+                    const UploadPolicy& policy,
+                    std::span<const campaign::Measurement> readings,
+                    const std::string& contributor,
+                    std::vector<campaign::Measurement>& accepted) {
+  return screen_upload(stored, pending, policy, readings, contributor,
+                       accepted);
+}
+
+/// The oracle, over its own pending pool.
+UploadResult screen(const campaign::ChannelDataset& stored,
+                    std::vector<OracleParked>& pending,
+                    const UploadPolicy& policy,
+                    std::span<const campaign::Measurement> readings,
+                    const std::string& contributor,
+                    std::vector<campaign::Measurement>& accepted) {
+  return oracle_screen_upload(stored, pending, policy, readings, contributor,
+                              accepted);
+}
+
+/// One channel as the old stores kept it, screened by the oracle (with an
+/// OracleParked pool) or by today's one-shot core::screen_upload (with a
+/// PendingReading pool).
+template <typename Parked>
 struct ReferenceChannel {
   campaign::ChannelDataset dataset;
-  std::vector<PendingReading> pending;
+  std::vector<Parked> pending;
   std::uint64_t tickets = 0;
 
   UploadResult upload(const UploadPolicy& policy,
                       std::span<const campaign::Measurement> readings,
-                      const std::string& contributor, bool one_shot) {
+                      const std::string& contributor) {
     std::vector<campaign::Measurement> accepted;
     UploadResult r =
-        one_shot ? screen_upload(dataset, pending, policy, readings,
-                                 contributor, accepted)
-                 : oracle_screen_upload(dataset, pending, policy, readings,
-                                        contributor, accepted);
+        screen(dataset, pending, policy, readings, contributor, accepted);
     r.ticket = tickets++;
     dataset.readings.insert(dataset.readings.end(), accepted.begin(),
                             accepted.end());
@@ -135,7 +165,7 @@ struct ReferenceChannel {
   }
 
   std::size_t purge(const std::string& contributor) {
-    return std::erase_if(pending, [&contributor](const PendingReading& pr) {
+    return std::erase_if(pending, [&contributor](const Parked& pr) {
       return pr.contributor == contributor;
     });
   }
@@ -149,12 +179,28 @@ std::string csv_bytes(const campaign::ChannelDataset& ds) {
   return os.str();
 }
 
-std::string pending_bytes(const std::vector<PendingReading>& pool) {
+/// `ds` as a store serves it: position, RSS, CFT and AFT kept, raw and
+/// true_rss_dbm 0, no I/Q.
+campaign::ChannelDataset served(campaign::ChannelDataset ds) {
+  for (campaign::Measurement& m : ds.readings) {
+    m = StoredReading::of(m).measurement();
+  }
+  return ds;
+}
+
+/// A pending pool's served fields and contributors, in pool order.
+template <typename Parked>
+std::string pending_bytes(const std::vector<Parked>& pool) {
   codec::Writer out;
-  for (const PendingReading& pr : pool) {
-    const campaign::Measurement& m = pr.measurement;
-    for (const double v : {m.position.east_m, m.position.north_m, m.raw,
-                           m.rss_dbm, m.cft_db, m.aft_db, m.true_rss_dbm}) {
+  for (const Parked& pr : pool) {
+    StoredReading m;
+    if constexpr (std::is_same_v<Parked, OracleParked>) {
+      m = StoredReading::of(pr.measurement);
+    } else {
+      m = pr.reading;
+    }
+    for (const double v : {m.position.east_m, m.position.north_m, m.rss_dbm,
+                           m.cft_db, m.aft_db}) {
       out.f64(v);
     }
     out.str(pr.contributor);
@@ -251,18 +297,18 @@ struct Tally {
 /// the same dataset bytes and pending pools every 50 steps and at the end.
 Tally run_differential(const std::vector<Op>& traffic,
                        const UploadPolicy& policy) {
-  std::map<int, ReferenceChannel> oracle;
-  std::map<int, ReferenceChannel> one_shot;
+  std::map<int, ReferenceChannel<OracleParked>> oracle;
+  std::map<int, ReferenceChannel<PendingReading>> one_shot;
   service::SpectrumService service({}, {}, policy);
 
   Tally tally;
   const auto compare_state = [&](int channel, std::size_t step) {
-    const ReferenceChannel& want = oracle.at(channel);
-    const std::string want_csv = csv_bytes(want.dataset);
+    const ReferenceChannel<OracleParked>& want = oracle.at(channel);
+    const std::string want_csv = csv_bytes(served(want.dataset));
     const std::string want_pending = pending_bytes(want.pending);
     EXPECT_EQ(csv_bytes(service.dataset_snapshot(channel)), want_csv)
         << "step " << step;
-    EXPECT_EQ(csv_bytes(one_shot.at(channel).dataset), want_csv)
+    EXPECT_EQ(csv_bytes(served(one_shot.at(channel).dataset)), want_csv)
         << "step " << step;
     for (const ChannelState& state : service.channel_states()) {
       if (state.channel() == channel) {
@@ -280,15 +326,13 @@ Tally run_differential(const std::vector<Op>& traffic,
       campaign::ChannelDataset sweep{.channel = op.channel,
                                      .sensor_name = "usrp",
                                      .readings = op.readings};
-      ReferenceChannel& ref = oracle[op.channel];
-      if (ref.dataset.readings.empty()) {
-        ref.dataset = sweep;
-        one_shot[op.channel].dataset = sweep;
-      } else {
-        for (auto* r : {&ref, &one_shot[op.channel]}) {
-          r->dataset.readings.insert(r->dataset.readings.end(),
-                                     sweep.readings.begin(),
-                                     sweep.readings.end());
+      for (campaign::ChannelDataset* ds :
+           {&oracle[op.channel].dataset, &one_shot[op.channel].dataset}) {
+        if (ds->readings.empty()) {
+          *ds = sweep;
+        } else {
+          ds->readings.insert(ds->readings.end(), sweep.readings.begin(),
+                              sweep.readings.end());
         }
       }
       service.ingest_campaign(sweep);
@@ -303,10 +347,10 @@ Tally run_differential(const std::vector<Op>& traffic,
       continue;
     }
     const std::size_t pool_before = oracle[op.channel].pending.size();
-    const UploadResult want = oracle[op.channel].upload(
-        policy, op.readings, op.contributor, /*one_shot=*/false);
-    const UploadResult shot = one_shot[op.channel].upload(
-        policy, op.readings, op.contributor, /*one_shot=*/true);
+    const UploadResult want =
+        oracle[op.channel].upload(policy, op.readings, op.contributor);
+    const UploadResult shot =
+        one_shot[op.channel].upload(policy, op.readings, op.contributor);
     const UploadResult svc =
         service.upload_measurements(op.channel, op.readings, op.contributor);
     for (const UploadResult& got : {shot, svc}) {
@@ -551,7 +595,7 @@ TEST(ChannelState, PrefilterNeverSkipsAReadingTheExactTestKeeps) {
   EXPECT_EQ(a.ledger.accepted, 2u);
   EXPECT_TRUE(state.pending().empty());
 
-  std::vector<PendingReading> pool{{parked, "ann"}};
+  std::vector<PendingReading> pool{{StoredReading::of(parked), "ann"}};
   std::vector<campaign::Measurement> accepted;
   const UploadResult one_shot =
       screen_upload({}, pool, policy, {&fresh, 1}, "bob", accepted);
@@ -632,6 +676,71 @@ TEST(ChannelState, CorroborationCountsDistinctContributors) {
   const ChannelState::Applied three = state.upload(policy, {&third, 1}, "trent");
   EXPECT_EQ(three.ledger.accepted, 4u);
   EXPECT_TRUE(state.pending().empty());
+}
+
+// The store keeps 40 B of each reading, in column blocks of 2,048: a
+// channel of 5,300 readings spans three blocks. What it hands back (the
+// dataset, the rebuild snapshot, the codec form and the model built from
+// the snapshot) is the served fields of what it took in, across blocks.
+TEST(ChannelState, ColumnsAcrossBlocksHoldTheServedFields) {
+  static_assert(sizeof(StoredReading) == 40);
+  std::mt19937_64 rng(14);
+  std::uniform_real_distribution<double> known(0.0, 20'000.0);
+  campaign::ChannelDataset sweep{
+      .channel = 21, .sensor_name = "usrp", .readings = {}};
+  for (int i = 0; i < 5'000; ++i) {
+    campaign::Measurement m = reading_at({known(rng), known(rng)}, rng);
+    m.iq = {{1.0, -1.0}};
+    sweep.readings.push_back(m);
+  }
+  campaign::ChannelDataset later = sweep;
+  later.readings.resize(300);
+  ChannelState state(sweep);
+  state.ingest(later);
+  ASSERT_EQ(state.size(), 5'300u);
+  campaign::ChannelDataset all = served(sweep);
+  for (const campaign::Measurement& m : later.readings) {
+    all.readings.push_back(StoredReading::of(m).measurement());
+  }
+  EXPECT_EQ(csv_bytes(state.dataset()), csv_bytes(all));
+
+  // The snapshot reuses its buffers and keeps only the columns it needs.
+  TrainingColumns snapshot;
+  state.copy_columns(4, snapshot);
+  const TrainingColumns want = training_columns(all, 4);
+  EXPECT_EQ(snapshot.channel, 21);
+  ASSERT_EQ(snapshot.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(snapshot.positions[i].east_m, want.positions[i].east_m) << i;
+    ASSERT_EQ(snapshot.positions[i].north_m, want.positions[i].north_m) << i;
+    ASSERT_EQ(snapshot.rss_dbm[i], want.rss_dbm[i]) << i;
+    ASSERT_EQ(snapshot.cft_db[i], want.cft_db[i]) << i;
+    ASSERT_EQ(snapshot.aft_db[i], want.aft_db[i]) << i;
+  }
+  state.copy_columns(2, snapshot);
+  EXPECT_EQ(snapshot.size(), 5'300u);
+  EXPECT_TRUE(snapshot.cft_db.empty());
+  EXPECT_TRUE(snapshot.aft_db.empty());
+  EXPECT_THROW(state.copy_columns(5, snapshot), std::invalid_argument);
+
+  // A model built from the snapshot is the dataset form's, byte for byte.
+  ModelConstructorConfig config;
+  config.classifier = "naive_bayes";
+  config.num_features = 2;
+  config.threads = 1;
+  const ModelConstructor constructor(config);
+  const std::vector<int> labels =
+      campaign::label_readings(snapshot.positions, snapshot.rss_dbm);
+  EXPECT_EQ(constructor.build(snapshot, labels).serialize(),
+            constructor.build(all, labels).serialize());
+
+  codec::Writer out;
+  state.encode(out);
+  const std::string wire = std::move(out).finish();
+  codec::Reader in(wire);
+  const ChannelState copy = ChannelState::decode(in);
+  in.expect_done();
+  EXPECT_EQ(csv_bytes(copy.dataset()), csv_bytes(all));
 }
 
 // A state shipped through its codec form screens the next batch exactly
