@@ -12,11 +12,14 @@
 #include <cmath>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common.hpp"
 #include "waldo/campaign/labeling.hpp"
+#include "waldo/cluster/cluster.hpp"
+#include "waldo/cluster/router.hpp"
 #include "waldo/cluster/wire.hpp"
 #include "waldo/core/channel_state.hpp"
 #include "waldo/core/detector.hpp"
@@ -533,6 +536,53 @@ void BM_EnvelopeRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EnvelopeRoundTrip);
+
+/// A 4-node, R = 2 cluster with the serving model, holding the channel-15
+/// USRP sweep (5,282 readings) in one tile, every replica's descriptor
+/// built, and one router in front of it.
+struct WarmCluster {
+  WarmCluster()
+      : cluster(config()),
+        router(cluster.topology(), cluster.transport(), cluster.membership()) {
+    const campaign::ChannelDataset sweep = grown_channel(5282);
+    at = sweep.readings.front().position;
+    const cluster::TileKey tile = cluster.ingest_campaign(sweep);
+    for (const cluster::NodeId n : cluster.replicas_of(tile)) {
+      if (cluster.node(n).descriptor_bytes(tile, 15).empty()) {
+        throw std::runtime_error("a replica has no model after set-up");
+      }
+    }
+  }
+
+  static cluster::ClusterConfig config() {
+    cluster::ClusterConfig c;
+    c.num_nodes = 4;
+    c.replication = 2;
+    c.tile_size_m = 200'000.0;
+    c.constructor_config.classifier = "naive_bayes";
+    c.constructor_config.num_features = 2;
+    c.constructor_config.num_localities = 3;
+    return c;
+  }
+
+  cluster::Cluster cluster;
+  cluster::ClusterRouter router;
+  geo::EnuPoint at;
+};
+
+/// A download that hits every cache on its way: ClusterRouter routes it
+/// through the loopback transport to a ready replica, which serves the
+/// cached descriptor. With ->Threads(4) four clients share the router,
+/// as the serving benchmark's do; the time is the run's wall time over
+/// every thread's downloads, so its inverse is the throughput.
+void BM_RoutedDownloadHit(benchmark::State& state) {
+  static WarmCluster warm;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        warm.router.download_descriptor(15, warm.at).size());
+  }
+}
+BENCHMARK(BM_RoutedDownloadHit)->Threads(1)->Threads(4)->UseRealTime();
 
 /// Console output as usual, plus every finished run captured for --json.
 class CapturingReporter : public benchmark::ConsoleReporter {

@@ -170,7 +170,7 @@ void Cluster::recover(NodeId id) {
                              runtime::split_seed(0x7EC0BEEF, id));
     bool installed = false;
     for (int attempt = 0; attempt < 400 && !installed; ++attempt) {
-      const auto m = membership_.snapshot();
+      const Membership* m = membership_.snapshot();
       NodeId source = kClientNode;
       for (const NodeId n : replicas) {
         if (n != id && m->ready(n)) {

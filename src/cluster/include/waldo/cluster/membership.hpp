@@ -1,14 +1,24 @@
 // Shared cluster membership: which nodes are alive, and in what state.
 //
 // A node is kReady (serving), kSyncing (revived, pulling state — accepts
-// replication traffic but not client traffic) or kDead. The view is a
-// mutex-guarded immutable snapshot swapped atomically on every change, so
-// routers and nodes read a consistent epoch-stamped picture with one
-// shared_ptr copy and never block each other. In this in-process tier the
-// harness (cluster::Cluster) is the single writer — the seam where a real
-// deployment would plug in its failure detector / control plane.
+// replication traffic but not client traffic) or kDead. The view publishes
+// an immutable, epoch-stamped snapshot on every change. A reader takes one
+// with a single atomic load: it takes no lock and writes no shared memory,
+// so routers and nodes on the request path never block or slow each other.
+// A writer builds the next snapshot under the writer mutex and publishes
+// it with an atomic store.
+//
+// Snapshots are never freed before the view: set_health keeps every
+// snapshot it published, so a pointer a reader took stays valid, and keeps
+// what it held, for the view's lifetime. That costs one small allocation
+// per health change, made at operator rate, not request rate.
+//
+// In this in-process tier the harness (cluster::Cluster) is the single
+// writer — the seam where a real deployment would plug in its failure
+// detector / control plane.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -37,15 +47,23 @@ class MembershipView {
   /// All nodes start kReady.
   explicit MembershipView(NodeId num_nodes);
 
-  /// Immutable point-in-time snapshot; never null.
-  [[nodiscard]] std::shared_ptr<const Membership> snapshot() const;
+  MembershipView(const MembershipView&) = delete;
+  MembershipView& operator=(const MembershipView&) = delete;
+
+  /// Immutable point-in-time snapshot; never null, valid and unchanged for
+  /// the view's lifetime.
+  [[nodiscard]] const Membership* snapshot() const noexcept {
+    return current_.load();
+  }
 
   /// Publishes a new snapshot with `node` in `health`; bumps the epoch.
   void set_health(NodeId node, NodeHealth health);
 
  private:
-  mutable std::mutex mutex_;
-  std::shared_ptr<const Membership> current_;
+  std::mutex writer_mutex_;
+  /// Every snapshot ever published, oldest first; guarded by writer_mutex_.
+  std::vector<std::unique_ptr<const Membership>> published_;
+  std::atomic<const Membership*> current_;
 };
 
 }  // namespace waldo::cluster

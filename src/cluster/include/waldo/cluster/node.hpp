@@ -45,7 +45,10 @@
 //    uploads it has seen.
 //
 // Lock order: lifecycle_mutex_ (shared for handlers, unique for wipe) ->
-// tiles_mutex_ -> Tile::mutex. Replication RPCs are issued while holding
+// tiles_mutex_ (shared for lookups, unique for tile creation and wipe;
+// held only for the map operation, never across a tile lock) ->
+// Tile::mutex. Membership reads take no lock (membership.hpp), so they sit
+// outside the order. Replication RPCs are issued while holding
 // the *local* tile mutex; they can only take mutexes on other nodes, so
 // the cross-node acquisition graph is acyclic (replication never flows
 // back to the sender for the same tile).
@@ -215,7 +218,9 @@ class ClusterNode {
   /// waits for in-flight requests instead of racing their tile pointers.
   mutable std::shared_mutex lifecycle_mutex_;
 
-  mutable std::mutex tiles_mutex_;  ///< guards the map, not tile contents
+  /// Guards the map, not tile contents: shared by lookups (every
+  /// request), unique by tile creation and wipe().
+  mutable std::shared_mutex tiles_mutex_;
   std::map<TileKey, std::unique_ptr<Tile>> tiles_;
 
   struct Counters;

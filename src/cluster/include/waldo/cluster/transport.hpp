@@ -53,7 +53,11 @@ struct FaultPlan {
 
 class FaultInjector {
  public:
-  explicit FaultInjector(FaultPlan plan = {}) : plan_(plan) {}
+  explicit FaultInjector(FaultPlan plan = {})
+      : plan_(plan),
+        inert_(plan.drop_request <= 0.0 && plan.drop_response <= 0.0 &&
+               plan.duplicate_request <= 0.0 &&
+               (plan.delay <= 0.0 || plan.max_delay_us == 0)) {}
 
   struct Decision {
     bool drop_request = false;
@@ -63,8 +67,10 @@ class FaultInjector {
   };
 
   /// The fate of the next message. Thread-safe; the i-th call's decision
-  /// is a pure function of (plan.seed, i).
+  /// is a pure function of (plan.seed, i). A plan that injects nothing
+  /// returns at once, without the ordinal every sender shares.
   [[nodiscard]] Decision next() noexcept {
+    if (inert_) return {};
     const std::uint64_t ordinal =
         ordinal_.fetch_add(1, std::memory_order_relaxed);
     std::uint64_t state = runtime::split_seed(plan_.seed, ordinal);
@@ -85,13 +91,10 @@ class FaultInjector {
 
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
 
-  /// Messages adjudicated so far.
-  [[nodiscard]] std::uint64_t messages() const noexcept {
-    return ordinal_.load(std::memory_order_relaxed);
-  }
-
  private:
   FaultPlan plan_;
+  /// No draw can fault a message: every probability is at most 0.
+  bool inert_;
   std::atomic<std::uint64_t> ordinal_{0};
 };
 

@@ -32,6 +32,7 @@
 
 #include "waldo/cluster/dedup.hpp"
 #include "waldo/cluster/tiling.hpp"
+#include "waldo/codec/codec.hpp"
 #include "waldo/core/channel_state.hpp"
 
 namespace waldo::cluster {
@@ -88,7 +89,25 @@ struct TileSnapshot {
 
 inline constexpr std::uint64_t kTileSnapshotLayout = 2;
 
-[[nodiscard]] std::string encode_tile_snapshot(const TileSnapshot& snapshot);
+/// Encodes a TileSnapshot body from states it does not own, one at a
+/// time: a node streams its live channel states through it, each under
+/// its shard lock, instead of copying them into a TileSnapshot.
+class TileSnapshotWriter {
+ public:
+  /// `channel_count` states must follow, in channel order.
+  explicit TileSnapshotWriter(std::size_t channel_count);
+
+  void channel(const core::ChannelState& state);
+
+  /// Appends the dedup window and returns the body. Throws
+  /// std::logic_error unless exactly `channel_count` states were written.
+  [[nodiscard]] std::string finish(const std::vector<DedupRecord>& dedup) &&;
+
+ private:
+  codec::Writer out_;
+  std::size_t remaining_;
+};
+
 /// Throws codec::Error (a std::runtime_error) on malformed input.
 [[nodiscard]] TileSnapshot decode_tile_snapshot(const std::string& body);
 

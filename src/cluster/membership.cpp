@@ -5,25 +5,23 @@
 namespace waldo::cluster {
 
 MembershipView::MembershipView(NodeId num_nodes) {
-  auto initial = std::make_shared<Membership>();
+  auto initial = std::make_unique<Membership>();
   initial->health.assign(num_nodes, NodeHealth::kReady);
-  current_ = std::move(initial);
-}
-
-std::shared_ptr<const Membership> MembershipView::snapshot() const {
-  const std::lock_guard lock(mutex_);
-  return current_;
+  published_.push_back(std::move(initial));
+  current_.store(published_.back().get());
 }
 
 void MembershipView::set_health(NodeId node, NodeHealth health) {
-  const std::lock_guard lock(mutex_);
-  if (node >= current_->health.size()) {
+  const std::lock_guard lock(writer_mutex_);
+  const Membership& now = *published_.back();
+  if (node >= now.health.size()) {
     throw std::out_of_range("membership: unknown node id");
   }
-  auto next = std::make_shared<Membership>(*current_);
+  auto next = std::make_unique<Membership>(now);
   next->epoch += 1;
   next->health[node] = health;
-  current_ = std::move(next);
+  published_.push_back(std::move(next));
+  current_.store(published_.back().get());
 }
 
 }  // namespace waldo::cluster

@@ -97,12 +97,15 @@ std::string ClusterNode::fenced(const Envelope& request, int channel) const {
 }
 
 ClusterNode::Tile* ClusterNode::find_tile(TileKey key) const {
-  const std::lock_guard lock(tiles_mutex_);
+  const std::shared_lock lock(tiles_mutex_);
   const auto it = tiles_.find(key);
   return it == tiles_.end() ? nullptr : it->second.get();
 }
 
 ClusterNode::Tile& ClusterNode::tile_or_create(TileKey key, bool synced) {
+  // Every replicated upload looks its tile up here; only the first one
+  // takes the map exclusively.
+  if (Tile* t = find_tile(key)) return *t;
   const std::lock_guard lock(tiles_mutex_);
   auto& slot = tiles_[key];
   if (!slot) {
@@ -156,12 +159,9 @@ std::string ClusterNode::handle(const std::string& envelope_wire) noexcept {
 }
 
 std::string ClusterNode::handle_wsnp(const Envelope& request) {
-  {
-    const auto m = membership_->snapshot();
-    if (!m->ready(id_)) {
-      return error_envelope(request.tile, core::ErrorCode::kNotReady, 0,
-                            "node is syncing");
-    }
+  if (!membership_->snapshot()->ready(id_)) {
+    return error_envelope(request.tile, core::ErrorCode::kNotReady, 0,
+                          "node is syncing");
   }
   const auto replicas =
       replica_set(request.tile, topology_.num_nodes, topology_.replication);
@@ -222,7 +222,7 @@ std::string ClusterNode::handle_wsnp(const Envelope& request) {
   // here, atomically with the apply — this is what keeps two nodes from
   // ever growing the same channel log concurrently.
   {
-    const auto now = membership_->snapshot();
+    const Membership* now = membership_->snapshot();
     if (!now->ready(id_) || tile_primary(*now, request.tile) != id_) {
       counters_->not_owner.fetch_add(1, std::memory_order_relaxed);
       return error_envelope(request.tile, core::ErrorCode::kNotOwner,
@@ -447,19 +447,22 @@ void ClusterNode::install_locked(Tile& t, TileSnapshot snapshot) {
 
 std::string ClusterNode::state_envelope_locked(const Tile& t,
                                                TileKey key) const {
-  // Under the tile mutex no upload can apply, so the channel states and
-  // the dedup window describe the same instant.
-  const TileSnapshot snapshot{
-      .channels = t.service.channel_states(),
-      .dedup = t.dedup.records(DedupWindow::Clock::now())};
-  return encode_envelope({.verb = "state",
-                          .from = id_,
-                          .tile = key,
-                          .body = encode_tile_snapshot(snapshot)});
+  // Under the tile mutex no upload, ingest or install can run, so the
+  // channel set, the channel states and the dedup window describe the same
+  // instant. The states are encoded in place, each under its shard lock.
+  TileSnapshotWriter out(t.service.channels().size());
+  t.service.for_each_channel_state(
+      [&out](const core::ChannelState& state) { out.channel(state); });
+  return encode_envelope(
+      {.verb = "state",
+       .from = id_,
+       .tile = key,
+       .body = std::move(out).finish(
+           t.dedup.records(DedupWindow::Clock::now()))});
 }
 
 std::vector<TileKey> ClusterNode::tiles() const {
-  const std::lock_guard lock(tiles_mutex_);
+  const std::shared_lock lock(tiles_mutex_);
   std::vector<TileKey> out;
   out.reserve(tiles_.size());
   for (const auto& [key, tile] : tiles_) out.push_back(key);

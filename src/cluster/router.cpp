@@ -42,11 +42,9 @@ core::Message ClusterRouter::route(const geo::EnuPoint& location,
       {.verb = "wsnp", .from = kClientNode, .tile = tile, .body = wire});
 
   const Clock::time_point start = Clock::now();
-  runtime::Backoff backoff(
-      config_.backoff,
-      runtime::split_seed(config_.seed,
-                          request_counter_.fetch_add(1,
-                                                     std::memory_order_relaxed)));
+  // Seeded on the first retry, so a request that succeeds at once writes
+  // no counter that every client thread shares.
+  std::optional<runtime::Backoff> backoff;
   std::size_t rotate =
       is_upload ? 0
                 : static_cast<std::size_t>(
@@ -59,7 +57,7 @@ core::Message ClusterRouter::route(const geo::EnuPoint& location,
     // Pick this attempt's target. Uploads chase the tile primary (first
     // non-dead replica — matches the node-side fencing rule); reads take
     // the first *ready* replica starting from a rotating offset.
-    const auto m = membership_->snapshot();
+    const Membership* m = membership_->snapshot();
     NodeId target = kClientNode;
     if (is_upload) {
       for (const NodeId n : replicas) {
@@ -119,7 +117,13 @@ core::Message ClusterRouter::route(const geo::EnuPoint& location,
     retries_.fetch_add(1, std::memory_order_relaxed);
     failed_over = true;
     if (!is_upload) ++rotate;  // reads fail over to the next replica
-    std::this_thread::sleep_for(backoff.next());
+    if (!backoff) {
+      backoff.emplace(config_.backoff,
+                      runtime::split_seed(config_.seed,
+                                          request_counter_.fetch_add(
+                                              1, std::memory_order_relaxed)));
+    }
+    std::this_thread::sleep_for(backoff->next());
   }
 }
 

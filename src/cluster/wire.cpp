@@ -100,21 +100,35 @@ ReplEntry decode_repl_entry(const std::string& body) {
   return entry;
 }
 
-std::string encode_tile_snapshot(const TileSnapshot& snapshot) {
-  codec::Writer out;
-  out.u64(kTileSnapshotLayout);
-  out.u64(snapshot.channels.size());
-  for (const core::ChannelState& state : snapshot.channels) state.encode(out);
-  out.u64(snapshot.dedup.size());
-  for (const DedupRecord& r : snapshot.dedup) {
-    out.u64(r.request_id);
-    out.u64(r.age_ns);
-    out.u64(r.ledger.accepted);
-    out.u64(r.ledger.rejected);
-    out.u64(r.ledger.pending);
-    out.u64(r.ledger.ticket);
+TileSnapshotWriter::TileSnapshotWriter(std::size_t channel_count)
+    : remaining_(channel_count) {
+  out_.u64(kTileSnapshotLayout);
+  out_.u64(channel_count);
+}
+
+void TileSnapshotWriter::channel(const core::ChannelState& state) {
+  if (remaining_ == 0) {
+    throw std::logic_error("tile snapshot: more channels than announced");
   }
-  return std::move(out).finish();
+  --remaining_;
+  state.encode(out_);
+}
+
+std::string TileSnapshotWriter::finish(
+    const std::vector<DedupRecord>& dedup) && {
+  if (remaining_ != 0) {
+    throw std::logic_error("tile snapshot: fewer channels than announced");
+  }
+  out_.u64(dedup.size());
+  for (const DedupRecord& r : dedup) {
+    out_.u64(r.request_id);
+    out_.u64(r.age_ns);
+    out_.u64(r.ledger.accepted);
+    out_.u64(r.ledger.rejected);
+    out_.u64(r.ledger.pending);
+    out_.u64(r.ledger.ticket);
+  }
+  return std::move(out_).finish();
 }
 
 TileSnapshot decode_tile_snapshot(const std::string& body) {

@@ -63,6 +63,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <shared_mutex>
@@ -146,9 +147,12 @@ class SpectrumService {
   /// channels.
   [[nodiscard]] campaign::ChannelDataset dataset_snapshot(int channel) const;
 
-  /// Copies of every channel's state, each taken under its shard lock —
-  /// what a cluster node ships to a recovering replica.
-  [[nodiscard]] std::vector<core::ChannelState> channel_states() const;
+  /// Calls `fn` with every channel's state, in channel order, each under
+  /// its shard's shared lock — how a cluster node encodes the states it
+  /// ships to a recovering replica without copying them. `fn` must not
+  /// call back into this service's writers.
+  void for_each_channel_state(
+      const std::function<void(const core::ChannelState&)>& fn) const;
 
   /// Replaces (or creates) the state of `state.channel()` and drops the
   /// channel's cached model. Safe to call concurrently with serving

@@ -107,19 +107,17 @@ void SpectrumService::install_channel(core::ChannelState state) {
   ++s.installs;    // and the cached labels its readings
 }
 
-std::vector<core::ChannelState> SpectrumService::channel_states() const {
+void SpectrumService::for_each_channel_state(
+    const std::function<void(const core::ChannelState&)>& fn) const {
   std::vector<Shard*> all;
   {
     const std::shared_lock lock(shards_mutex_);
     for (const auto& [ch, s] : shards_) all.push_back(s.get());
   }
-  std::vector<core::ChannelState> out;
-  out.reserve(all.size());
   for (const Shard* s : all) {
     const std::shared_lock lock(s->state_mutex);
-    out.push_back(s->state);
+    fn(s->state);
   }
-  return out;
 }
 
 bool SpectrumService::has_channel(int channel) const {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <limits>
 #include <map>
@@ -16,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "waldo/campaign/dataset_io.hpp"
 #include "waldo/campaign/wardrive.hpp"
 #include "waldo/cluster/cluster.hpp"
+#include "waldo/cluster/membership.hpp"
 #include "waldo/cluster/router.hpp"
 #include "waldo/cluster/wire.hpp"
 #include "waldo/codec/codec.hpp"
@@ -110,6 +113,13 @@ TEST(Rendezvous, EveryNodeOwnsSomeTiles) {
 }
 
 // ------------------------------------------------------------ wire codec
+
+/// The body a node sends for `snapshot`'s states and dedup window.
+std::string encode_tile_snapshot(const TileSnapshot& snapshot) {
+  TileSnapshotWriter out(snapshot.channels.size());
+  for (const core::ChannelState& state : snapshot.channels) out.channel(state);
+  return std::move(out).finish(snapshot.dedup);
+}
 
 /// Two channel states (one ingested with I/Q, which the store drops, one
 /// with a pending reading) and two dedup records.
@@ -371,6 +381,84 @@ TEST(FaultInjector, ScheduleIsAPureFunctionOfSeed) {
   }
 }
 
+// ------------------------------------------------------------ membership
+
+// The snapshot contract (membership.hpp): a reader's pointer stays valid,
+// and keeps what it held, for the view's lifetime, while a writer publishes
+// new snapshots. Three readers take snapshots while the writer flips node
+// health; each keeps every distinct pointer it saw and reads them all again
+// once the writer has stopped. CI repeats this under TSan.
+TEST(MembershipView, KeptSnapshotsSurviveConcurrentHealthFlips) {
+  constexpr NodeId kNodes = 4;
+  constexpr std::uint64_t kWrites = 10'000;
+  constexpr int kReaders = 3;
+  // Write i sets node i % 4 to health i % 3, so the view's state at each
+  // epoch is known in advance.
+  const auto write = [](std::uint64_t i) {
+    return std::pair{static_cast<NodeId>(i % kNodes),
+                     static_cast<NodeHealth>(i % 3)};
+  };
+  std::vector<std::vector<NodeHealth>> at_epoch(
+      1, std::vector<NodeHealth>(kNodes, NodeHealth::kReady));
+  for (std::uint64_t i = 0; i < kWrites; ++i) {
+    at_epoch.push_back(at_epoch.back());
+    const auto [node, health] = write(i);
+    at_epoch.back()[node] = health;
+  }
+
+  MembershipView view(kNodes);
+  struct Kept {
+    const Membership* snapshot;
+    Membership copy;  ///< what it held when taken
+  };
+  std::vector<std::vector<Kept>> kept(kReaders);
+  std::vector<int> decreases(kReaders, 0);
+  std::vector<int> wrong(kReaders, 0);
+  std::atomic<int> started{0};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      started.fetch_add(1);
+      const Membership* last = nullptr;
+      bool stop = false;
+      while (!stop) {
+        stop = done.load();  // one more read after the writer stops
+        const Membership* m = view.snapshot();
+        if (m == last) continue;
+        if (last != nullptr && m->epoch < last->epoch) ++decreases[r];
+        if (m->epoch >= at_epoch.size() || m->health != at_epoch[m->epoch]) {
+          ++wrong[r];
+        }
+        kept[r].push_back({m, *m});
+        last = m;
+      }
+    });
+  }
+  while (started.load() < kReaders) std::this_thread::yield();
+  for (std::uint64_t i = 0; i < kWrites; ++i) {
+    const auto [node, health] = write(i);
+    view.set_health(node, health);
+  }
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(decreases[r], 0) << "reader " << r;
+    EXPECT_EQ(wrong[r], 0) << "reader " << r;
+    ASSERT_FALSE(kept[r].empty()) << "reader " << r;
+    EXPECT_EQ(kept[r].back().snapshot->epoch, kWrites) << "reader " << r;
+    for (const Kept& k : kept[r]) {
+      ASSERT_EQ(k.snapshot->epoch, k.copy.epoch) << "reader " << r;
+      ASSERT_EQ(k.snapshot->health, k.copy.health)
+          << "reader " << r << " epoch " << k.copy.epoch;
+    }
+  }
+  const Membership* last = view.snapshot();
+  EXPECT_EQ(last->epoch, kWrites);
+  EXPECT_EQ(last->health, at_epoch.back());
+}
+
 // ------------------------------------------------------------- harness
 
 class ClusterFixture : public ::testing::Test {
@@ -549,9 +637,9 @@ class ClusterFixture : public ::testing::Test {
         const std::string want_descriptor =
             *serial.download_descriptor(channel);
         std::string want_pending;
-        for (const core::ChannelState& state : serial.channel_states()) {
+        serial.for_each_channel_state([&](const core::ChannelState& state) {
           if (state.channel() == channel) want_pending = pending_bytes(state);
-        }
+        });
         for (const NodeId n : cluster.replicas_of(tile)) {
           EXPECT_EQ(cluster.node(n).dataset_csv(tile, channel), want_csv)
               << "dataset diverged: node " << n << " channel " << channel;

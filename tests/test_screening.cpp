@@ -310,12 +310,12 @@ Tally run_differential(const std::vector<Op>& traffic,
         << "step " << step;
     EXPECT_EQ(csv_bytes(served(one_shot.at(channel).dataset)), want_csv)
         << "step " << step;
-    for (const ChannelState& state : service.channel_states()) {
+    service.for_each_channel_state([&](const ChannelState& state) {
       if (state.channel() == channel) {
         EXPECT_EQ(pending_bytes(state.pending()), want_pending)
             << "step " << step;
       }
-    }
+    });
     EXPECT_EQ(pending_bytes(one_shot.at(channel).pending), want_pending)
         << "step " << step;
   };

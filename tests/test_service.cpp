@@ -646,9 +646,9 @@ TEST_F(ServiceFixture, IngestRacingUploadsLandsBetweenTwoTickets) {
     return std::move(out).finish();
   };
   std::string served;
-  for (const core::ChannelState& state : service.channel_states()) {
+  service.for_each_channel_state([&](const core::ChannelState& state) {
     if (state.channel() == kChannelA) served = state_bytes(state);
-  }
+  });
 
   // Every ticket at which the ingest reproduces the channel. More than one
   // can: when the upload just before the ingest accepted nothing and
