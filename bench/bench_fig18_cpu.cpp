@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
     const device::ScanReport report =
         phone.scan_cycle(campaign.environment(), scan_list, p);
     active_cpu.push_back(report.cpu_active_fraction() * 100.0);
-    duty_cpu.push_back(report.cpu_duty_fraction(cfg.scan_period_s) * 100.0);
+    duty_cpu.push_back(report.cpu_duty_fraction(device::kScanPeriodS) * 100.0);
     busy_times.push_back(report.busy_time_s);
   }
 

@@ -230,12 +230,11 @@ void BM_KMeansLocalities(benchmark::State& state) {
   }
   ml::KMeansConfig cfg;
   cfg.k = 3;
-  cfg.threads = static_cast<unsigned>(state.range(0));  // 0 = all hardware
   for (auto _ : state) {
     benchmark::DoNotOptimize(ml::kmeans(x, cfg).inertia);
   }
 }
-BENCHMARK(BM_KMeansLocalities)->Arg(1)->Arg(0);
+BENCHMARK(BM_KMeansLocalities);
 
 /// `n` readings of channel 15: the standard USRP sweep (5,282 readings),
 /// then copies of its readings moved up to 40 m, the way accepted crowd

@@ -3,11 +3,18 @@
 #include <stdexcept>
 
 #include "waldo/ml/metrics.hpp"
+#include "waldo/rf/channels.hpp"
 #include "waldo/rf/path_loss.hpp"
 
 namespace waldo::baselines {
 
 namespace {
+
+/// How far the generic open-terrain curves under-predict loss in metro
+/// clutter (passed to rf::FccCurvesModel). Together with the fading margin
+/// and the 10 m regulatory receiver height this sets the database's
+/// overprotection factor.
+constexpr double kCurveUnderpredictionDb = 1.0;
 
 /// Largest distance at which `model` predicts at least `threshold_dbm`
 /// from a transmitter with `erp_dbm`, found by bisection (path loss is
@@ -39,15 +46,15 @@ GeoDatabase::GeoDatabase(const rf::Environment& environment, int channel,
     if (tx.channel != channel) continue;
     const rf::FccCurvesModel curves(rf::channel_center_hz(channel),
                                     tx.height_m,
-                                    config.curve_underprediction_db);
+                                    kCurveUnderpredictionDb);
     // Protect where the pessimistic (margin-added) prediction still
     // reaches the decodability threshold.
     const double radius = solve_contour_radius_m(
         curves, tx.erp_dbm + config.fading_margin_db,
-        config.protection_threshold_dbm);
+        rf::kDecodableThresholdDbm);
     if (radius <= 0.0) continue;
     contours_.push_back(Contour{.center = tx.location,
-                                .radius_m = radius + config.separation_m,
+                                .radius_m = radius + rf::kSeparationDistanceM,
                                 .raw_radius_m = radius});
   }
 }

@@ -13,17 +13,10 @@
 namespace waldo::baselines {
 
 struct GeoDatabaseConfig {
-  double protection_threshold_dbm = rf::kDecodableThresholdDbm;
-  double separation_m = rf::kSeparationDistanceM;
   /// Extra margin the database model applies on top of the median curve to
   /// guarantee safety against fading (certified databases protect the
   /// F(50,90) quantile, not the median).
   double fading_margin_db = 3.0;
-  /// How far the generic open-terrain curves under-predict loss in metro
-  /// clutter (passed to rf::FccCurvesModel). Together with the margin and
-  /// the 10 m regulatory receiver height this sets the database's
-  /// overprotection factor.
-  double curve_underprediction_db = 1.0;
 };
 
 class GeoDatabase {

@@ -7,25 +7,17 @@
 // Waldo's signal features win.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
 #include <vector>
 
 #include "waldo/campaign/measurement.hpp"
 #include "waldo/geo/latlon.hpp"
-#include "waldo/rf/channels.hpp"
 
 namespace waldo::baselines {
 
 struct VScopeConfig {
   std::size_t num_clusters = 3;
-  double threshold_dbm = rf::kDecodableThresholdDbm;
-  double separation_m = rf::kSeparationDistanceM;
-  /// Protection margin subtracted from the threshold when classifying: the
-  /// fitted median field smooths away shadowing/obstruction scatter, so a
-  /// deployment must pad its predictions to stay safe. Trades FP for FN.
-  double protection_margin_db = 4.0;
-  std::uint64_t seed = 31;
 };
 
 class VScope {

@@ -2,15 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
 #include "waldo/ml/kmeans.hpp"
 #include "waldo/ml/metrics.hpp"
+#include "waldo/rf/channels.hpp"
 
 namespace waldo::baselines {
 
 namespace {
+
+/// Protection margin subtracted from the threshold when classifying: the
+/// fitted median field smooths away shadowing/obstruction scatter, so a
+/// deployment must pad its predictions to stay safe. Trades FP for FN.
+constexpr double kProtectionMarginDb = 4.0;
+/// Seed of the k-means that splits the readings into clusters.
+constexpr std::uint64_t kClusterSeed = 31;
 
 struct LinearFit {
   double intercept = 0.0;
@@ -70,7 +79,7 @@ void VScope::fit(const campaign::ChannelDataset& data,
   }
   ml::KMeansConfig kmc;
   kmc.k = std::max<std::size_t>(1, config_.num_clusters);
-  kmc.seed = config_.seed;
+  kmc.seed = kClusterSeed;
   const ml::KMeansResult clusters = ml::kmeans(locations, kmc);
 
   // Global fallback fit over everything (used for tiny clusters).
@@ -129,7 +138,7 @@ int VScope::classify(const geo::EnuPoint& p) const {
   const double d_m = std::max(10.0, nearest_tx_distance_m(p));
   const double rss = predict_rss_dbm(p);
   const double guarded_threshold =
-      config_.threshold_dbm - config_.protection_margin_db;
+      rf::kDecodableThresholdDbm - kProtectionMarginDb;
   if (rss >= guarded_threshold) return ml::kNotSafe;
   if (cf.exponent > 0.0) {
     // Monotone fitted field: apply the separation distance through the
@@ -137,7 +146,7 @@ int VScope::classify(const geo::EnuPoint& p) const {
     const double contour_km = std::pow(
         10.0, (cf.intercept_dbm - guarded_threshold) /
                   (10.0 * cf.exponent));
-    if (d_m < contour_km * 1000.0 + config_.separation_m) {
+    if (d_m < contour_km * 1000.0 + rf::kSeparationDistanceM) {
       return ml::kNotSafe;
     }
   }

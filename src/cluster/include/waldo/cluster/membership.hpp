@@ -22,6 +22,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "waldo/cluster/tiling.hpp"
@@ -40,6 +42,12 @@ struct Membership {
   [[nodiscard]] bool alive(NodeId node) const noexcept {
     return node < health.size() && health[node] != NodeHealth::kDead;
   }
+  /// The tile primary: the first non-dead node of `replicas`, a tile's
+  /// replica set in HRW order; empty when all are dead. Routers send
+  /// uploads to it and nodes fence writes by it, so fencing holds only
+  /// while every participant applies this one rule.
+  [[nodiscard]] std::optional<NodeId> primary(
+      std::span<const NodeId> replicas) const noexcept;
 };
 
 class MembershipView {

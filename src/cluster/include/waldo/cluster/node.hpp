@@ -159,10 +159,6 @@ class ClusterNode {
   [[nodiscard]] std::string handle_pull(const Envelope& request);
   [[nodiscard]] std::string handle_state(const Envelope& request);
 
-  /// First non-dead replica for `tile` under `m` — the fencing rule every
-  /// participant applies identically. kClientNode when all are dead.
-  [[nodiscard]] NodeId tile_primary(const Membership& m, TileKey tile) const;
-
   /// True when `request` comes from the tile's current primary under a
   /// fresh membership snapshot — the rule every replication receiver
   /// applies before it touches a tile.

@@ -4,6 +4,14 @@
 
 namespace waldo::cluster {
 
+std::optional<NodeId> Membership::primary(
+    std::span<const NodeId> replicas) const noexcept {
+  for (const NodeId n : replicas) {
+    if (alive(n)) return n;
+  }
+  return std::nullopt;
+}
+
 MembershipView::MembershipView(NodeId num_nodes) {
   auto initial = std::make_unique<Membership>();
   initial->health.assign(num_nodes, NodeHealth::kReady);

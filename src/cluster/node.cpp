@@ -78,16 +78,10 @@ void ClusterNode::attach_transport(Transport& transport) noexcept {
   transport_ = &transport;
 }
 
-NodeId ClusterNode::tile_primary(const Membership& m, TileKey tile) const {
-  for (const NodeId n :
-       replica_set(tile, topology_.num_nodes, topology_.replication)) {
-    if (m.alive(n)) return n;
-  }
-  return kClientNode;
-}
-
 bool ClusterNode::from_primary(const Envelope& request) const {
-  return tile_primary(*membership_->snapshot(), request.tile) == request.from;
+  return membership_->snapshot()->primary(replica_set(
+             request.tile, topology_.num_nodes, topology_.replication)) ==
+         request.from;
 }
 
 std::string ClusterNode::fenced(const Envelope& request, int channel) const {
@@ -223,7 +217,7 @@ std::string ClusterNode::handle_wsnp(const Envelope& request) {
   // ever growing the same channel log concurrently.
   {
     const Membership* now = membership_->snapshot();
-    if (!now->ready(id_) || tile_primary(*now, request.tile) != id_) {
+    if (!now->ready(id_) || now->primary(replicas) != id_) {
       counters_->not_owner.fetch_add(1, std::memory_order_relaxed);
       return error_envelope(request.tile, core::ErrorCode::kNotOwner,
                             r->channel, "not the tile primary");

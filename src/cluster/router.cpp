@@ -54,18 +54,13 @@ core::Message ClusterRouter::route(const geo::EnuPoint& location,
   std::string last_failure = "no live replica";
 
   while (true) {
-    // Pick this attempt's target. Uploads chase the tile primary (first
-    // non-dead replica — matches the node-side fencing rule); reads take
-    // the first *ready* replica starting from a rotating offset.
+    // Pick this attempt's target. Uploads chase the tile primary (the
+    // node-side fencing rule); reads take the first *ready* replica
+    // starting from a rotating offset.
     const Membership* m = membership_->snapshot();
     NodeId target = kClientNode;
     if (is_upload) {
-      for (const NodeId n : replicas) {
-        if (m->alive(n)) {
-          target = n;
-          break;
-        }
-      }
+      target = m->primary(replicas).value_or(kClientNode);
     } else {
       for (std::size_t i = 0; i < replicas.size(); ++i) {
         const NodeId n = replicas[(rotate + i) % replicas.size()];

@@ -9,6 +9,12 @@ namespace waldo::core {
 
 namespace {
 
+/// Level of the confidence interval whose span decides convergence.
+constexpr double kConfidence = 0.90;
+/// Readings outside these quantiles are discarded as outliers.
+constexpr double kOutlierLowQuantile = 0.05;
+constexpr double kOutlierHighQuantile = 0.95;
+
 /// Acklam's rational approximation of the standard normal quantile
 /// function; relative error below 1.15e-9 over (0, 1).
 [[nodiscard]] double normal_quantile(double p) {
@@ -68,10 +74,10 @@ std::vector<double> ConvergenceFilter::trimmed() const {
   std::vector<double> sorted(readings_);
   std::sort(sorted.begin(), sorted.end());
   const auto n = sorted.size();
-  const auto lo = static_cast<std::size_t>(config_.outlier_low_quantile *
+  const auto lo = static_cast<std::size_t>(kOutlierLowQuantile *
                                            static_cast<double>(n));
   auto hi = static_cast<std::size_t>(
-      std::ceil(config_.outlier_high_quantile * static_cast<double>(n)));
+      std::ceil(kOutlierHighQuantile * static_cast<double>(n)));
   hi = std::max(std::min(hi, n), lo + 1);
   return std::vector<double>(sorted.begin() + static_cast<std::ptrdiff_t>(lo),
                              sorted.begin() + static_cast<std::ptrdiff_t>(hi));
@@ -94,7 +100,7 @@ double ConvergenceFilter::ci_span_db() const {
   double ss = 0.0;
   for (const double v : kept) ss += (v - mean) * (v - mean);
   const double sd = std::sqrt(ss / static_cast<double>(kept.size() - 1));
-  const double z = normal_critical_value(config_.confidence);
+  const double z = normal_critical_value(kConfidence);
   return 2.0 * z * sd / std::sqrt(static_cast<double>(kept.size()));
 }
 

@@ -14,9 +14,6 @@ namespace waldo::core {
 
 struct DetectorConfig {
   double alpha_db = 0.5;           ///< CI-span convergence threshold
-  double confidence = 0.90;        ///< CI level
-  double outlier_low_quantile = 0.05;
-  double outlier_high_quantile = 0.95;
   std::size_t min_samples = 5;     ///< refuse to converge earlier
   std::size_t max_samples = 500;   ///< mobility guard: give up after this
 };

@@ -32,11 +32,11 @@ struct ModelConstructorConfig {
   ml::SvmConfig svm;
   std::uint64_t seed = 23;
   /// Worker threads for model construction (0 = all hardware threads,
-  /// 1 = serial). The k per-locality classifiers train concurrently and
-  /// the k-means assignment step fans out in blocks of readings.
-  /// Per-locality randomness (the max_train_samples subsample) is seeded
-  /// from (seed + 1, locality index), so the serialized model is
-  /// byte-identical for every thread count. See docs/CONCURRENCY.md.
+  /// 1 = serial). The k per-locality classifiers train concurrently;
+  /// k-means runs serially on the calling thread. Per-locality randomness
+  /// (the max_train_samples subsample) is seeded from (seed + 1, locality
+  /// index), so the serialized model is byte-identical for every thread
+  /// count. See docs/CONCURRENCY.md.
   unsigned threads = 0;
 };
 

@@ -12,7 +12,7 @@
 // floor-saturated readings carry no range information.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <optional>
 
 #include "waldo/campaign/measurement.hpp"
@@ -24,20 +24,6 @@ struct LocatorConfig {
   /// Low-cost sensors compress near their floor, which flattens the fitted
   /// slope, so only clearly-detectable readings carry range information.
   double min_rss_dbm = -86.0;
-  /// Search margin beyond the readings' bounding box, meters (transmitters
-  /// usually sit outside the drive area).
-  double search_margin_m = 40'000.0;
-  /// Coarse grid pitch; each refinement halves it.
-  double coarse_step_m = 4'000.0;
-  std::size_t refinement_rounds = 5;
-  /// Minimum usable readings for a fit.
-  std::size_t min_readings = 20;
-  /// Robustness: after each trim round the worst-residual share of
-  /// readings is dropped and the search repeats. Obstruction pockets put
-  /// large, distance-uncorrelated negative outliers in the data; trimming
-  /// keeps them from flattening the fitted slope.
-  double trim_fraction = 0.2;
-  std::size_t trim_rounds = 2;
 };
 
 struct TransmitterEstimate {

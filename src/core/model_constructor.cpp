@@ -46,7 +46,6 @@ WhiteSpaceModel ModelConstructor::build(const TrainingColumns& data,
   ml::KMeansConfig kmc;
   kmc.k = std::max<std::size_t>(1, config_.num_localities);
   kmc.seed = config_.seed;
-  kmc.threads = config_.threads;
   const ml::KMeansResult& clusters = ws.clusters;
   {
     const auto timing = timer.scope("model.kmeans", n);

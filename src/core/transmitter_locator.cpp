@@ -9,6 +9,21 @@ namespace waldo::core {
 
 namespace {
 
+/// Search margin beyond the readings' bounding box, meters (transmitters
+/// usually sit outside the drive area).
+constexpr double kSearchMarginM = 40'000.0;
+/// Coarse grid pitch; each refinement halves it.
+constexpr double kCoarseStepM = 4'000.0;
+constexpr std::size_t kRefinementRounds = 5;
+/// Minimum usable readings for a fit.
+constexpr std::size_t kMinReadings = 20;
+/// Robustness: after each trim round the worst-residual share of readings
+/// is dropped and the search repeats. Obstruction pockets put large,
+/// distance-uncorrelated negative outliers in the data; trimming keeps
+/// them from flattening the fitted slope.
+constexpr double kTrimFraction = 0.2;
+constexpr std::size_t kTrimRounds = 2;
+
 struct Fit {
   double intercept = 0.0;
   double exponent = 0.0;
@@ -59,24 +74,23 @@ struct SearchResult {
 
 /// One full coarse-to-fine search over the given readings.
 [[nodiscard]] SearchResult grid_search(std::span<const geo::EnuPoint> positions,
-                                       std::span<const double> rss,
-                                       const LocatorConfig& config) {
+                                       std::span<const double> rss) {
   geo::BoundingBox box = geo::BoundingBox::of(positions);
-  box.min_east_m -= config.search_margin_m;
-  box.min_north_m -= config.search_margin_m;
-  box.max_east_m += config.search_margin_m;
-  box.max_north_m += config.search_margin_m;
+  box.min_east_m -= kSearchMarginM;
+  box.min_north_m -= kSearchMarginM;
+  box.max_east_m += kSearchMarginM;
+  box.max_north_m += kSearchMarginM;
 
   geo::EnuPoint best{(box.min_east_m + box.max_east_m) / 2.0,
                      (box.min_north_m + box.max_north_m) / 2.0};
   Fit best_fit;
-  double step = config.coarse_step_m;
+  double step = kCoarseStepM;
 
   // Round 0 scans the whole expanded box; refinements scan a shrinking
   // neighbourhood of the incumbent best at half the pitch.
   double east_lo = box.min_east_m, east_hi = box.max_east_m;
   double north_lo = box.min_north_m, north_hi = box.max_north_m;
-  for (std::size_t round = 0; round <= config.refinement_rounds; ++round) {
+  for (std::size_t round = 0; round <= kRefinementRounds; ++round) {
     for (double e = east_lo; e <= east_hi; e += step) {
       for (double n = north_lo; n <= north_hi; n += step) {
         const Fit fit = fit_candidate(geo::EnuPoint{e, n}, positions, rss);
@@ -108,9 +122,9 @@ std::optional<TransmitterEstimate> locate_transmitter(
       rss.push_back(m.rss_dbm);
     }
   }
-  if (positions.size() < config.min_readings) return std::nullopt;
+  if (positions.size() < kMinReadings) return std::nullopt;
 
-  SearchResult result = grid_search(positions, rss, config);
+  SearchResult result = grid_search(positions, rss);
   if (!std::isfinite(result.fit.sse)) return std::nullopt;
 
   // Candidate solutions are scored by the median absolute residual over
@@ -137,10 +151,10 @@ std::optional<TransmitterEstimate> locate_transmitter(
 
   // Robust re-fit: drop the worst residuals (obstruction-pocket outliers)
   // and search again.
-  for (std::size_t round = 0; round < config.trim_rounds; ++round) {
+  for (std::size_t round = 0; round < kTrimRounds; ++round) {
     const std::size_t keep = static_cast<std::size_t>(
-        (1.0 - config.trim_fraction) * static_cast<double>(positions.size()));
-    if (keep < config.min_readings) break;
+        (1.0 - kTrimFraction) * static_cast<double>(positions.size()));
+    if (keep < kMinReadings) break;
     std::vector<std::size_t> order(positions.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     const auto residual = [&](std::size_t i) {
@@ -165,7 +179,7 @@ std::optional<TransmitterEstimate> locate_transmitter(
     }
     positions = std::move(kept_pos);
     rss = std::move(kept_rss);
-    const SearchResult refined = grid_search(positions, rss, config);
+    const SearchResult refined = grid_search(positions, rss);
     if (std::isfinite(refined.fit.sse)) {
       const double score = median_residual(refined);
       if (score < best_score) {

@@ -19,12 +19,10 @@
 
 namespace waldo::device {
 
+/// FCC-mandated re-check interval, seconds.
+inline constexpr double kScanPeriodS = 60.0;
+
 struct PhoneConfig {
-  /// FCC-mandated re-check interval.
-  double scan_period_s = 60.0;
-  /// Acquisition latency per reading: retune + 256-sample USB-OTG transfer
-  /// on an RTL dongle (dominated by USB turnaround, ~10 ms class).
-  double reading_period_s = 0.012;
   /// Multiplier applied to the *measured* processing time to emulate a
   /// slower compute stack. 1.0 reports the native C++ pipeline; the Fig. 18
   /// reproduction uses ~200 to model the paper's 2015 Android phone running

@@ -11,6 +11,14 @@
 
 namespace waldo::device {
 
+namespace {
+
+/// Acquisition latency per reading: retune + 256-sample USB-OTG transfer
+/// on an RTL dongle (dominated by USB turnaround, ~10 ms class).
+constexpr double kReadingPeriodS = 0.012;
+
+}  // namespace
+
 sensors::SensorSpec phone_rtl_sdr_spec() {
   sensors::SensorSpec spec = sensors::rtl_sdr_spec();
   spec.name = "RTL-SDR (phone)";
@@ -80,7 +88,7 @@ ChannelScan PhoneRuntime::run_scan(const rf::Environment& environment,
   while (!filter.converged() && !filter.exhausted()) {
     const double truth = environment.true_rss_dbm(channel, position);
     sensors::SensorReading reading = sensor_.sense_channel(truth);
-    scan.acquisition_time_s += config_.reading_period_s;
+    scan.acquisition_time_s += kReadingPeriodS;
 
     const auto t0 = clock::now();
     const double rss = sensor_.calibrated_rss_dbm(reading.raw);
@@ -124,8 +132,8 @@ ChannelScan PhoneRuntime::scan_channel_mobile(
     const geo::EnuPoint& start, double speed_east_mps,
     double speed_north_mps) {
   return run_scan(environment, channel, start,
-                  speed_east_mps * config_.reading_period_s,
-                  speed_north_mps * config_.reading_period_s);
+                  speed_east_mps * kReadingPeriodS,
+                  speed_north_mps * kReadingPeriodS);
 }
 
 ScanReport PhoneRuntime::scan_cycle(const rf::Environment& environment,

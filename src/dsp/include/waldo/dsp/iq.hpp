@@ -18,17 +18,12 @@
 
 namespace waldo::dsp {
 
+/// A capture tuned to the channel's pilot: the pilot sits at the capture
+/// centre, rf::kPilotOffsetHz (309 kHz) above the channel's lower edge, so
+/// the lower ~0.89 MHz of a 2.4 MHz window is out of channel.
 struct CaptureConfig {
   std::size_t num_samples = 256;     ///< paper: 256 I/Q samples per reading
   double sample_rate_hz = 2.4e6;     ///< RTL-SDR-class tuner bandwidth
-  /// Pilot position relative to the capture centre, Hz. 0 = tuned exactly
-  /// to the pilot (the campaign setup).
-  double pilot_offset_hz = 0.0;
-  /// Fraction of the capture band (above the pilot) occupied by in-channel
-  /// data. With the tuner on the pilot (309 kHz above the lower edge), the
-  /// lower ~0.89 MHz of a 2.4 MHz window is out of channel.
-  double lower_edge_offset_hz = 309'440.559;
-  double channel_bandwidth_hz = 6e6;
 };
 
 /// Reusable scratch buffers for the capture -> feature hot path. One

@@ -11,12 +11,12 @@
 namespace waldo::dsp {
 
 double in_capture_data_fraction(const CaptureConfig& config) noexcept {
-  const double lo = config.pilot_offset_hz - config.lower_edge_offset_hz;
-  const double hi = lo + config.channel_bandwidth_hz;
+  const double lo = -rf::kPilotOffsetHz;
+  const double hi = lo + rf::kChannelBandwidthHz;
   const double half = config.sample_rate_hz / 2.0;
   const double overlap =
       std::max(0.0, std::min(hi, half) - std::max(lo, -half));
-  return overlap / config.channel_bandwidth_hz;
+  return overlap / rf::kChannelBandwidthHz;
 }
 
 void synthesize_capture_into(const CaptureConfig& config,
@@ -35,8 +35,8 @@ void synthesize_capture_into(const CaptureConfig& config,
   const double data_mw_total = channel_mw * (1.0 - pilot_share);
 
   // Channel edges relative to the capture centre.
-  const double band_lo = config.pilot_offset_hz - config.lower_edge_offset_hz;
-  const double band_hi = band_lo + config.channel_bandwidth_hz;
+  const double band_lo = -rf::kPilotOffsetHz;
+  const double band_hi = band_lo + rf::kChannelBandwidthHz;
 
   // Count data bins inside the capture to split the in-capture data power.
   std::size_t data_bins = 0;
@@ -65,13 +65,10 @@ void synthesize_capture_into(const CaptureConfig& config,
     const double sigma = dn * std::sqrt(bin_mw / 2.0);
     spec_shifted[k] = cplx(sigma * gauss(rng), sigma * gauss(rng));
   }
-  // Pilot line in the bin nearest the pilot offset, with a random phase.
+  // Pilot line in the centre bin, with a random phase.
   if (pilot_mw > 0.0) {
-    const double kf = config.pilot_offset_hz / df + dn / 2.0;
-    const auto kpilot = static_cast<std::size_t>(
-        std::clamp(std::llround(kf), 0LL, static_cast<long long>(n - 1)));
     const double phi = uphase(rng);
-    spec_shifted[kpilot] +=
+    spec_shifted[n / 2] +=
         dn * std::sqrt(pilot_mw) * cplx(std::cos(phi), std::sin(phi));
   }
   if (spectrum_only) return;

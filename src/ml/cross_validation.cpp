@@ -5,8 +5,6 @@
 #include <random>
 #include <stdexcept>
 
-#include "waldo/runtime/parallel.hpp"
-
 namespace waldo::ml {
 
 std::vector<std::vector<std::size_t>> kfold_indices(std::size_t n,
@@ -46,33 +44,29 @@ CrossValidationResult cross_validate(const Matrix& x, std::span<const int> y,
   const auto folds = kfold_indices(x.rows(), config.folds, config.seed);
 
   CrossValidationResult result;
-  // Folds train and evaluate independently; the overall matrix merges in
-  // fold order afterwards, so the result is thread-count invariant.
-  result.per_fold = runtime::parallel_map(
-      folds.size(), config.threads, [&](std::size_t f) {
-        std::vector<std::size_t> train_idx;
-        train_idx.reserve(x.rows() - folds[f].size());
-        for (std::size_t g = 0; g < folds.size(); ++g) {
-          if (g == f) continue;
-          train_idx.insert(train_idx.end(), folds[g].begin(),
-                           folds[g].end());
-        }
-        cap_indices(train_idx, config.max_train_samples, config.seed + f);
+  result.per_fold.reserve(folds.size());
+  for (std::size_t f = 0; f < folds.size(); ++f) {
+    std::vector<std::size_t> train_idx;
+    train_idx.reserve(x.rows() - folds[f].size());
+    for (std::size_t g = 0; g < folds.size(); ++g) {
+      if (g == f) continue;
+      train_idx.insert(train_idx.end(), folds[g].begin(), folds[g].end());
+    }
+    cap_indices(train_idx, config.max_train_samples, config.seed + f);
 
-        const Matrix x_train = x.take_rows(train_idx);
-        std::vector<int> y_train;
-        y_train.reserve(train_idx.size());
-        for (const std::size_t i : train_idx) y_train.push_back(y[i]);
+    const Matrix x_train = x.take_rows(train_idx);
+    std::vector<int> y_train;
+    y_train.reserve(train_idx.size());
+    for (const std::size_t i : train_idx) y_train.push_back(y[i]);
 
-        auto model = factory();
-        model->fit(x_train, y_train);
+    auto model = factory();
+    model->fit(x_train, y_train);
 
-        ConfusionMatrix cm;
-        for (const std::size_t i : folds[f]) {
-          cm.add(model->predict(x.row(i)), y[i]);
-        }
-        return cm;
-      });
+    ConfusionMatrix& cm = result.per_fold.emplace_back();
+    for (const std::size_t i : folds[f]) {
+      cm.add(model->predict(x.row(i)), y[i]);
+    }
+  }
   for (const ConfusionMatrix& cm : result.per_fold) result.overall.merge(cm);
   return result;
 }

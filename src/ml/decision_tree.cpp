@@ -12,6 +12,11 @@ namespace waldo::ml {
 
 namespace {
 
+/// Nodes with fewer rows than this become leaves.
+constexpr std::size_t kMinSamplesSplit = 4;
+/// A split must leave at least this many rows on each side.
+constexpr std::size_t kMinSamplesLeaf = 2;
+
 [[nodiscard]] double gini(std::size_t safe, std::size_t total) {
   if (total == 0) return 0.0;
   const double p = static_cast<double>(safe) / static_cast<double>(total);
@@ -50,8 +55,7 @@ std::int32_t DecisionTree::build(const Matrix& x, std::span<const int> y,
   for (const std::size_t i : idx) safe += (y[i] == kSafe) ? 1 : 0;
   const bool pure = (safe == 0 || safe == idx.size());
 
-  if (pure || depth >= config_.max_depth ||
-      idx.size() < config_.min_samples_split) {
+  if (pure || depth >= config_.max_depth || idx.size() < kMinSamplesSplit) {
     nodes_[static_cast<std::size_t>(node_id)].label = majority(y, idx);
     return node_id;
   }
@@ -74,10 +78,7 @@ std::int32_t DecisionTree::build(const Matrix& x, std::span<const int> y,
       ++left_n;
       if (column[k].first == column[k + 1].first) continue;
       const std::size_t right_n = column.size() - left_n;
-      if (left_n < config_.min_samples_leaf ||
-          right_n < config_.min_samples_leaf) {
-        continue;
-      }
+      if (left_n < kMinSamplesLeaf || right_n < kMinSamplesLeaf) continue;
       const std::size_t right_safe = safe - left_safe;
       const double score =
           (static_cast<double>(left_n) * gini(left_safe, left_n) +

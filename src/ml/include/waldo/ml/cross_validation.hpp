@@ -17,12 +17,6 @@ struct CrossValidationConfig {
   /// use every training row. Capping is an evaluation-cost knob only — it
   /// never touches test rows.
   std::size_t max_train_samples = 0;
-  /// Worker threads for the per-fold fan-out (0 = all hardware threads,
-  /// 1 = serial). Folds are independent — the fold split and each fold's
-  /// subsample seed (seed + f) are fixed up front — so results are
-  /// identical at every thread count. The factory must be safe to invoke
-  /// concurrently (it only constructs fresh classifiers).
-  unsigned threads = 1;
 };
 
 struct CrossValidationResult {

@@ -12,8 +12,6 @@ namespace waldo::ml {
 
 struct DecisionTreeConfig {
   std::size_t max_depth = 16;
-  std::size_t min_samples_split = 4;
-  std::size_t min_samples_leaf = 2;
 };
 
 class DecisionTree final : public Classifier {

@@ -11,14 +11,7 @@ namespace waldo::ml {
 
 struct KMeansConfig {
   std::size_t k = 3;
-  std::size_t max_iterations = 100;
-  double tolerance = 1e-6;  ///< relative inertia improvement to stop
   std::uint64_t seed = 11;
-  /// Worker threads for the assignment step (0 = all hardware threads,
-  /// 1 = serial). Assignments are exact nearest-centroid computations and
-  /// the reductions (inertia, centroid sums) stay serial, so the result is
-  /// bit-identical at every thread count.
-  unsigned threads = 1;
 };
 
 struct KMeansResult {

@@ -9,17 +9,8 @@
 
 namespace waldo::ml {
 
-struct LogisticRegressionConfig {
-  double l2 = 1e-3;            ///< ridge penalty (also stabilises IRLS)
-  std::size_t max_iterations = 50;
-  double tolerance = 1e-8;     ///< stop when weights move less than this
-};
-
 class LogisticRegression final : public Classifier {
  public:
-  explicit LogisticRegression(LogisticRegressionConfig config = {})
-      : config_(config) {}
-
   void fit(const Matrix& x, std::span<const int> y) override;
   [[nodiscard]] int predict(std::span<const double> x) const override;
   [[nodiscard]] std::string kind() const override {
@@ -37,7 +28,6 @@ class LogisticRegression final : public Classifier {
  private:
   [[nodiscard]] double linear(std::span<const double> standardized) const;
 
-  LogisticRegressionConfig config_;
   Standardizer scaler_;
   std::vector<double> weights_;  ///< [bias, w_1 .. w_d]
   bool single_class_ = false;

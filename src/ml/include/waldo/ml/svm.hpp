@@ -21,13 +21,10 @@ struct SvmConfig {
   /// RBF gamma; <= 0 selects the "scale" heuristic 1 / n_features (features
   /// are already unit-variance after internal standardisation).
   double gamma = -1.0;
-  double tolerance = 1e-3;  ///< KKT violation tolerance
   /// Standardise features internally (recommended). Setting this false
   /// reproduces the paper's OpenCV pipeline, which fed raw feature units
   /// (degrees of latitude next to dB of pilot power) to the kernel.
   bool standardize = true;
-  std::size_t max_passes = 5;      ///< stall passes before stopping
-  std::size_t max_updates = 200'000;  ///< hard iteration guard
   std::uint64_t seed = 7;   ///< tie-breaking randomness
 };
 

@@ -5,7 +5,6 @@
 #include <random>
 #include <stdexcept>
 
-#include "waldo/runtime/parallel.hpp"
 #include "waldo/runtime/reuse.hpp"
 
 namespace waldo::ml {
@@ -27,9 +26,10 @@ std::size_t nearest_centroid(const Matrix& centroids,
 
 namespace {
 
-/// Rows per parallel_for block of the assignment step: one body call per
-/// block, not per row.
-constexpr std::size_t kAssignBlock = 512;
+/// Lloyd iterations before k-means gives up on converging.
+constexpr std::size_t kMaxIterations = 100;
+/// Relative inertia improvement below which k-means stops.
+constexpr double kTolerance = 1e-6;
 
 }  // namespace
 
@@ -94,33 +94,27 @@ void kmeans_into(const Matrix& x, const KMeansConfig& config,
   result.iterations = 0;
   double prev_inertia = std::numeric_limits<double>::infinity();
 
-  for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
-    // Assign — the O(n k d) hot step, fanned out in blocks of rows. Each
-    // row keeps the squared distance to its centroid, and the inertia sums
-    // those serially afterwards, so its floating-point summation order
-    // (row 0 .. n-1) never depends on the thread count.
-    const std::size_t blocks = (n + kAssignBlock - 1) / kAssignBlock;
-    runtime::parallel_for(blocks, config.threads, [&](std::size_t b) {
-      const std::size_t end = std::min(n, (b + 1) * kAssignBlock);
-      for (std::size_t i = b * kAssignBlock; i < end; ++i) {
-        const double* row = x.row_ptr(i);
-        std::size_t best = 0;
-        double best_d2 = std::numeric_limits<double>::infinity();
-        for (std::size_t c = 0; c < k; ++c) {
-          const double d2 = squared_distance(centroids.row_ptr(c), row, d);
-          if (d2 < best_d2) {
-            best_d2 = d2;
-            best = c;
-          }
+  for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
+    // Assign — the O(n k d) hot step. Each row keeps the squared distance
+    // to its centroid, and the inertia sums those in row order afterwards.
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* row = x.row_ptr(i);
+      std::size_t best = 0;
+      double best_d2 = std::numeric_limits<double>::infinity();
+      for (std::size_t c = 0; c < k; ++c) {
+        const double d2 = squared_distance(centroids.row_ptr(c), row, d);
+        if (d2 < best_d2) {
+          best_d2 = d2;
+          best = c;
         }
-        result.assignment[i] = best;
-        // A row no centroid is finitely near (NaN or overflowing
-        // coordinates) stays on centroid 0 and adds that distance.
-        row_d2[i] = best_d2 < std::numeric_limits<double>::infinity()
-                        ? best_d2
-                        : squared_distance(centroids.row_ptr(0), row, d);
       }
-    });
+      result.assignment[i] = best;
+      // A row no centroid is finitely near (NaN or overflowing
+      // coordinates) stays on centroid 0 and adds that distance.
+      row_d2[i] = best_d2 < std::numeric_limits<double>::infinity()
+                      ? best_d2
+                      : squared_distance(centroids.row_ptr(0), row, d);
+    }
     double inertia = 0.0;
     for (std::size_t i = 0; i < n; ++i) inertia += row_d2[i];
     result.inertia = inertia;
@@ -165,7 +159,7 @@ void kmeans_into(const Matrix& x, const KMeansConfig& config,
     }
 
     if (prev_inertia - inertia <=
-        config.tolerance * std::max(prev_inertia, 1e-12)) {
+        kTolerance * std::max(prev_inertia, 1e-12)) {
       break;
     }
     prev_inertia = inertia;

@@ -10,6 +10,13 @@ namespace waldo::ml {
 
 namespace {
 
+/// Ridge penalty (also stabilises IRLS).
+constexpr double kL2 = 1e-3;
+/// Newton steps before IRLS gives up on converging.
+constexpr std::size_t kMaxIterations = 50;
+/// IRLS stops when the weights move less than this.
+constexpr double kTolerance = 1e-8;
+
 [[nodiscard]] double sigmoid(double z) noexcept {
   if (z >= 0.0) {
     return 1.0 / (1.0 + std::exp(-z));
@@ -70,7 +77,7 @@ void LogisticRegression::fit(const Matrix& x_raw, std::span<const int> y) {
   weights_.assign(d, 0.0);
 
   std::vector<double> gradient(d), hessian(d * d);
-  for (std::size_t iter = 0; iter < config_.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
     std::fill(gradient.begin(), gradient.end(), 0.0);
     std::fill(hessian.begin(), hessian.end(), 0.0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -93,8 +100,8 @@ void LogisticRegression::fit(const Matrix& x_raw, std::span<const int> y) {
       }
     }
     for (std::size_t a = 0; a < d; ++a) {
-      gradient[a] += config_.l2 * weights_[a];
-      hessian[a * d + a] += config_.l2;
+      gradient[a] += kL2 * weights_[a];
+      hessian[a * d + a] += kL2;
       for (std::size_t b = 0; b < a; ++b) {
         hessian[a * d + b] = hessian[b * d + a];
       }
@@ -107,7 +114,7 @@ void LogisticRegression::fit(const Matrix& x_raw, std::span<const int> y) {
       weights_[a] -= step[a];
       movement += std::abs(step[a]);
     }
-    if (movement < config_.tolerance) break;
+    if (movement < kTolerance) break;
   }
 }
 

@@ -10,6 +10,17 @@
 
 namespace waldo::ml {
 
+namespace {
+
+/// KKT violation tolerance.
+constexpr double kTolerance = 1e-3;
+/// Passes without a change before SMO stops.
+constexpr std::size_t kMaxStallPasses = 5;
+/// Hard guard on the number of pair updates.
+constexpr std::size_t kMaxUpdates = 200'000;
+
+}  // namespace
+
 double Svm::kernel(std::span<const double> a, std::span<const double> b) const {
   if (config_.kernel == SvmKernel::kLinear) return dot(a, b);
   return std::exp(-gamma_ * squared_distance(a, b));
@@ -55,7 +66,7 @@ void Svm::fit(const Matrix& x_raw, std::span<const int> y_raw) {
 
   std::mt19937_64 rng(config_.seed);
   const double c_box = config_.c;
-  const double tol = config_.tolerance;
+  const double tol = kTolerance;
   std::size_t updates = 0;
   std::size_t stall_passes = 0;
 
@@ -134,7 +145,7 @@ void Svm::fit(const Matrix& x_raw, std::span<const int> y_raw) {
   };
 
   bool examine_all = true;
-  while (stall_passes < config_.max_passes && updates < config_.max_updates) {
+  while (stall_passes < kMaxStallPasses && updates < kMaxUpdates) {
     std::size_t changed = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (!examine_all && (alpha[i] <= 0.0 || alpha[i] >= c_box)) continue;
@@ -143,7 +154,7 @@ void Svm::fit(const Matrix& x_raw, std::span<const int> y_raw) {
                             (r > tol && alpha[i] > 0.0);
       if (!violates) continue;
       if (try_pair(i, second_choice(i))) ++changed;
-      if (updates >= config_.max_updates) break;
+      if (updates >= kMaxUpdates) break;
     }
     if (changed == 0) {
       if (examine_all) {

@@ -2,7 +2,7 @@
 // process-wide pool (sized to the hardware, overridable with the
 // WALDO_THREADS environment variable) is shared by every stage; callers
 // never own threads themselves — they express data parallelism through
-// parallel_for / parallel_map (parallel.hpp) and the pool schedules it.
+// parallel_for_lanes (parallel.hpp) and the pool schedules it.
 #pragma once
 
 #include <condition_variable>
@@ -36,12 +36,12 @@ class ThreadPool {
   }
 
   /// Enqueues a task. Tasks must not block waiting for other tasks in the
-  /// same pool (parallel_for never does; it keeps the submitting thread as
-  /// one of the executors and runs nested parallelism inline).
+  /// same pool (parallel_for_lanes never does; it keeps the submitting
+  /// thread as one of the executors and runs nested parallelism inline).
   void submit(std::function<void()> task);
 
   /// True when the calling thread is one of *any* pool's workers. Used by
-  /// parallel_for to run nested parallel sections inline instead of
+  /// parallel_for_lanes to run nested parallel sections inline instead of
   /// deadlocking on a saturated pool.
   [[nodiscard]] static bool on_worker_thread() noexcept;
 

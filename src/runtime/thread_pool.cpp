@@ -177,10 +177,4 @@ void parallel_for_lanes(
   if (error) std::rethrow_exception(error);
 }
 
-void parallel_for(std::size_t count, unsigned threads,
-                  const std::function<void(std::size_t)>& body) {
-  parallel_for_lanes(count, threads,
-                     [&body](std::size_t, std::size_t i) { body(i); });
-}
-
 }  // namespace waldo::runtime

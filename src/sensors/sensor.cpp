@@ -120,7 +120,7 @@ double Sensor::sense_channel_ws(double channel_power_dbm,
       3.0 * capture_.sample_rate_hz / static_cast<double>(capture_.num_samples);
   const double data_in_band_dbm =
       channel_power_dbm +
-      rf::ratio_to_db(pilot_band_hz / capture_.channel_bandwidth_hz);
+      rf::ratio_to_db(pilot_band_hz / rf::kChannelBandwidthHz);
   const double signal_dbm = rf::add_dbm(pilot_dbm, data_in_band_dbm);
 
   const double measured = measured_pilot_band_dbm(signal_dbm, rng);

@@ -18,19 +18,12 @@
 
 namespace waldo::service {
 
-struct ReputationPolicy {
-  /// EWMA weight of the newest batch's acceptance ratio.
-  double smoothing = 0.3;
-  /// Contributors below this reputation are quarantined: their uploads are
-  /// dropped before reaching the database.
-  double quarantine_threshold = 0.4;
-  /// Starting reputation of an unknown identity (limits Sybil influence:
-  /// a fresh identity is only one bad batch away from quarantine).
-  double initial_reputation = 0.5;
-};
+/// Starting reputation of an unknown identity (limits Sybil influence:
+/// a fresh identity is only one bad batch away from quarantine).
+inline constexpr double kInitialReputation = 0.5;
 
 struct ContributorRecord {
-  double reputation = 0.5;
+  double reputation = kInitialReputation;
   std::size_t batches = 0;
   std::size_t readings_accepted = 0;
   std::size_t readings_rejected = 0;
@@ -40,8 +33,6 @@ struct ContributorRecord {
 /// Gatekeeper between devices and SpectrumService::upload_measurements.
 class SecureUpdater {
  public:
-  explicit SecureUpdater(ReputationPolicy policy = {}) : policy_(policy) {}
-
   struct SubmitResult {
     std::size_t accepted = 0;
     std::size_t rejected = 0;
@@ -67,12 +58,7 @@ class SecureUpdater {
   [[nodiscard]] std::size_t num_contributors() const noexcept {
     return records_.size();
   }
-  [[nodiscard]] const ReputationPolicy& policy() const noexcept {
-    return policy_;
-  }
-
  private:
-  ReputationPolicy policy_;
   std::map<std::string, ContributorRecord> records_;
 };
 

@@ -4,14 +4,20 @@
 
 namespace waldo::service {
 
+namespace {
+
+/// EWMA weight of the newest batch's acceptance ratio.
+constexpr double kSmoothing = 0.3;
+/// Contributors below this reputation are quarantined: their uploads are
+/// dropped before reaching the database.
+constexpr double kQuarantineThreshold = 0.4;
+
+}  // namespace
+
 SecureUpdater::SubmitResult SecureUpdater::submit(
     SpectrumService& store, int channel, const std::string& contributor,
     std::span<const campaign::Measurement> readings) {
-  ContributorRecord& rec =
-      records_.try_emplace(contributor,
-                           ContributorRecord{
-                               .reputation = policy_.initial_reputation})
-          .first->second;
+  ContributorRecord& rec = records_[contributor];
 
   SubmitResult result;
   if (rec.quarantined) {
@@ -33,10 +39,10 @@ SecureUpdater::SubmitResult SecureUpdater::submit(
   if (total > 0) {
     const double batch_score =
         static_cast<double>(upload.accepted) / static_cast<double>(total);
-    rec.reputation = (1.0 - policy_.smoothing) * rec.reputation +
-                     policy_.smoothing * batch_score;
+    rec.reputation = (1.0 - kSmoothing) * rec.reputation +
+                     kSmoothing * batch_score;
   }
-  if (rec.reputation < policy_.quarantine_threshold) {
+  if (rec.reputation < kQuarantineThreshold) {
     rec.quarantined = true;
     // Readings this identity parked before tripping the threshold must not
     // linger: a later accomplice could corroborate them into the trusted

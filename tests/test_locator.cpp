@@ -17,7 +17,10 @@ campaign::ChannelDataset synthetic_field(const geo::EnuPoint& tx,
                                          std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> coord(0.0, 26'500.0);
-  std::normal_distribution<double> noise(0.0, noise_db);
+  // Scaled from a unit normal: a normal_distribution with a standard
+  // deviation of 0 breaks its precondition (stddev > 0). Same draws and
+  // the same values as a distribution built with noise_db.
+  std::normal_distribution<double> unit(0.0, 1.0);
   campaign::ChannelDataset ds;
   ds.channel = 30;
   for (int i = 0; i < 1200; ++i) {
@@ -25,7 +28,8 @@ campaign::ChannelDataset synthetic_field(const geo::EnuPoint& tx,
     m.position = geo::EnuPoint{coord(rng), coord(rng)};
     const double d_km =
         std::max(0.05, geo::distance_m(m.position, tx) / 1000.0);
-    m.rss_dbm = intercept - 10.0 * exponent * std::log10(d_km) + noise(rng);
+    m.rss_dbm =
+        intercept - 10.0 * exponent * std::log10(d_km) + noise_db * unit(rng);
     ds.readings.push_back(m);
   }
   return ds;

@@ -18,7 +18,6 @@
 #include "waldo/ml/naive_bayes.hpp"
 #include "waldo/ml/standardizer.hpp"
 #include "waldo/ml/svm.hpp"
-#include "waldo/runtime/parallel.hpp"
 
 namespace waldo::ml {
 namespace {
@@ -498,10 +497,13 @@ TEST(KMeans, EmptyInputThrows) {
 
 // ------------------------------------------------ k-means differential
 
-// ml::kmeans as it was before it ran over raw rows in blocks, kept
-// verbatim (its nearest_centroid and squared_distance too) so that the
-// oracle does not follow the library: per-row parallel_for, and an
-// inertia from a second distance pass.
+// ml::kmeans as it was before it ran over raw rows, kept verbatim (its
+// nearest_centroid and squared_distance too) so that the oracle does not
+// follow the library: a per-row nearest_centroid, an inertia from a second
+// distance pass, and its own copies of the iteration cap and tolerance.
+constexpr std::size_t kOracleMaxIterations = 100;
+constexpr double kOracleTolerance = 1e-6;
+
 double oracle_squared_distance(std::span<const double> a,
                                std::span<const double> b) {
   if (a.size() != b.size()) {
@@ -573,13 +575,12 @@ KMeansResult oracle_kmeans(const Matrix& x, const KMeansConfig& config) {
   result.assignment.assign(n, 0);
   double prev_inertia = std::numeric_limits<double>::infinity();
 
-  for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
-    // Assign — the O(n k d) hot step, fanned out per row. The inertia
-    // reduction runs serially afterwards so its floating-point summation
-    // order (row 0 .. n-1) never depends on the thread count.
-    runtime::parallel_for(n, config.threads, [&](std::size_t i) {
+  for (std::size_t iter = 0; iter < kOracleMaxIterations; ++iter) {
+    // Assign — the O(n k d) hot step. The inertia reduction runs
+    // afterwards, summing in row order 0 .. n-1.
+    for (std::size_t i = 0; i < n; ++i) {
       result.assignment[i] = oracle_nearest_centroid(centroids, x.row(i));
-    });
+    }
     double inertia = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       inertia += oracle_squared_distance(
@@ -619,7 +620,7 @@ KMeansResult oracle_kmeans(const Matrix& x, const KMeansConfig& config) {
     }
 
     if (prev_inertia - inertia <=
-        config.tolerance * std::max(prev_inertia, 1e-12)) {
+        kOracleTolerance * std::max(prev_inertia, 1e-12)) {
       break;
     }
     prev_inertia = inertia;
@@ -650,20 +651,13 @@ void expect_same_clustering(const KMeansResult& got, const KMeansResult& want,
   EXPECT_EQ(got.iterations, want.iterations) << where;
 }
 
-/// Runs the library kernel at threads 1 and 0 against the oracle.
+/// Runs the library kernel against the oracle.
 void expect_matches_oracle(const Matrix& x, std::size_t k, std::uint64_t seed,
                            const std::string& where) {
   KMeansConfig cfg;
   cfg.k = k;
   cfg.seed = seed;
-  cfg.threads = 1;
-  const KMeansResult want = oracle_kmeans(x, cfg);
-  for (const unsigned threads : {1u, 0u}) {
-    cfg.threads = threads;
-    expect_same_clustering(
-        kmeans(x, cfg), want,
-        where + " threads=" + std::to_string(threads));
-  }
+  expect_same_clustering(kmeans(x, cfg), oracle_kmeans(x, cfg), where);
 }
 
 TEST(KMeansDifferential, MatchesTheOldKernelBitForBit) {

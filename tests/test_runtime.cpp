@@ -16,8 +16,7 @@
 
 #include "waldo/campaign/wardrive.hpp"
 #include "waldo/core/model_constructor.hpp"
-#include "waldo/ml/cross_validation.hpp"
-#include "waldo/ml/kmeans.hpp"
+#include "waldo/ml/metrics.hpp"
 #include "waldo/rf/environment.hpp"
 #include "waldo/runtime/backoff.hpp"
 #include "waldo/runtime/histogram.hpp"
@@ -30,32 +29,38 @@
 namespace waldo {
 namespace {
 
-// --- thread pool / parallel_for -----------------------------------------
+// --- thread pool / parallel_for_lanes ----------------------------------
 
 TEST(ParallelFor, EmptyRangeIsANoop) {
   bool touched = false;
-  runtime::parallel_for(0, 8, [&](std::size_t) { touched = true; });
+  runtime::parallel_for_lanes(
+      0, 8, [&](std::size_t, std::size_t) { touched = true; });
   EXPECT_FALSE(touched);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   constexpr std::size_t kCount = 10'000;
   std::vector<std::atomic<int>> hits(kCount);
-  runtime::parallel_for(kCount, 8, [&](std::size_t i) { ++hits[i]; });
+  runtime::parallel_for_lanes(
+      kCount, 8, [&](std::size_t, std::size_t i) { ++hits[i]; });
   for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
 TEST(ParallelFor, SerialWhenThreadsIsOne) {
   // threads = 1 must run on the calling thread, in index order.
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::size_t> order;
-  runtime::parallel_for(64, 1, [&](std::size_t i) { order.push_back(i); });
+  runtime::parallel_for_lanes(64, 1, [&](std::size_t, std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
   ASSERT_EQ(order.size(), 64u);
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(ParallelFor, PropagatesTheFirstException) {
   try {
-    runtime::parallel_for(1000, 8, [](std::size_t i) {
+    runtime::parallel_for_lanes(1000, 8, [](std::size_t, std::size_t i) {
       if (i == 137) throw std::runtime_error("boom at 137");
     });
     FAIL() << "expected the body's exception to propagate";
@@ -66,13 +71,14 @@ TEST(ParallelFor, PropagatesTheFirstException) {
 
 TEST(ParallelFor, ExceptionAbandonsRemainingIndices) {
   std::atomic<std::size_t> executed{0};
-  EXPECT_THROW(runtime::parallel_for(100'000, 4,
-                                     [&](std::size_t i) {
-                                       ++executed;
-                                       if (i == 0) {
-                                         throw std::runtime_error("stop");
-                                       }
-                                     }),
+  EXPECT_THROW(runtime::parallel_for_lanes(100'000, 4,
+                                           [&](std::size_t, std::size_t i) {
+                                             ++executed;
+                                             if (i == 0) {
+                                               throw std::runtime_error(
+                                                   "stop");
+                                             }
+                                           }),
                std::runtime_error);
   // The throwing index stops the fetch-add distribution; far fewer than
   // all indices run (each in-flight worker may finish its current one).
@@ -81,8 +87,8 @@ TEST(ParallelFor, ExceptionAbandonsRemainingIndices) {
 
 TEST(ParallelFor, NestedCallsRunInlineWithoutDeadlock) {
   std::vector<std::atomic<int>> hits(32 * 32);
-  runtime::parallel_for(32, 0, [&](std::size_t outer) {
-    runtime::parallel_for(32, 0, [&](std::size_t inner) {
+  runtime::parallel_for_lanes(32, 0, [&](std::size_t, std::size_t outer) {
+    runtime::parallel_for_lanes(32, 0, [&](std::size_t, std::size_t inner) {
       ++hits[outer * 32 + inner];
     });
   });
@@ -94,7 +100,7 @@ TEST(ParallelFor, WorkersAreReusedAcrossCalls) {
   // wedge; this is the pattern every bench uses.
   for (int round = 0; round < 50; ++round) {
     std::atomic<int> sum{0};
-    runtime::parallel_for(64, 0, [&](std::size_t i) {
+    runtime::parallel_for_lanes(64, 0, [&](std::size_t, std::size_t i) {
       sum += static_cast<int>(i);
     });
     EXPECT_EQ(sum.load(), 64 * 63 / 2);
@@ -143,8 +149,10 @@ TEST(ParallelForLanes, SerialPathUsesLaneZeroInOrder) {
 }
 
 TEST(ParallelMap, PreservesIndexOrder) {
-  const auto out = runtime::parallel_map(
-      1000, 8, [](std::size_t i) { return i * i; });
+  // Index-owned output slots: the pattern a parallel map follows.
+  std::vector<std::size_t> out(1000);
+  runtime::parallel_for_lanes(
+      out.size(), 8, [&](std::size_t, std::size_t i) { out[i] = i * i; });
   ASSERT_EQ(out.size(), 1000u);
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
 }
@@ -325,31 +333,6 @@ TEST(Backoff, JitterStaysInsideTheConfiguredBand) {
 
 // --- determinism: serial == parallel across the pipeline -----------------
 
-TEST(Determinism, KMeansAssignmentIsThreadInvariant) {
-  std::mt19937_64 rng(5);
-  std::uniform_real_distribution<double> coord(0.0, 1000.0);
-  ml::Matrix x(4000, 2);
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    x(i, 0) = coord(rng);
-    x(i, 1) = coord(rng);
-  }
-  ml::KMeansConfig serial;
-  serial.k = 7;
-  serial.threads = 1;
-  ml::KMeansConfig parallel = serial;
-  parallel.threads = 8;
-  const auto a = ml::kmeans(x, serial);
-  const auto b = ml::kmeans(x, parallel);
-  EXPECT_EQ(a.assignment, b.assignment);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.inertia, b.inertia);  // exact: reductions stay serial
-  ASSERT_EQ(a.centroids.rows(), b.centroids.rows());
-  for (std::size_t c = 0; c < a.centroids.rows(); ++c) {
-    EXPECT_EQ(a.centroids(c, 0), b.centroids(c, 0));
-    EXPECT_EQ(a.centroids(c, 1), b.centroids(c, 1));
-  }
-}
-
 /// Synthetic two-region dataset (west occupied, east vacant).
 campaign::ChannelDataset make_split_dataset(std::size_t n,
                                             std::uint64_t seed) {
@@ -396,33 +379,6 @@ TEST(Determinism, ModelBuildIsByteIdenticalAcrossThreadCounts) {
     cfg.threads = 8;
     const auto parallel = core::ModelConstructor(cfg).build(ds, labels);
     EXPECT_EQ(serial.serialize(), parallel.serialize()) << kind;
-  }
-}
-
-TEST(Determinism, CrossValidationIsThreadInvariant) {
-  const auto ds = make_split_dataset(400, 12);
-  const auto labels = split_labels(ds);
-  ml::Matrix x(ds.size(), 3);
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    x(i, 0) = ds.readings[i].position.east_m;
-    x(i, 1) = ds.readings[i].position.north_m;
-    x(i, 2) = ds.readings[i].rss_dbm;
-  }
-  const auto factory = [] { return core::make_classifier("naive_bayes"); };
-  ml::CrossValidationConfig serial;
-  serial.folds = 5;
-  serial.max_train_samples = 150;
-  serial.threads = 1;
-  ml::CrossValidationConfig parallel = serial;
-  parallel.threads = 8;
-  const auto a = ml::cross_validate(x, labels, factory, serial);
-  const auto b = ml::cross_validate(x, labels, factory, parallel);
-  ASSERT_EQ(a.per_fold.size(), b.per_fold.size());
-  for (std::size_t f = 0; f < a.per_fold.size(); ++f) {
-    EXPECT_EQ(a.per_fold[f].true_safe, b.per_fold[f].true_safe);
-    EXPECT_EQ(a.per_fold[f].false_safe, b.per_fold[f].false_safe);
-    EXPECT_EQ(a.per_fold[f].true_not_safe, b.per_fold[f].true_not_safe);
-    EXPECT_EQ(a.per_fold[f].false_not_safe, b.per_fold[f].false_not_safe);
   }
 }
 

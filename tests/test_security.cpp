@@ -174,7 +174,7 @@ TEST_F(SecurityFixture, HonestContributorGainsReputation) {
   EXPECT_GT(result.accepted, 70u);
   EXPECT_FALSE(updater.is_quarantined("alice"));
   EXPECT_GT(updater.record("alice").reputation,
-            updater.policy().initial_reputation);
+            service::kInitialReputation);
 }
 
 TEST_F(SecurityFixture, FalseVacancyCannotOpenPoisonedArea) {

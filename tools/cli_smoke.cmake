@@ -1,6 +1,7 @@
 # End-to-end smoke test of the waldo CLI: simulate a small sweep, train a
 # model on it, then run info and predict on the model. A text file, such as
-# the retired v0 descriptor form, must not load as a model.
+# the retired v0 descriptor form, must not load as a model, and a count
+# flag that is not a whole number in range must be refused, not cast.
 #
 #   cmake -DWALDO=path/to/waldo -DWORK_DIR=work/dir -P cli_smoke.cmake
 cmake_minimum_required(VERSION 3.16)
@@ -45,3 +46,20 @@ execute_process(COMMAND "${WALDO}" info --model "${text_model}"
 if(rc EQUAL 0)
   message(FATAL_ERROR "info accepted a text descriptor")
 endif()
+
+# Count flags must be whole numbers in range. `train` is the command used:
+# its lanes are capped by its localities, so a flag that slipped through
+# could not start threads without bound.
+foreach(bad IN ITEMS
+    "localities;-1" "features;2.5" "threads;nan" "threads;1e20")
+  list(GET bad 0 flag)
+  list(GET bad 1 value)
+  execute_process(COMMAND "${WALDO}" train --in "${sweep}"
+    --model "${WORK_DIR}/bad.wsm" --${flag} ${value}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "invalid number for --${flag}")
+    message(FATAL_ERROR
+      "train --${flag} ${value} exited ${rc}, expected 1 and an invalid "
+      "number error\n${out}${err}")
+  endif()
+endforeach()

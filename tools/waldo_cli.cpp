@@ -34,9 +34,12 @@
 //       vs ~40 kB SVM comparison. --json 1 emits the table as JSON on
 //       stdout.
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <random>
@@ -99,8 +102,28 @@ class Args {
     if (it == values_.end()) return std::nullopt;
     return parse_num(key, it->second);
   }
+  /// A whole number in T's range: NaN, fractions and out-of-range values
+  /// are rejected, never cast.
+  template <typename T>
+  [[nodiscard]] T whole(const std::string& key, T fallback) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const double parsed = parse_num(key, it->second);
+    // T's range is [lo, hi): both bounds are powers of two, so exact.
+    const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    const double lo = std::numeric_limits<T>::is_signed ? -hi : 0.0;
+    if (!(parsed >= lo && parsed < hi) || std::trunc(parsed) != parsed) {
+      throw invalid_number(key, it->second);
+    }
+    return static_cast<T>(parsed);
+  }
 
  private:
+  static std::invalid_argument invalid_number(const std::string& key,
+                                              const std::string& value) {
+    return std::invalid_argument("invalid number for --" + key + ": '" +
+                                 value + "'");
+  }
   static double parse_num(const std::string& key, const std::string& value) {
     try {
       std::size_t consumed = 0;
@@ -108,8 +131,7 @@ class Args {
       if (consumed != value.size()) throw std::invalid_argument(value);
       return parsed;
     } catch (const std::exception&) {
-      throw std::invalid_argument("invalid number for --" + key + ": '" +
-                                  value + "'");
+      throw invalid_number(key, value);
     }
   }
 
@@ -124,20 +146,25 @@ std::vector<int> parse_channels(const std::string& list) {
   return out;
 }
 
+/// Upper bound on --threads. A stage starts one thread per lane beyond the
+/// pool, so a typo must not ask for millions; 256 is well above the
+/// hardware threads of any host this runs on.
+constexpr unsigned kMaxThreads = 256;
+
 /// The --threads knob shared by every command (0 = all hardware threads).
 unsigned threads_from(const Args& args) {
-  const double requested = args.num("threads", 0);
-  if (requested < 0) {
-    throw std::invalid_argument("--threads must be >= 0");
+  const auto requested = args.whole<unsigned>("threads", 0);
+  if (requested > kMaxThreads) {
+    throw std::invalid_argument("--threads must be at most " +
+                                std::to_string(kMaxThreads));
   }
-  return static_cast<unsigned>(requested);
+  return requested;
 }
 
 int cmd_simulate(const Args& args) {
   const std::string out_dir = args.get("out");
-  const auto readings =
-      static_cast<std::size_t>(args.num("readings", 5282));
-  const auto seed = static_cast<std::uint64_t>(args.num("seed", 99));
+  const auto readings = args.whole<std::size_t>("readings", 5282);
+  const auto seed = args.whole<std::uint64_t>("seed", 99);
   std::vector<int> channels(rf::kPaperChannels.begin(),
                             rf::kPaperChannels.end());
   if (const std::string list = args.get_or("channels", ""); !list.empty()) {
@@ -208,11 +235,9 @@ int cmd_train(const Args& args) {
       campaign::read_csv_file(args.get("in"));
   core::ModelConstructorConfig cfg;
   cfg.classifier = args.get_or("classifier", "svm");
-  cfg.num_features = static_cast<int>(args.num("features", 3));
-  cfg.num_localities =
-      static_cast<std::size_t>(args.num("localities", 3));
-  cfg.max_train_samples =
-      static_cast<std::size_t>(args.num("max-train", 800));
+  cfg.num_features = args.whole<int>("features", 3);
+  cfg.num_localities = args.whole<std::size_t>("localities", 3);
+  cfg.max_train_samples = args.whole<std::size_t>("max-train", 800);
   cfg.threads = threads_from(args);
   const core::WhiteSpaceModel model =
       core::ModelConstructor(cfg).build_with_labeling(ds,
@@ -266,8 +291,8 @@ int cmd_map(const Args& args) {
   const campaign::ChannelDataset ds =
       campaign::read_csv_file(args.get("in"));
   const geo::BoundingBox box = geo::BoundingBox::of(ds.positions());
-  const int cols = static_cast<int>(args.num("cols", 64));
-  const int rows = static_cast<int>(args.num("rows", 32));
+  const int cols = args.whole<int>("cols", 64);
+  const int rows = args.whole<int>("rows", 32);
 
   // Nearest-reading features drive the prediction at each cell.
   const geo::GridIndex index(ds.positions(), 1000.0);
@@ -318,8 +343,8 @@ int cmd_model_size(const Args& args) {
   if (const std::string in = args.get_or("in", ""); !in.empty()) {
     ds = campaign::read_csv_file(in);
   } else {
-    const auto n = static_cast<std::size_t>(args.num("readings", 700));
-    std::mt19937_64 rng(static_cast<std::uint64_t>(args.num("seed", 17)));
+    const auto n = args.whole<std::size_t>("readings", 700);
+    std::mt19937_64 rng(args.whole<std::uint64_t>("seed", 17));
     std::uniform_real_distribution<double> coord(0.0, 10'000.0);
     std::normal_distribution<double> jitter(0.0, 1.0);
     ds.channel = 30;
@@ -339,10 +364,9 @@ int cmd_model_size(const Args& args) {
   }
 
   core::ModelConstructorConfig cfg;
-  cfg.num_features = static_cast<int>(args.num("features", 3));
-  cfg.num_localities = static_cast<std::size_t>(args.num("localities", 3));
-  cfg.max_train_samples =
-      static_cast<std::size_t>(args.num("max-train", 800));
+  cfg.num_features = args.whole<int>("features", 3);
+  cfg.num_localities = args.whole<std::size_t>("localities", 3);
+  cfg.max_train_samples = args.whole<std::size_t>("max-train", 800);
   cfg.threads = threads_from(args);
 
   const bool as_json = args.num("json", 0) != 0;
