@@ -100,11 +100,11 @@ void BM_SensorSenseChannel(benchmark::State& state) {
 BENCHMARK(BM_SensorSenseChannel);
 
 // The full per-reading hot path (capture synthesis -> CFT/AFT features) in
-// its three forms. Legacy allocates per reading and transforms the capture
-// once per feature; Workspace reuses lane-owned scratch and computes one
-// shared power spectrum; FastSpectral additionally skips the ifft -> fft
-// round trip. The committed baseline in BENCH_micro_pipeline.json records
-// the pre-plan-cache numbers these are compared against.
+// its two forms. Legacy allocates a capture and a workspace per reading;
+// Workspace reuses lane-owned scratch, as collect_channel does. Both read
+// the features from one power spectrum. The committed baseline in
+// BENCH_micro_pipeline.json records the pre-plan-cache numbers these are
+// compared against.
 void BM_CaptureToFeature_Legacy(benchmark::State& state) {
   sensors::Sensor rtl(sensors::rtl_sdr_spec(), 3);
   std::uint64_t stream = 0;
@@ -128,20 +128,6 @@ void BM_CaptureToFeature_Workspace(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CaptureToFeature_Workspace);
-
-void BM_CaptureToFeature_FastSpectral(benchmark::State& state) {
-  sensors::Sensor rtl(sensors::rtl_sdr_spec(), 3);
-  dsp::CaptureWorkspace ws;
-  std::uint64_t stream = 0;
-  for (auto _ : state) {
-    const double raw =
-        rtl.sense_channel_into(-75.0, stream++, ws, /*spectrum_only=*/true);
-    const core::SpectralFeatures f =
-        core::spectral_features_from_spectrum(ws.shifted);
-    benchmark::DoNotOptimize(raw + f.cft_db + f.aft_db);
-  }
-}
-BENCHMARK(BM_CaptureToFeature_FastSpectral);
 
 void make_training(std::size_t n, ml::Matrix& x, std::vector<int>& y) {
   std::mt19937_64 rng(4);

@@ -1,7 +1,7 @@
 // Measurement records — what one war-driving reading consists of in the
 // paper: GPS location, a calibrated signal-strength reading, and 256 I/Q
-// samples (here kept optionally, with the two DFT features the I/Q exists
-// to provide precomputed at collection time).
+// samples, of which only the two DFT features the I/Q exists to provide
+// are kept, computed at collection time.
 #pragma once
 
 #include <string>
@@ -19,7 +19,9 @@ struct Measurement {
   double cft_db = 0.0;         ///< central DFT bin power (CFT feature)
   double aft_db = 0.0;         ///< mean central 15 % DFT bins (AFT feature)
   double true_rss_dbm = 0.0;   ///< environment ground truth (validation only)
-  /// Raw capture; empty unless the collector was asked to keep I/Q.
+  /// Raw capture. collect_channel never fills it (the features above are
+  /// all the database reads); the field remains because the serving
+  /// benchmark's input generator clears it, and it goes when that does.
   std::vector<dsp::cplx> iq;
 };
 

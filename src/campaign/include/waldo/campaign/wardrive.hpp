@@ -13,25 +13,17 @@
 namespace waldo::campaign {
 
 struct CollectOptions {
-  /// Keep the 256 I/Q samples on each Measurement (memory: ~4 kB/reading).
-  bool keep_iq = false;
   /// Worker threads for the per-reading sensing fan-out (0 = all hardware
   /// threads). The dataset is byte-identical for every thread count: each
   /// reading's sensing noise is seeded from (channel, route index), not
   /// drawn from a shared sequential engine. See docs/CONCURRENCY.md.
   unsigned threads = 0;
-  /// Compute CFT/AFT straight from the synthesized capture spectrum,
-  /// skipping the ifft -> fft round trip. The raw reading (and therefore
-  /// RSS) is bit-identical either way; CFT/AFT agree with the exact path
-  /// within FFT round-trip error (~1e-10 dB, test-enforced at 1e-6 dB).
-  /// Ignored when keep_iq is set — keeping the capture requires the
-  /// inverse transform anyway, so the exact path is used.
-  bool fast_spectral = false;
 };
 
 /// Collects one channel sweep along `route` with `sensor` (which must be
 /// calibrated). Every reading records the calibrated RSS estimate and the
-/// CFT/AFT spectral features computed from the capture. Collection is a
+/// CFT/AFT spectral features computed from the capture; the capture itself
+/// is not kept (Measurement::iq stays empty). Collection is a
 /// pure function of (sensor unit seed, channel, route): re-collecting the
 /// same sweep reproduces it exactly.
 [[nodiscard]] ChannelDataset collect_channel(

@@ -24,9 +24,6 @@ ChannelDataset collect_channel(const rf::Environment& environment,
   // sensor's unit seed and the route — whatever the thread count.
   const auto channel_stream =
       static_cast<std::uint64_t>(static_cast<std::int64_t>(channel));
-  // Keeping the capture requires the inverse transform; fast_spectral is
-  // only honoured when the time-domain samples are discarded anyway.
-  const bool fast = options.fast_spectral && !options.keep_iq;
   // One workspace per lane: a lane is owned by a single executor for the
   // whole loop, so its scratch buffers are reused allocation-free across
   // every reading that lane processes (docs/CONCURRENCY.md).
@@ -38,23 +35,16 @@ ChannelDataset collect_channel(const rf::Environment& environment,
         const geo::EnuPoint& p = route[i];
         const double truth = environment.true_rss_dbm(channel, p);
         const double raw = sensor.sense_channel_into(
-            truth, runtime::split_seed(channel_stream, i), ws,
-            /*spectrum_only=*/fast);
+            truth, runtime::split_seed(channel_stream, i), ws);
+        const auto ps = dsp::power_spectrum_shifted_into(ws.time, ws);
 
         Measurement& m = ds.readings[i];
         m.position = p;
         m.raw = raw;
         m.rss_dbm = sensor.calibrated_rss_dbm(raw);
-        if (fast) {
-          m.cft_db = dsp::central_bin_db_from_spectrum(ws.shifted);
-          m.aft_db = dsp::central_band_mean_db_from_spectrum(ws.shifted);
-        } else {
-          const auto ps = dsp::power_spectrum_shifted_into(ws.time, ws);
-          m.cft_db = dsp::central_bin_db_from_power(ps);
-          m.aft_db = dsp::central_band_mean_db_from_power(ps);
-        }
+        m.cft_db = dsp::central_bin_db_from_power(ps);
+        m.aft_db = dsp::central_band_mean_db_from_power(ps);
         m.true_rss_dbm = truth;
-        if (options.keep_iq) m.iq = ws.time;
       });
   return ds;
 }

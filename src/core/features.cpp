@@ -83,8 +83,8 @@ ml::Matrix build_features(const campaign::ChannelDataset& data,
 
 SpectralFeatures extract_spectral_features(
     std::span<const dsp::cplx> capture) {
-  return SpectralFeatures{.cft_db = dsp::central_bin_db(capture),
-                          .aft_db = dsp::central_band_mean_db(capture)};
+  dsp::CaptureWorkspace ws;
+  return extract_spectral_features(capture, ws);
 }
 
 SpectralFeatures extract_spectral_features(std::span<const dsp::cplx> capture,
@@ -92,13 +92,6 @@ SpectralFeatures extract_spectral_features(std::span<const dsp::cplx> capture,
   const auto ps = dsp::power_spectrum_shifted_into(capture, ws);
   return SpectralFeatures{.cft_db = dsp::central_bin_db_from_power(ps),
                           .aft_db = dsp::central_band_mean_db_from_power(ps)};
-}
-
-SpectralFeatures spectral_features_from_spectrum(
-    std::span<const dsp::cplx> shifted_spectrum) {
-  return SpectralFeatures{
-      .cft_db = dsp::central_bin_db_from_spectrum(shifted_spectrum),
-      .aft_db = dsp::central_band_mean_db_from_spectrum(shifted_spectrum)};
 }
 
 const char* feature_name(int index) {

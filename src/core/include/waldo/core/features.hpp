@@ -65,26 +65,20 @@ void build_features_into(const TrainingColumns& data, int num_features,
                                         int num_features);
 
 /// Extracts the (RSS-excluded) spectral features from a live capture: CFT
-/// and AFT, in that order. RSS comes from the calibrated raw reading, not
-/// the capture.
+/// and AFT, in that order, read from one power spectrum. RSS comes from
+/// the calibrated raw reading, not the capture.
 struct SpectralFeatures {
   double cft_db = 0.0;
   double aft_db = 0.0;
 };
+/// Through a fresh workspace; bit-identical to the workspace form.
 [[nodiscard]] SpectralFeatures extract_spectral_features(
     std::span<const dsp::cplx> capture);
 
-/// Workspace form: one FFT serves both CFT and AFT (the allocating form
-/// transforms the capture twice), reusing `ws`'s scratch buffers.
-/// Bit-identical to the allocating form.
+/// Workspace form, reusing `ws`'s scratch buffers (allocation-free once
+/// warm).
 [[nodiscard]] SpectralFeatures extract_spectral_features(
     std::span<const dsp::cplx> capture, dsp::CaptureWorkspace& ws);
-
-/// Fast-spectral form: CFT and AFT straight from the synthesized
-/// fftshift-ordered spectrum, skipping the ifft -> fft round trip. Equal
-/// to the exact path within FFT round-trip error (see tests).
-[[nodiscard]] SpectralFeatures spectral_features_from_spectrum(
-    std::span<const dsp::cplx> shifted_spectrum);
 
 /// Human-readable name of the n-th feature (1-based, matching the paper's
 /// "number of features" axis).

@@ -123,25 +123,6 @@ void ifft_inplace(std::span<cplx> data) {
   fft_plan(data.size()).inverse(data);
 }
 
-std::vector<cplx> fft(std::span<const cplx> data) {
-  std::vector<cplx> out(data.begin(), data.end());
-  fft_inplace(out);
-  return out;
-}
-
-std::vector<double> power_spectrum_shifted(std::span<const cplx> data) {
-  const std::size_t n = data.size();
-  std::vector<cplx> spec = fft(data);
-  std::vector<double> power(n);
-  const double norm = 1.0 / (static_cast<double>(n) * static_cast<double>(n));
-  for (std::size_t k = 0; k < n; ++k) {
-    // fftshift: output index n/2 corresponds to DC (bin 0).
-    const std::size_t src = (k + n / 2) % n;
-    power[k] = std::norm(spec[src]) * norm;
-  }
-  return power;
-}
-
 double mean_power(std::span<const cplx> data) noexcept {
   if (data.empty()) return 0.0;
   double acc = 0.0;

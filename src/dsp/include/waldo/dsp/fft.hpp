@@ -60,15 +60,6 @@ void fft_inplace(std::span<cplx> data);
 /// In-place inverse FFT (normalised by 1/N).
 void ifft_inplace(std::span<cplx> data);
 
-/// Forward FFT returning a new vector.
-[[nodiscard]] std::vector<cplx> fft(std::span<const cplx> data);
-
-/// Per-bin power |X_k|^2 / N^2 of the FFT of `data`, in linear units of the
-/// input's power scale, arranged with DC at index N/2 (fftshift order) so
-/// bin N/2 is the capture's centre frequency.
-[[nodiscard]] std::vector<double> power_spectrum_shifted(
-    std::span<const cplx> data);
-
 /// Mean |x|^2 of a capture (the classic energy detector statistic) in the
 /// input's linear power scale.
 [[nodiscard]] double mean_power(std::span<const cplx> data) noexcept;

@@ -31,9 +31,8 @@ struct CaptureConfig {
 /// caller); after it has warmed to the capture size, every synthesis /
 /// detector call through it is allocation-free. See docs/CONCURRENCY.md.
 struct CaptureWorkspace {
-  /// fftshift-ordered synthesis spectrum (bin n/2 = capture centre). Valid
-  /// after synthesize_capture_into until the next call; the --fast-spectral
-  /// path reads CFT/AFT straight from it.
+  /// fftshift-ordered synthesis spectrum (bin n/2 = capture centre), the
+  /// intermediate synthesize_capture_into un-shifts and inverse-transforms.
   std::vector<cplx> shifted;
   /// Time-domain capture (the I/Q samples of the latest synthesis).
   std::vector<cplx> time;
@@ -54,14 +53,9 @@ struct CaptureWorkspace {
 /// Allocation-free variant: synthesizes into `ws.shifted` (frequency
 /// domain) and `ws.time` (time domain). Bit-identical to
 /// synthesize_capture — same RNG draws in the same order, same arithmetic.
-/// With `spectrum_only` the inverse transform is skipped and `ws.time` is
-/// left untouched: the RNG stream is consumed identically, so raw readings
-/// and subsequent draws are unaffected (the --fast-spectral path uses this
-/// to drop the ifft entirely).
 void synthesize_capture_into(const CaptureConfig& config,
                              double channel_power_dbm, double noise_power_dbm,
-                             std::mt19937_64& rng, CaptureWorkspace& ws,
-                             bool spectrum_only = false);
+                             std::mt19937_64& rng, CaptureWorkspace& ws);
 
 /// In-capture share of the channel's data power: the fraction of the 6 MHz
 /// data spectrum that falls inside the capture window, as a linear ratio.

@@ -21,8 +21,7 @@ double in_capture_data_fraction(const CaptureConfig& config) noexcept {
 
 void synthesize_capture_into(const CaptureConfig& config,
                              double channel_power_dbm, double noise_power_dbm,
-                             std::mt19937_64& rng, CaptureWorkspace& ws,
-                             bool spectrum_only) {
+                             std::mt19937_64& rng, CaptureWorkspace& ws) {
   const std::size_t n = config.num_samples;
   if (!is_pow2(n)) throw std::invalid_argument("capture size must be 2^k");
   const double df = config.sample_rate_hz / static_cast<double>(n);
@@ -71,7 +70,6 @@ void synthesize_capture_into(const CaptureConfig& config,
     spec_shifted[n / 2] +=
         dn * std::sqrt(pilot_mw) * cplx(std::cos(phi), std::sin(phi));
   }
-  if (spectrum_only) return;
 
   // Un-shift and inverse transform to time domain.
   std::vector<cplx>& spec = ws.time;

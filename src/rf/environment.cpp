@@ -52,9 +52,8 @@ void Environment::build_propagation_index() {
     entry.indices.push_back(i);
     entry.pointers.push_back(&tx);
     const double freq_hz = channel_center_hz(tx.channel);
-    hata_rx_.emplace_back(freq_hz, tx.height_m, config_.rx_height_m);
-    hata_ref_.emplace_back(freq_hz, tx.height_m,
-                           config_.reference_rx_height_m);
+    hata_rx_.emplace_back(freq_hz, tx.height_m, kCampaignRxHeightM);
+    hata_ref_.emplace_back(freq_hz, tx.height_m, kReferenceRxHeightM);
   }
 }
 
@@ -97,34 +96,21 @@ const std::vector<const Transmitter*>& Environment::transmitters_on(
 }
 
 double Environment::true_rss_dbm(int channel, const geo::EnuPoint& p) const {
-  return true_rss_dbm(channel, p, config_.rx_height_m);
+  return rss_dbm(channel, p, hata_rx_);
 }
 
-double Environment::true_rss_dbm(int channel, const geo::EnuPoint& p,
-                                 double rx_height_m) const {
+double Environment::rss_dbm(int channel, const geo::EnuPoint& p,
+                            const std::vector<HataUrbanModel>& hata) const {
   const auto it = by_channel_.find(channel);
   if (it == by_channel_.end()) return floor_dbm_;
-  // The two heights every caller in the codebase uses hit the hoisted
-  // models; exact double equality is intentional — anything else is an
-  // ad-hoc study height and constructs its model on the fly.
-  const std::vector<HataUrbanModel>* hoisted = nullptr;
-  if (rx_height_m == config_.rx_height_m) {
-    hoisted = &hata_rx_;
-  } else if (rx_height_m == config_.reference_rx_height_m) {
-    hoisted = &hata_ref_;
-  }
   double total_mw = 0.0;
   const double obstruction_db = obstacles_.attenuation_db(p);
   // Ascending transmitter order: the same FP sum order as the original
   // linear scan over all transmitters.
   for (const std::size_t i : it->second.indices) {
     const Transmitter& tx = transmitters_[i];
-    const HataUrbanModel hata =
-        hoisted ? (*hoisted)[i]
-                : HataUrbanModel(channel_center_hz(channel), tx.height_m,
-                                 rx_height_m);
     const double d = geo::distance_m(p, tx.location);
-    const double rss = tx.erp_dbm - hata.path_loss_db(d) -
+    const double rss = tx.erp_dbm - hata[i].path_loss_db(d) -
                        shadowing_[i].sample_db(p) - obstruction_db;
     total_mw += dbm_to_mw(rss);
   }
@@ -136,13 +122,12 @@ double Environment::antenna_correction_db() const noexcept {
   // Paper Section 2.1: a(h_m) evaluated at the height deficit between the
   // regulatory reference (10 m) and the campaign antenna (2 m) -> ~7.5 dB.
   const double deficit =
-      std::max(1.0, config_.reference_rx_height_m - config_.rx_height_m);
+      std::max(1.0, kReferenceRxHeightM - kCampaignRxHeightM);
   return HataUrbanModel::antenna_correction_db(deficit);
 }
 
 bool Environment::signal_decodable(int channel, const geo::EnuPoint& p) const {
-  return true_rss_dbm(channel, p, config_.reference_rx_height_m) >=
-         kDecodableThresholdDbm;
+  return rss_dbm(channel, p, hata_ref_) >= kDecodableThresholdDbm;
 }
 
 Environment make_metro_environment(const EnvironmentConfig& config) {

@@ -28,14 +28,15 @@ struct Transmitter {
   double height_m = 300.0;
 };
 
+/// Receiver antenna heights: the campaign's (paper: 2 m van roof) and the
+/// regulatory reference height (10 m). Environment answers at these two.
+inline constexpr double kCampaignRxHeightM = 2.0;
+inline constexpr double kReferenceRxHeightM = 10.0;
+
 struct EnvironmentConfig {
   /// Metro region; defaults match the paper's 700 km^2 Atlanta campaign
   /// (26.5 km square).
   geo::BoundingBox region{0.0, 0.0, 26'500.0, 26'500.0};
-  /// Receiver antenna height during measurement collection (paper: 2 m van
-  /// roof) and the regulatory reference height (10 m).
-  double rx_height_m = 2.0;
-  double reference_rx_height_m = 10.0;
   /// Shadowing: sigma and Gudmundson decorrelation distance. Sigma is kept
   /// moderate because Algorithm 1's 6 km dilation reacts to the *maximum*
   /// shadowing excursion over thousands of readings; deep deterministic
@@ -78,23 +79,19 @@ class Environment {
       int channel) const;
 
   /// Ground-truth received TV signal power on `channel` at `p` for the
-  /// campaign receiver height (config().rx_height_m), in dBm. Returns the
+  /// campaign receiver height (kCampaignRxHeightM), in dBm. Returns the
   /// incoherent power sum over co-channel transmitters; -infinity-like
   /// floor (-200 dBm) when the channel is silent.
   [[nodiscard]] double true_rss_dbm(int channel,
                                     const geo::EnuPoint& p) const;
 
-  /// Same, but at an arbitrary receiver height (used for the antenna
-  /// correction factor study: 2 m van vs 10 m regulatory reference).
-  [[nodiscard]] double true_rss_dbm(int channel, const geo::EnuPoint& p,
-                                    double rx_height_m) const;
-
   /// Hata mobile-antenna correction between the campaign height and the
   /// regulatory reference height; the paper's +7.5 dB constant.
   [[nodiscard]] double antenna_correction_db() const noexcept;
 
-  /// True if the TV signal is decodable (RSS at reference height above the
-  /// -84 dBm protection threshold) at `p` — the regulatory ground truth.
+  /// True if the TV signal is decodable (RSS at the reference height
+  /// kReferenceRxHeightM above the -84 dBm protection threshold) at `p` —
+  /// the regulatory ground truth.
   [[nodiscard]] bool signal_decodable(int channel,
                                       const geo::EnuPoint& p) const;
 
@@ -112,6 +109,10 @@ class Environment {
   /// every constructor/assignment once transmitters_ is in place.
   void build_propagation_index();
 
+  /// true_rss_dbm with one of the two per-transmitter Hata tables below.
+  [[nodiscard]] double rss_dbm(int channel, const geo::EnuPoint& p,
+                               const std::vector<HataUrbanModel>& hata) const;
+
   EnvironmentConfig config_;
   std::vector<Transmitter> transmitters_;
   ObstacleField obstacles_;
@@ -127,11 +128,8 @@ class Environment {
     std::vector<const Transmitter*> pointers;
   };
   std::map<int, ChannelTransmitters> by_channel_;
-  /// Hoisted Hata state per transmitter at the two heights every query in
-  /// the codebase uses: the campaign rx height and the regulatory reference
-  /// height. Identical constructor arguments make these bit-identical to
-  /// the models the old code built per call; arbitrary other heights fall
-  /// back to on-the-fly construction.
+  /// Hoisted Hata state per transmitter at the campaign and the reference
+  /// receiver heights, built once per transmitter.
   std::vector<HataUrbanModel> hata_rx_;
   std::vector<HataUrbanModel> hata_ref_;
 };

@@ -90,12 +90,9 @@ class Sensor {
   /// samples; ws.shifted the synthesis spectrum). Bit-identical to
   /// sense_channel(power, stream_id) — same draws, same arithmetic — but
   /// reuses the workspace's buffers, so the steady state performs zero
-  /// heap allocation per reading. With `spectrum_only` the inverse
-  /// transform is skipped and only ws.shifted is valid (the
-  /// --fast-spectral path); the raw reading is unaffected either way.
+  /// heap allocation per reading.
   double sense_channel_into(double channel_power_dbm, std::uint64_t stream_id,
-                            dsp::CaptureWorkspace& ws,
-                            bool spectrum_only = false) const;
+                            dsp::CaptureWorkspace& ws) const;
 
   void set_calibration(const LinearCalibration& cal) noexcept {
     calibration_ = cal;
@@ -138,7 +135,7 @@ class Sensor {
   /// Core of every sense path: raw reading plus capture synthesis into a
   /// workspace.
   double sense_channel_ws(double channel_power_dbm, std::mt19937_64& rng,
-                          dsp::CaptureWorkspace& ws, bool spectrum_only) const;
+                          dsp::CaptureWorkspace& ws) const;
 
   SensorSpec spec_;
   dsp::CaptureConfig capture_;

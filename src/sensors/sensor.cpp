@@ -102,22 +102,21 @@ SensorReading Sensor::sense_channel(double channel_power_dbm,
 
 double Sensor::sense_channel_into(double channel_power_dbm,
                                   std::uint64_t stream_id,
-                                  dsp::CaptureWorkspace& ws,
-                                  bool spectrum_only) const {
+                                  dsp::CaptureWorkspace& ws) const {
   std::mt19937_64 rng(runtime::split_seed(seed_, stream_id));
-  return sense_channel_ws(channel_power_dbm, rng, ws, spectrum_only);
+  return sense_channel_ws(channel_power_dbm, rng, ws);
 }
 
 double Sensor::sense_channel_ws(double channel_power_dbm,
                                 std::mt19937_64& rng,
-                                dsp::CaptureWorkspace& ws,
-                                bool spectrum_only) const {
+                                dsp::CaptureWorkspace& ws) const {
   // Pilot-band signal content: the pilot line (11.3 dB below channel power)
   // dominates; the sliver of data spectrum inside the pilot band is ~23 dB
   // below channel power and is included for completeness.
   const double pilot_dbm = channel_power_dbm - rf::kPilotBelowChannelDb;
-  const double pilot_band_hz =
-      3.0 * capture_.sample_rate_hz / static_cast<double>(capture_.num_samples);
+  const double pilot_bins = static_cast<double>(dsp::kPilotBins);
+  const double pilot_band_hz = pilot_bins * capture_.sample_rate_hz /
+                               static_cast<double>(capture_.num_samples);
   const double data_in_band_dbm =
       channel_power_dbm +
       rf::ratio_to_db(pilot_band_hz / rf::kChannelBandwidthHz);
@@ -130,12 +129,12 @@ double Sensor::sense_channel_ws(double channel_power_dbm,
   }
 
   // The capture carries the device's own noise floor spread over the full
-  // tuner bandwidth (floor is per pilot band of 3 bins).
+  // tuner bandwidth (floor is per pilot band of kPilotBins bins).
   const double capture_noise_dbm =
       spec_.pilot_floor_dbm +
-      rf::ratio_to_db(static_cast<double>(capture_.num_samples) / 3.0);
+      rf::ratio_to_db(static_cast<double>(capture_.num_samples) / pilot_bins);
   dsp::synthesize_capture_into(capture_, channel_power_dbm, capture_noise_dbm,
-                               rng, ws, spectrum_only);
+                               rng, ws);
   return raw;
 }
 
@@ -143,8 +142,7 @@ SensorReading Sensor::sense_channel_with(double channel_power_dbm,
                                          std::mt19937_64& rng) const {
   dsp::CaptureWorkspace ws;
   SensorReading out;
-  out.raw = sense_channel_ws(channel_power_dbm, rng, ws,
-                             /*spectrum_only=*/false);
+  out.raw = sense_channel_ws(channel_power_dbm, rng, ws);
   out.iq = std::move(ws.time);
   return out;
 }

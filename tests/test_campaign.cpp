@@ -544,18 +544,8 @@ TEST_F(CampaignFixture, CollectChannelProducesOneReadingPerRoutePoint) {
     EXPECT_TRUE(std::isfinite(m.rss_dbm));
     EXPECT_TRUE(std::isfinite(m.cft_db));
     EXPECT_TRUE(std::isfinite(m.aft_db));
-    EXPECT_TRUE(m.iq.empty());  // keep_iq defaults to false
+    EXPECT_TRUE(m.iq.empty());  // the capture is not kept
   }
-}
-
-TEST_F(CampaignFixture, KeepIqRetainsCaptures) {
-  sensors::Sensor rtl(sensors::rtl_sdr_spec(), 4);
-  rtl.calibrate();
-  const std::vector<geo::EnuPoint> few(route_->readings.begin(),
-                                       route_->readings.begin() + 5);
-  const ChannelDataset ds =
-      collect_channel(*env_, rtl, 30, few, CollectOptions{.keep_iq = true});
-  for (const Measurement& m : ds.readings) EXPECT_EQ(m.iq.size(), 256u);
 }
 
 TEST_F(CampaignFixture, CalibratedRssTracksTruthForStrongChannel) {

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "waldo/core/features.hpp"
 #include "waldo/dsp/detectors.hpp"
 #include "waldo/dsp/fft.hpp"
 #include "waldo/dsp/iq.hpp"
@@ -51,7 +52,8 @@ void reference_transform(std::span<cplx> a, bool inverse) {
 TEST(Fft, ImpulseGivesFlatSpectrum) {
   std::vector<cplx> x(16, cplx{0.0, 0.0});
   x[0] = cplx{1.0, 0.0};
-  const auto spec = fft(x);
+  std::vector<cplx> spec = x;
+  fft_inplace(spec);
   for (const cplx& v : spec) {
     EXPECT_NEAR(v.real(), 1.0, 1e-12);
     EXPECT_NEAR(v.imag(), 0.0, 1e-12);
@@ -67,7 +69,8 @@ TEST(Fft, PureToneLandsInSingleBin) {
                       static_cast<double>(n) / static_cast<double>(kN);
     x[n] = cplx{std::cos(ph), std::sin(ph)};
   }
-  const auto spec = fft(x);
+  std::vector<cplx> spec = x;
+  fft_inplace(spec);
   for (std::size_t k = 0; k < kN; ++k) {
     if (k == kBin) {
       EXPECT_NEAR(std::abs(spec[k]), static_cast<double>(kN), 1e-9);
@@ -98,7 +101,8 @@ TEST(Fft, ParsevalHolds) {
   for (auto& v : x) v = cplx{g(rng), g(rng)};
   double time_energy = 0.0;
   for (const auto& v : x) time_energy += std::norm(v);
-  const auto spec = fft(x);
+  std::vector<cplx> spec = x;
+  fft_inplace(spec);
   double freq_energy = 0.0;
   for (const auto& v : spec) freq_energy += std::norm(v);
   EXPECT_NEAR(freq_energy, time_energy * 64.0, 1e-6);
@@ -245,20 +249,29 @@ TEST(Detectors, CftAftRespondToSignalPresence) {
   for (int i = 0; i < kReps; ++i) {
     const auto occupied = synthesize_capture(cfg, -75.0, -95.0, rng);
     const auto vacant = synthesize_capture(cfg, -200.0, -95.0, rng);
-    cft_on += central_bin_db(occupied);
-    cft_off += central_bin_db(vacant);
-    aft_on += central_band_mean_db(occupied);
-    aft_off += central_band_mean_db(vacant);
+    const auto on = power_spectrum_shifted(occupied);
+    const auto off = power_spectrum_shifted(vacant);
+    cft_on += central_bin_db_from_power(on);
+    cft_off += central_bin_db_from_power(off);
+    aft_on += central_band_mean_db_from_power(on);
+    aft_off += central_band_mean_db_from_power(off);
   }
   EXPECT_GT(cft_on / kReps, cft_off / kReps + 6.0);
   EXPECT_GT(aft_on / kReps, aft_off / kReps + 1.0);
 }
 
-TEST(Detectors, PilotBinsValidation) {
-  std::vector<cplx> capture(256, cplx{0.01, 0.0});
-  EXPECT_THROW((void)pilot_band_power_dbm(capture, 0), std::invalid_argument);
-  EXPECT_THROW((void)pilot_band_power_dbm(capture, 4), std::invalid_argument);
-  EXPECT_NO_THROW((void)pilot_band_power_dbm(capture, 5));
+// The pilot band is the kPilotBins central bins, or the widest odd band
+// around bin N/2 a smaller capture has (one bin at N = 1 and 2).
+TEST(Detectors, PilotBandSumsCentralBins) {
+  std::mt19937_64 rng(17);
+  for (const std::size_t n : {1u, 2u, 4u, 256u}) {
+    const CaptureConfig cfg{.num_samples = n};
+    const auto capture = synthesize_capture(cfg, -60.0, -95.0, rng);
+    const auto ps = power_spectrum_shifted(capture);
+    const std::size_t c = n / 2;
+    const double mw = n >= 4 ? ps[c - 1] + ps[c] + ps[c + 1] : ps[c];
+    EXPECT_EQ(pilot_band_power_dbm(capture), rf::mw_to_dbm(mw)) << "n=" << n;
+  }
 }
 
 // The memoized plan must reproduce the direct transform bit for bit — the
@@ -316,58 +329,30 @@ TEST(CaptureWorkspace, SynthesizeIntoMatchesAllocatingForm) {
   }
 }
 
-// spectrum_only must consume the RNG exactly like the full synthesis (the
-// raw reading drawn after it depends on engine position).
-TEST(CaptureWorkspace, SpectrumOnlyConsumesRngIdentically) {
-  const CaptureConfig cfg;
-  std::mt19937_64 rng_full(7);
-  std::mt19937_64 rng_spec(7);
-  CaptureWorkspace ws_full, ws_spec;
-  synthesize_capture_into(cfg, -70.0, -95.0, rng_full, ws_full);
-  synthesize_capture_into(cfg, -70.0, -95.0, rng_spec, ws_spec,
-                          /*spectrum_only=*/true);
-  EXPECT_EQ(rng_full(), rng_spec());
-  ASSERT_EQ(ws_full.shifted.size(), ws_spec.shifted.size());
-  for (std::size_t k = 0; k < ws_full.shifted.size(); ++k) {
-    ASSERT_EQ(ws_full.shifted[k], ws_spec.shifted[k]);
-  }
-}
-
+// The allocating feature form, the workspace form (one workspace reused
+// across every size) and the *_from_power statistics of the allocating
+// power spectrum agree bit for bit, over the FFT sizes and the channel
+// powers swept above.
 TEST(CaptureWorkspace, DetectorOverloadsMatchAllocatingForms) {
   std::mt19937_64 rng(13);
-  const CaptureConfig cfg;
   CaptureWorkspace ws;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto capture = synthesize_capture(cfg, -72.0, -96.0, rng);
-    const auto ps = power_spectrum_shifted_into(capture, ws);
-    EXPECT_EQ(central_bin_db(capture), central_bin_db_from_power(ps));
-    EXPECT_EQ(central_band_mean_db(capture),
-              central_band_mean_db_from_power(ps));
-  }
-}
-
-// The fast-spectral path computes CFT/AFT straight from the synthesized
-// spectrum; the exact path takes that spectrum through ifft then fft. The
-// two differ only by FFT round-trip rounding — empirically ~1e-12 dB for
-// 256-point captures; 1e-6 dB is the enforced (generous) bound documented
-// in DESIGN.md.
-TEST(FastSpectral, MatchesExactPathWithinTolerance) {
-  constexpr double kToleranceDb = 1e-6;
-  const CaptureConfig cfg;
-  CaptureWorkspace ws;
-  for (int rep = 0; rep < 20; ++rep) {
-    std::mt19937_64 rng_a(500 + rep);
-    std::mt19937_64 rng_b(500 + rep);
-    synthesize_capture_into(cfg, -70.0 - rep, -95.0, rng_a, ws);
-    const double cft_exact = central_bin_db(ws.time);
-    const double aft_exact = central_band_mean_db(ws.time);
-    CaptureWorkspace ws_spec;
-    synthesize_capture_into(cfg, -70.0 - rep, -95.0, rng_b, ws_spec,
-                            /*spectrum_only=*/true);
-    EXPECT_NEAR(central_bin_db_from_spectrum(ws_spec.shifted), cft_exact,
-                kToleranceDb);
-    EXPECT_NEAR(central_band_mean_db_from_spectrum(ws_spec.shifted), aft_exact,
-                kToleranceDb);
+  for (std::size_t n = 2; n <= (1u << 14); n <<= 1) {
+    const CaptureConfig cfg{.num_samples = n};
+    for (const double power : {-50.0, -60.0, -70.0, -80.0, -200.0}) {
+      const auto capture = synthesize_capture(cfg, power, -96.0, rng);
+      const auto ps = power_spectrum_shifted(capture);
+      const core::SpectralFeatures fresh =
+          core::extract_spectral_features(capture);
+      const core::SpectralFeatures reused =
+          core::extract_spectral_features(capture, ws);
+      EXPECT_EQ(fresh.cft_db, central_bin_db_from_power(ps))
+          << "n=" << n << " power=" << power;
+      EXPECT_EQ(fresh.aft_db, central_band_mean_db_from_power(ps))
+          << "n=" << n << " power=" << power;
+      EXPECT_EQ(reused.cft_db, fresh.cft_db) << "n=" << n;
+      EXPECT_EQ(reused.aft_db, fresh.aft_db) << "n=" << n;
+      EXPECT_EQ(ws.power, ps) << "n=" << n;
+    }
   }
 }
 

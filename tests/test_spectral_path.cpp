@@ -1,7 +1,6 @@
 // End-to-end bit-identity of the allocation-free spectral hot path: the
 // workspace/plan-cache machinery must leave raw readings, features, and
-// serialized models byte-for-byte unchanged — at any thread count — and the
-// opt-in fast-spectral path must stay within its documented tolerance.
+// serialized models byte-for-byte unchanged, at any thread count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,9 +9,9 @@
 
 #include "waldo/campaign/labeling.hpp"
 #include "waldo/campaign/wardrive.hpp"
+#include "waldo/core/features.hpp"
 #include "waldo/core/model.hpp"
 #include "waldo/core/model_constructor.hpp"
-#include "waldo/dsp/detectors.hpp"
 #include "waldo/rf/environment.hpp"
 #include "waldo/runtime/seed.hpp"
 #include "waldo/sensors/sensor.hpp"
@@ -96,23 +95,20 @@ TEST_F(SpectralPathTest, SenseChannelIntoMatchesAllocatingBytes) {
 }
 
 // The collected dataset — and the model built from it — must fingerprint
-// identically at threads=1 and threads=4, with and without keep_iq.
+// identically at threads=1 and threads=4.
 TEST_F(SpectralPathTest, CollectChannelByteIdenticalAcrossThreadCounts) {
-  for (const bool keep_iq : {false, true}) {
-    campaign::CollectOptions serial{.keep_iq = keep_iq, .threads = 1};
-    campaign::CollectOptions fanout{.keep_iq = keep_iq, .threads = 4};
-    const auto ds1 =
-        campaign::collect_channel(env_, *sensor_, kChannel, route_, serial);
-    const auto ds4 =
-        campaign::collect_channel(env_, *sensor_, kChannel, route_, fanout);
-    EXPECT_EQ(dataset_fingerprint(ds1), dataset_fingerprint(ds4))
-        << "keep_iq=" << keep_iq;
-  }
+  campaign::CollectOptions serial{.threads = 1};
+  campaign::CollectOptions fanout{.threads = 4};
+  const auto ds1 =
+      campaign::collect_channel(env_, *sensor_, kChannel, route_, serial);
+  const auto ds4 =
+      campaign::collect_channel(env_, *sensor_, kChannel, route_, fanout);
+  EXPECT_EQ(dataset_fingerprint(ds1), dataset_fingerprint(ds4));
 }
 
 // Per-reading cross-check against the raw building blocks: the workspace
-// pipeline in collect_channel computes exactly central_bin_db /
-// central_band_mean_db of exactly sense_channel's capture.
+// pipeline in collect_channel computes exactly the allocating
+// extract_spectral_features of exactly sense_channel's capture.
 TEST_F(SpectralPathTest, CollectChannelMatchesPerReadingComposition) {
   campaign::CollectOptions opts{.threads = 1};
   const auto ds =
@@ -122,10 +118,10 @@ TEST_F(SpectralPathTest, CollectChannelMatchesPerReadingComposition) {
     const double truth = env_.true_rss_dbm(kChannel, route_[i]);
     const sensors::SensorReading ref = sensor_->sense_channel(
         truth, runtime::split_seed(channel_stream, i));
+    const core::SpectralFeatures f = core::extract_spectral_features(ref.iq);
     EXPECT_EQ(ds.readings[i].raw, ref.raw) << "i=" << i;
-    EXPECT_EQ(ds.readings[i].cft_db, dsp::central_bin_db(ref.iq)) << "i=" << i;
-    EXPECT_EQ(ds.readings[i].aft_db, dsp::central_band_mean_db(ref.iq))
-        << "i=" << i;
+    EXPECT_EQ(ds.readings[i].cft_db, f.cft_db) << "i=" << i;
+    EXPECT_EQ(ds.readings[i].aft_db, f.aft_db) << "i=" << i;
   }
 }
 
@@ -150,43 +146,6 @@ TEST_F(SpectralPathTest, ModelBytesUnchangedByThreadCount) {
     fingerprints[idx++] = model_fingerprint(model);
   }
   EXPECT_EQ(fingerprints[0], fingerprints[1]);
-}
-
-// fast_spectral changes no raw reading and moves CFT/AFT by at most the
-// documented tolerance.
-TEST_F(SpectralPathTest, FastSpectralWithinTolerance) {
-  constexpr double kToleranceDb = 1e-6;
-  campaign::CollectOptions exact{.threads = 1};
-  campaign::CollectOptions fast{.threads = 1, .fast_spectral = true};
-  const auto ds_exact =
-      campaign::collect_channel(env_, *sensor_, kChannel, route_, exact);
-  const auto ds_fast =
-      campaign::collect_channel(env_, *sensor_, kChannel, route_, fast);
-  ASSERT_EQ(ds_exact.size(), ds_fast.size());
-  for (std::size_t i = 0; i < ds_exact.size(); ++i) {
-    EXPECT_EQ(ds_fast.readings[i].raw, ds_exact.readings[i].raw) << i;
-    EXPECT_EQ(ds_fast.readings[i].rss_dbm, ds_exact.readings[i].rss_dbm) << i;
-    EXPECT_NEAR(ds_fast.readings[i].cft_db, ds_exact.readings[i].cft_db,
-                kToleranceDb)
-        << i;
-    EXPECT_NEAR(ds_fast.readings[i].aft_db, ds_exact.readings[i].aft_db,
-                kToleranceDb)
-        << i;
-  }
-}
-
-// keep_iq forces the exact path: the capture must be present and the
-// features must equal the exact-path features bit for bit.
-TEST_F(SpectralPathTest, FastSpectralIgnoredWhenKeepingIq) {
-  campaign::CollectOptions opts{
-      .keep_iq = true, .threads = 1, .fast_spectral = true};
-  campaign::CollectOptions exact{.keep_iq = true, .threads = 1};
-  const auto ds =
-      campaign::collect_channel(env_, *sensor_, kChannel, route_, opts);
-  const auto ref =
-      campaign::collect_channel(env_, *sensor_, kChannel, route_, exact);
-  EXPECT_EQ(dataset_fingerprint(ds), dataset_fingerprint(ref));
-  EXPECT_FALSE(ds.readings.front().iq.empty());
 }
 
 }  // namespace

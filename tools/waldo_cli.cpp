@@ -1,17 +1,8 @@
 // waldo — command-line front end to the library.
 //
 //   waldo simulate --out DIR [--readings N] [--channels 15,46] [--seed S]
-//       [--fast-spectral 1]
 //       Run the synthetic three-sensor measurement campaign and write one
-//       CSV sweep per (channel, sensor). --fast-spectral 1 computes the
-//       CFT/AFT features straight from the synthesized spectrum (skips the
-//       ifft/fft round trip; agrees with the exact path to ~1e-10 dB).
-//
-// Global flags (any command):
-//   --threads N   worker threads for the parallel stages (0 = all hardware
-//                 threads, 1 = serial; results are identical either way —
-//                 see docs/CONCURRENCY.md)
-//   --timings 1   print the per-stage wall-clock report before exiting
+//       CSV sweep per (channel, sensor).
 //   waldo label --in sweep.csv [--threshold -84] [--separation 6000]
 //       [--correction 0]
 //       Apply Algorithm 1 to a sweep and print the occupancy summary.
@@ -33,6 +24,16 @@
 //       binary descriptor size — the paper's Section 5 ~4 kB Naive Bayes
 //       vs ~40 kB SVM comparison. --json 1 emits the table as JSON on
 //       stdout.
+//
+// Flags of simulate, train and model-size:
+//   --threads N   worker threads for the parallel stages (0 = all hardware
+//                 threads, 1 = serial; results are identical either way —
+//                 see docs/CONCURRENCY.md)
+// Flag of every command:
+//   --timings 1   print the per-stage wall-clock report before exiting
+//
+// A flag the command does not read is an error (exit 1), so a typo or a
+// retired flag is never silently ignored.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -45,6 +46,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "waldo/campaign/dataset_io.hpp"
@@ -66,59 +68,82 @@ using namespace waldo;
 
 class Args {
  public:
-  Args(int argc, char** argv) {
+  /// Parses `--flag value` pairs after the command name. Only `flags` and
+  /// the global --timings are accepted, each at most once.
+  Args(int argc, char** argv, std::vector<std::string_view> flags)
+      : flags_(std::move(flags)) {
+    flags_.emplace_back("timings");
     for (int i = 2; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) {
         throw std::invalid_argument("expected --flag, got: " + key);
       }
       key = key.substr(2);
+      if (!declared(key)) {
+        throw std::invalid_argument("unknown flag --" + key);
+      }
       if (i + 1 >= argc) {
         throw std::invalid_argument("missing value for --" + key);
       }
-      values_[key] = argv[++i];
+      if (!values_.emplace(key, argv[++i]).second) {
+        throw std::invalid_argument("--" + key + " given twice");
+      }
     }
   }
 
   [[nodiscard]] std::string get(const std::string& key) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) {
+    const std::string* value = find(key);
+    if (value == nullptr) {
       throw std::invalid_argument("missing required flag --" + key);
     }
-    return it->second;
+    return *value;
   }
   [[nodiscard]] std::string get_or(const std::string& key,
                                    const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    const std::string* value = find(key);
+    return value == nullptr ? fallback : *value;
   }
   [[nodiscard]] double num(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : parse_num(key, it->second);
+    return maybe_num(key).value_or(fallback);
   }
   [[nodiscard]] std::optional<double> maybe_num(
       const std::string& key) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return std::nullopt;
-    return parse_num(key, it->second);
+    const std::string* value = find(key);
+    if (value == nullptr) return std::nullopt;
+    return parse_num(key, *value);
   }
+  template <typename T>
+  [[nodiscard]] T whole(const std::string& key, T fallback) const {
+    const std::string* value = find(key);
+    return value == nullptr ? fallback : parse_whole<T>(key, *value);
+  }
+
   /// A whole number in T's range: NaN, fractions and out-of-range values
   /// are rejected, never cast.
   template <typename T>
-  [[nodiscard]] T whole(const std::string& key, T fallback) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    const double parsed = parse_num(key, it->second);
+  [[nodiscard]] static T parse_whole(const std::string& key,
+                                     const std::string& value) {
+    const double parsed = parse_num(key, value);
     // T's range is [lo, hi): both bounds are powers of two, so exact.
     const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
     const double lo = std::numeric_limits<T>::is_signed ? -hi : 0.0;
     if (!(parsed >= lo && parsed < hi) || std::trunc(parsed) != parsed) {
-      throw invalid_number(key, it->second);
+      throw invalid_number(key, value);
     }
     return static_cast<T>(parsed);
   }
 
  private:
+  [[nodiscard]] bool declared(std::string_view key) const {
+    return std::find(flags_.begin(), flags_.end(), key) != flags_.end();
+  }
+  /// The value given for --key, or null. Reading a flag the command did not
+  /// declare is a bug in this file: a user could never set it.
+  [[nodiscard]] const std::string* find(const std::string& key) const {
+    if (!declared(key)) throw std::logic_error("undeclared flag --" + key);
+    const auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
   static std::invalid_argument invalid_number(const std::string& key,
                                               const std::string& value) {
     return std::invalid_argument("invalid number for --" + key + ": '" +
@@ -135,6 +160,7 @@ class Args {
     }
   }
 
+  std::vector<std::string_view> flags_;
   std::map<std::string, std::string> values_;
 };
 
@@ -142,7 +168,9 @@ std::vector<int> parse_channels(const std::string& list) {
   std::vector<int> out;
   std::istringstream ss(list);
   std::string token;
-  while (std::getline(ss, token, ',')) out.push_back(std::stoi(token));
+  while (std::getline(ss, token, ',')) {
+    out.push_back(Args::parse_whole<int>("channels", token));
+  }
   return out;
 }
 
@@ -151,7 +179,7 @@ std::vector<int> parse_channels(const std::string& list) {
 /// hardware threads of any host this runs on.
 constexpr unsigned kMaxThreads = 256;
 
-/// The --threads knob shared by every command (0 = all hardware threads).
+/// The --threads knob of the parallel commands (0 = all hardware threads).
 unsigned threads_from(const Args& args) {
   const auto requested = args.whole<unsigned>("threads", 0);
   if (requested > kMaxThreads) {
@@ -193,7 +221,6 @@ int cmd_simulate(const Args& args) {
   }
   campaign::CollectOptions collect;
   collect.threads = threads_from(args);
-  collect.fast_spectral = args.num("fast-spectral", 0) != 0;
   for (const int ch : channels) {
     for (Unit& u : units) {
       const auto sweep = campaign::collect_channel(world, u.sensor, ch,
@@ -369,7 +396,7 @@ int cmd_model_size(const Args& args) {
   cfg.max_train_samples = args.whole<std::size_t>("max-train", 800);
   cfg.threads = threads_from(args);
 
-  const bool as_json = args.num("json", 0) != 0;
+  const bool as_json = args.whole<int>("json", 0) != 0;
   static constexpr const char* kFamilies[] = {
       "svm", "naive_bayes", "decision_tree", "knn", "logistic_regression"};
   if (as_json) {
@@ -396,6 +423,27 @@ int cmd_model_size(const Args& args) {
   return 0;
 }
 
+/// Every command and the flags it reads, besides the global --timings. The
+/// labeling flags are read by every command that runs Algorithm 1.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+};
+const Command kCommands[] = {
+    {"simulate", cmd_simulate, {"out", "readings", "channels", "seed", "threads"}},
+    {"label", cmd_label, {"in", "threshold", "separation", "correction"}},
+    {"train", cmd_train,
+     {"in", "model", "classifier", "features", "localities", "max-train",
+      "threads", "threshold", "separation", "correction"}},
+    {"predict", cmd_predict, {"model", "east", "north", "rss", "cft", "aft"}},
+    {"map", cmd_map, {"model", "in", "cols", "rows"}},
+    {"info", cmd_info, {"model"}},
+    {"model-size", cmd_model_size,
+     {"in", "readings", "seed", "features", "localities", "max-train",
+      "threads", "json", "threshold", "separation", "correction"}},
+};
+
 void usage() {
   std::printf(
       "waldo — local and low-cost white space detection\n"
@@ -412,28 +460,18 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string command = argv[1];
+  const auto it = std::find_if(
+      std::begin(kCommands), std::end(kCommands),
+      [&](const Command& c) { return c.name == command; });
+  if (it == std::end(kCommands)) {
+    usage();
+    return 1;
+  }
   try {
-    const Args args(argc, argv);
-    int rc = 1;
-    if (command == "simulate") {
-      rc = cmd_simulate(args);
-    } else if (command == "label") {
-      rc = cmd_label(args);
-    } else if (command == "train") {
-      rc = cmd_train(args);
-    } else if (command == "predict") {
-      rc = cmd_predict(args);
-    } else if (command == "map") {
-      rc = cmd_map(args);
-    } else if (command == "info") {
-      rc = cmd_info(args);
-    } else if (command == "model-size") {
-      rc = cmd_model_size(args);
-    } else {
-      usage();
-      return 1;
-    }
-    if (args.num("timings", 0) != 0) {
+    const Args args(argc, argv, it->flags);
+    const bool timings = args.whole<int>("timings", 0) != 0;
+    const int rc = it->run(args);
+    if (timings) {
       const std::string report = runtime::StageTimer::global().report();
       std::printf("\nstage timings (%u hardware threads):\n%s",
                   runtime::hardware_threads(),
