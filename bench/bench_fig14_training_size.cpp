@@ -5,6 +5,7 @@
 // of the training pool.
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "common.hpp"
 #include "waldo/ml/stats.hpp"
@@ -114,36 +115,43 @@ int main() {
   }
   // Runtime check: the largest training size, serial vs parallel. The
   // per-locality SVM fan-out (waldo::runtime) must keep the confusion
-  // matrix bit-identical while cutting wall-clock.
+  // matrix bit-identical while cutting wall-clock. Each repetition is
+  // timed alone and serial and parallel ones alternate, so that a slow
+  // stretch of a shared host lands on both; the speed-up is the ratio of
+  // the two medians.
   bench::print_title("runtime — full training set, serial vs parallel");
-  constexpr int kReps = 10;
+  constexpr int kReps = 1000;
   const auto timed = [&campaign](unsigned threads, ml::ConfusionMatrix& cm) {
     const auto start = std::chrono::steady_clock::now();
-    for (int rep = 0; rep < kReps; ++rep) {
-      cm = eval_fraction(campaign, bench::SensorKind::kUsrpB200, 30, "svm", 3,
-                         1.0, 7, threads);
-    }
+    cm = eval_fraction(campaign, bench::SensorKind::kUsrpB200, 30, "svm", 3,
+                       1.0, 7, threads);
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start)
         .count();
   };
   ml::ConfusionMatrix serial_cm, parallel_cm;
-  const double serial_s = timed(1, serial_cm);
-  const double parallel_s = timed(0, parallel_cm);
+  std::vector<double> serial_s, parallel_s;
+  for (int rep = 0; rep < kReps; ++rep) {
+    serial_s.push_back(timed(1, serial_cm));
+    parallel_s.push_back(timed(0, parallel_cm));
+  }
+  const double serial_median = ml::quantile(serial_s, 0.5);
+  const double parallel_median = ml::quantile(parallel_s, 0.5);
   const bool identical = serial_cm.true_safe == parallel_cm.true_safe &&
                          serial_cm.false_safe == parallel_cm.false_safe &&
                          serial_cm.true_not_safe == parallel_cm.true_not_safe &&
                          serial_cm.false_not_safe == parallel_cm.false_not_safe;
-  bench::print_row({"threads", "seconds", "error", "identical"}, 12);
-  bench::print_row({"1", bench::fmt(serial_s, 2),
+  bench::print_row({"threads", "ms (median)", "error", "identical"}, 12);
+  bench::print_row({"1", bench::fmt(1e3 * serial_median, 2),
                     bench::fmt(serial_cm.error_rate()), "-"},
                    12);
   bench::print_row({std::to_string(runtime::hardware_threads()),
-                    bench::fmt(parallel_s, 2),
+                    bench::fmt(1e3 * parallel_median, 2),
                     bench::fmt(parallel_cm.error_rate()),
                     identical ? "yes" : "NO"},
                    12);
-  std::printf("speedup: %.2fx over %d reps\n", serial_s / parallel_s, kReps);
+  std::printf("speedup: %.2fx, median of %d alternated repetitions each\n",
+              serial_median / parallel_median, kReps);
   if (runtime::hardware_threads() == 1) {
     std::printf("(host exposes one hardware thread: the parallel path "
                 "degrades to the serial loop,\nso the speedup above is "

@@ -206,18 +206,26 @@ void BM_Algorithm1Labeling(benchmark::State& state) {
 }
 BENCHMARK(BM_Algorithm1Labeling)->Arg(1000)->Arg(5282);
 
+/// k-means (k = 3) over 5,282 uniform positions, read in place from the
+/// std::vector<geo::EnuPoint> that holds them, as the model constructor
+/// reads its training columns' positions.
 void BM_KMeansLocalities(benchmark::State& state) {
   std::mt19937_64 rng(6);
   std::uniform_real_distribution<double> coord(0.0, 26'500.0);
-  ml::Matrix x(5282, 2);
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    x(i, 0) = coord(rng);
-    x(i, 1) = coord(rng);
+  std::vector<geo::EnuPoint> positions(5282);
+  for (geo::EnuPoint& p : positions) {
+    p.east_m = coord(rng);
+    p.north_m = coord(rng);
   }
+  const ml::PlanePoints points{&positions[0].east_m, positions.size(),
+                               sizeof(geo::EnuPoint)};
   ml::KMeansConfig cfg;
   cfg.k = 3;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ml::kmeans(x, cfg).inertia);
+    ml::KMeansScratch scratch;
+    ml::KMeansResult result;
+    ml::kmeans_into(points, cfg, scratch, result);
+    benchmark::DoNotOptimize(result.inertia);
   }
 }
 BENCHMARK(BM_KMeansLocalities);

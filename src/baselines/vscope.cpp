@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -72,15 +73,16 @@ void VScope::fit(const campaign::ChannelDataset& data,
   }
   transmitters_.assign(transmitters.begin(), transmitters.end());
 
-  ml::Matrix locations(data.readings.size(), 2);
-  for (std::size_t i = 0; i < data.readings.size(); ++i) {
-    locations(i, 0) = data.readings[i].position.east_m;
-    locations(i, 1) = data.readings[i].position.north_m;
-  }
+  static_assert(offsetof(geo::EnuPoint, north_m) == sizeof(double));
   ml::KMeansConfig kmc;
   kmc.k = std::max<std::size_t>(1, config_.num_clusters);
   kmc.seed = kClusterSeed;
-  const ml::KMeansResult clusters = ml::kmeans(locations, kmc);
+  ml::KMeansScratch scratch;
+  ml::KMeansResult clusters;
+  ml::kmeans_into(ml::PlanePoints{&data.readings[0].position.east_m,
+                                  data.readings.size(),
+                                  sizeof(campaign::Measurement)},
+                  kmc, scratch, clusters);
 
   // Global fallback fit over everything (used for tiny clusters).
   std::vector<double> all_x, all_y;

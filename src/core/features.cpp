@@ -50,14 +50,7 @@ TrainingColumns training_columns(const campaign::ChannelDataset& data,
   return out;
 }
 
-ml::Matrix build_features(const TrainingColumns& data, int num_features) {
-  ml::Matrix x;
-  build_features_into(data, num_features, x);
-  return x;
-}
-
-void build_features_into(const TrainingColumns& data, int num_features,
-                         ml::Matrix& x) {
+void check_training_columns(const TrainingColumns& data, int num_features) {
   check_feature_count(num_features);
   const std::size_t n = data.size();
   if (data.rss_dbm.size() != n ||
@@ -65,20 +58,16 @@ void build_features_into(const TrainingColumns& data, int num_features,
       (num_features >= 4 && data.aft_db.size() != n)) {
     throw std::invalid_argument("training columns of unequal length");
   }
-  x.reshape(n, feature_columns(num_features));
-  for (std::size_t i = 0; i < n; ++i) {
-    double* row = x.row_ptr(i);
-    row[0] = data.positions[i].east_m;
-    row[1] = data.positions[i].north_m;
-    if (num_features >= 2) row[2] = data.rss_dbm[i];
-    if (num_features >= 3) row[3] = data.cft_db[i];
-    if (num_features >= 4) row[4] = data.aft_db[i];
-  }
 }
 
 ml::Matrix build_features(const campaign::ChannelDataset& data,
                           int num_features) {
-  return build_features(training_columns(data, num_features), num_features);
+  const TrainingColumns columns = training_columns(data, num_features);
+  ml::Matrix x(columns.size(), feature_columns(num_features));
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    write_feature_row(columns, i, num_features, x.row_ptr(i));
+  }
+  return x;
 }
 
 SpectralFeatures extract_spectral_features(

@@ -51,16 +51,22 @@ struct TrainingColumns {
 [[nodiscard]] TrainingColumns training_columns(
     const campaign::ChannelDataset& data, int num_features);
 
-/// Feature matrix over training columns, one feature_row per reading.
 /// Throws std::invalid_argument unless num_features is in [1, 4] and every
-/// column it reads is as long as `positions`.
-[[nodiscard]] ml::Matrix build_features(const TrainingColumns& data,
-                                        int num_features);
-/// build_features into `out`, reshaped and reusing its storage.
-void build_features_into(const TrainingColumns& data, int num_features,
-                         ml::Matrix& out);
+/// column a `num_features` row reads is as long as `positions`.
+void check_training_columns(const TrainingColumns& data, int num_features);
 
-/// Feature matrix over a whole dataset.
+/// Writes reading i's feature row, feature_columns(num_features) values in
+/// feature_row's order, to `row`. Unchecked: check_training_columns first.
+inline void write_feature_row(const TrainingColumns& data, std::size_t i,
+                              int num_features, double* row) noexcept {
+  row[0] = data.positions[i].east_m;
+  row[1] = data.positions[i].north_m;
+  if (num_features >= 2) row[2] = data.rss_dbm[i];
+  if (num_features >= 3) row[3] = data.cft_db[i];
+  if (num_features >= 4) row[4] = data.aft_db[i];
+}
+
+/// Feature matrix over a whole dataset, one feature_row per reading.
 [[nodiscard]] ml::Matrix build_features(const campaign::ChannelDataset& data,
                                         int num_features);
 

@@ -41,28 +41,26 @@ struct ModelConstructorConfig {
 };
 
 /// Storage a build reuses from one call to the next: the training columns
-/// a caller snapshots into, the k-means input, scratch and result, the
-/// feature matrix, the member lists, and the rows and labels each
-/// locality trains on. Every buffer keeps its storage between builds and
-/// grows geometrically, so once a workspace has built a channel, builds of
-/// that channel grown by a few readings allocate nothing that grows with
-/// it (the classifier's own fit aside). Serial, with 2 features, it holds
-/// about 116 B a reading.
+/// a caller snapshots into, the k-means scratch and result, and one block
+/// of feature rows and labels grouped by locality. Every buffer keeps its
+/// storage between builds and grows geometrically, so once a workspace has
+/// built a channel, builds of that channel grown by a few readings
+/// allocate nothing that grows with it (the classifier's own fit aside).
+/// Serial or not, with 2 features, it holds about 68 B a reading: the
+/// columns 24, the k-means assignment 8 and seeding distances 8, the
+/// block's rows 24 and labels 4.
 struct BuildWorkspace {
   /// For the caller's snapshot; build() reads it as its input only.
   TrainingColumns columns;
-  ml::Matrix locations;
   ml::KMeansScratch kmeans;
   ml::KMeansResult clusters;
-  ml::Matrix features;
-  /// Reading indices grouped by locality; locality c's are
-  /// members[member_offsets[c], member_offsets[c + 1]).
-  std::vector<std::size_t> members;
-  std::vector<std::size_t> member_offsets;
-  /// One training matrix and label vector per parallel lane, each with
-  /// room for every reading.
-  std::vector<ml::Matrix> rows;
-  std::vector<std::vector<int>> labels;
+  /// Every reading's feature row and label, grouped by locality: locality
+  /// c's are rows [bounds[c], bounds[c + 1]), in reading order.
+  ml::Matrix rows;
+  std::vector<int> labels;
+  std::vector<std::size_t> bounds;
+  /// Safe labels in each locality.
+  std::vector<std::size_t> safe;
 };
 
 class ModelConstructor {
@@ -82,7 +80,7 @@ class ModelConstructor {
                                       std::span<const int> labels) const;
 
   /// The same build in `ws`'s buffers. `data` may be ws.columns. Per-
-  /// locality training on other threads (config threads > 1) writes only
+  /// locality training on other threads (config threads > 1) only reads
   /// its own locality's rows and labels.
   [[nodiscard]] WhiteSpaceModel build(const TrainingColumns& data,
                                       std::span<const int> labels,

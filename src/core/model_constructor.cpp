@@ -1,6 +1,8 @@
 #include "waldo/core/model_constructor.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <numeric>
 #include <random>
 #include <stdexcept>
 
@@ -34,104 +36,74 @@ WhiteSpaceModel ModelConstructor::build(const TrainingColumns& data,
   if (labels.size() != n) {
     throw std::invalid_argument("labels / readings size mismatch");
   }
+  const int num_features = config_.num_features;
+  check_training_columns(data, num_features);
   runtime::StageTimer& timer = runtime::StageTimer::global();
 
-  // Localities from reading locations only.
-  ml::Matrix& locations = ws.locations;
-  locations.reshape(n, 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    locations(i, 0) = data.positions[i].east_m;
-    locations(i, 1) = data.positions[i].north_m;
-  }
+  // Pass 1: localities from reading locations only, read in place.
+  static_assert(offsetof(geo::EnuPoint, north_m) == sizeof(double));
   ml::KMeansConfig kmc;
   kmc.k = std::max<std::size_t>(1, config_.num_localities);
   kmc.seed = config_.seed;
   const ml::KMeansResult& clusters = ws.clusters;
   {
     const auto timing = timer.scope("model.kmeans", n);
-    ml::kmeans_into(locations, kmc, ws.kmeans, ws.clusters);
+    ml::kmeans_into(ml::PlanePoints{&data.positions[0].east_m, n,
+                                    sizeof(geo::EnuPoint)},
+                    kmc, ws.kmeans, ws.clusters);
   }
   const std::size_t k = clusters.centroids.rows();
 
-  const ml::Matrix& features = ws.features;
+  // Pass 2: each reading's feature row and label go to its locality's
+  // block, in reading order: locality c's are rows [bounds[c],
+  // bounds[c + 1]) of ws.rows and ws.labels. bounds[c + 1] starts at
+  // locality c's first row and, as its write cursor, ends past its last.
+  std::vector<std::size_t>& bounds = ws.bounds;
+  runtime::resize_reused(bounds, k + 1);
+  bounds[0] = 0;
+  bounds[1] = 0;
+  for (std::size_t c = 1; c < k; ++c) {
+    bounds[c + 1] = bounds[c] + clusters.counts[c - 1];
+  }
+  std::vector<std::size_t>& safe = ws.safe;
+  runtime::resize_reused(safe, k);
+  std::fill(safe.begin(), safe.end(), 0);
+  const std::size_t cols = feature_columns(num_features);
+  ml::Matrix& rows = ws.rows;
+  rows.reshape(n, cols);
+  runtime::resize_reused(ws.labels, n);
   {
-    const auto timing = timer.scope("model.features", n);
-    build_features_into(data, config_.num_features, ws.features);
+    const auto timing = timer.scope("model.scatter", n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t c = clusters.assignment[i];
+      const std::size_t at = bounds[c + 1]++;
+      write_feature_row(data, i, num_features, rows.row_ptr(at));
+      ws.labels[at] = labels[i];
+      safe[c] += labels[i] == ml::kSafe ? 1 : 0;
+    }
   }
 
-  // Membership lists per locality (cheap, serial): reading indices
-  // grouped by locality, in index order within each, locality c's at
-  // members[offsets[c], offsets[c + 1]). One list of n, however the
-  // localities split it.
-  std::vector<std::size_t>& offsets = ws.member_offsets;
-  runtime::resize_reused(offsets, k + 1);
-  std::fill(offsets.begin(), offsets.end(), 0);
-  for (std::size_t i = 0; i < n; ++i) ++offsets[clusters.assignment[i] + 1];
-  for (std::size_t c = 0; c < k; ++c) offsets[c + 1] += offsets[c];
-  runtime::resize_reused(ws.members, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ws.members[offsets[clusters.assignment[i]]++] = i;
-  }
-  for (std::size_t c = k; c > 0; --c) offsets[c] = offsets[c - 1];
-  offsets[0] = 0;
-
-  // Each lane trains its localities in its own rows and labels, with room
-  // for all n readings: k-means is reseeded on every build, so one
-  // locality's size can swing up to n from one build to the next.
-  const std::size_t lanes = runtime::parallel_lane_count(k, config_.threads);
-  if (ws.rows.size() < lanes) {
-    ws.rows.resize(lanes);
-    ws.labels.resize(lanes);
-  }
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    ws.rows[lane].reserve(n * features.cols());
-    runtime::reserve_reused(ws.labels[lane], n);
-  }
-
-  // Per-locality training — k independent classifiers, the pipeline's
-  // dominant cost, fanned out across threads. Each locality's subsample
-  // shuffle is seeded from (seed + 1, locality index), so the trained
-  // model is a pure function of (config, data, labels): thread counts and
-  // scheduling cannot change a single byte of the descriptor.
+  // Pass 3: per-locality training — k independent classifiers, the
+  // pipeline's dominant cost, fanned out across threads, each reading only
+  // its own block. Each locality's subsample shuffle is seeded from
+  // (seed + 1, locality index), so the trained model is a pure function of
+  // (config, data, labels): thread counts and scheduling cannot change a
+  // single byte of the descriptor.
   const auto timing = timer.scope("model.train", k);
   std::vector<WhiteSpaceModel::Locality> localities(k);
   runtime::parallel_for_lanes(
-      k, config_.threads, [&](std::size_t lane, std::size_t c) {
-        std::span<const std::size_t> member =
-            std::span<const std::size_t>(ws.members)
-                .subspan(offsets[c], offsets[c + 1] - offsets[c]);
+      k, config_.threads, [&](std::size_t /*lane*/, std::size_t c) {
+        const std::size_t first = bounds[c];
+        const std::size_t size = bounds[c + 1] - first;
         WhiteSpaceModel::Locality& loc = localities[c];
-        std::size_t safe = 0;
-        for (const std::size_t i : member) {
-          safe += labels[i] == ml::kSafe ? 1 : 0;
-        }
-
-        if (member.empty() || safe == 0 || safe == member.size()) {
+        if (size == 0 || safe[c] == 0 || safe[c] == size) {
           // Binary locality: no classifier to ship. Empty localities
           // default to the conservative "not safe".
           loc.constant = true;
-          loc.constant_label = (!member.empty() && safe == member.size())
-                                   ? ml::kSafe
-                                   : ml::kNotSafe;
+          loc.constant_label =
+              (size > 0 && safe[c] == size) ? ml::kSafe : ml::kNotSafe;
           return;
         }
-
-        // Only a subsample needs its own copy of the member list.
-        std::vector<std::size_t> sampled;
-        if (config_.max_train_samples > 0 &&
-            member.size() > config_.max_train_samples) {
-          sampled.assign(member.begin(), member.end());
-          std::mt19937_64 rng(runtime::split_seed(config_.seed + 1, c));
-          std::shuffle(sampled.begin(), sampled.end(), rng);
-          sampled.resize(config_.max_train_samples);
-          member = sampled;
-        }
-
-        ml::Matrix& x = ws.rows[lane];
-        features.take_rows_into(member, x);
-        std::vector<int>& y = ws.labels[lane];
-        y.clear();
-        for (const std::size_t i : member) y.push_back(labels[i]);
 
         std::unique_ptr<ml::Classifier> clf;
         if (config_.classifier == "svm") {
@@ -139,13 +111,31 @@ WhiteSpaceModel ModelConstructor::build(const TrainingColumns& data,
         } else {
           clf = make_classifier(config_.classifier);
         }
-        clf->fit(x, y);
+        const ml::MatrixView x(rows.row_ptr(first), size, cols);
+        const std::span<const int> y =
+            std::span<const int>(ws.labels).subspan(first, size);
+        if (config_.max_train_samples > 0 &&
+            size > config_.max_train_samples) {
+          // The first max_train_samples of a shuffle of the block's rows,
+          // which are in reading order.
+          std::vector<std::size_t> sampled(size);
+          std::iota(sampled.begin(), sampled.end(), std::size_t{0});
+          std::mt19937_64 rng(runtime::split_seed(config_.seed + 1, c));
+          std::shuffle(sampled.begin(), sampled.end(), rng);
+          sampled.resize(config_.max_train_samples);
+          std::vector<int> sampled_labels(sampled.size());
+          for (std::size_t s = 0; s < sampled.size(); ++s) {
+            sampled_labels[s] = y[sampled[s]];
+          }
+          clf->fit(ml::take_rows(x, sampled), sampled_labels);
+        } else {
+          clf->fit(x, y);
+        }
         loc.classifier = std::move(clf);
       });
 
-  return WhiteSpaceModel(data.channel, config_.num_features,
-                         config_.classifier, clusters.centroids,
-                         std::move(localities));
+  return WhiteSpaceModel(data.channel, num_features, config_.classifier,
+                         clusters.centroids, std::move(localities));
 }
 
 WhiteSpaceModel ModelConstructor::build(const campaign::ChannelDataset& data,

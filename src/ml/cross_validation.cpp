@@ -54,7 +54,7 @@ CrossValidationResult cross_validate(const Matrix& x, std::span<const int> y,
     }
     cap_indices(train_idx, config.max_train_samples, config.seed + f);
 
-    const Matrix x_train = x.take_rows(train_idx);
+    const Matrix x_train = take_rows(x, train_idx);
     std::vector<int> y_train;
     y_train.reserve(train_idx.size());
     for (const std::size_t i : train_idx) y_train.push_back(y[i]);

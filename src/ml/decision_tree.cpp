@@ -33,7 +33,7 @@ constexpr std::size_t kMinSamplesLeaf = 2;
 
 }  // namespace
 
-void DecisionTree::fit(const Matrix& x, std::span<const int> y) {
+void DecisionTree::fit(MatrixView x, std::span<const int> y) {
   if (x.rows() == 0 || x.rows() != y.size()) {
     throw std::invalid_argument("decision tree: bad training set");
   }
@@ -44,7 +44,7 @@ void DecisionTree::fit(const Matrix& x, std::span<const int> y) {
   build(x, y, idx, 0);
 }
 
-std::int32_t DecisionTree::build(const Matrix& x, std::span<const int> y,
+std::int32_t DecisionTree::build(MatrixView x, std::span<const int> y,
                                  std::vector<std::size_t>& idx,
                                  std::size_t depth) {
   depth_ = std::max(depth_, depth);

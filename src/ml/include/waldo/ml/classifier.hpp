@@ -39,7 +39,7 @@ class Classifier {
   virtual ~Classifier() = default;
 
   /// Trains on feature rows `x` with labels `y` (kSafe / kNotSafe).
-  virtual void fit(const Matrix& x, std::span<const int> y) = 0;
+  virtual void fit(MatrixView x, std::span<const int> y) = 0;
 
   /// Predicted label for one feature vector. Requires a trained model.
   [[nodiscard]] virtual int predict(std::span<const double> x) const = 0;

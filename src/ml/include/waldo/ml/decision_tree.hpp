@@ -18,7 +18,7 @@ class DecisionTree final : public Classifier {
  public:
   explicit DecisionTree(DecisionTreeConfig config = {}) : config_(config) {}
 
-  void fit(const Matrix& x, std::span<const int> y) override;
+  void fit(MatrixView x, std::span<const int> y) override;
   [[nodiscard]] int predict(std::span<const double> x) const override;
   [[nodiscard]] std::string kind() const override { return "decision_tree"; }
   void save(codec::Writer& out) const override;
@@ -39,7 +39,7 @@ class DecisionTree final : public Classifier {
     int label = 0;
   };
 
-  std::int32_t build(const Matrix& x, std::span<const int> y,
+  std::int32_t build(MatrixView x, std::span<const int> y,
                      std::vector<std::size_t>& idx, std::size_t depth);
 
   DecisionTreeConfig config_;

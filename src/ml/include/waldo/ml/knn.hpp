@@ -18,7 +18,7 @@ class KnnClassifier final : public Classifier {
  public:
   explicit KnnClassifier(KnnConfig config = {}) : config_(config) {}
 
-  void fit(const Matrix& x, std::span<const int> y) override;
+  void fit(MatrixView x, std::span<const int> y) override;
   [[nodiscard]] int predict(std::span<const double> x) const override;
   [[nodiscard]] std::string kind() const override { return "knn"; }
   void save(codec::Writer& out) const override;

@@ -11,7 +11,7 @@ namespace waldo::ml {
 
 class LogisticRegression final : public Classifier {
  public:
-  void fit(const Matrix& x, std::span<const int> y) override;
+  void fit(MatrixView x, std::span<const int> y) override;
   [[nodiscard]] int predict(std::span<const double> x) const override;
   [[nodiscard]] std::string kind() const override {
     return "logistic_regression";

@@ -21,7 +21,6 @@ class Matrix {
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
-  [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
 
   [[nodiscard]] double& operator()(std::size_t r, std::size_t c) noexcept {
     return data_[r * cols_ + c];
@@ -51,15 +50,6 @@ class Matrix {
   /// when not (runtime::resize_reused). Values are unspecified until
   /// written.
   void reshape(std::size_t rows, std::size_t cols);
-  /// Makes room for `values` values under reshape's growth rule, without
-  /// changing the shape. New storage is written once (zeroed), so that a
-  /// matrix reshaped to varying sizes within it never faults a page in.
-  void reserve(std::size_t values);
-
-  /// Copy of selected rows, in the given order.
-  [[nodiscard]] Matrix take_rows(std::span<const std::size_t> idx) const;
-  /// take_rows into `out`, reshaped and reusing its storage.
-  void take_rows_into(std::span<const std::size_t> idx, Matrix& out) const;
 
   void push_row(std::span<const double> row);
 
@@ -73,22 +63,43 @@ class Matrix {
   std::vector<double> data_;
 };
 
+/// Read-only view of `rows` contiguous rows of `cols` values laid out as in
+/// a Matrix: a whole Matrix, or a run of rows inside one.
+class MatrixView {
+ public:
+  /// Implicit: every Matrix is a view of its own rows.
+  MatrixView(const Matrix& m) noexcept
+      : MatrixView(m.data().data(), m.rows(), m.cols()) {}
+  MatrixView(const double* data, std::size_t rows, std::size_t cols) noexcept
+      : data_(data), rows_(rows), cols_(cols) {}
+
+  [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
+  [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
+
+  [[nodiscard]] double operator()(std::size_t r, std::size_t c) const noexcept {
+    return data_[r * cols_ + c];
+  }
+  [[nodiscard]] std::span<const double> row(std::size_t r) const noexcept {
+    return {data_ + r * cols_, cols_};
+  }
+  [[nodiscard]] const double* row_ptr(std::size_t r) const noexcept {
+    return data_ + r * cols_;
+  }
+
+ private:
+  const double* data_;
+  std::size_t rows_;
+  std::size_t cols_;
+};
+
+/// Copy of selected rows of `x`, in the given order. Throws
+/// std::out_of_range for an index past its last row.
+[[nodiscard]] Matrix take_rows(MatrixView x, std::span<const std::size_t> idx);
+
 [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
 
 /// Squared Euclidean distance between equal-length vectors.
 [[nodiscard]] double squared_distance(std::span<const double> a,
                                       std::span<const double> b);
-
-/// Unchecked form over `d` values at `a` and `b` (raw rows), summed in
-/// the same order.
-[[nodiscard]] inline double squared_distance(const double* a, const double* b,
-                                             std::size_t d) noexcept {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < d; ++i) {
-    const double diff = a[i] - b[i];
-    acc += diff * diff;
-  }
-  return acc;
-}
 
 }  // namespace waldo::ml

@@ -13,7 +13,12 @@ namespace waldo::ml {
 
 class GaussianNaiveBayes final : public Classifier {
  public:
-  void fit(const Matrix& x, std::span<const int> y) override;
+  /// Widest feature row it trains on: location, RSS, CFT and AFT, the
+  /// model constructor's widest row (core::feature_columns(4)).
+  static constexpr std::size_t kMaxDims = 5;
+
+  /// Throws std::invalid_argument for rows wider than kMaxDims.
+  void fit(MatrixView x, std::span<const int> y) override;
   [[nodiscard]] int predict(std::span<const double> x) const override;
   [[nodiscard]] std::string kind() const override { return "naive_bayes"; }
   void save(codec::Writer& out) const override;

@@ -19,7 +19,7 @@ class Standardizer {
  public:
   /// Learns column means and standard deviations. Constant columns get a
   /// unit scale so they pass through unchanged (centred).
-  void fit(const Matrix& x);
+  void fit(MatrixView x);
 
   /// Installs the identity transform for `dims` columns (mean 0, scale 1):
   /// raw feature values pass through untouched. Used by the paper-faithful
@@ -30,7 +30,7 @@ class Standardizer {
   [[nodiscard]] bool fitted() const noexcept { return !mean_.empty(); }
   [[nodiscard]] std::size_t dims() const noexcept { return mean_.size(); }
 
-  [[nodiscard]] Matrix transform(const Matrix& x) const;
+  [[nodiscard]] Matrix transform(MatrixView x) const;
   [[nodiscard]] std::vector<double> transform(
       std::span<const double> row) const;
 

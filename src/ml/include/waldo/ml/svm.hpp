@@ -32,7 +32,7 @@ class Svm final : public Classifier {
  public:
   explicit Svm(SvmConfig config = {}) : config_(config) {}
 
-  void fit(const Matrix& x, std::span<const int> y) override;
+  void fit(MatrixView x, std::span<const int> y) override;
   [[nodiscard]] int predict(std::span<const double> x) const override;
   [[nodiscard]] std::string kind() const override { return "svm"; }
   void save(codec::Writer& out) const override;

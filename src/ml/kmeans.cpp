@@ -31,109 +31,103 @@ constexpr std::size_t kMaxIterations = 100;
 /// Relative inertia improvement below which k-means stops.
 constexpr double kTolerance = 1e-6;
 
-}  // namespace
-
-KMeansResult kmeans(const Matrix& x, const KMeansConfig& config) {
-  KMeansScratch scratch;
-  KMeansResult result;
-  kmeans_into(x, config, scratch, result);
-  return result;
+/// Squared distance between points of the plane: squared_distance's
+/// (0 + de^2) + dn^2, which is de^2 + dn^2 as de^2 is never -0.
+[[nodiscard]] inline double plane_d2(const double* a, const double* b) {
+  const double de = a[0] - b[0];
+  const double dn = a[1] - b[1];
+  return de * de + dn * dn;
 }
 
-void kmeans_into(const Matrix& x, const KMeansConfig& config,
+}  // namespace
+
+void kmeans_into(PlanePoints points, const KMeansConfig& config,
                  KMeansScratch& scratch, KMeansResult& result) {
-  if (x.rows() == 0) throw std::invalid_argument("kmeans: empty input");
-  const std::size_t n = x.rows();
-  const std::size_t d = x.cols();
+  if (points.size == 0) throw std::invalid_argument("kmeans: empty input");
+  const std::size_t n = points.size;
   const std::size_t k = std::max<std::size_t>(1, std::min(config.k, n));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
 
   std::mt19937_64 rng(config.seed);
 
-  // k-means++ seeding.
+  // k-means++ seeding: one pass per seed after the first takes each
+  // point's squared distance to its nearest seed so far and their total.
   Matrix& centroids = result.centroids;
-  centroids.reshape(k, d);
-  const auto copy_row = [&](std::size_t from, std::size_t c) {
-    std::copy(x.row_ptr(from), x.row_ptr(from) + d, centroids.row_ptr(c));
+  centroids.reshape(k, 2);
+  const auto copy_point = [&](std::size_t from, std::size_t c) {
+    centroids(c, 0) = points[from][0];
+    centroids(c, 1) = points[from][1];
   };
-  // Each row's squared distance to its nearest seed while seeding, then to
-  // its assigned centroid after each assignment.
-  std::vector<double>& row_d2 = scratch.row_d2;
-  runtime::resize_reused(row_d2, n);
-  std::fill(row_d2.begin(), row_d2.end(),
-            std::numeric_limits<double>::infinity());
+  std::vector<double>& seed_d2 = scratch.seed_d2;
+  runtime::resize_reused(seed_d2, n);
   {
     std::uniform_int_distribution<std::size_t> first(0, n - 1);
-    copy_row(first(rng), 0);
+    copy_point(first(rng), 0);
     for (std::size_t c = 1; c < k; ++c) {
       const double* prev = centroids.row_ptr(c - 1);
       double total = 0.0;
       for (std::size_t i = 0; i < n; ++i) {
-        row_d2[i] =
-            std::min(row_d2[i], squared_distance(x.row_ptr(i), prev, d));
-        total += row_d2[i];
+        const double nearest = c == 1 ? kInf : seed_d2[i];
+        seed_d2[i] = std::min(nearest, plane_d2(points[i], prev));
+        total += seed_d2[i];
       }
       std::size_t chosen = n - 1;
       if (total > 0.0) {
         std::uniform_real_distribution<double> u(0.0, total);
         double r = u(rng);
         for (std::size_t i = 0; i < n; ++i) {
-          if (r < row_d2[i]) {
+          if (r < seed_d2[i]) {
             chosen = i;
             break;
           }
-          r -= row_d2[i];
+          r -= seed_d2[i];
         }
       }
-      copy_row(chosen, c);
+      copy_point(chosen, c);
     }
   }
 
   runtime::resize_reused(result.assignment, n);
-  std::fill(result.assignment.begin(), result.assignment.end(), 0);
+  std::vector<std::size_t>& counts = result.counts;
+  runtime::resize_reused(counts, k);
+  Matrix& sums = scratch.sums;
+  sums.reshape(k, 2);
   result.inertia = 0.0;
   result.iterations = 0;
-  double prev_inertia = std::numeric_limits<double>::infinity();
+  double prev_inertia = kInf;
 
   for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
-    // Assign — the O(n k d) hot step. Each row keeps the squared distance
-    // to its centroid, and the inertia sums those in row order afterwards.
+    // One pass: assign each point to its nearest centroid and add its
+    // squared distance to the inertia and its coordinates to its
+    // cluster's sums, all in point order.
+    std::fill(counts.begin(), counts.end(), 0);
+    std::fill_n(sums.row_ptr(0), 2 * k, 0.0);
+    double inertia = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double* row = x.row_ptr(i);
+      const double* point = points[i];
       std::size_t best = 0;
-      double best_d2 = std::numeric_limits<double>::infinity();
+      double best_d2 = kInf;
       for (std::size_t c = 0; c < k; ++c) {
-        const double d2 = squared_distance(centroids.row_ptr(c), row, d);
+        const double d2 = plane_d2(centroids.row_ptr(c), point);
         if (d2 < best_d2) {
           best_d2 = d2;
           best = c;
         }
       }
-      result.assignment[i] = best;
-      // A row no centroid is finitely near (NaN or overflowing
+      // A point no centroid is finitely near (NaN or overflowing
       // coordinates) stays on centroid 0 and adds that distance.
-      row_d2[i] = best_d2 < std::numeric_limits<double>::infinity()
-                      ? best_d2
-                      : squared_distance(centroids.row_ptr(0), row, d);
+      if (!(best_d2 < kInf)) best_d2 = plane_d2(centroids.row_ptr(0), point);
+      result.assignment[i] = best;
+      inertia += best_d2;
+      ++counts[best];
+      double* sum = sums.row_ptr(best);
+      sum[0] += point[0];
+      sum[1] += point[1];
     }
-    double inertia = 0.0;
-    for (std::size_t i = 0; i < n; ++i) inertia += row_d2[i];
     result.inertia = inertia;
     result.iterations = iter + 1;
 
     // Update.
-    Matrix& sums = scratch.sums;
-    sums.reshape(k, d);
-    std::fill_n(sums.row_ptr(0), k * d, 0.0);
-    std::vector<std::size_t>& counts = scratch.counts;
-    runtime::resize_reused(counts, k);
-    std::fill(counts.begin(), counts.end(), 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t c = result.assignment[i];
-      ++counts[c];
-      const double* row = x.row_ptr(i);
-      double* sum = sums.row_ptr(c);
-      for (std::size_t j = 0; j < d; ++j) sum[j] += row[j];
-    }
     for (std::size_t c = 0; c < k; ++c) {
       if (counts[c] == 0) {
         // Re-seed the empty cluster from the worst-fitted point, measured
@@ -141,21 +135,19 @@ void kmeans_into(const Matrix& x, const KMeansConfig& config,
         std::size_t worst = 0;
         double worst_d2 = -1.0;
         for (std::size_t i = 0; i < n; ++i) {
-          const double d2 = squared_distance(
-              centroids.row_ptr(result.assignment[i]), x.row_ptr(i), d);
+          const double d2 =
+              plane_d2(centroids.row_ptr(result.assignment[i]), points[i]);
           if (d2 > worst_d2) {
             worst_d2 = d2;
             worst = i;
           }
         }
-        copy_row(worst, c);
+        copy_point(worst, c);
         continue;
       }
-      const double* sum = sums.row_ptr(c);
-      double* centroid = centroids.row_ptr(c);
-      for (std::size_t j = 0; j < d; ++j) {
-        centroid[j] = sum[j] / static_cast<double>(counts[c]);
-      }
+      const double count = static_cast<double>(counts[c]);
+      centroids(c, 0) = sums(c, 0) / count;
+      centroids(c, 1) = sums(c, 1) / count;
     }
 
     if (prev_inertia - inertia <=

@@ -9,7 +9,7 @@
 
 namespace waldo::ml {
 
-void KnnClassifier::fit(const Matrix& x, std::span<const int> y) {
+void KnnClassifier::fit(MatrixView x, std::span<const int> y) {
   if (x.rows() == 0 || x.rows() != y.size()) {
     throw std::invalid_argument("knn: bad training set");
   }

@@ -56,7 +56,7 @@ bool solve(std::vector<double>& a, std::vector<double>& b, std::size_t n) {
 
 }  // namespace
 
-void LogisticRegression::fit(const Matrix& x_raw, std::span<const int> y) {
+void LogisticRegression::fit(MatrixView x_raw, std::span<const int> y) {
   if (x_raw.rows() == 0 || x_raw.rows() != y.size()) {
     throw std::invalid_argument("logistic regression: bad training set");
   }

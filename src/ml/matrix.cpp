@@ -25,31 +25,15 @@ void Matrix::reshape(std::size_t rows, std::size_t cols) {
   cols_ = cols;
 }
 
-void Matrix::reserve(std::size_t values) {
-  if (values <= data_.capacity()) return;
-  const std::size_t size = data_.size();
-  runtime::reserve_reused(data_, values);
-  // Write all of the new storage once, so that later reshapes within it
-  // land on pages already resident instead of faulting them in.
-  data_.resize(data_.capacity());
-  data_.resize(size);
-}
-
-Matrix Matrix::take_rows(std::span<const std::size_t> idx) const {
-  Matrix out;
-  take_rows_into(idx, out);
-  return out;
-}
-
-void Matrix::take_rows_into(std::span<const std::size_t> idx,
-                            Matrix& out) const {
-  out.reshape(idx.size(), cols_);
+Matrix take_rows(MatrixView x, std::span<const std::size_t> idx) {
+  Matrix out(idx.size(), x.cols());
   for (std::size_t i = 0; i < idx.size(); ++i) {
-    if (idx[i] >= rows_) throw std::out_of_range("take_rows index");
-    const double* src = row_ptr(idx[i]);
+    if (idx[i] >= x.rows()) throw std::out_of_range("take_rows index");
+    const double* src = x.row_ptr(idx[i]);
     double* dst = out.row_ptr(i);
-    for (std::size_t j = 0; j < cols_; ++j) dst[j] = src[j];
+    for (std::size_t j = 0; j < x.cols(); ++j) dst[j] = src[j];
   }
+  return out;
 }
 
 void Matrix::push_row(std::span<const double> row) {
@@ -72,7 +56,12 @@ double squared_distance(std::span<const double> a, std::span<const double> b) {
   if (a.size() != b.size()) {
     throw std::invalid_argument("distance length mismatch");
   }
-  return squared_distance(a.data(), b.data(), a.size());
+  double acc = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double diff = a[i] - b[i];
+    acc += diff * diff;
+  }
+  return acc;
 }
 
 }  // namespace waldo::ml

@@ -1,5 +1,6 @@
 #include "waldo/ml/naive_bayes.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -13,14 +14,26 @@ namespace {
 constexpr double kVarFloor = 1e-9;  // keeps log-densities finite
 }
 
-void GaussianNaiveBayes::fit(const Matrix& x, std::span<const int> y) {
+void GaussianNaiveBayes::fit(MatrixView x, std::span<const int> y) {
   if (x.rows() == 0 || x.rows() != y.size()) {
     throw std::invalid_argument("naive bayes: bad training set");
   }
+  if (x.cols() > kMaxDims) {
+    throw std::invalid_argument("naive bayes: more than 5 feature columns");
+  }
   dims_ = x.cols();
-  std::array<std::size_t, 2> counts{0, 0};
-  for (const int label : y) ++counts[label == kSafe ? 1 : 0];
 
+  // Per-class counts and sums (then means), and squared deviations from
+  // the means, in locals that cannot alias the rows, each summed in row
+  // order.
+  std::array<std::size_t, 2> counts{0, 0};
+  double mean[2][kMaxDims] = {};
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    const std::size_t cls = y[r] == kSafe ? 1 : 0;
+    ++counts[cls];
+    const double* row = x.row_ptr(r);
+    for (std::size_t c = 0; c < dims_; ++c) mean[cls][c] += row[c];
+  }
   if (counts[0] == 0 || counts[1] == 0) {
     single_class_ = true;
     only_class_ = counts[1] > 0 ? kSafe : kNotSafe;
@@ -28,35 +41,28 @@ void GaussianNaiveBayes::fit(const Matrix& x, std::span<const int> y) {
   }
   single_class_ = false;
 
-  for (int cls = 0; cls < 2; ++cls) {
-    auto& m = classes_[static_cast<std::size_t>(cls)];
-    m.mean.assign(dims_, 0.0);
-    m.var.assign(dims_, 0.0);
-    m.log_prior = std::log(static_cast<double>(counts[static_cast<std::size_t>(cls)]) /
-                           static_cast<double>(y.size()));
-  }
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    auto& m = classes_[y[r] == kSafe ? 1 : 0];
-    for (std::size_t c = 0; c < dims_; ++c) m.mean[c] += x(r, c);
-  }
-  for (int cls = 0; cls < 2; ++cls) {
-    auto& m = classes_[static_cast<std::size_t>(cls)];
-    for (double& v : m.mean) {
-      v /= static_cast<double>(counts[static_cast<std::size_t>(cls)]);
-    }
-  }
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    auto& m = classes_[y[r] == kSafe ? 1 : 0];
+  for (std::size_t cls = 0; cls < 2; ++cls) {
     for (std::size_t c = 0; c < dims_; ++c) {
-      const double d = x(r, c) - m.mean[c];
-      m.var[c] += d * d;
+      mean[cls][c] /= static_cast<double>(counts[cls]);
     }
   }
-  for (int cls = 0; cls < 2; ++cls) {
-    auto& m = classes_[static_cast<std::size_t>(cls)];
-    for (double& v : m.var) {
-      v = std::max(v / static_cast<double>(counts[static_cast<std::size_t>(cls)]),
-                   kVarFloor);
+  double squares[2][kMaxDims] = {};
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    const std::size_t cls = y[r] == kSafe ? 1 : 0;
+    const double* row = x.row_ptr(r);
+    for (std::size_t c = 0; c < dims_; ++c) {
+      const double d = row[c] - mean[cls][c];
+      squares[cls][c] += d * d;
+    }
+  }
+  for (std::size_t cls = 0; cls < 2; ++cls) {
+    auto& m = classes_[cls];
+    const auto count = static_cast<double>(counts[cls]);
+    m.log_prior = std::log(count / static_cast<double>(y.size()));
+    m.mean.assign(mean[cls], mean[cls] + dims_);
+    m.var.resize(dims_);
+    for (std::size_t c = 0; c < dims_; ++c) {
+      m.var[c] = std::max(squares[cls][c] / count, kVarFloor);
     }
   }
 }

@@ -8,7 +8,7 @@
 
 namespace waldo::ml {
 
-void Standardizer::fit(const Matrix& x) {
+void Standardizer::fit(MatrixView x) {
   if (x.rows() == 0) throw std::invalid_argument("standardizer: empty fit");
   const std::size_t d = x.cols();
   mean_.assign(d, 0.0);
@@ -35,7 +35,7 @@ void Standardizer::set_identity(std::size_t dims) {
   scale_.assign(dims, 1.0);
 }
 
-Matrix Standardizer::transform(const Matrix& x) const {
+Matrix Standardizer::transform(MatrixView x) const {
   if (!fitted()) throw std::logic_error("standardizer not fitted");
   if (x.cols() != dims()) {
     throw std::invalid_argument("standardizer: dimension mismatch");

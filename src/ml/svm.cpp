@@ -26,7 +26,7 @@ double Svm::kernel(std::span<const double> a, std::span<const double> b) const {
   return std::exp(-gamma_ * squared_distance(a, b));
 }
 
-void Svm::fit(const Matrix& x_raw, std::span<const int> y_raw) {
+void Svm::fit(MatrixView x_raw, std::span<const int> y_raw) {
   if (x_raw.rows() == 0 || x_raw.rows() != y_raw.size()) {
     throw std::invalid_argument("svm: bad training set");
   }
@@ -174,7 +174,7 @@ void Svm::fit(const Matrix& x_raw, std::span<const int> y_raw) {
   for (std::size_t i = 0; i < n; ++i) {
     if (alpha[i] > 1e-9) sv_idx.push_back(i);
   }
-  sv_ = x.take_rows(sv_idx);
+  sv_ = take_rows(x, sv_idx);
   sv_coef_.resize(sv_idx.size());
   for (std::size_t s = 0; s < sv_idx.size(); ++s) {
     sv_coef_[s] = alpha[sv_idx[s]] * y[sv_idx[s]];

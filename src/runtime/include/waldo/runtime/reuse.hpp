@@ -10,19 +10,13 @@
 
 namespace waldo::runtime {
 
-/// Makes room in `v` for `n` elements, keeping its storage when that is
-/// large enough and at least doubling it when not, so a buffer whose size
-/// creeps up reallocates O(log n) times.
-template <typename T>
-void reserve_reused(std::vector<T>& v, std::size_t n) {
-  if (n > v.capacity()) v.reserve(std::max(n, 2 * v.capacity()));
-}
-
-/// Resizes `v` to `n` elements under reserve_reused's growth rule. New
-/// elements are value-initialized; existing ones keep their values.
+/// Resizes `v` to `n` elements, keeping its storage when that is large
+/// enough and at least doubling it when not, so a buffer whose size creeps
+/// up reallocates O(log n) times. New elements are value-initialized;
+/// existing ones keep their values.
 template <typename T>
 void resize_reused(std::vector<T>& v, std::size_t n) {
-  reserve_reused(v, n);
+  if (n > v.capacity()) v.reserve(std::max(n, 2 * v.capacity()));
   v.resize(n);
 }
 

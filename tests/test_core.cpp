@@ -77,7 +77,6 @@ TEST(Features, BuildMatrixMatchesFeatureRowsAndColumns) {
     EXPECT_EQ(cols.channel, 21);
     EXPECT_EQ(cols.cft_db.size(), f >= 3 ? ds.size() : 0u);
     EXPECT_EQ(cols.aft_db.size(), f >= 4 ? ds.size() : 0u);
-    EXPECT_EQ(build_features(cols, f).data(), x.data());
     ASSERT_EQ(x.rows(), ds.size());
     ASSERT_EQ(x.cols(), feature_columns(f));
     for (std::size_t i = 0; i < ds.size(); ++i) {
@@ -92,8 +91,14 @@ TEST(Features, BuildMatrixMatchesFeatureRowsAndColumns) {
     EXPECT_THROW((void)build_features(ds, f), std::invalid_argument);
     EXPECT_THROW((void)training_columns(ds, f), std::invalid_argument);
   }
-  // Columns cut for 2 features cannot feed a 3-feature matrix.
-  EXPECT_THROW((void)build_features(training_columns(ds, 2), 3),
+  // Columns cut for 2 features cannot feed a 3-feature model.
+  EXPECT_THROW(check_training_columns(training_columns(ds, 2), 3),
+               std::invalid_argument);
+  ModelConstructorConfig config;
+  config.num_features = 3;
+  const std::vector<int> labels(ds.size(), ml::kSafe);
+  EXPECT_THROW((void)ModelConstructor(config).build(training_columns(ds, 2),
+                                                    labels),
                std::invalid_argument);
 }
 

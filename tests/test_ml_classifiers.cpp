@@ -178,6 +178,10 @@ TEST(NaiveBayes, ErrorsOnMisuse) {
   EXPECT_THROW((void)nb.predict(std::vector<double>{1.0}), std::logic_error);
   Matrix x = Matrix::from_rows({{1.0}});
   EXPECT_THROW(nb.fit(x, std::vector<int>{}), std::invalid_argument);
+  // Wider than the widest feature row (location, RSS, CFT and AFT).
+  EXPECT_THROW(nb.fit(Matrix(2, GaussianNaiveBayes::kMaxDims + 1),
+                      std::vector<int>{kSafe, kNotSafe}),
+               std::invalid_argument);
 }
 
 TEST(Svm, RbfSolvesDiskProblem) {
@@ -417,6 +421,19 @@ TEST(LogisticRegression, SmallestDescriptorOfAllFamilies) {
   EXPECT_LT(lr.descriptor_size_bytes(), nb.descriptor_size_bytes());
 }
 
+/// The rows of an n x 2 matrix as points of the plane.
+PlanePoints points_of(const Matrix& x) {
+  return PlanePoints{x.row_ptr(0), x.rows(), 2 * sizeof(double)};
+}
+
+/// kmeans_into with fresh storage.
+KMeansResult kmeans(PlanePoints points, const KMeansConfig& config) {
+  KMeansScratch scratch;
+  KMeansResult result;
+  kmeans_into(points, config, scratch, result);
+  return result;
+}
+
 TEST(KMeans, RecoversWellSeparatedClusters) {
   std::mt19937_64 rng(18);
   std::normal_distribution<double> g(0.0, 0.5);
@@ -430,7 +447,7 @@ TEST(KMeans, RecoversWellSeparatedClusters) {
   }
   KMeansConfig cfg;
   cfg.k = 3;
-  const KMeansResult result = kmeans(x, cfg);
+  const KMeansResult result = kmeans(points_of(x), cfg);
   ASSERT_EQ(result.centroids.rows(), 3u);
   // Every true center has a centroid within 0.5.
   for (const auto& c : centers) {
@@ -450,11 +467,37 @@ TEST(KMeans, RecoversWellSeparatedClusters) {
 }
 
 TEST(KMeans, KClampedToSampleCount) {
-  Matrix x = Matrix::from_rows({{0.0}, {10.0}});
+  Matrix x = Matrix::from_rows({{0.0, 0.0}, {10.0, 0.0}});
   KMeansConfig cfg;
   cfg.k = 5;
-  const KMeansResult result = kmeans(x, cfg);
+  const KMeansResult result = kmeans(points_of(x), cfg);
   EXPECT_EQ(result.centroids.rows(), 2u);
+  EXPECT_EQ(result.counts, (std::vector<std::size_t>{1, 1}));
+}
+
+// Points read in place from records wider than a point: the stride skips
+// the rest of each record.
+TEST(KMeans, ReadsPointsInsideLargerRecords) {
+  struct Record {
+    double east;
+    double north;
+    double other;
+  };
+  std::vector<Record> records;
+  Matrix x(60, 2);
+  for (std::size_t i = 0; i < 60; ++i) {
+    x(i, 0) = static_cast<double>(i % 3) * 100.0 + static_cast<double>(i);
+    x(i, 1) = static_cast<double>(i % 3) * -50.0;
+    records.push_back(Record{x(i, 0), x(i, 1), 1e9});
+  }
+  KMeansConfig cfg;
+  cfg.k = 3;
+  const KMeansResult strided = kmeans(
+      PlanePoints{&records[0].east, records.size(), sizeof(Record)}, cfg);
+  const KMeansResult packed = kmeans(points_of(x), cfg);
+  EXPECT_EQ(strided.assignment, packed.assignment);
+  EXPECT_EQ(strided.centroids.data(), packed.centroids.data());
+  EXPECT_EQ(strided.inertia, packed.inertia);
 }
 
 TEST(KMeans, DeterministicPerSeed) {
@@ -467,8 +510,8 @@ TEST(KMeans, DeterministicPerSeed) {
   }
   KMeansConfig cfg;
   cfg.k = 4;
-  const KMeansResult a = kmeans(x, cfg);
-  const KMeansResult b = kmeans(x, cfg);
+  const KMeansResult a = kmeans(points_of(x), cfg);
+  const KMeansResult b = kmeans(points_of(x), cfg);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_DOUBLE_EQ(a.inertia, b.inertia);
 }
@@ -485,14 +528,16 @@ TEST(KMeans, InertiaDecreasesWithMoreClusters) {
   for (const std::size_t k : {1u, 3u, 6u}) {
     KMeansConfig cfg;
     cfg.k = k;
-    const double inertia = kmeans(x, cfg).inertia;
+    const double inertia = kmeans(points_of(x), cfg).inertia;
     EXPECT_LT(inertia, prev);
     prev = inertia;
   }
 }
 
 TEST(KMeans, EmptyInputThrows) {
-  EXPECT_THROW(kmeans(Matrix(), KMeansConfig{}), std::invalid_argument);
+  EXPECT_THROW(kmeans(PlanePoints{nullptr, 0, 2 * sizeof(double)},
+                      KMeansConfig{}),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------ k-means differential
@@ -651,32 +696,36 @@ void expect_same_clustering(const KMeansResult& got, const KMeansResult& want,
   EXPECT_EQ(got.iterations, want.iterations) << where;
 }
 
-/// Runs the library kernel against the oracle.
+/// Runs the library kernel, over the rows of an n x 2 matrix read as
+/// points of the plane, against the oracle. Every case reuses one scratch
+/// and result, left by cases of other sizes, as a serving rebuild does.
 void expect_matches_oracle(const Matrix& x, std::size_t k, std::uint64_t seed,
                            const std::string& where) {
   KMeansConfig cfg;
   cfg.k = k;
   cfg.seed = seed;
-  expect_same_clustering(kmeans(x, cfg), oracle_kmeans(x, cfg), where);
+  static KMeansScratch scratch;
+  static KMeansResult got;
+  kmeans_into(points_of(x), cfg, scratch, got);
+  expect_same_clustering(got, oracle_kmeans(x, cfg), where);
+  // The counts are those of the returned assignment.
+  std::vector<std::size_t> counts(got.centroids.rows(), 0);
+  for (const std::size_t c : got.assignment) ++counts[c];
+  EXPECT_EQ(got.counts, counts) << where;
 }
 
 TEST(KMeansDifferential, MatchesTheOldKernelBitForBit) {
   std::mt19937_64 rng(91);
   std::uniform_real_distribution<double> u(-5'000.0, 5'000.0);
   for (const std::size_t n : {1u, 2u, 3u, 7u, 64u, 511u, 513u, 2000u}) {
-    for (std::size_t d = 1; d <= 5; ++d) {
-      Matrix x(n, d);
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < d; ++j) x(i, j) = u(rng);
-      }
-      for (const std::size_t k : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{3}, std::size_t{5}, n,
-                                  n + 4}) {
-        expect_matches_oracle(x, k, rng(),
-                              "n=" + std::to_string(n) +
-                                  " d=" + std::to_string(d) +
-                                  " k=" + std::to_string(k));
-      }
+    Matrix x(n, 2);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < 2; ++j) x(i, j) = u(rng);
+    }
+    for (const std::size_t k : {std::size_t{1}, std::size_t{2},
+                                std::size_t{3}, std::size_t{5}, n, n + 4}) {
+      expect_matches_oracle(
+          x, k, rng(), "n=" + std::to_string(n) + " k=" + std::to_string(k));
     }
   }
 }
@@ -687,21 +736,18 @@ TEST(KMeansDifferential, ReseedsEmptyClustersLikeTheOldKernel) {
   std::mt19937_64 rng(92);
   std::uniform_int_distribution<int> spot(0, 2);
   for (const std::size_t n : {1u, 5u, 40u, 700u}) {
-    for (std::size_t d = 1; d <= 3; ++d) {
-      Matrix same(n, d, 42.0);
-      Matrix three(n, d);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double v = 100.0 * spot(rng);
-        for (std::size_t j = 0; j < d; ++j) three(i, j) = v + j;
-      }
-      for (const std::size_t k : {std::size_t{2}, std::size_t{3},
-                                  std::size_t{4}, std::size_t{8}}) {
-        const std::string where = "n=" + std::to_string(n) +
-                                  " d=" + std::to_string(d) +
-                                  " k=" + std::to_string(k);
-        expect_matches_oracle(same, k, rng(), "same " + where);
-        expect_matches_oracle(three, k, rng(), "three spots " + where);
-      }
+    Matrix same(n, 2, 42.0);
+    Matrix three(n, 2);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v = 100.0 * spot(rng);
+      for (std::size_t j = 0; j < 2; ++j) three(i, j) = v + j;
+    }
+    for (const std::size_t k : {std::size_t{2}, std::size_t{3},
+                                std::size_t{4}, std::size_t{8}}) {
+      const std::string where =
+          "n=" + std::to_string(n) + " k=" + std::to_string(k);
+      expect_matches_oracle(same, k, rng(), "same " + where);
+      expect_matches_oracle(three, k, rng(), "three spots " + where);
     }
   }
 }
@@ -711,20 +757,16 @@ TEST(KMeansDifferential, MatchesTheOldKernelFarFromTheOrigin) {
   std::uniform_real_distribution<double> offset(-3'000.0, 3'000.0);
   std::uniform_int_distribution<int> side(0, 1);
   for (const std::size_t n : {2u, 300u, 1500u}) {
-    for (std::size_t d = 1; d <= 5; ++d) {
-      Matrix x(n, d);
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < d; ++j) {
-          x(i, j) = (side(rng) == 0 ? -1e7 : 1e7) + offset(rng);
-        }
+    Matrix x(n, 2);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < 2; ++j) {
+        x(i, j) = (side(rng) == 0 ? -1e7 : 1e7) + offset(rng);
       }
-      for (const std::size_t k : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{6}}) {
-        expect_matches_oracle(x, k, rng(),
-                              "n=" + std::to_string(n) +
-                                  " d=" + std::to_string(d) +
-                                  " k=" + std::to_string(k));
-      }
+    }
+    for (const std::size_t k :
+         {std::size_t{1}, std::size_t{3}, std::size_t{6}}) {
+      expect_matches_oracle(
+          x, k, rng(), "n=" + std::to_string(n) + " k=" + std::to_string(k));
     }
   }
 }
@@ -732,10 +774,10 @@ TEST(KMeansDifferential, MatchesTheOldKernelFarFromTheOrigin) {
 TEST(Matrix, TakeRowsCopiesInOrderAndChecksIndices) {
   const Matrix x = Matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}});
   const std::vector<std::size_t> idx{2, 0, 2};
-  const Matrix y = x.take_rows(idx);
+  const Matrix y = take_rows(x, idx);
   EXPECT_EQ(y.data(), (std::vector<double>{5.0, 6.0, 1.0, 2.0, 5.0, 6.0}));
   const std::vector<std::size_t> bad{1, 3};
-  EXPECT_THROW((void)x.take_rows(bad), std::out_of_range);
+  EXPECT_THROW((void)take_rows(x, bad), std::out_of_range);
 }
 
 }  // namespace

@@ -27,7 +27,7 @@ TEST(Matrix, BasicShapeAndAccess) {
 TEST(Matrix, FromRowsAndTake) {
   const Matrix m = Matrix::from_rows({{1, 2, 3}, {4, 5, 6}, {7, 8, 9}});
   const std::vector<std::size_t> idx{2, 0};
-  const Matrix sub = m.take_rows(idx);
+  const Matrix sub = take_rows(m, idx);
   EXPECT_DOUBLE_EQ(sub(0, 0), 7.0);
   EXPECT_DOUBLE_EQ(sub(1, 2), 3.0);
   EXPECT_THROW(Matrix::from_rows({{1, 2}, {1}}), std::invalid_argument);

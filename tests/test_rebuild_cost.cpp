@@ -1,24 +1,26 @@
 // Rebuild cost gate: a serving rebuild of a grown channel must allocate
 // nothing that grows with the channel, and so take almost no page faults.
 //
-// A rebuild has O(n) buffers: the column snapshot, the k-means input and
-// scratch, the feature matrix, the member lists and each locality's rows.
-// Allocated afresh on every rebuild, they stay off mmap only while glibc's
+// A rebuild has O(n) buffers: the column snapshot, the k-means assignment
+// and seeding distances, and one block of every reading's feature row and
+// label, grouped by locality, that each locality trains on. Allocated afresh on every rebuild, they stay off mmap only while glibc's
 // dynamic mmap threshold sits above their size, and a store whose other
 // allocations shrink falls off that cliff: each rebuild maps its buffers
 // anew and page-faults every 4 KiB page of them.
 //
 // main() pins both glibc thresholds at 128 KiB, the worst case: every
 // allocation of 128 KiB or more is mmapped and every free of one is
-// unmapped. This executable replaces operator new to count allocations of
-// 64 KiB or more, and reads the calling thread's minor faults with
-// getrusage. It is built into no other binary, and the sanitizer jobs leave
+// unmapped. This executable replaces operator new to count every
+// allocation, the bytes requested and the allocations of 64 KiB or more,
+// and reads the calling thread's minor faults with getrusage. It is built into no other binary, and the sanitizer jobs leave
 // it out: they replace the allocator it measures.
 #include <gtest/gtest.h>
 #include <malloc.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <random>
@@ -35,11 +37,15 @@ namespace {
 
 constexpr std::size_t kLargeAllocation = 64 * 1024;
 std::atomic<std::uint64_t> g_large_allocations{0};
+std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 
 void* counted_alloc(std::size_t size) {
   if (size >= kLargeAllocation) {
     g_large_allocations.fetch_add(1, std::memory_order_relaxed);
   }
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -131,6 +137,27 @@ core::ModelConstructorConfig serving_model_config() {
 /// about 30 for the 120 KB k-means assignment at 15,000 readings.
 constexpr long kMaxFaultsPerStep = 8;
 
+/// Most heap allocations, of any size, and most bytes they may request in
+/// one measured step, at each channel size: the counts measured (GCC 12.2,
+/// glibc 2.36), as ceilings. Nothing in a step allocates per stored
+/// reading. The upload allocates the request's readings, the contributor's
+/// strings and the screen's per-batch buffers; the rebuild, per trained
+/// locality, the classifier and its four moment vectors (naive Bayes),
+/// then the locality list, the model and the descriptor string as it
+/// grows. The bytes follow the channel's
+/// density, not its size as such: the screen collects each uploaded
+/// reading's neighbourhood RSS into a vector made per batch
+/// (channel_state.cpp), about 1,000 values at 30,000 readings.
+struct StepCeilings {
+  std::uint64_t allocations;
+  std::uint64_t bytes;
+};
+
+[[nodiscard]] StepCeilings step_ceilings(std::size_t readings) {
+  return readings <= 15'000 ? StepCeilings{45, 10'802}
+                            : StepCeilings{46, 19'226};
+}
+
 class RebuildCost : public ::testing::TestWithParam<std::size_t> {};
 
 /// Grows the channel to `target` readings, then takes the measured steps.
@@ -156,18 +183,34 @@ void grow_then_measure(const campaign::ChannelDataset& sweep,
   };
   for (int i = 0; i < 3; ++i) (void)step();
 
+  const StepCeilings ceilings = step_ceilings(target);
   const std::uint64_t built_before = service.counters().models_built;
+  std::uint64_t most_allocations = 0;
+  std::uint64_t most_bytes = 0;
   for (int i = 0; i < 20; ++i) {
-    const std::uint64_t allocations = g_large_allocations.load();
+    const std::uint64_t large = g_large_allocations.load();
+    const std::uint64_t allocations = g_allocations.load();
+    const std::uint64_t allocated = g_allocated_bytes.load();
     const long faults = thread_minor_faults();
     const std::size_t bytes = step();
     const long step_faults = thread_minor_faults() - faults;
-    EXPECT_EQ(g_large_allocations.load() - allocations, 0u)
+    const std::uint64_t step_allocations = g_allocations.load() - allocations;
+    const std::uint64_t step_bytes = g_allocated_bytes.load() - allocated;
+    most_allocations = std::max(most_allocations, step_allocations);
+    most_bytes = std::max(most_bytes, step_bytes);
+    EXPECT_EQ(g_large_allocations.load() - large, 0u)
         << "step " << i << " at " << stored << " readings";
     EXPECT_LE(step_faults, kMaxFaultsPerStep)
         << "step " << i << " at " << stored << " readings";
+    EXPECT_LE(step_allocations, ceilings.allocations)
+        << "step " << i << " at " << stored << " readings";
+    EXPECT_LE(step_bytes, ceilings.bytes)
+        << "step " << i << " at " << stored << " readings";
     EXPECT_GT(bytes, 0u);
   }
+  std::printf("at %zu readings: at most %llu allocations, %llu bytes a step\n",
+              stored, static_cast<unsigned long long>(most_allocations),
+              static_cast<unsigned long long>(most_bytes));
   // Every step rebuilt: the gate measured rebuilds, not cache hits.
   EXPECT_EQ(service.counters().models_built - built_before, 20u);
 }
